@@ -1,0 +1,326 @@
+"""Binary strings, co-c.e. trees as pruning schedules, and fat Cantor levels.
+
+Trees are presented the way a co-c.e. set is enumerated: a finite schedule
+of pruned strings.  The stage-s truncation removes extensions of strings
+pruned at stages < s and is closed under "both children gone => parent
+gone", so it never has dead ends.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
+
+BITS = ("0", "1")
+
+
+def check_bits(sigma: str) -> str:
+    if any(c not in "01" for c in sigma):
+        raise ValueError(f"not a binary string: {sigma!r}")
+    return sigma
+
+
+def flip_bits(sigma: str) -> str:
+    return "".join("1" if c == "0" else "0" for c in sigma)
+
+
+def all_strings(length: int) -> list[str]:
+    return [format(i, f"0{length}b") if length else "" for i in range(1 << length)]
+
+
+class TreePresentation:
+    """Co-c.e. subtree of the full binary tree, given by a pruning schedule.
+
+    An entry (sigma, u) removes all extensions of sigma from truncations at
+    stages strictly greater than u.  Coverage is closed under the rule that a
+    node with both children covered is covered at the same stage.
+    """
+
+    def __init__(self, prune: Iterable[tuple[str, int]] = ()):
+        entries = []
+        for sigma, stage in prune:
+            entries.append((check_bits(sigma), int(stage)))
+        self.prune = tuple(sorted(entries, key=lambda e: (e[1], e[0])))
+        self.max_prune_len = max((len(s) for s, _ in self.prune), default=0)
+        self.final_stage = max((u + 1 for _, u in self.prune), default=0)
+        self._covered_cache: dict[tuple[str, int], bool] = {}
+
+    def _covered(self, sigma: str, stage: int) -> bool:
+        key = (sigma, stage)
+        cached = self._covered_cache.get(key)
+        if cached is not None:
+            return cached
+        result = any(
+            u < stage and sigma.startswith(tau) for tau, u in self.prune
+        )
+        if not result and len(sigma) < self.max_prune_len:
+            result = self._covered(sigma + "0", stage) and self._covered(
+                sigma + "1", stage
+            )
+        self._covered_cache[key] = result
+        return result
+
+    def survives(self, sigma: str, stage: int) -> bool:
+        return not self._covered(check_bits(sigma), stage)
+
+    def level(self, length: int, stage: int) -> list[str]:
+        """Surviving strings of the given length, lexicographically sorted."""
+        out = []
+        work = [""]
+        for _ in range(length):
+            nxt = []
+            for sigma in work:
+                for b in BITS:
+                    if self.survives(sigma + b, stage):
+                        nxt.append(sigma + b)
+            work = nxt
+        if length == 0:
+            work = [s for s in work if self.survives(s, stage)]
+        return sorted(work)
+
+    def is_empty(self, stage: int) -> bool:
+        return not self.survives("", stage)
+
+    def to_json(self) -> dict:
+        return {"prune": [[s, u] for s, u in self.prune]}
+
+    @staticmethod
+    def from_json(doc: dict) -> "TreePresentation":
+        return TreePresentation([(s, u) for s, u in doc.get("prune", [])])
+
+
+def full_tree() -> TreePresentation:
+    return TreePresentation()
+
+
+def single_path_tree(path_bit: str = "0", depth: int = 16, stage: int = 0) -> TreePresentation:
+    """Tree whose only surviving branch repeats path_bit, pruned by `stage`."""
+    other = "1" if path_bit == "0" else "0"
+    entries = [(path_bit * k + other, stage) for k in range(depth)]
+    return TreePresentation(entries)
+
+
+# -- the middle-thirds coding -------------------------------------------------
+
+
+def cantor_coord(sigma: str) -> Fraction:
+    """Left endpoint (un-padded) of sigma's middle-thirds level interval."""
+    check_bits(sigma)
+    total = Fraction(1, 3)
+    for i, c in enumerate(sigma):
+        if c == "1":
+            total += 2 * Fraction(1, 3 ** (i + 2))
+    return total
+
+
+def pad_eps(s: int) -> Fraction:
+    return Fraction(1, 3 ** (s + 2))
+
+
+@dataclass(frozen=True)
+class FatCantorLevel:
+    """Stage-s fat approximation: one padded interval per surviving string."""
+
+    stage: int
+    intervals: tuple[tuple[Fraction, Fraction], ...]
+
+    @property
+    def l_minus(self) -> Fraction:
+        return self.intervals[0][0]
+
+    @property
+    def r_plus(self) -> Fraction:
+        return self.intervals[-1][1]
+
+    @property
+    def l_star(self) -> Fraction:
+        return self.l_minus + pad_eps(self.stage) / 2
+
+    @property
+    def l(self) -> Fraction:
+        return self.l_minus + pad_eps(self.stage)
+
+    @property
+    def r_star(self) -> Fraction:
+        return self.r_plus - pad_eps(self.stage) / 2
+
+    @property
+    def r(self) -> Fraction:
+        return self.r_plus - pad_eps(self.stage)
+
+    def min_point(self) -> Fraction:
+        return self.l_minus
+
+    def max_point(self) -> Fraction:
+        return self.r_plus
+
+
+def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
+    """Level-s intervals J(sigma) = [pi - eps, pi + 3^-(s+1) + eps], eps = 3^-(s+2)."""
+    cache = getattr(tree, "_fat_cache", None)
+    if cache is None:
+        cache = {}
+        setattr(tree, "_fat_cache", cache)
+    if s in cache:
+        return cache[s]
+    strings = tree.level(s, s)
+    if not strings:
+        raise ValueError(f"tree level {s} is empty")
+    eps = pad_eps(s)
+    width = Fraction(1, 3 ** (s + 1))
+    intervals = []
+    for sigma in strings:
+        left = cantor_coord(sigma)
+        intervals.append((left - eps, left + width + eps))
+    level = FatCantorLevel(stage=s, intervals=tuple(intervals))
+    cache[s] = level
+    return level
+
+
+def symmetrize(tree: TreePresentation) -> TreePresentation:
+    """Union with the bit-flipped tree: fat levels become x -> 1-x symmetric.
+
+    Idempotent on already symmetric presentations; a string is pruned once
+    both it and its mirror are pruned i.e. at the max of the two stages.
+    """
+    max_len = tree.max_prune_len
+    horizon = tree.final_stage + 1
+    entries = []
+    for length in range(max_len + 1):
+        for sigma in all_strings(length):
+            flipped = flip_bits(sigma)
+            stage = None
+            for s in range(horizon + 1):
+                if not tree.survives(sigma, s) and not tree.survives(flipped, s):
+                    stage = s - 1
+                    break
+            if stage is None:
+                continue
+            # skip if the parent is already scheduled at the same or earlier stage
+            entries.append((sigma, stage))
+    minimal = []
+    for sigma, stage in entries:
+        dominated = any(
+            sigma != tau and sigma.startswith(tau) and u <= stage for tau, u in entries
+        )
+        if not dominated:
+            minimal.append((sigma, stage))
+    return TreePresentation(minimal)
+
+
+def leftmost_path(tree: TreePresentation, stage: int, depth: int) -> str:
+    """Lexicographically least surviving string of the given length."""
+    if tree.is_empty(stage):
+        raise ValueError("empty tree has no leftmost path")
+    sigma = ""
+    for _ in range(depth):
+        if tree.survives(sigma + "0", stage):
+            sigma += "0"
+        elif tree.survives(sigma + "1", stage):
+            sigma += "1"
+        else:  # cannot happen: coverage closure removes dead ends
+            raise AssertionError("dead end in pruned tree")
+    return sigma
+
+
+@dataclass(frozen=True)
+class EmbedReport:
+    candidate_index: int
+    embeds: bool
+    failing_string: Optional[str]
+
+    @property
+    def failing_depth(self) -> Optional[int]:
+        return None if self.failing_string is None else len(self.failing_string)
+
+
+def tree_immune_witness(
+    tree: TreePresentation, candidates: Sequence[Iterable[str]], depth: int
+) -> list[EmbedReport]:
+    """Bounded proxy check: does each finite prefix-closed candidate sit inside
+    the fully pruned tree up to the given depth?  (True tree-immunity is not
+    decidable; this reports only the finite fragment.)"""
+    stage = tree.final_stage + 1
+    reports = []
+    for idx, cand in enumerate(candidates):
+        strings = sorted({check_bits(s) for s in cand}, key=lambda s: (len(s), s))
+        for sigma in strings:
+            if sigma and sigma[:-1] not in strings:
+                raise ValueError("candidate tree is not prefix-closed")
+        failing = None
+        for sigma in strings:
+            if len(sigma) > depth:
+                continue
+            if not tree.survives(sigma, stage):
+                failing = sigma
+                break
+        reports.append(
+            EmbedReport(candidate_index=idx, embeds=failing is None, failing_string=failing)
+        )
+    return reports
+
+
+# -- stutter embedding and dyadic coding (dimension-set plumbing) -------------
+
+
+def _as_f(f, n: int) -> int:
+    if callable(f):
+        return int(f(n))
+    return int(f[n])
+
+
+def stutter_embed(alpha_prefix: str, f) -> str:
+    """Image prefix under the block map alpha -> prod_i <alpha(i), alpha[f(i)..f(i+1))>.
+
+    `f` is a strictly increasing map with f(0) = 0, given as a callable or a
+    sequence.  Emits every block the prefix fully determines; raises if no
+    block fits.
+    """
+    check_bits(alpha_prefix)
+    n = len(alpha_prefix)
+    if _as_f(f, 0) != 0:
+        raise ValueError("f(0) must be 0")
+    out = []
+    i = 0
+    while True:
+        try:
+            nxt = _as_f(f, i + 1)
+        except (IndexError, ValueError):
+            break
+        if nxt <= _as_f(f, i):
+            raise ValueError("f must be strictly increasing")
+        if i >= n or nxt > n:
+            break
+        out.append(alpha_prefix[i])
+        out.append(alpha_prefix[_as_f(f, i): nxt])
+        i += 1
+    if i == 0:
+        raise ValueError("prefix too short for any block")
+    return "".join(out)
+
+
+def stutter_block_count(f, n: int) -> int:
+    """k_f(n) = #{s : f(s) < n}."""
+    count = 0
+    s = 0
+    while True:
+        try:
+            v = _as_f(f, s)
+        except (IndexError, ValueError):
+            break
+        if v >= n:
+            break
+        count += 1
+        s += 1
+    return count
+
+
+def dyadic_real(alpha_prefix: str) -> tuple[Fraction, Fraction]:
+    """Interval of all completions of sum alpha(i) 2^-(i+1)."""
+    check_bits(alpha_prefix)
+    low = Fraction(0)
+    for i, c in enumerate(alpha_prefix):
+        if c == "1":
+            low += Fraction(1, 1 << (i + 1))
+    return low, low + Fraction(1, 1 << len(alpha_prefix))

@@ -1,0 +1,166 @@
+"""Deterministic stand-ins for c.e. sets and the e-state combinatorics.
+
+Every "incomputable" object here is a finite script replayed verbatim; the
+tests exercise the finite-stage combinatorics the limit arguments rely on.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
+
+
+class EnumerationScript:
+    """Stage-indexed enumeration of naturals: entries (stage, element), one
+    element per stage, element <= stage."""
+
+    def __init__(self, entries: Iterable[tuple[int, int]] = ()):
+        rows = sorted((int(s), int(n)) for s, n in entries)
+        stages = [s for s, _ in rows]
+        if len(set(stages)) != len(stages):
+            raise ValueError("at most one element per stage")
+        for s, n in rows:
+            if n > s:
+                raise ValueError(f"element {n} enumerated before stage {n}")
+            if n < 0 or s < 0:
+                raise ValueError("stages and elements are naturals")
+        self.entries = tuple(rows)
+        self.final_stage = max((s for s, _ in rows), default=0)
+
+    def members_at(self, stage: int) -> set[int]:
+        return {n for s, n in self.entries if s <= stage}
+
+    def members(self) -> set[int]:
+        return {n for _, n in self.entries}
+
+    def stage_of(self, n: int) -> Optional[int]:
+        for s, m in self.entries:
+            if m == n:
+                return s
+        return None
+
+    def to_json(self) -> list[list[int]]:
+        return [[s, n] for s, n in self.entries]
+
+    @staticmethod
+    def from_json(rows) -> "EnumerationScript":
+        return EnumerationScript([(s, n) for s, n in rows])
+
+
+def stage_function(script: EnumerationScript, n: int) -> Optional[int]:
+    """st(n): least stage at which n appears, or None."""
+    return script.stage_of(n)
+
+
+def sigma_reduce(
+    t_star: EnumerationScript, u_star: EnumerationScript
+) -> tuple[EnumerationScript, EnumerationScript]:
+    """Reduction for a pair of scripted c.e. sets.
+
+    An element in both goes to whichever script enumerated it first; a tie at
+    equal stages goes to the first script.  Outputs partition the union.
+    """
+    t_entries = []
+    u_entries = []
+    for s, n in t_star.entries:
+        su = u_star.stage_of(n)
+        if su is None or s <= su:
+            t_entries.append((s, n))
+    t_members = {n for _, n in t_entries}
+    for s, n in u_star.entries:
+        if n not in t_members:
+            u_entries.append((s, n))
+    return EnumerationScript(t_entries), EnumerationScript(u_entries)
+
+
+@dataclass(frozen=True)
+class FamilyMember:
+    name: str
+    triples: tuple[tuple[int, int, int], ...]  # (component n, stage, element)
+
+    def _index(self) -> dict[tuple[int, int], int]:
+        cached = getattr(self, "_idx", None)
+        if cached is None:
+            cached = {}
+            for (m, s, x) in self.triples:
+                key = (m, x)
+                if key not in cached or s < cached[key]:
+                    cached[key] = s
+            object.__setattr__(self, "_idx", cached)
+        return cached
+
+    def contains_at(self, n: int, x: int, stage: int) -> bool:
+        s = self._index().get((n, x))
+        return s is not None and s <= stage
+
+    def set_at(self, n: int, stage: int) -> set[int]:
+        return {x for (m, x), s in self._index().items() if m == n and s <= stage}
+
+
+class SequenceFamily:
+    """Finite list of scripted uniformly-enumerable sequences V_i."""
+
+    def __init__(self, members: Sequence[FamilyMember], normalized: bool = False):
+        self.members = tuple(members)
+        self.normalized = bool(normalized)
+        if normalized:
+            for mem in self.members:
+                for (n, _, x) in mem.triples:
+                    if x < n:
+                        raise ValueError(
+                            f"{mem.name}: element {x} below component index {n}"
+                        )
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def padded(self, size: int) -> "SequenceFamily":
+        """Family extended with silent members so indices below `size` exist."""
+        if len(self.members) >= size:
+            return self
+        extra = tuple(
+            FamilyMember(f"pad{i}", ())
+            for i in range(len(self.members), size)
+        )
+        return SequenceFamily(self.members + extra, normalized=False)
+
+    def to_json(self) -> list[dict]:
+        return [
+            {"name": m.name, "triples": [list(t) for t in m.triples]}
+            for m in self.members
+        ]
+
+    @staticmethod
+    def from_json(rows, normalized: bool = False) -> "SequenceFamily":
+        members = [
+            FamilyMember(r["name"], tuple((n, s, x) for n, s, x in r["triples"]))
+            for r in rows
+        ]
+        return SequenceFamily(members, normalized=normalized)
+
+
+def e_state(fam: SequenceFamily, e: int, y: int, stage: int) -> tuple[int, ...]:
+    """Membership pattern of y across the e-th components, as a bit vector
+    with index 0 most significant.
+
+    Indices beyond the scripted members read as empty sets, so a small family
+    stands in for an effective enumeration padded with silence.
+    """
+    return tuple(
+        1 if i < len(fam.members) and fam.members[i].contains_at(e, y, stage) else 0
+        for i in range(e + 1)
+    )
+
+
+def limit_f(fam: SequenceFamily, e: int, stage: int, search_bound: int) -> int:
+    """Least y <= search_bound whose e-state at `stage` is maximal."""
+    if search_bound < e:
+        raise ValueError("search bound must be at least e")
+    best_y = 0
+    best_state = e_state(fam, e, 0, stage)
+    for y in range(1, search_bound + 1):
+        st = e_state(fam, e, y, stage)
+        if st > best_state:
+            best_state = st
+            best_y = y
+    return best_y

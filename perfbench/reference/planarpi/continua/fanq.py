@@ -1,0 +1,718 @@
+"""Stage machine for the co-c.e. Cantor fan built from a snake of blocks.
+
+Each block carries an affine frame per axis mapping the fat-Cantor ambient
+interval onto the block's box, so its stage-t body is just the affine image
+of the stage-t fat level, triangle-clipped for corners.  A non-injured stage
+climbs into the top margin strip of the active straight block; an injured
+stage first retraces every block newer than the rollback stage p through
+stage-s margin corridors (solid in the stage-s fat level and band-free at
+every later stage), then resumes on the stage-p frame.
+
+Margin corridors follow one rule: the retraced path runs in the reverse
+direction with the host block on its right, which picks the r-side margin
+exactly when the reverse travel points right or down.  For a symmetric tree
+presentation the corridor rectangles sit inside the host bodies with
+equality at worst on the clipping diagonals.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from ..cantor import FatCantorLevel, TreePresentation, fat_level, flip_bits
+from ..geom import (
+    ConvexPoly,
+    RegionSnapshot,
+    clip_halfplane,
+    convex_intersection,
+    frac_str,
+    rect,
+    segment,
+)
+from .regions import CORNER_DELTAS, DOWN, Direction, LEFT, RIGHT, UP, delta_halfplane
+
+Frac = Fraction
+
+ONE_THIRD = Frac(1, 3)
+TWO_THIRDS = Frac(2, 3)
+
+
+@dataclass(frozen=True)
+class AffineFrame:
+    """value = offset + scale * x, for x on the fat-Cantor ambient line."""
+
+    offset: Fraction
+    scale: Fraction
+
+    def img(self, x) -> Fraction:
+        return self.offset + self.scale * Fraction(x)
+
+    def img_interval(self, lo, hi) -> tuple[Fraction, Fraction]:
+        a, b = self.img(lo), self.img(hi)
+        return (a, b) if a <= b else (b, a)
+
+
+def reframe(base: AffineFrame, lo, hi, m: FatCantorLevel) -> AffineFrame:
+    """Frame mapping the stage-m ambient [l-, r+] onto base.img([lo, hi])."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    scale = base.scale * (hi - lo) / (m.r_plus - m.l_minus)
+    offset = base.offset + base.scale * lo - scale * m.l_minus
+    return AffineFrame(offset, scale)
+
+
+def frame_onto(x0: Fraction, x1: Fraction, m: FatCantorLevel) -> AffineFrame:
+    """Frame mapping the stage-m ambient [l-, r+] onto [x0, x1]."""
+    scale = (x1 - x0) / (m.r_plus - m.l_minus)
+    return AffineFrame(x0 - scale * m.l_minus, scale)
+
+
+@dataclass
+class BlockRecord:
+    """One block of the snake with its box, frames, and chain directions."""
+
+    id: int
+    creation_stage: int
+    kind: str  # 'straight' | 'corner' | 'end-box'
+    d_in: Optional[Direction]
+    d_out: Optional[Direction]
+    frame_stage: int
+    box: tuple[Fraction, Fraction, Fraction, Fraction]  # x0, x1, y0, y1
+    axis: Optional[int] = None  # straight blocks: travel axis
+    symbol: Optional[str] = None  # corner blocks
+    fx: Optional[AffineFrame] = None
+    fy: Optional[AffineFrame] = None
+    host_id: Optional[int] = None
+
+    def body_at(self, tree: TreePresentation, t: int) -> list[ConvexPoly]:
+        if t < self.creation_stage:
+            raise ValueError("block queried before creation")
+        x0, x1, y0, y1 = self.box
+        if self.kind == "end-box":
+            return [rect(x0, y0, x1, y1)]
+        level = fat_level(tree, t)
+        if self.kind == "straight":
+            pieces = []
+            if self.axis == 0:
+                for lo, hi in level.intervals:
+                    a, b = self.fy.img_interval(lo, hi)
+                    pieces.append(rect(x0, a, x1, b))
+            else:
+                for lo, hi in level.intervals:
+                    a, b = self.fx.img_interval(lo, hi)
+                    pieces.append(rect(a, y0, b, y1))
+            return pieces
+        # corner: band families clipped by the frame-box triangles, then by
+        # the (possibly smaller) bounding box
+        fm = fat_level(tree, self.frame_stage)
+        fx0, fx1 = self.fx.img_interval(fm.l_minus, fm.r_plus)
+        fy0, fy1 = self.fy.img_interval(fm.l_minus, fm.r_plus)
+        fq, fr = fx1 - fx0, fy1 - fy0
+        hi_sel, vi_sel = CORNER_DELTAS[self.symbol]
+        h_plane = delta_halfplane(*hi_sel, fx0, fy0, fq, fr)
+        v_plane = delta_halfplane(*vi_sel, fx0, fy0, fq, fr)
+        raw: list[ConvexPoly] = []
+        for lo, hi in level.intervals:
+            a, b = self.fy.img_interval(lo, hi)
+            piece = clip_halfplane(rect(fx0, a, fx1, b), *h_plane)
+            if piece is not None:
+                raw.append(piece)
+        for lo, hi in level.intervals:
+            a, b = self.fx.img_interval(lo, hi)
+            piece = clip_halfplane(rect(a, fy0, b, fy1), *v_plane)
+            if piece is not None:
+                raw.append(piece)
+        out = []
+        for piece in raw:
+            for nx, ny, c in ((1, 0, x1), (-1, 0, -x0), (0, 1, y1), (0, -1, -y0)):
+                piece = clip_halfplane(piece, nx, ny, c)
+                if piece is None:
+                    break
+            if piece is not None:
+                out.append(piece)
+        return out
+
+    def to_json(self) -> dict:
+        return {
+            "id": self.id,
+            "creation_stage": self.creation_stage,
+            "kind": self.kind,
+            "axis": self.axis,
+            "symbol": self.symbol,
+            "dir": (
+                None
+                if self.d_in is None
+                else [self.d_in.symbol, (self.d_out or self.d_in).symbol]
+            ),
+            "frame_stage": self.frame_stage,
+            "box": [frac_str(v) for v in self.box],
+            "host": self.host_id,
+        }
+
+
+@dataclass
+class TouchEdge:
+    src: Optional[int]  # None for the declared first touch
+    dst: int
+    direction: Direction
+
+    def to_json(self) -> list:
+        return [self.src, self.dst, self.direction.symbol]
+
+
+@dataclass
+class BlockGraph:
+    blocks: list[BlockRecord] = field(default_factory=list)
+    touches: list[TouchEdge] = field(default_factory=list)
+    end_boxes: list[BlockRecord] = field(default_factory=list)  # one per stage
+
+    def block(self, bid: int) -> BlockRecord:
+        for b in self.blocks:
+            if b.id == bid:
+                return b
+        raise KeyError(bid)
+
+    def to_json(self) -> dict:
+        incoming = {t.dst: t for t in self.touches}
+        blocks = []
+        for b in self.blocks:
+            doc = b.to_json()
+            edge = incoming.get(b.id)
+            doc["touch"] = None if edge is None else [edge.src, edge.direction.symbol]
+            blocks.append(doc)
+        return {
+            "blocks": blocks,
+            "touch": [t.to_json() for t in self.touches],
+            "end_boxes": [e.to_json() for e in self.end_boxes],
+        }
+
+
+class DestinationTrack:
+    """Destination abscissa evolving with a scripted enumeration.
+
+    gamma_min(s) = 1/3 + rho(B_s)/3 and gamma_max(s) adds the exact all-ones
+    tail above the stage-s element, so the track always starts at [1/3, 2/3]
+    and stays inside it.
+    """
+
+    def __init__(self, entries: Sequence[tuple[int, int]]):
+        rows = sorted((int(s), int(n)) for s, n in entries)
+        stages = [s for s, _ in rows]
+        elements = [n for _, n in rows]
+        if len(set(stages)) != len(stages):
+            raise ValueError("one element per scripted stage")
+        if len(set(elements)) != len(elements):
+            raise ValueError("elements must be distinct")
+        if any(n < 1 for n in elements):
+            raise ValueError("elements must be >= 1 (0 is the implicit tail index)")
+        self.elements = elements
+        self.final_stage = len(elements)
+
+    def gamma(self, step: int) -> tuple[Fraction, Fraction]:
+        if step < 0 or step > self.final_stage:
+            raise ValueError("step outside the scripted range")
+        if step == 0:
+            return ONE_THIRD, TWO_THIRDS
+        members = self.elements[:step]
+        n_s = members[-1]
+        rho_min = sum((2 * Frac(1, 3 ** (i + 1)) for i in members), Frac(0))
+        rho_max = sum(
+            (2 * Frac(1, 3 ** (i + 1)) for i in members if i < n_s), Frac(0)
+        ) + Frac(1, 3**n_s)
+        gmin = ONE_THIRD + rho_min / 3
+        gmax = ONE_THIRD + rho_max / 3
+        if not (ONE_THIRD <= gmin <= gmax <= TWO_THIRDS):
+            raise ValueError("destination track left [1/3, 2/3]")
+        return gmin, gmax
+
+    def to_json(self) -> list[list[int]]:
+        return [[i + 1, n] for i, n in enumerate(self.elements)]
+
+
+def _corridor(d: Direction, m: FatCantorLevel) -> tuple[Fraction, Fraction]:
+    """Stage margin for a retrace leg travelling in direction d (host on the right)."""
+    if d.axis ^ d.sense:
+        return (m.r_star, m.r_plus)
+    return (m.l_minus, m.l_star)
+
+
+class _Builder:
+    def __init__(self, tree: TreePresentation, track: DestinationTrack):
+        self.tree = tree
+        self.track = track
+        self.graph = BlockGraph()
+        self._next_id = 0
+
+    def _new_id(self) -> int:
+        self._next_id += 1
+        return self._next_id - 1
+
+    def _add(self, record: BlockRecord) -> BlockRecord:
+        self.graph.blocks.append(record)
+        return record
+
+    def _touch(self, src: Optional[BlockRecord], dst: BlockRecord, d: Direction):
+        self.graph.touches.append(TouchEdge(src.id if src else None, dst.id, d))
+
+    # -- stage 0 ------------------------------------------------------------
+
+    def stage_zero(self):
+        m = fat_level(self.tree, 0)
+        gmin, gmax = self.track.gamma(0)
+        frame = AffineFrame(Frac(0), Frac(1))
+        z0 = self._add(
+            BlockRecord(
+                id=self._new_id(),
+                creation_stage=0,
+                kind="straight",
+                d_in=LEFT,
+                d_out=LEFT,
+                frame_stage=0,
+                box=(gmin, gmax, m.l_minus, m.r_plus),
+                axis=0,
+                fy=frame,
+            )
+        )
+        self._touch(None, z0, LEFT)
+        self.graph.end_boxes.append(
+            BlockRecord(
+                id=-1,
+                creation_stage=0,
+                kind="end-box",
+                d_in=None,
+                d_out=None,
+                frame_stage=0,
+                box=(gmin - ONE_THIRD, gmin, m.l_minus, m.r_plus),
+            )
+        )
+        self.active = z0
+        self.active_frame = frame
+        self.zeta = ONE_THIRD
+        self.gammas = [(gmin, gmax)]
+
+    # -- retrace ------------------------------------------------------------
+
+    def _straight_return(self, host: BlockRecord, m: FatCantorLevel, s: int, prev):
+        d = host.d_in.reverse()
+        cross = host.fy if host.axis == 0 else host.fx
+        lo, hi = _corridor(d, m)
+        new_cross = reframe(cross, lo, hi, m)
+        c0, c1 = cross.img_interval(lo, hi)
+        if host.axis == 0:
+            box = (host.box[0], host.box[1], c0, c1)
+        else:
+            box = (c0, c1, host.box[2], host.box[3])
+        blk = self._add(
+            BlockRecord(
+                id=self._new_id(),
+                creation_stage=s + 1,
+                kind="straight",
+                d_in=d,
+                d_out=d,
+                frame_stage=s,
+                box=box,
+                axis=host.axis,
+                fx=None if host.axis == 0 else new_cross,
+                fy=new_cross if host.axis == 0 else None,
+                host_id=host.id,
+            )
+        )
+        self._touch(prev, blk, d)
+        return blk
+
+    def _corner_return(self, host: BlockRecord, m: FatCantorLevel, s: int, prev):
+        entry_dir = host.d_out.reverse()
+        exit_dir = host.d_in.reverse()
+        d_vert = entry_dir if entry_dir.axis == 1 else exit_dir
+        d_horiz = entry_dir if entry_dir.axis == 0 else exit_dir
+        x_corr = _corridor(d_vert, m)
+        y_corr = _corridor(d_horiz, m)
+        fx_chunk = reframe(host.fx, *x_corr, m)
+        fy_chunk = reframe(host.fy, *y_corr, m)
+        cx0, cx1 = host.fx.img_interval(*x_corr)
+        cy0, cy1 = host.fy.img_interval(*y_corr)
+        bx0, bx1, by0, by1 = host.box
+
+        def leg(d: Direction, before_chunk: bool) -> BlockRecord:
+            if d.axis == 1:
+                if d.sense == 0:  # travelling down
+                    y_rng = (cy1, by1) if before_chunk else (by0, cy0)
+                else:
+                    y_rng = (by0, cy0) if before_chunk else (cy1, by1)
+                return BlockRecord(
+                    id=self._new_id(),
+                    creation_stage=s + 1,
+                    kind="straight",
+                    d_in=d,
+                    d_out=d,
+                    frame_stage=s,
+                    box=(cx0, cx1, y_rng[0], y_rng[1]),
+                    axis=1,
+                    fx=fx_chunk,
+                    host_id=host.id,
+                )
+            if d.sense == 1:  # travelling right
+                x_rng = (bx0, cx0) if before_chunk else (cx1, bx1)
+            else:
+                x_rng = (cx1, bx1) if before_chunk else (bx0, cx0)
+            return BlockRecord(
+                id=self._new_id(),
+                creation_stage=s + 1,
+                kind="straight",
+                d_in=d,
+                d_out=d,
+                frame_stage=s,
+                box=(x_rng[0], x_rng[1], cy0, cy1),
+                axis=0,
+                fy=fy_chunk,
+                host_id=host.id,
+            )
+
+        entry = self._add(leg(entry_dir, before_chunk=True))
+        self._touch(prev, entry, entry_dir)
+        chunk = self._add(
+            BlockRecord(
+                id=self._new_id(),
+                creation_stage=s + 1,
+                kind="corner",
+                d_in=entry_dir,
+                d_out=exit_dir,
+                frame_stage=s,
+                box=(cx0, cx1, cy0, cy1),
+                symbol=host.symbol,
+                fx=fx_chunk,
+                fy=fy_chunk,
+                host_id=host.id,
+            )
+        )
+        self._touch(entry, chunk, entry_dir)
+        exit_leg = self._add(leg(exit_dir, before_chunk=False))
+        self._touch(chunk, exit_leg, exit_dir)
+        return exit_leg
+
+    # -- one stage step -------------------------------------------------------
+
+    def step(self, s: int):
+        m = fat_level(self.tree, s)
+        gmin_s, gmax_s = self.gammas[s]
+        gmin_n, gmax_n = self.track.gamma(s + 1)
+        self.gammas.append((gmin_n, gmax_n))
+        injured = not (gmin_s <= gmin_n and gmax_n <= gmax_s)
+        y_frame = self.active_frame
+        endbox_fx = frame_onto(gmin_s - self.zeta, gmin_s, m)
+
+        z0 = self._add(
+            BlockRecord(
+                id=self._new_id(),
+                creation_stage=s + 1,
+                kind="corner",
+                d_in=LEFT,
+                d_out=UP,
+                frame_stage=s,
+                box=(
+                    gmin_s - self.zeta,
+                    gmin_s,
+                    y_frame.img(m.l_minus),
+                    y_frame.img(m.r_star),
+                ),
+                symbol="ll",
+                fx=endbox_fx,
+                fy=y_frame,
+            )
+        )
+        self._touch(self.active, z0, LEFT)
+        y1_frame = reframe(y_frame, m.r_star, m.r_plus, m)
+        z1 = self._add(
+            BlockRecord(
+                id=self._new_id(),
+                creation_stage=s + 1,
+                kind="corner",
+                d_in=UP,
+                d_out=RIGHT,
+                frame_stage=s,
+                box=(
+                    gmin_s - self.zeta,
+                    gmin_s,
+                    y_frame.img(m.r_star),
+                    y_frame.img(m.r_plus),
+                ),
+                symbol="ul",
+                fx=endbox_fx,
+                fy=y1_frame,
+            )
+        )
+        self._touch(z0, z1, UP)
+
+        prev = z1
+        if injured:
+            if gmin_n <= gmax_s:
+                raise ValueError("injured destination intervals must be disjoint")
+            p = None
+            for cand in range(s, -1, -1):
+                g0, g1 = self.gammas[cand]
+                if g0 <= gmin_n and gmax_n <= g1:
+                    p = cand
+                    break
+            assert p is not None  # stage 0 spans [1/3, 2/3]
+            hosts = [
+                b
+                for b in self.graph.blocks
+                if p < b.creation_stage <= s and b.kind != "end-box"
+            ]
+            for host in reversed(hosts):
+                if host.kind == "straight":
+                    prev = self._straight_return(host, m, s, prev)
+                else:
+                    prev = self._corner_return(host, m, s, prev)
+            base_block = next(
+                b
+                for b in reversed(self.graph.blocks)
+                if b.creation_stage == p and b.kind == "straight" and b.axis == 0
+            )
+            base_frame = base_block.fy
+            gmin_host, gmax_host = self.gammas[p]
+        else:
+            base_frame = y_frame
+            gmin_host, gmax_host = gmin_s, gmax_s
+
+        ystar = reframe(base_frame, m.r_star, m.r_plus, m)
+        z2 = self._add(
+            BlockRecord(
+                id=self._new_id(),
+                creation_stage=s + 1,
+                kind="straight",
+                d_in=RIGHT,
+                d_out=RIGHT,
+                frame_stage=s,
+                box=(
+                    gmin_host,
+                    gmax_n,
+                    base_frame.img(m.r_star),
+                    base_frame.img(m.r_plus),
+                ),
+                axis=0,
+                fy=ystar,
+            )
+        )
+        self._touch(prev, z2, RIGHT)
+
+        zeta_star = (gmax_host - gmax_n) / (3**s)
+        if zeta_star <= 0:
+            raise ValueError("destination max must strictly shrink inside a frame")
+        fx34 = frame_onto(gmax_n, gmax_n + zeta_star, m)
+        z3 = self._add(
+            BlockRecord(
+                id=self._new_id(),
+                creation_stage=s + 1,
+                kind="corner",
+                d_in=RIGHT,
+                d_out=UP,
+                frame_stage=s,
+                box=(
+                    gmax_n,
+                    gmax_n + zeta_star,
+                    ystar.img(m.l_minus),
+                    ystar.img(m.r_star),
+                ),
+                symbol="lr",
+                fx=fx34,
+                fy=ystar,
+            )
+        )
+        self._touch(z2, z3, RIGHT)
+        ystarstar = reframe(ystar, m.r_star, m.r_plus, m)
+        z4 = self._add(
+            BlockRecord(
+                id=self._new_id(),
+                creation_stage=s + 1,
+                kind="corner",
+                d_in=UP,
+                d_out=LEFT,
+                frame_stage=s,
+                box=(
+                    gmax_n,
+                    gmax_n + zeta_star,
+                    ystar.img(m.r_star),
+                    ystar.img(m.r_plus),
+                ),
+                symbol="ur",
+                fx=fx34,
+                fy=ystarstar,
+            )
+        )
+        self._touch(z3, z4, UP)
+        z5 = self._add(
+            BlockRecord(
+                id=self._new_id(),
+                creation_stage=s + 1,
+                kind="straight",
+                d_in=LEFT,
+                d_out=LEFT,
+                frame_stage=s,
+                box=(
+                    gmin_n,
+                    gmax_n,
+                    ystarstar.img(m.l_minus),
+                    ystarstar.img(m.r_plus),
+                ),
+                axis=0,
+                fy=ystarstar,
+            )
+        )
+        self._touch(z4, z5, LEFT)
+        zeta_ss = (gmin_n - gmin_host) / (3**s)
+        if zeta_ss <= 0:
+            raise ValueError("destination min must strictly grow")
+        self.graph.end_boxes.append(
+            BlockRecord(
+                id=-1,
+                creation_stage=s + 1,
+                kind="end-box",
+                d_in=None,
+                d_out=None,
+                frame_stage=s,
+                box=(
+                    gmin_n - zeta_ss,
+                    gmin_n,
+                    ystarstar.img(m.l_minus),
+                    ystarstar.img(m.r_plus),
+                ),
+            )
+        )
+        self.active = z5
+        self.active_frame = ystarstar
+        self.zeta = zeta_ss
+
+    def snapshot(self, t: int) -> RegionSnapshot:
+        pieces: list[ConvexPoly] = []
+        pieces.extend(self.graph.end_boxes[t].body_at(self.tree, t))
+        for b in self.graph.blocks:
+            if b.creation_stage <= t:
+                pieces.extend(b.body_at(self.tree, t))
+        return RegionSnapshot(t, pieces)
+
+
+def _check_symmetric(tree: TreePresentation, depth: int) -> bool:
+    for length in range(depth + 1):
+        for stage in range(depth + 2):
+            lvl = tree.level(length, stage)
+            if sorted(flip_bits(s) for s in lvl) != lvl:
+                return False
+    return True
+
+
+def _validated_builder(
+    stage: int, tree: TreePresentation, track: DestinationTrack
+) -> _Builder:
+    if stage > track.final_stage:
+        raise ValueError("stage exceeds the scripted destination track")
+    if tree.is_empty(stage + 1):
+        raise ValueError("empty tree presentation")
+    if not _check_symmetric(tree, stage):
+        raise ValueError("tree presentation must be symmetric")
+    builder = _Builder(tree, track)
+    builder.stage_zero()
+    for s in range(stage):
+        builder.step(s)
+    return builder
+
+
+def build_cantor_fan_q(
+    stage: int, tree: TreePresentation, track: DestinationTrack
+) -> tuple[RegionSnapshot, BlockGraph]:
+    """Replay the snake machine to the requested stage."""
+    builder = _validated_builder(stage, tree, track)
+    return builder.snapshot(stage), builder.graph
+
+
+def q_snapshots(
+    stage: int, tree: TreePresentation, track: DestinationTrack
+) -> tuple[list[RegionSnapshot], BlockGraph]:
+    """All snapshots 0..stage from a single replay."""
+    builder = _validated_builder(stage, tree, track)
+    return [builder.snapshot(t) for t in range(stage + 1)], builder.graph
+
+
+# -- the touch predicate --------------------------------------------------------
+
+
+def _edge_segment(box, d: Direction) -> ConvexPoly:
+    x0, x1, y0, y1 = box
+    if d == LEFT:
+        return segment((x0, y0), (x0, y1))
+    if d == RIGHT:
+        return segment((x1, y0), (x1, y1))
+    if d == DOWN:
+        return segment((x0, y0), (x1, y0))
+    return segment((x0, y1), (x1, y1))
+
+
+def _collinear(a: ConvexPoly, b: ConvexPoly) -> bool:
+    (a0, a1), (b0, b1) = a.vertices, b.vertices
+    def cross(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+    return cross(a0, a1, b0) == 0 and cross(a0, a1, b1) == 0
+
+
+def _params_on_chart(chart: ConvexPoly, pieces: Sequence[ConvexPoly], clip: ConvexPoly):
+    """Pieces cut to the segment `clip`, as merged parameter intervals on the
+    line through `chart` (both segments must be collinear)."""
+    a, b = chart.vertices
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    denom = dx * dx + dy * dy
+    intervals = []
+    for piece in pieces:
+        inter = convex_intersection(piece, clip)
+        if inter is None:
+            continue
+        ts = [((v[0] - a[0]) * dx + (v[1] - a[1]) * dy) / denom for v in inter.vertices]
+        intervals.append((min(ts), max(ts)))
+    merged: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def check_touch(
+    z0: BlockRecord,
+    z1: BlockRecord,
+    d: Direction,
+    graph: BlockGraph,
+    tree: TreePresentation,
+    t: int,
+) -> bool:
+    """Exact test of the three touch conditions at stage-t bodies."""
+    if not any(e.dst == z0.id for e in graph.touches):
+        return False  # (2) z0 not yet reached
+    if any(e.src == z1.id and e.dst == z0.id for e in graph.touches):
+        return False  # (3) reverse touch exists
+    e0 = _edge_segment(z0.box, d)
+    e1 = _edge_segment(z1.box, d.reverse())
+    if e0.dim() != 1 or e1.dim() != 1 or not _collinear(e0, e1):
+        return False
+    body0 = z0.body_at(tree, t)
+    body1 = z1.body_at(tree, t)
+    a, b = e0.vertices
+    def on_line(p) -> bool:
+        return (b[0] - a[0]) * (p[1] - a[1]) == (b[1] - a[1]) * (p[0] - a[0])
+    shared: list[ConvexPoly] = []
+    for p0 in body0:
+        bb0 = p0.bbox()
+        for p1 in body1:
+            bb1 = p1.bbox()
+            if bb0[2] < bb1[0] or bb1[2] < bb0[0] or bb0[3] < bb1[1] or bb1[3] < bb0[1]:
+                continue
+            inter = convex_intersection(p0, p1)
+            if inter is None:
+                continue
+            if inter.dim() == 2 or not all(on_line(v) for v in inter.vertices):
+                return False  # bodies meet away from the touch line
+            shared.append(inter)
+    s_edge0 = _params_on_chart(e0, body0, e0)
+    s_edge1 = _params_on_chart(e0, body1, e1)
+    s_shared = _params_on_chart(e0, shared, e0)
+    return bool(s_edge0) and s_edge0 == s_edge1 == s_shared

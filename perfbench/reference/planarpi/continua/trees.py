@@ -1,0 +1,336 @@
+"""Plotted binary trees, probe balls, fat approximations, and the tree dendrite.
+
+A tree embeds in the plane with the root at (1/2, 1) and level-k vertices on
+the line y = 2^-k; probe balls recover the tree from negative or positive
+information about the plotted set.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from ..cantor import TreePresentation, check_bits, leftmost_path
+from ..cesets import EnumerationScript, stage_function
+from ..geom import (
+    BallSpec,
+    ConvexPoly,
+    RegionSnapshot,
+    point,
+    segment,
+    squared_distance,
+)
+from .dendrite import _base_pieces, rising_width
+
+Frac = Fraction
+
+
+def plot_point(sigma: str) -> tuple[Fraction, Fraction]:
+    """Planar vertex of a binary string: root (1/2, 1), level k at y = 2^-k."""
+    check_bits(sigma)
+    k = len(sigma)
+    x = Frac(1, 2) * Frac(1, 3**k)
+    for i, c in enumerate(sigma):
+        if c == "1":
+            x += 2 * Frac(1, 3 ** (i + 1))
+    return (x, Frac(1, 1 << k))
+
+
+def _tree_edges(tree: TreePresentation, stage: int, depth: int) -> list[str]:
+    """Surviving strings of length 1..depth (each names the edge to its parent)."""
+    out = []
+    for length in range(1, depth + 1):
+        out.extend(tree.level(length, stage))
+    return out
+
+
+def plotted_tree(tree: TreePresentation, stage: int, depth: int) -> RegionSnapshot:
+    """Edge set between surviving strings of length <= depth."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    pieces = [
+        segment(plot_point(sigma[:-1]), plot_point(sigma))
+        for sigma in _tree_edges(tree, stage, depth)
+    ]
+    if not pieces:
+        pieces = [point(*plot_point(""))] if tree.survives("", stage) else []
+    return RegionSnapshot(stage, pieces)
+
+
+def _subtree_x_base(tau: str) -> Fraction:
+    base = Frac(0)
+    for i, c in enumerate(tau):
+        if c == "1":
+            base += 2 * Frac(1, 3 ** (i + 1))
+    return base
+
+
+def _full_tree_edges_near(
+    x_lo: Fraction, x_hi: Fraction, y_lo: Fraction, max_depth: int
+) -> list[tuple[str, ConvexPoly]]:
+    """Full-tree edges whose subtree window can reach [x_lo,x_hi] x [y_lo, 1].
+
+    The subtree below tau spans x in [base(tau), base(tau)+3^-len] and
+    y in (0, 2^-(len-1)], so whole branches prune away exactly.
+    """
+    out = []
+    stack = [""]
+    while stack:
+        tau = stack.pop()
+        if tau:
+            out.append((tau, segment(plot_point(tau[:-1]), plot_point(tau))))
+        if len(tau) >= max_depth:
+            continue
+        if Frac(1, 1 << len(tau)) < y_lo:
+            continue  # every deeper edge lies below the window
+        px = plot_point(tau)[0]
+        for b in ("1", "0"):
+            child = tau + b
+            base = _subtree_x_base(child)
+            lo = min(base, px)
+            hi = max(base + Frac(1, 3 ** len(child)), px)
+            if lo <= x_hi and hi >= x_lo:
+                stack.append(child)
+    return out
+
+
+_PROBE_CACHE: dict[str, tuple[BallSpec, Optional[BallSpec]]] = {}
+
+
+def probe_balls(sigma: str) -> tuple[BallSpec, Optional[BallSpec]]:
+    """Negative and positive probe balls of a string.
+
+    The negative ball sits on the vertex with radius 2^-(len+2).  The positive
+    ball sits on the midpoint of the parent edge, with the largest radius of
+    the form 2^-k whose open ball meets no other edge of the full plotted
+    tree (checked exactly against every edge that could reach it).
+    """
+    check_bits(sigma)
+    cached = _PROBE_CACHE.get(sigma)
+    if cached is not None:
+        return cached
+    # radius min(2^-(len+2), 3^-(len+1)): the dyadic radius alone lets
+    # sibling balls overlap from level 4 on (gap 2*3^-k < 2^-(k+1))
+    r_minus = min(Frac(1, 1 << (len(sigma) + 2)), Frac(1, 3 ** (len(sigma) + 1)))
+    minus = BallSpec(plot_point(sigma), r_minus, kind="open")
+    if not sigma:
+        _PROBE_CACHE[sigma] = (minus, None)
+        return minus, None
+    a = plot_point(sigma[:-1])
+    b = plot_point(sigma)
+    mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+    mid_piece = point(*mid)
+    own = segment(a, b)
+    result = None
+    for k in range(len(sigma), len(sigma) + 40):
+        r = Frac(1, 1 << k)
+        if mid[1] - r <= 0:
+            continue
+        # edges entirely below y = mid_y - r cannot reach the ball
+        depth = 1
+        while Frac(1, 1 << (depth - 1)) >= mid[1] - r and depth < k + 60:
+            depth += 1
+        ok = True
+        for tau, edge in _full_tree_edges_near(mid[0] - r, mid[0] + r, mid[1] - r, depth):
+            if edge == own:
+                continue
+            if squared_distance(mid_piece, edge) < r * r:
+                ok = False
+                break
+        if ok:
+            result = BallSpec(mid, r, kind="open")
+            break
+    if result is None:
+        raise AssertionError("no admissible positive ball radius found")
+    _PROBE_CACHE[sigma] = (minus, result)
+    return minus, result
+
+
+class PlottedTreePresentation:
+    """Stage-indexed plotted-tree snapshots, shaped like a co-c.e. presentation."""
+
+    def __init__(self, tree: TreePresentation, depth: int):
+        self.tree = tree
+        self.depth = depth
+        self.final_stage = tree.final_stage
+        self._cache: dict[int, RegionSnapshot] = {}
+
+    def snapshot(self, stage: int) -> RegionSnapshot:
+        stage = min(stage, self.final_stage)
+        if stage not in self._cache:
+            self._cache[stage] = plotted_tree(self.tree, stage, self.depth)
+        return self._cache[stage]
+
+
+@dataclass(frozen=True)
+class RecoveredTree:
+    strings: tuple[str, ...]
+    region_empty: bool
+
+
+_BUCKET = 512
+
+
+def _bucket_range(lo: Fraction, hi: Fraction) -> range:
+    return range((lo.numerator * _BUCKET) // lo.denominator,
+                 (hi.numerator * _BUCKET) // hi.denominator + 1)
+
+
+def recover_tree(presentation, stage: int, depth: int) -> RecoveredTree:
+    """Strings whose positive ball meets the stage snapshot, plus the root."""
+    snapshot = presentation.snapshot(stage)
+    index: dict[int, list[int]] = {}
+    for i, piece in enumerate(snapshot.pieces):
+        x0, _, x1, _ = piece.bbox()
+        for b in _bucket_range(x0, x1):
+            index.setdefault(b, []).append(i)
+    hits = [""]
+    any_hit = False
+    for length in range(1, depth + 1):
+        for i in range(1 << length):
+            sigma = format(i, f"0{length}b")
+            _, plus = probe_balls(sigma)
+            center = point(*plus.center)
+            r2 = plus.radius * plus.radius
+            cx = plus.center[0]
+            candidates = sorted(
+                {
+                    j
+                    for b in _bucket_range(cx - plus.radius, cx + plus.radius)
+                    for j in index.get(b, ())
+                }
+            )
+            if any(
+                squared_distance(center, snapshot.pieces[j]) < r2
+                for j in candidates
+            ):
+                hits.append(sigma)
+                any_hit = True
+    return RecoveredTree(strings=tuple(sorted(hits, key=lambda s: (len(s), s))), region_empty=not any_hit)
+
+
+# -- fat approximations -------------------------------------------------------
+
+
+def _fat_edge_pieces(
+    edges: Sequence[str], leaves: Sequence[str], w: Fraction
+) -> list[ConvexPoly]:
+    """Two shifted copies per edge plus a cap joining the copies at each leaf.
+
+    The caps are the stage-bounded stand-in for the closure of the infinite
+    fat tree; with w = 0 everything collapses onto the plotted edges.
+    """
+    pieces = []
+    for sigma in edges:
+        pa = plot_point(sigma[:-1])
+        pb = plot_point(sigma)
+        off_a = Frac(1, 3 ** (len(sigma) - 1)) * w
+        off_b = Frac(1, 3 ** len(sigma)) * w
+        for sign in (-1, 1):
+            pieces.append(
+                segment((pa[0] + sign * off_a, pa[1]), (pb[0] + sign * off_b, pb[1]))
+            )
+    if w != 0:
+        for sigma in leaves:
+            p = plot_point(sigma)
+            off = Frac(1, 3 ** len(sigma)) * w
+            pieces.append(segment((p[0] - off, p[1]), (p[0] + off, p[1])))
+    return pieces
+
+
+def fat_tree(
+    tree: TreePresentation, w: Fraction, stage: int, depth: int
+) -> RegionSnapshot:
+    """Edge set of the width-w fat approximation, truncated at the given depth."""
+    edges = _tree_edges(tree, stage, depth)
+    leaves = tree.level(depth, stage)
+    return RegionSnapshot(stage, _fat_edge_pieces(edges, leaves, Fraction(w)))
+
+
+def _place(p: tuple[Fraction, Fraction], c: Fraction, t: int, q: Fraction):
+    return (c + q * (p[0] - Frac(1, 2)), (2 - p[1]) / (1 << (t + 1)))
+
+
+def placed_fat_tree(
+    tree: TreePresentation,
+    w: Fraction,
+    c: Fraction,
+    t: int,
+    q: Fraction,
+    stage: int,
+    depth: int,
+) -> RegionSnapshot:
+    """Fat tree mapped into [c-q/2, c+q/2] x [2^-(t+1), 2^-t] (root at the bottom)."""
+    base = fat_tree(tree, w, stage, depth)
+    c, q = Fraction(c), Fraction(q)
+    pieces = [
+        ConvexPoly([_place(v, c, t, q) for v in piece.vertices])
+        for piece in base.pieces
+    ]
+    return RegionSnapshot(stage, pieces)
+
+
+# -- the tree dendrite --------------------------------------------------------
+
+
+def _path_tree_pieces(path: str, w: Fraction) -> list[ConvexPoly]:
+    edges = [path[: k + 1] for k in range(len(path))]
+    leaves = [path] if path else []
+    return _fat_edge_pieces(edges, leaves, w)
+
+
+def build_dendrite_h(
+    stage: int, script: EnumerationScript, tree: TreePresentation
+) -> RegionSnapshot:
+    """Risings carry placed fat trees: the full (truncated) tree while the
+    index is unenumerated, the leftmost path frozen at enumeration stage after.
+
+    The fat-tree width parameter is scaled by 2^(t+2) so the placed root
+    copies land exactly on the two legs at x = 2^-t +- w(t).
+    """
+    if tree.is_empty(stage):
+        raise ValueError("empty tree presentation")
+    depth = max(stage, 1)
+    pieces: list[ConvexPoly] = []
+    gaps = []
+    for t in range(stage + 1):
+        x = Frac(1, 1 << t)
+        w = rising_width(script, t)
+        q = Frac(1, 1 << (t + 2))
+        w_tree = w * (1 << (t + 2))
+        legs_top = Frac(1, 1 << (t + 1))
+        if w == 0:
+            pieces.append(segment((x, 0), (x, legs_top)))
+        else:
+            pieces.append(segment((x - w, 0), (x - w, legs_top)))
+            pieces.append(segment((x + w, 0), (x + w, legs_top)))
+            gaps.append((x - w, x + w))
+        st = stage_function(script, t)
+        if st is None:
+            tree_pieces = _fat_edge_pieces(
+                _tree_edges(tree, stage, depth), tree.level(depth, stage), w_tree
+            )
+        else:
+            path = leftmost_path(tree, st, depth)
+            tree_pieces = _path_tree_pieces(path, w_tree)
+        pieces.extend(
+            ConvexPoly([_place(v, x, t, q) for v in piece.vertices])
+            for piece in tree_pieces
+        )
+    pieces.extend(_base_pieces(gaps))
+    return RegionSnapshot(stage, pieces)
+
+
+def h_cut_box(t: int, depth: int) -> ConvexPoly:
+    """Closed strip covering the top slice of the t-th placed tree.
+
+    Removing it severs a single fat path (copies only rejoin at the cap) but
+    not a branching tree (crossings below the slice reconnect the copies).
+    """
+    from ..geom import rect
+
+    x_lo = 3 * Frac(1, 1 << (t + 2))
+    x_hi = 5 * Frac(1, 1 << (t + 2))
+    y_tip = (2 - Frac(1, 1 << depth)) / (1 << (t + 1))
+    return rect(x_lo, y_tip, x_hi, 2)

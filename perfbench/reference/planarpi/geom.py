@@ -1,0 +1,813 @@
+"""Exact rational planar geometry kernel.
+
+Everything here works on `fractions.Fraction` coordinates; no floats enter
+any predicate.  Regions are finite unions of convex polygons which may
+degenerate to segments or points.  Distances are never emitted as scalars,
+only as rational enclosures.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
+from typing import Iterable, Optional, Sequence
+
+Frac = Fraction
+Point = tuple[Fraction, Fraction]
+
+FRAME = (Fraction(-2), Fraction(-2), Fraction(2), Fraction(2))
+
+
+def frac(value) -> Fraction:
+    """Parse a rational from int, Fraction, or a lowest-terms 'p/q' string."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return Fraction(value)
+    raise TypeError(f"not a rational: {value!r}")
+
+
+def frac_str(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def _cross(o: Point, a: Point, b: Point) -> Fraction:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _dot(ax, ay, bx, by) -> Fraction:
+    return ax * bx + ay * by
+
+
+def convex_hull(points: Sequence[Point]) -> list[Point]:
+    """Andrew monotone chain; exact.  Collinear inputs collapse to 1-2 points."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower: list[Point] = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) <= 2:
+        return [min(pts), max(pts)]
+    return hull
+
+
+class ConvexPoly:
+    """A convex polygon in counterclockwise order; may be a segment or point.
+
+    Vertices are canonicalized: convex hull, no redundant collinear vertices,
+    rotation so the lexicographically least vertex comes first.
+    """
+
+    __slots__ = ("vertices",)
+
+    def __init__(self, points: Iterable) -> None:
+        pts = [(frac(x), frac(y)) for x, y in points]
+        if not pts:
+            raise ValueError("empty polygon")
+        hull = convex_hull(pts)
+        if len(hull) > 2:
+            k = hull.index(min(hull))
+            hull = hull[k:] + hull[:k]
+        self.vertices: tuple[Point, ...] = tuple(hull)
+
+    # -- basic queries ----------------------------------------------------
+
+    def dim(self) -> int:
+        return min(len(self.vertices) - 1, 2)
+
+    def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        xs = [p[0] for p in self.vertices]
+        ys = [p[1] for p in self.vertices]
+        return min(xs), min(ys), max(xs), max(ys)
+
+    def edges(self) -> list[tuple[Point, Point]]:
+        v = self.vertices
+        if len(v) == 1:
+            return []
+        if len(v) == 2:
+            return [(v[0], v[1])]
+        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+
+    def contains_point(self, p) -> bool:
+        p = (frac(p[0]), frac(p[1]))
+        v = self.vertices
+        if len(v) == 1:
+            return p == v[0]
+        if len(v) == 2:
+            a, b = v
+            if _cross(a, b, p) != 0:
+                return False
+            t = _dot(p[0] - a[0], p[1] - a[1], b[0] - a[0], b[1] - a[1])
+            length = _dot(b[0] - a[0], b[1] - a[1], b[0] - a[0], b[1] - a[1])
+            return 0 <= t <= length
+        return all(_cross(a, b, p) >= 0 for a, b in self.edges())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ConvexPoly) and self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
+
+    def __repr__(self) -> str:
+        coords = ", ".join(f"({frac_str(x)},{frac_str(y)})" for x, y in self.vertices)
+        return f"ConvexPoly[{coords}]"
+
+
+def rect(x0, y0, x1, y1) -> ConvexPoly:
+    x0, y0, x1, y1 = frac(x0), frac(y0), frac(x1), frac(y1)
+    return ConvexPoly([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+def segment(a, b) -> ConvexPoly:
+    return ConvexPoly([a, b])
+
+
+def point(x, y) -> ConvexPoly:
+    return ConvexPoly([(x, y)])
+
+
+# -- intersection / distance ---------------------------------------------
+
+
+def _project(poly: ConvexPoly, ax: Fraction, ay: Fraction) -> tuple[Fraction, Fraction]:
+    vals = [_dot(ax, ay, x, y) for x, y in poly.vertices]
+    return min(vals), max(vals)
+
+
+def _sat_axes(poly: ConvexPoly) -> list[tuple[Fraction, Fraction]]:
+    axes = []
+    for (ax_, ay_), (bx, by) in poly.edges():
+        dx, dy = bx - ax_, by - ay_
+        axes.append((-dy, dx))  # edge normal
+        axes.append((dx, dy))  # edge direction (separates collinear segments)
+    return axes
+
+
+def polys_intersect(a: ConvexPoly, b: ConvexPoly) -> bool:
+    """Exact closed-set intersection test for convex polys (SAT)."""
+    if a.dim() == 0:
+        return b.contains_point(a.vertices[0])
+    if b.dim() == 0:
+        return a.contains_point(b.vertices[0])
+    ax0, ay0, ax1, ay1 = a.bbox()
+    bx0, by0, bx1, by1 = b.bbox()
+    if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
+        return False
+    for axis in _sat_axes(a) + _sat_axes(b):
+        lo_a, hi_a = _project(a, *axis)
+        lo_b, hi_b = _project(b, *axis)
+        if hi_a < lo_b or hi_b < lo_a:
+            return False
+    return True
+
+
+def _point_segment_sq(p: Point, a: Point, b: Point) -> Fraction:
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    apx, apy = p[0] - a[0], p[1] - a[1]
+    denom = abx * abx + aby * aby
+    if denom == 0:
+        return apx * apx + apy * apy
+    t = (apx * abx + apy * aby) / denom
+    t = max(Fraction(0), min(Fraction(1), t))
+    dx = apx - t * abx
+    dy = apy - t * aby
+    return dx * dx + dy * dy
+
+
+def squared_distance(a: ConvexPoly, b: ConvexPoly) -> Fraction:
+    """Exact squared Euclidean min-distance; zero iff the polys intersect."""
+    if polys_intersect(a, b):
+        return Fraction(0)
+    best: Optional[Fraction] = None
+    for src, dst in ((a, b), (b, a)):
+        dst_edges = dst.edges()
+        for v in src.vertices:
+            if dst_edges:
+                for e0, e1 in dst_edges:
+                    d = _point_segment_sq(v, e0, e1)
+                    if best is None or d < best:
+                        best = d
+            else:
+                w = dst.vertices[0]
+                d = (v[0] - w[0]) ** 2 + (v[1] - w[1]) ** 2
+                if best is None or d < best:
+                    best = d
+    assert best is not None
+    return best
+
+
+# -- snapshots -------------------------------------------------------------
+
+
+def _poly_sort_key(p: ConvexPoly):
+    return (len(p.vertices), p.vertices)
+
+
+class RegionSnapshot:
+    """Stage-s view of a planar co-c.e. set: a canonical union of convex polys."""
+
+    __slots__ = ("stage", "pieces", "frame")
+
+    def __init__(self, stage: int, pieces: Iterable[ConvexPoly], frame=FRAME) -> None:
+        self.stage = int(stage)
+        self.frame = tuple(frac(v) for v in frame)
+        uniq = sorted(set(pieces), key=_poly_sort_key)
+        fx0, fy0, fx1, fy1 = self.frame
+        for p in uniq:
+            x0, y0, x1, y1 = p.bbox()
+            if x0 < fx0 or y0 < fy0 or x1 > fx1 or y1 > fy1:
+                raise ValueError(f"piece outside frame: {p!r}")
+        self.pieces: tuple[ConvexPoly, ...] = tuple(uniq)
+
+    def is_empty(self) -> bool:
+        return not self.pieces
+
+    def __repr__(self) -> str:
+        return f"RegionSnapshot(stage={self.stage}, pieces={len(self.pieces)})"
+
+    def to_json(self) -> dict:
+        fx0, fy0, fx1, fy1 = self.frame
+        return {
+            "stage": self.stage,
+            "frame": [[frac_str(fx0), frac_str(fy0)], [frac_str(fx1), frac_str(fy1)]],
+            "pieces": [
+                {"verts": [[frac_str(x), frac_str(y)] for x, y in p.vertices]}
+                for p in self.pieces
+            ],
+        }
+
+    @staticmethod
+    def from_json(doc: dict) -> "RegionSnapshot":
+        frame_pts = doc["frame"]
+        frame = (
+            frac(frame_pts[0][0]),
+            frac(frame_pts[0][1]),
+            frac(frame_pts[1][0]),
+            frac(frame_pts[1][1]),
+        )
+        pieces = [ConvexPoly(p["verts"]) for p in doc["pieces"]]
+        return RegionSnapshot(doc["stage"], pieces, frame)
+
+    def dumps(self) -> str:
+        return json.dumps(self.to_json(), separators=(",", ":"), sort_keys=True)
+
+
+def connectivity_components(region: RegionSnapshot) -> list[list[int]]:
+    """Partition of piece indices: chains of pairwise-intersecting closed pieces."""
+    n = len(region.pieces)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    boxes = [p.bbox() for p in region.pieces]
+    for i in range(n):
+        for j in range(i + 1, n):
+            bi, bj = boxes[i], boxes[j]
+            if bi[2] < bj[0] or bj[2] < bi[0] or bi[3] < bj[1] or bj[3] < bi[1]:
+                continue
+            if find(i) == find(j):
+                continue
+            if polys_intersect(region.pieces[i], region.pieces[j]):
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values())
+
+
+# -- convex clipping / difference ------------------------------------------
+
+
+def clip_halfplane(poly: ConvexPoly, nx, ny, c) -> Optional[ConvexPoly]:
+    """Part of poly with nx*x + ny*y <= c (exact Sutherland-Hodgman)."""
+    nx, ny, c = frac(nx), frac(ny), frac(c)
+    verts = poly.vertices
+    if len(verts) == 1:
+        (x, y) = verts[0]
+        return poly if nx * x + ny * y <= c else None
+    vals = [nx * x + ny * y - c for x, y in verts]
+    if all(v <= 0 for v in vals):
+        return poly
+    if all(v > 0 for v in vals):
+        return None
+    if len(verts) == 2:
+        (a, b), (va, vb) = verts, vals
+        if va > 0:
+            a, b, va, vb = b, a, vb, va
+        if vb <= 0:
+            return poly
+        t = va / (va - vb)  # va<=0<vb
+        cut = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+        return ConvexPoly([a, cut])
+    out: list[Point] = []
+    n = len(verts)
+    for i in range(n):
+        a, va = verts[i], vals[i]
+        b, vb = verts[(i + 1) % n], vals[(i + 1) % n]
+        if va <= 0:
+            out.append(a)
+        if (va < 0 < vb) or (vb < 0 < va):
+            t = va / (va - vb)
+            out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    if not out:
+        return None
+    return ConvexPoly(out)
+
+
+def _halfplanes(poly: ConvexPoly) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Inward halfplanes nx*x+ny*y <= c whose intersection is the CCW polygon."""
+    planes = []
+    for (ax, ay), (bx, by) in poly.edges():
+        dx, dy = bx - ax, by - ay
+        # interior is to the left of a->b: cross((b-a),(p-a)) >= 0
+        nx, ny = dy, -dx
+        planes.append((nx, ny, nx * ax + ny * ay))
+    return planes
+
+
+def convex_intersection(a: ConvexPoly, b: ConvexPoly) -> Optional[ConvexPoly]:
+    """Exact intersection of two convex pieces (may be degenerate), or None."""
+    if a.dim() == 0:
+        return a if b.contains_point(a.vertices[0]) else None
+    if b.dim() == 0:
+        return b if a.contains_point(b.vertices[0]) else None
+    if a.dim() == 1 and b.dim() == 1:
+        a0, a1 = a.vertices
+        b0, b1 = b.vertices
+        if _cross(a0, a1, b0) == 0 and _cross(a0, a1, b1) == 0:
+            iv = _segment_params_inside(a, b)
+            if iv is None:
+                return None
+            lo, hi = iv
+            p = (a0[0] + lo * (a1[0] - a0[0]), a0[1] + lo * (a1[1] - a0[1]))
+            q = (a0[0] + hi * (a1[0] - a0[0]), a0[1] + hi * (a1[1] - a0[1]))
+            return ConvexPoly([p, q])
+        # proper crossing: solve the 2x2 system exactly
+        dax, day = a1[0] - a0[0], a1[1] - a0[1]
+        dbx, dby = b1[0] - b0[0], b1[1] - b0[1]
+        denom = dax * dby - day * dbx
+        if denom == 0:
+            return None
+        t = ((b0[0] - a0[0]) * dby - (b0[1] - a0[1]) * dbx) / denom
+        u = ((b0[0] - a0[0]) * day - (b0[1] - a0[1]) * dax) / denom
+        if 0 <= t <= 1 and 0 <= u <= 1:
+            return ConvexPoly([(a0[0] + t * dax, a0[1] + t * day)])
+        return None
+    if a.dim() == 1:
+        a, b = b, a  # now a is 2-D, b is the segment
+    if b.dim() == 1:
+        iv = _segment_params_inside(b, a)
+        if iv is None:
+            return None
+        lo, hi = iv
+        b0, b1 = b.vertices
+        p = (b0[0] + lo * (b1[0] - b0[0]), b0[1] + lo * (b1[1] - b0[1]))
+        q = (b0[0] + hi * (b1[0] - b0[0]), b0[1] + hi * (b1[1] - b0[1]))
+        return ConvexPoly([p, q])
+    piece: Optional[ConvexPoly] = a
+    for nx, ny, c in _halfplanes(b):
+        piece = clip_halfplane(piece, nx, ny, c)
+        if piece is None:
+            return None
+    return piece
+
+
+def convex_difference(a: ConvexPoly, b: ConvexPoly) -> list[ConvexPoly]:
+    """Closure of a minus b as convex pieces; b must be 2-dimensional.
+
+    Fan decomposition: outside-parts of successive edge halfplanes of b.
+    Degenerate remainders are kept; callers filter as needed.
+    """
+    if b.dim() < 2:
+        return [a]
+    remainder = a
+    out: list[ConvexPoly] = []
+    for nx, ny, c in _halfplanes(b):
+        outside = clip_halfplane(remainder, -nx, -ny, -c)
+        if outside is not None:
+            out.append(outside)
+        inside = clip_halfplane(remainder, nx, ny, c)
+        if inside is None:
+            return out
+        remainder = inside
+    return out
+
+
+def _segment_params_inside(seg: ConvexPoly, cover: ConvexPoly):
+    """Parameter interval [lo, hi] of seg covered by convex `cover`, or None."""
+    a, b = seg.vertices
+    lo, hi = Fraction(0), Fraction(1)
+    if cover.dim() == 2:
+        for nx, ny, c in _halfplanes(cover):
+            va = nx * a[0] + ny * a[1] - c
+            vb = nx * b[0] + ny * b[1] - c
+            dv = vb - va
+            if dv == 0:
+                if va > 0:
+                    return None
+                continue
+            t = -va / dv
+            if dv > 0:
+                hi = min(hi, t)
+            else:
+                lo = max(lo, t)
+            if lo > hi:
+                return None
+        return (lo, hi)
+    if cover.dim() == 1:
+        c0, c1 = cover.vertices
+        if _cross(a, b, c0) != 0 or _cross(a, b, c1) != 0:
+            return None  # not collinear; overlap is at most a point - ignore
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        denom = dx * dx + dy * dy
+        t0 = ((c0[0] - a[0]) * dx + (c0[1] - a[1]) * dy) / denom
+        t1 = ((c1[0] - a[0]) * dx + (c1[1] - a[1]) * dy) / denom
+        lo2, hi2 = min(t0, t1), max(t0, t1)
+        lo, hi = max(lo, lo2), min(hi, hi2)
+        if lo > hi:
+            return None
+        return (lo, hi)
+    return None
+
+
+def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
+    """Exact containment: union(target) subseteq union(cover).
+
+    Returns (True, None) or (False, witness_piece) where the witness is an
+    uncovered convex remainder.  Sound for closed finite unions: interior
+    coverage of 2-D pieces suffices, so degenerate slivers of 2-D remainders
+    are dropped.
+    """
+    cover2d = [c for c in cover if c.dim() == 2]
+    cover2d_boxes = [c.bbox() for c in cover2d]
+    for t in target:
+        if t.dim() == 2:
+            work = [t]
+            for c, cb in zip(cover2d, cover2d_boxes):
+                nxt: list[ConvexPoly] = []
+                for w in work:
+                    wb = w.bbox()
+                    if wb[2] < cb[0] or cb[2] < wb[0] or wb[3] < cb[1] or cb[3] < wb[1]:
+                        nxt.append(w)
+                        continue
+                    nxt.extend(p for p in convex_difference(w, c) if p.dim() == 2)
+                work = nxt
+                if not work:
+                    break
+            if work:
+                return False, work[0]
+        elif t.dim() == 1:
+            intervals = []
+            for c in cover:
+                iv = _segment_params_inside(t, c)
+                if iv is not None:
+                    intervals.append(iv)
+            intervals.sort()
+            reach = Fraction(0)
+            for lo, hi in intervals:
+                if lo > reach:
+                    break
+                reach = max(reach, hi)
+            if reach < 1:
+                a, b = t.vertices
+                lo = reach
+                wit = ConvexPoly(
+                    [
+                        (a[0] + lo * (b[0] - a[0]), a[1] + lo * (b[1] - a[1])),
+                        b,
+                    ]
+                )
+                return False, wit
+        else:
+            p = t.vertices[0]
+            if not any(c.contains_point(p) for c in cover):
+                return False, t
+    return True, None
+
+
+def region_contains(big: RegionSnapshot, small: RegionSnapshot) -> bool:
+    ok, _ = region_covers(big.pieces, small.pieces)
+    return ok
+
+
+def regions_equal(a: RegionSnapshot, b: RegionSnapshot) -> bool:
+    return region_contains(a, b) and region_contains(b, a)
+
+
+# -- balls ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BallSpec:
+    """Euclidean ball with rational center/radius; kind 'open' or 'closed'."""
+
+    center: Point
+    radius: Fraction
+    kind: str = "closed"
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "center", (frac(self.center[0]), frac(self.center[1]))
+        )
+        object.__setattr__(self, "radius", frac(self.radius))
+        if self.radius <= 0:
+            raise ValueError("ball radius must be positive")
+        if self.kind not in ("open", "closed"):
+            raise ValueError("ball kind must be open or closed")
+
+
+def _unit_circle_points(n: int) -> list[Point]:
+    """n rational points on the unit circle, roughly evenly spaced.
+
+    Tangent-half-angle parametrization keeps every vertex exactly on the
+    circle, so the polygon they span is inscribed in the disk.
+    """
+    pts: list[Point] = []
+    for j in range(n):
+        half = math.pi * j / n
+        if abs(half - math.pi / 2) < 1e-9:
+            pts.append((Fraction(-1), Fraction(0)))
+            continue
+        t = Fraction(round(math.tan(half) * (1 << 16)), 1 << 16)
+        d = 1 + t * t
+        pts.append(((1 - t * t) / d, 2 * t / d))
+    return pts
+
+
+def ball_polygon(ball: BallSpec, k: int = 6) -> ConvexPoly:
+    """Inscribed 2^k-gon with rational vertices on (or within) the circle.
+
+    For open balls the radius is shrunk by 2^-20 so the polygon is a subset
+    of the open ball as well.
+    """
+    r = ball.radius
+    if ball.kind == "open":
+        r = r * (Fraction(1) - Fraction(1, 1 << 20))
+    cx, cy = ball.center
+    return ConvexPoly([(cx + r * ux, cy + r * uy) for ux, uy in _unit_circle_points(1 << k)])
+
+
+def subtract_poly(region: RegionSnapshot, poly: ConvexPoly) -> RegionSnapshot:
+    out: list[ConvexPoly] = []
+    pb = poly.bbox()
+    for piece in region.pieces:
+        wb = piece.bbox()
+        if wb[2] < pb[0] or pb[2] < wb[0] or wb[3] < pb[1] or pb[3] < wb[1]:
+            out.append(piece)
+            continue
+        if piece.dim() == 2:
+            out.extend(convex_difference(piece, poly))
+        elif piece.dim() == 1:
+            iv = _segment_params_inside(piece, poly)
+            if iv is None:
+                out.append(piece)
+            else:
+                a, b = piece.vertices
+                lo, hi = iv
+
+                def lerp(t):
+                    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+                if lo > 0:
+                    out.append(ConvexPoly([a, lerp(lo)]))
+                if hi < 1:
+                    out.append(ConvexPoly([lerp(hi), b]))
+        else:
+            if not poly.contains_point(piece.vertices[0]):
+                out.append(piece)
+    return RegionSnapshot(region.stage, out, region.frame)
+
+
+def subtract_ball(region: RegionSnapshot, ball: BallSpec, k: int = 6) -> RegionSnapshot:
+    """Snapshot covering region minus ball (removed polygon is inside the ball)."""
+    return subtract_poly(region, ball_polygon(ball, k))
+
+
+# -- co-c.e. presentations ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Removal:
+    stage: int
+    shape: object  # BallSpec or ConvexPoly (axis-aligned box)
+
+
+class CoCePresentation:
+    """Closed set presented by a replayable schedule of removed basic sets.
+
+    The stage-s snapshot depends only on removals with stage < s.  The
+    declared final stage bounds the scripted behaviour; beyond it nothing
+    further is removed.
+    """
+
+    def __init__(self, removals: Sequence[Removal], frame=FRAME, final_stage: Optional[int] = None):
+        self.removals = tuple(sorted(removals, key=lambda r: r.stage))
+        self.frame = tuple(frac(v) for v in frame)
+        if final_stage is None:
+            final_stage = max((r.stage + 1 for r in self.removals), default=0)
+        self.final_stage = final_stage
+        self._cache: dict[int, RegionSnapshot] = {}
+
+    def snapshot(self, stage: int) -> RegionSnapshot:
+        stage = min(stage, self.final_stage)
+        if stage in self._cache:
+            return self._cache[stage]
+        fx0, fy0, fx1, fy1 = self.frame
+        region = RegionSnapshot(stage, [rect(fx0, fy0, fx1, fy1)], self.frame)
+        for r in self.removals:
+            if r.stage < stage:
+                if isinstance(r.shape, BallSpec):
+                    region = subtract_ball(region, r.shape)
+                else:
+                    region = subtract_poly(region, r.shape)
+        region = RegionSnapshot(stage, region.pieces, self.frame)
+        self._cache[stage] = region
+        return region
+
+
+def probe_ball_empty(presentation, ball: BallSpec, stage: int) -> str:
+    """'certified-empty' | 'hit' | 'unknown' against a stage snapshot.
+
+    certified-empty is the c.e. event: the stage snapshot misses the closed
+    ball.  hit additionally requires the intersection to survive to the
+    declared final stage.
+    """
+    if ball.kind != "closed":
+        raise ValueError("probe balls must be closed")
+    ball_piece = point(*ball.center)
+    r2 = ball.radius * ball.radius
+
+    def disjoint(snapshot: RegionSnapshot) -> bool:
+        return all(
+            squared_distance(ball_piece, piece) > r2 for piece in snapshot.pieces
+        )
+
+    if disjoint(presentation.snapshot(stage)):
+        return "certified-empty"
+    if not disjoint(presentation.snapshot(presentation.final_stage)):
+        return "hit"
+    return "unknown"
+
+
+# -- certified Hausdorff distance -------------------------------------------
+
+
+@dataclass(frozen=True)
+class DistanceEnclosure:
+    """Rational interval certified to contain a Euclidean Hausdorff distance."""
+
+    low: Fraction
+    high: Fraction
+
+    def width(self) -> Fraction:
+        return self.high - self.low
+
+    def __repr__(self) -> str:
+        return f"[{frac_str(self.low)}, {frac_str(self.high)}]"
+
+
+def sqrt_lower(q: Fraction, prec: int) -> Fraction:
+    """Rational lower bound for sqrt(q), within 2^-prec."""
+    if q < 0:
+        raise ValueError("negative radicand")
+    s = 1 << prec
+    return Fraction(isqrt((q.numerator * s * s) // q.denominator), s)
+
+
+def sqrt_upper(q: Fraction, prec: int) -> Fraction:
+    if q < 0:
+        raise ValueError("negative radicand")
+    s = 1 << prec
+    m = -((-q.numerator * s * s) // q.denominator)  # ceil
+    r = isqrt(m)
+    if r * r < m:
+        r += 1
+    return Fraction(r, s)
+
+
+def _bbox_gap_sq(p: Point, box) -> Fraction:
+    x0, y0, x1, y1 = box
+    dx = max(x0 - p[0], Fraction(0), p[0] - x1)
+    dy = max(y0 - p[1], Fraction(0), p[1] - y1)
+    return dx * dx + dy * dy
+
+
+def _min_sq_to_region(p: Point, pieces: Sequence[ConvexPoly], boxes) -> Fraction:
+    pt = ConvexPoly([p])
+    best: Optional[Fraction] = None
+    for piece, box in zip(pieces, boxes):
+        if best is not None and _bbox_gap_sq(p, box) >= best:
+            continue
+        d = squared_distance(pt, piece)
+        if best is None or d < best:
+            best = d
+            if best == 0:
+                return best
+    return best
+
+
+def _max_sq_vertex(piece: ConvexPoly, other: ConvexPoly) -> Fraction:
+    # max over x in piece of dist(x, other) is attained at a vertex
+    best = Fraction(0)
+    for v in piece.vertices:
+        d = squared_distance(ConvexPoly([v]), other)
+        if d > best:
+            best = d
+    return best
+
+
+def _split_piece(piece: ConvexPoly) -> list[ConvexPoly]:
+    x0, y0, x1, y1 = piece.bbox()
+    if x1 - x0 >= y1 - y0:
+        mid = (x0 + x1) / 2
+        lo = clip_halfplane(piece, 1, 0, mid)
+        hi = clip_halfplane(piece, -1, 0, -mid)
+    else:
+        mid = (y0 + y1) / 2
+        lo = clip_halfplane(piece, 0, 1, mid)
+        hi = clip_halfplane(piece, 0, -1, -mid)
+    return [p for p in (lo, hi) if p is not None]
+
+
+def _directed_sq_bounds(
+    src: Sequence[ConvexPoly], dst: Sequence[ConvexPoly], tol: Fraction, prec: int
+) -> tuple[Fraction, Fraction]:
+    """Squared-domain enclosure of sup_{x in src} dist(x, dst)."""
+    dst_boxes = [d.bbox() for d in dst]
+
+    def bounds(piece: ConvexPoly) -> tuple[Fraction, Fraction]:
+        lb = max(_min_sq_to_region(v, dst, dst_boxes) for v in piece.vertices)
+        # min over targets of the vertex-max distance, visiting targets in
+        # order of a cheap lower bound so farther ones prune away
+        cheap = [
+            max(_bbox_gap_sq(v, box) for v in piece.vertices) for box in dst_boxes
+        ]
+        order = sorted(range(len(dst)), key=lambda i: cheap[i])
+        ub: Optional[Fraction] = None
+        for i in order:
+            if ub is not None and cheap[i] >= ub:
+                break  # sorted order: nothing later can improve
+            val = _max_sq_vertex(piece, dst[i])
+            if ub is None or val < ub:
+                ub = val
+                if ub == lb:
+                    break
+        return lb, ub
+
+    items = [(piece, *bounds(piece)) for piece in src]
+    global_lb = max(lb for _, lb, _ in items)
+    while True:
+        global_hi = max(ub for _, _, ub in items)
+        if sqrt_upper(global_hi, prec) - sqrt_lower(global_lb, prec) <= tol:
+            return global_lb, global_hi
+        # refine the piece holding the largest upper bound
+        idx = max(range(len(items)), key=lambda i: items[i][2])
+        piece, lb, ub = items.pop(idx)
+        if lb == ub:
+            # bounds already tight (e.g. a point piece); freeze it
+            items.append((piece, lb, ub))
+            global_lb = max(global_lb, lb)
+            continue
+        halves = _split_piece(piece)
+        if not halves:
+            items.append((piece, ub, ub))
+            global_lb = max(global_lb, ub)
+            continue
+        for h in halves:
+            hlb, hub = bounds(h)
+            global_lb = max(global_lb, hlb)
+            items.append((h, hlb, min(hub, ub)))
+
+
+def hausdorff_enclosure(
+    a: RegionSnapshot, b: RegionSnapshot, tol_exp: int
+) -> DistanceEnclosure:
+    """Enclosure of width <= 2^-tol_exp around d_H(a, b), by adaptive subdivision."""
+    if a.is_empty() or b.is_empty():
+        raise ValueError("undefined distance to empty set")
+    tol = Fraction(1, 1 << tol_exp)
+    prec = tol_exp + 4
+    half = tol / 2
+    lo1, hi1 = _directed_sq_bounds(a.pieces, b.pieces, half, prec)
+    lo2, hi2 = _directed_sq_bounds(b.pieces, a.pieces, half, prec)
+    low = max(sqrt_lower(lo1, prec), sqrt_lower(lo2, prec))
+    high = max(sqrt_upper(hi1, prec), sqrt_upper(hi2, prec))
+    return DistanceEnclosure(low=max(Fraction(0), low), high=high)

@@ -1,0 +1,254 @@
+"""Batch invariant checkers producing machine-readable pass/fail reports."""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from .cantor import TreePresentation
+from .cesets import EnumerationScript, SequenceFamily
+from .continua.comb import build_dendroid_k, comb_cut_box, comb_width
+from .continua.dendrite import build_dendrite_d, cut_ball, rising_width
+from .continua.fanq import BlockGraph, check_touch
+from .continua.trees import build_dendrite_h, h_cut_box
+from .geom import (
+    RegionSnapshot,
+    connectivity_components,
+    frac,
+    frac_str,
+    hausdorff_enclosure,
+    region_covers,
+    subtract_ball,
+    subtract_poly,
+)
+
+Frac = Fraction
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    check_name: str
+    stage_range: tuple[int, int]
+    verdict: str  # 'pass' | 'fail' | 'inconclusive'
+    witness: Optional[dict] = None
+
+    def __post_init__(self):
+        if self.verdict == "fail" and self.witness is None:
+            raise ValueError("failing report requires a witness")
+
+    def to_json(self) -> dict:
+        return {
+            "check": self.check_name,
+            "stages": list(self.stage_range),
+            "verdict": self.verdict,
+            "witness": self.witness,
+        }
+
+
+def check_nesting(snapshots: Sequence[RegionSnapshot], name: str = "nesting") -> CheckReport:
+    """Pass iff each snapshot exactly contains the next one."""
+    if len(snapshots) < 2:
+        raise ValueError("nesting check needs at least two stages")
+    lo = snapshots[0].stage
+    hi = snapshots[-1].stage
+    for prev, nxt in zip(snapshots, snapshots[1:]):
+        ok, witness = region_covers(prev.pieces, nxt.pieces)
+        if not ok:
+            return CheckReport(
+                check_name=name,
+                stage_range=(lo, hi),
+                verdict="fail",
+                witness={
+                    "stage": nxt.stage,
+                    "uncovered": [
+                        [frac_str(x), frac_str(y)] for x, y in witness.vertices
+                    ],
+                },
+            )
+    return CheckReport(check_name=name, stage_range=(lo, hi), verdict="pass")
+
+
+def _component_count(region: RegionSnapshot) -> int:
+    return len(connectivity_components(region))
+
+
+def check_connectivity(snapshots: Sequence[RegionSnapshot], name: str = "connectivity") -> CheckReport:
+    lo, hi = snapshots[0].stage, snapshots[-1].stage
+    for snap in snapshots:
+        n = _component_count(snap)
+        if n != 1:
+            return CheckReport(
+                check_name=name,
+                stage_range=(lo, hi),
+                verdict="fail",
+                witness={"stage": snap.stage, "components": n},
+            )
+    return CheckReport(check_name=name, stage_range=(lo, hi), verdict="pass")
+
+
+def check_cut_dichotomy(
+    builder: str,
+    stage: int,
+    *,
+    script: Optional[EnumerationScript] = None,
+    tree: Optional[TreePresentation] = None,
+    family: Optional[SequenceFamily] = None,
+    search_bound: Optional[int] = None,
+) -> CheckReport:
+    """Pass iff cut probes disconnect exactly where the scripts say they must."""
+    name = f"cut-dichotomy-{builder}"
+    if builder == "dendrite-d":
+        snap = build_dendrite_d(stage, script)
+        for t in range(stage + 1):
+            expected = rising_width(script, t) > 0
+            cut = subtract_ball(snap, cut_ball(t))
+            observed = _component_count(cut) > 1
+            if expected != observed:
+                return CheckReport(
+                    check_name=name,
+                    stage_range=(stage, stage),
+                    verdict="fail",
+                    witness={"t": t, "expected_cut": expected, "observed_cut": observed},
+                )
+        return CheckReport(check_name=name, stage_range=(stage, stage), verdict="pass")
+    if builder == "dendroid-k":
+        bound = search_bound if search_bound is not None else max(stage, len(family.members))
+        snap = build_dendroid_k(stage, family, bound)
+        for t in range(stage + 1):
+            for u in range(stage + 1):
+                expected = comb_width(family, t, u, stage, bound) > 0
+                cut = subtract_poly(snap, comb_cut_box(t, u))
+                observed = _component_count(cut) > 1
+                if expected != observed:
+                    return CheckReport(
+                        check_name=name,
+                        stage_range=(stage, stage),
+                        verdict="fail",
+                        witness={
+                            "t": t,
+                            "u": u,
+                            "expected_cut": expected,
+                            "observed_cut": observed,
+                        },
+                    )
+        return CheckReport(check_name=name, stage_range=(stage, stage), verdict="pass")
+    if builder == "dendrite-h":
+        snap = build_dendrite_h(stage, script, tree)
+        depth = max(stage, 1)
+        for t in range(stage + 1):
+            expected = rising_width(script, t) > 0
+            cut = subtract_poly(snap, h_cut_box(t, depth))
+            observed = _component_count(cut) > 1
+            if expected != observed:
+                return CheckReport(
+                    check_name=name,
+                    stage_range=(stage, stage),
+                    verdict="fail",
+                    witness={"t": t, "expected_cut": expected, "observed_cut": observed},
+                )
+        return CheckReport(check_name=name, stage_range=(stage, stage), verdict="pass")
+    raise ValueError(f"unknown cut builder: {builder}")
+
+
+def check_touch_chain(
+    graph: BlockGraph, tree: Optional[TreePresentation] = None, at_stage: Optional[int] = None
+) -> CheckReport:
+    """Pass iff the touch edges form a simple path over all blocks in
+    creation order; with a tree, also re-verifies each edge geometrically."""
+    name = "touch-chain"
+    blocks = [b for b in graph.blocks if b.kind != "end-box"]
+    stages = (0, max((b.creation_stage for b in blocks), default=0))
+    incoming: dict[int, int] = {}
+    outgoing: dict[int, int] = {}
+    for e in graph.touches:
+        if e.dst in incoming:
+            return CheckReport(name, stages, "fail", {"block": e.dst, "issue": "two predecessors"})
+        incoming[e.dst] = -1 if e.src is None else e.src
+        if e.src is not None:
+            if e.src in outgoing:
+                return CheckReport(name, stages, "fail", {"block": e.src, "issue": "two successors"})
+            outgoing[e.src] = e.dst
+    missing = [b.id for b in blocks if b.id not in incoming]
+    if missing:
+        return CheckReport(name, stages, "fail", {"issue": "unreached blocks", "blocks": missing})
+    # the chain must respect creation stages (precedence extends them)
+    chain = []
+    cur = next((e.dst for e in graph.touches if e.src is None), None)
+    if cur is None:
+        return CheckReport(name, stages, "fail", {"issue": "no first block"})
+    seen = set()
+    while cur is not None:
+        if cur in seen:
+            return CheckReport(name, stages, "fail", {"issue": "cycle", "block": cur})
+        seen.add(cur)
+        chain.append(cur)
+        cur = outgoing.get(cur)
+    if len(chain) != len(blocks):
+        return CheckReport(
+            name, stages, "fail", {"issue": "path does not cover blocks", "covered": len(chain)}
+        )
+    by_id = {b.id: b for b in blocks}
+    for a, b in zip(chain, chain[1:]):
+        if by_id[a].creation_stage > by_id[b].creation_stage:
+            return CheckReport(
+                name, stages, "fail", {"issue": "precedence violates creation stages", "at": b}
+            )
+    if tree is not None:
+        at = at_stage if at_stage is not None else stages[1]
+        for e in graph.touches:
+            if e.src is None:
+                continue
+            z0 = graph.block(e.src)
+            z1 = graph.block(e.dst)
+            t = max(z0.creation_stage, z1.creation_stage, at if at else 0)
+            if not check_touch(z0, z1, e.direction, graph, tree, t):
+                return CheckReport(
+                    name,
+                    stages,
+                    "fail",
+                    {"issue": "touch conditions fail", "edge": [e.src, e.dst, e.direction.symbol], "stage": t},
+                )
+    return CheckReport(name, stages, "pass")
+
+
+def check_hausdorff_bound(
+    a: RegionSnapshot,
+    b: RegionSnapshot,
+    bound,
+    sense: str,
+    tol_exp: int,
+) -> CheckReport:
+    """Resolve d_H(a,b) {>=,<=} bound via a certified enclosure."""
+    bound = frac(bound)
+    enc = hausdorff_enclosure(a, b, tol_exp)
+    name = f"hausdorff-{sense}-{frac_str(bound)}"
+    stages = (min(a.stage, b.stage), max(a.stage, b.stage))
+    if sense == ">=":
+        if enc.low >= bound:
+            return CheckReport(name, stages, "pass")
+        if enc.high < bound:
+            return CheckReport(
+                name, stages, "fail", {"enclosure": [frac_str(enc.low), frac_str(enc.high)]}
+            )
+    elif sense == "<=":
+        if enc.high <= bound:
+            return CheckReport(name, stages, "pass")
+        if enc.low > bound:
+            return CheckReport(
+                name, stages, "fail", {"enclosure": [frac_str(enc.low), frac_str(enc.high)]}
+            )
+    else:
+        raise ValueError("sense must be '>=' or '<='")
+    return CheckReport(
+        name, stages, "inconclusive", {"enclosure": [frac_str(enc.low), frac_str(enc.high)]}
+    )
+
+
+def reports_to_json(reports: Sequence[CheckReport]) -> str:
+    return json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True)
+
+
+def exit_code(reports: Sequence[CheckReport]) -> int:
+    return 1 if any(r.verdict == "fail" for r in reports) else 0
