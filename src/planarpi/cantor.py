@@ -45,6 +45,7 @@ class TreePresentation:
         self.max_prune_len = max((len(s) for s, _ in self.prune), default=0)
         self.final_stage = max((u + 1 for _, u in self.prune), default=0)
         self._covered_cache: dict[tuple[str, int], bool] = {}
+        self._fat_cache: dict[int, FatCantorLevel] = {}  # owned by fat_level
 
     def _covered(self, sigma: str, stage: int) -> bool:
         key = (sigma, stage)
@@ -107,11 +108,10 @@ def single_path_tree(path_bit: str = "0", depth: int = 16, stage: int = 0) -> Tr
 def cantor_coord(sigma: str) -> Fraction:
     """Left endpoint (un-padded) of sigma's middle-thirds level interval."""
     check_bits(sigma)
-    total = Fraction(1, 3)
-    for i, c in enumerate(sigma):
-        if c == "1":
-            total += 2 * Fraction(1, 3 ** (i + 2))
-    return total
+    # 1/3 + sum of 2 * 3^-(i+2) over the 1-bits, with the bits read as
+    # ternary digits 0 and 2 in one integer
+    k = len(sigma)
+    return Fraction(3**k + int("0" + sigma.replace("1", "2"), 3), 3 ** (k + 1))
 
 
 def pad_eps(s: int) -> Fraction:
@@ -158,10 +158,7 @@ class FatCantorLevel:
 
 def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
     """Level-s intervals J(sigma) = [pi - eps, pi + 3^-(s+1) + eps], eps = 3^-(s+2)."""
-    cache = getattr(tree, "_fat_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(tree, "_fat_cache", cache)
+    cache = tree._fat_cache
     if s in cache:
         return cache[s]
     strings = tree.level(s, s)

@@ -7,6 +7,7 @@ tests exercise the finite-stage combinatorics the limit arguments rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -78,23 +79,22 @@ class FamilyMember:
     name: str
     triples: tuple[tuple[int, int, int], ...]  # (component n, stage, element)
 
+    @cached_property
     def _index(self) -> dict[tuple[int, int], int]:
-        cached = getattr(self, "_idx", None)
-        if cached is None:
-            cached = {}
-            for (m, s, x) in self.triples:
-                key = (m, x)
-                if key not in cached or s < cached[key]:
-                    cached[key] = s
-            object.__setattr__(self, "_idx", cached)
-        return cached
+        """(component, element) -> earliest enumeration stage."""
+        index: dict[tuple[int, int], int] = {}
+        for (m, s, x) in self.triples:
+            key = (m, x)
+            if key not in index or s < index[key]:
+                index[key] = s
+        return index
 
     def contains_at(self, n: int, x: int, stage: int) -> bool:
-        s = self._index().get((n, x))
+        s = self._index.get((n, x))
         return s is not None and s <= stage
 
     def set_at(self, n: int, stage: int) -> set[int]:
-        return {x for (m, x), s in self._index().items() if m == n and s <= stage}
+        return {x for (m, x), s in self._index.items() if m == n and s <= stage}
 
 
 class SequenceFamily:

@@ -1,7 +1,7 @@
 """Command-line surface: build constructions, verify invariants, render, measure.
 
 All outputs are deterministic functions of the config JSON; files are written
-atomically.
+atomically.  Bad input exits 2 with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import json
 import os
 import sys
 import tempfile
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from . import __version__
 from .cantor import TreePresentation
@@ -23,11 +24,16 @@ from .continua import (
     build_dendrite_h,
     build_dendroid_k,
     cantor_fan,
+    comb_cut_box,
+    comb_width,
+    cut_ball,
+    h_cut_box,
     harmonic_comb,
     plotted_tree,
+    rising_width,
 )
-from .continua.fanq import DestinationTrack, build_cantor_fan_q, q_snapshots
-from .geom import RegionSnapshot, frac_str, hausdorff_enclosure
+from .continua.fanq import BlockGraph, DestinationTrack, build_cantor_fan_q, q_snapshots
+from .geom import ConvexPoly, RegionSnapshot, ball_polygon, frac_str, hausdorff_enclosure
 from .svg import render_svg
 from .verify import (
     check_connectivity,
@@ -52,9 +58,71 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+# -- inputs: each bad one raises a one-line ValueError, which main() reports ----
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not JSON: {exc}") from None
+
+
+def _natural(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be a natural number, got {value!r}")
+    return value
+
+
+def _stage_range(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
+    if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+        raise ValueError(f"--stage-range must be LO:HI with 0 <= LO <= HI, got {text!r}")
+    return int(lo), int(hi)
+
+
 def _load_config(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+    """A JSON object naming a known construction, with a natural-number
+    `depth` and `search_bound` where given (a null bound means the default)."""
+    config = _read_json(path, "config")
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must be a JSON object")
+    _construction(config)
+    if "depth" in config:
+        _natural(config["depth"], "config field 'depth'")
+    if config.get("search_bound") is not None:
+        _natural(config["search_bound"], "config field 'search_bound'")
+    return config
+
+
+def _field(config: dict, key: str, parse, default):
+    try:
+        return parse(config.get(key, default))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"config field {key!r}: {exc}") from None
+
+
+def _tree_from(config: dict) -> TreePresentation:
+    return _field(config, "P", TreePresentation.from_json, {"prune": []})
+
+
+def _script_from(config: dict) -> EnumerationScript:
+    return _field(config, "A", EnumerationScript.from_json, [])
+
+
+def _family_from(config: dict) -> SequenceFamily:
+    return _field(config, "families", SequenceFamily.from_json, [])
+
+
+def _load_scene(path: str) -> RegionSnapshot:
+    doc = _read_json(path, "scene")
+    try:
+        return RegionSnapshot.from_json(doc)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed scene {path}: {type(exc).__name__} {exc}") from None
 
 
 def _config_hash(config: dict) -> str:
@@ -62,131 +130,152 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _tree_from(config: dict) -> TreePresentation:
-    return TreePresentation.from_json(config.get("P", {"prune": []}))
+# -- the construction table ----------------------------------------------------
+
+Snapshots = tuple[list[RegionSnapshot], Optional[BlockGraph]]
+Probe = tuple[dict, ConvexPoly, bool]  # (witness label, removed shape, expected cut)
 
 
-def _script_from(config: dict, key: str = "A") -> EnumerationScript:
-    return EnumerationScript.from_json(config.get(key, []))
+@dataclass(frozen=True)
+class Construction:
+    """What the CLI knows about one construction.
+
+    `snapshots(config, lo, hi)` replays it once and returns the snapshots of
+    stages lo..hi, plus the block graph for the fan machine.  `checks` names
+    the checks offered on it, and `cut_probes(config, snap)` yields the
+    probes of cut-dichotomy at the snapshot's stage.  Entries look builders
+    up by module-global name when called, never when the table is made.
+    """
+
+    snapshots: Callable[[dict, int, int], Snapshots]
+    checks: tuple[str, ...] = ()
+    cut_probes: Optional[Callable[[dict, RegionSnapshot], Iterable[Probe]]] = None
 
 
-def _family_from(config: dict) -> SequenceFamily:
-    return SequenceFamily.from_json(config.get("families", []))
+def _per_stage(build: Callable[[dict, int], RegionSnapshot]):
+    """snapshots() of a builder that makes one stage per call."""
+    return lambda config, lo, hi: ([build(config, s) for s in range(lo, hi + 1)], None)
+
+
+def _fan_snapshots(config: dict, lo: int, hi: int) -> Snapshots:
+    tree, track = _tree_from(config), _field(config, "B", DestinationTrack, [])
+    if lo == hi:
+        snap, graph = build_cantor_fan_q(hi, tree, track)
+        return [snap], graph
+    snaps, graph = q_snapshots(hi, tree, track)
+    return snaps[lo:], graph
+
+
+def _dendrite_d_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
+    script = _script_from(config)
+    return (
+        ({"t": t}, ball_polygon(cut_ball(t)), rising_width(script, t) > 0)
+        for t in range(snap.stage + 1)
+    )
+
+
+def _dendrite_h_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
+    script, depth = _script_from(config), max(snap.stage, 1)
+    return (
+        ({"t": t}, h_cut_box(t, depth), rising_width(script, t) > 0)
+        for t in range(snap.stage + 1)
+    )
+
+
+def _dendroid_k_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
+    fam, stage = _family_from(config), snap.stage
+    bound = config.get("search_bound")
+    if bound is None:
+        bound = max(stage, len(fam.members))
+    return (
+        ({"t": t, "u": u}, comb_cut_box(t, u), comb_width(fam, t, u, stage, bound) > 0)
+        for t in range(stage + 1)
+        for u in range(stage + 1)
+    )
+
+
+CHECK_NAMES = ("nesting", "connectivity", "cut-dichotomy", "touch-chain")
+SPANNING_CHECKS = ("nesting", "connectivity")  # the checks that read every stage lo..hi
+GROWING_CHECKS = ("nesting", "connectivity", "cut-dichotomy")
+
+CONSTRUCTIONS: dict[str, Construction] = {
+    "basic-dendrite": Construction(_per_stage(lambda c, s: basic_dendrite(s))),
+    "harmonic-comb": Construction(_per_stage(lambda c, s: harmonic_comb(s))),
+    "cantor-fan": Construction(_per_stage(lambda c, s: cantor_fan(s))),
+    "plotted-tree": Construction(
+        _per_stage(lambda c, s: plotted_tree(_tree_from(c), s, c.get("depth", max(s, 1))))
+    ),
+    "dendrite-d": Construction(
+        _per_stage(lambda c, s: build_dendrite_d(s, _script_from(c))),
+        GROWING_CHECKS,
+        _dendrite_d_probes,
+    ),
+    "dendrite-h": Construction(
+        _per_stage(lambda c, s: build_dendrite_h(s, _script_from(c), _tree_from(c))),
+        GROWING_CHECKS,
+        _dendrite_h_probes,
+    ),
+    "dendroid-k": Construction(
+        _per_stage(lambda c, s: build_dendroid_k(s, _family_from(c), c.get("search_bound"))),
+        GROWING_CHECKS,
+        _dendroid_k_probes,
+    ),
+    "cantor-fan-q": Construction(_fan_snapshots, ("nesting", "connectivity", "touch-chain")),
+}
+
+
+def _construction(config: dict) -> Construction:
+    kind = config.get("construction")
+    if not isinstance(kind, str) or kind not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction: {kind}")
+    return CONSTRUCTIONS[kind]
 
 
 def build_scene(config: dict, stage: int) -> dict:
     """Scene JSON (plus block metadata for the fan machine)."""
-    kind = config["construction"]
-    blocks = None
-    if kind == "basic-dendrite":
-        region = basic_dendrite(stage)
-    elif kind == "harmonic-comb":
-        region = harmonic_comb(stage)
-    elif kind == "cantor-fan":
-        region = cantor_fan(stage)
-    elif kind == "plotted-tree":
-        region = plotted_tree(_tree_from(config), stage, config.get("depth", max(stage, 1)))
-    elif kind == "dendrite-d":
-        region = build_dendrite_d(stage, _script_from(config))
-    elif kind == "dendrite-h":
-        region = build_dendrite_h(stage, _script_from(config), _tree_from(config))
-    elif kind == "dendroid-k":
-        region = build_dendroid_k(stage, _family_from(config), config.get("search_bound"))
-    elif kind == "cantor-fan-q":
-        track = DestinationTrack(config.get("B", []))
-        region, graph = build_cantor_fan_q(stage, _tree_from(config), track)
-        blocks = graph.to_json()
-    else:
-        raise ValueError(f"unknown construction: {kind}")
+    (region,), graph = _construction(config).snapshots(config, stage, stage)
     doc = region.to_json()
     doc["meta"] = {"tool": f"planarpi {__version__}", "config_sha256": _config_hash(config)}
-    if blocks is not None:
-        doc["blocks"] = blocks
+    if graph is not None:
+        doc["blocks"] = graph.to_json()
     return doc
+
+
+def _run_checks(config: dict, checks: list[str], lo: int, hi: int):
+    """Reports of the named checks, from one replay of the construction that
+    builds stages lo..hi when a check reads them all, else only stage hi."""
+    construction, kind = _construction(config), config["construction"]
+    for check in checks:
+        if check not in CHECK_NAMES:
+            raise ValueError(f"unknown check name: {check}")
+        if check not in construction.checks:
+            raise ValueError(f"{check} not supported for {kind}")
+    first = lo if any(check in SPANNING_CHECKS for check in checks) else hi
+    snaps, graph = construction.snapshots(config, first, hi)
+    last = snaps[-1]
+    run = {
+        "nesting": lambda: check_nesting(snaps),
+        "connectivity": lambda: check_connectivity(snaps),
+        "cut-dichotomy": lambda: check_cut_dichotomy(
+            kind, last, construction.cut_probes(config, last)
+        ),
+        "touch-chain": lambda: check_touch_chain(graph, _tree_from(config), hi),
+    }
+    return [run[check]() for check in checks]
 
 
 def cmd_build(args) -> int:
     config = _load_config(args.config)
-    stage = args.stage if args.stage is not None else config.get("stage", 0)
-    try:
-        doc = build_scene(config, stage)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    stage = _natural(args.stage if args.stage is not None else config.get("stage", 0), "stage")
+    doc = build_scene(config, stage)
     _atomic_write(args.out, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return 0
 
 
-def _run_checks(config: dict, checks: list[str], lo: int, hi: int):
-    kind = config["construction"]
-    reports = []
-    for check in checks:
-        if check == "nesting" or check == "connectivity":
-            if kind == "cantor-fan-q":
-                track = DestinationTrack(config.get("B", []))
-                snaps, _ = q_snapshots(hi, _tree_from(config), track)
-                snaps = snaps[lo:]
-            elif kind == "dendrite-d":
-                snaps = [build_dendrite_d(s, _script_from(config)) for s in range(lo, hi + 1)]
-            elif kind == "dendroid-k":
-                snaps = [
-                    build_dendroid_k(s, _family_from(config), config.get("search_bound"))
-                    for s in range(lo, hi + 1)
-                ]
-            elif kind == "dendrite-h":
-                snaps = [
-                    build_dendrite_h(s, _script_from(config), _tree_from(config))
-                    for s in range(lo, hi + 1)
-                ]
-            else:
-                raise ValueError(f"{check} not supported for {kind}")
-            if check == "nesting":
-                reports.append(check_nesting(snaps))
-            else:
-                reports.append(check_connectivity(snaps))
-        elif check == "touch-chain":
-            if kind != "cantor-fan-q":
-                raise ValueError("touch-chain requires the fan machine")
-            track = DestinationTrack(config.get("B", []))
-            tree = _tree_from(config)
-            _, graph = build_cantor_fan_q(hi, tree, track)
-            reports.append(check_touch_chain(graph, tree, hi))
-        elif check == "cut-dichotomy":
-            if kind == "dendrite-d":
-                reports.append(
-                    check_cut_dichotomy("dendrite-d", hi, script=_script_from(config))
-                )
-            elif kind == "dendroid-k":
-                reports.append(
-                    check_cut_dichotomy(
-                        "dendroid-k",
-                        hi,
-                        family=_family_from(config),
-                        search_bound=config.get("search_bound"),
-                    )
-                )
-            elif kind == "dendrite-h":
-                reports.append(
-                    check_cut_dichotomy(
-                        "dendrite-h", hi, script=_script_from(config), tree=_tree_from(config)
-                    )
-                )
-            else:
-                raise ValueError(f"cut-dichotomy not supported for {kind}")
-        else:
-            raise ValueError(f"unknown check name: {check}")
-    return reports
-
-
 def cmd_verify(args) -> int:
     config = _load_config(args.config)
-    lo, hi = (int(v) for v in args.stage_range.split(":"))
-    checks = args.checks.split(",")
-    try:
-        reports = _run_checks(config, checks, lo, hi)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lo, hi = _stage_range(args.stage_range)
+    reports = _run_checks(config, args.checks.split(","), lo, hi)
     _atomic_write(args.out, reports_to_json(reports) + "\n")
     for report in reports:
         print(f"{report.check_name}: {report.verdict}")
@@ -194,23 +283,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    with open(args.scene) as handle:
-        doc = json.load(handle)
-    region = RegionSnapshot.from_json(doc)
+    region = _load_scene(args.scene)
     _atomic_write(args.out, render_svg(region, args.width))
     return 0
 
 
 def cmd_hausdorff(args) -> int:
-    with open(args.scene_a) as handle:
-        a = RegionSnapshot.from_json(json.load(handle))
-    with open(args.scene_b) as handle:
-        b = RegionSnapshot.from_json(json.load(handle))
-    try:
-        enc = hausdorff_enclosure(a, b, args.tol_exp)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    a, b = _load_scene(args.scene_a), _load_scene(args.scene_b)
+    enc = hausdorff_enclosure(a, b, args.tol_exp)
     print(f"{frac_str(enc.low)} {frac_str(enc.high)}")
     return 0
 
@@ -248,7 +328,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_h.set_defaults(func=cmd_hausdorff)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,13 +25,15 @@ from ..cantor import FatCantorLevel, TreePresentation, fat_level, flip_bits
 from ..geom import (
     ConvexPoly,
     RegionSnapshot,
+    _cross,
+    boxes_overlap,
     clip_halfplane,
     convex_intersection,
     frac_str,
     rect,
     segment,
 )
-from .regions import CORNER_DELTAS, DOWN, Direction, LEFT, RIGHT, UP, delta_halfplane
+from .regions import DOWN, Direction, LEFT, RIGHT, UP, normalize_level, v_region
 
 Frac = Fraction
 
@@ -91,40 +93,16 @@ class BlockRecord:
         x0, x1, y0, y1 = self.box
         if self.kind == "end-box":
             return [rect(x0, y0, x1, y1)]
-        level = fat_level(tree, t)
+        bands = normalize_level(tree, self.frame_stage, t)
         if self.kind == "straight":
-            pieces = []
-            if self.axis == 0:
-                for lo, hi in level.intervals:
-                    a, b = self.fy.img_interval(lo, hi)
-                    pieces.append(rect(x0, a, x1, b))
-            else:
-                for lo, hi in level.intervals:
-                    a, b = self.fx.img_interval(lo, hi)
-                    pieces.append(rect(a, y0, b, y1))
-            return pieces
-        # corner: band families clipped by the frame-box triangles, then by
-        # the (possibly smaller) bounding box
+            return v_region("-" if self.axis == 0 else "|", bands, x0, y0, x1 - x0, y1 - y0)
+        # corner: the symbol laid over the frame box, then clipped to the
+        # (possibly smaller) bounding box
         fm = fat_level(tree, self.frame_stage)
         fx0, fx1 = self.fx.img_interval(fm.l_minus, fm.r_plus)
         fy0, fy1 = self.fy.img_interval(fm.l_minus, fm.r_plus)
-        fq, fr = fx1 - fx0, fy1 - fy0
-        hi_sel, vi_sel = CORNER_DELTAS[self.symbol]
-        h_plane = delta_halfplane(*hi_sel, fx0, fy0, fq, fr)
-        v_plane = delta_halfplane(*vi_sel, fx0, fy0, fq, fr)
-        raw: list[ConvexPoly] = []
-        for lo, hi in level.intervals:
-            a, b = self.fy.img_interval(lo, hi)
-            piece = clip_halfplane(rect(fx0, a, fx1, b), *h_plane)
-            if piece is not None:
-                raw.append(piece)
-        for lo, hi in level.intervals:
-            a, b = self.fx.img_interval(lo, hi)
-            piece = clip_halfplane(rect(a, fy0, b, fy1), *v_plane)
-            if piece is not None:
-                raw.append(piece)
         out = []
-        for piece in raw:
+        for piece in v_region(self.symbol, bands, fx0, fy0, fx1 - fx0, fy1 - fy0):
             for nx, ny, c in ((1, 0, x1), (-1, 0, -x0), (0, 1, y1), (0, -1, -y0)):
                 piece = clip_halfplane(piece, nx, ny, c)
                 if piece is None:
@@ -650,9 +628,7 @@ def _edge_segment(box, d: Direction) -> ConvexPoly:
 
 def _collinear(a: ConvexPoly, b: ConvexPoly) -> bool:
     (a0, a1), (b0, b1) = a.vertices, b.vertices
-    def cross(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-    return cross(a0, a1, b0) == 0 and cross(a0, a1, b1) == 0
+    return _cross(a0, a1, b0) == 0 and _cross(a0, a1, b1) == 0
 
 
 def _params_on_chart(chart: ConvexPoly, pieces: Sequence[ConvexPoly], clip: ConvexPoly):
@@ -703,8 +679,7 @@ def check_touch(
     for p0 in body0:
         bb0 = p0.bbox()
         for p1 in body1:
-            bb1 = p1.bbox()
-            if bb0[2] < bb1[0] or bb1[2] < bb0[0] or bb0[3] < bb1[1] or bb1[3] < bb0[1]:
+            if not boxes_overlap(bb0, p1.bbox()):
                 continue
             inter = convex_intersection(p0, p1)
             if inter is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from ..cantor import TreePresentation, check_bits, leftmost_path
@@ -30,11 +31,7 @@ def plot_point(sigma: str) -> tuple[Fraction, Fraction]:
     """Planar vertex of a binary string: root (1/2, 1), level k at y = 2^-k."""
     check_bits(sigma)
     k = len(sigma)
-    x = Frac(1, 2) * Frac(1, 3**k)
-    for i, c in enumerate(sigma):
-        if c == "1":
-            x += 2 * Frac(1, 3 ** (i + 1))
-    return (x, Frac(1, 1 << k))
+    return (Frac(1, 2 * 3**k) + _subtree_x_base(sigma), Frac(1, 1 << k))
 
 
 def _tree_edges(tree: TreePresentation, stage: int, depth: int) -> list[str]:
@@ -95,9 +92,7 @@ def _full_tree_edges_near(
     return out
 
 
-_PROBE_CACHE: dict[str, tuple[BallSpec, Optional[BallSpec]]] = {}
-
-
+@lru_cache(maxsize=None)
 def probe_balls(sigma: str) -> tuple[BallSpec, Optional[BallSpec]]:
     """Negative and positive probe balls of a string.
 
@@ -107,15 +102,11 @@ def probe_balls(sigma: str) -> tuple[BallSpec, Optional[BallSpec]]:
     tree (checked exactly against every edge that could reach it).
     """
     check_bits(sigma)
-    cached = _PROBE_CACHE.get(sigma)
-    if cached is not None:
-        return cached
     # radius min(2^-(len+2), 3^-(len+1)): the dyadic radius alone lets
     # sibling balls overlap from level 4 on (gap 2*3^-k < 2^-(k+1))
     r_minus = min(Frac(1, 1 << (len(sigma) + 2)), Frac(1, 3 ** (len(sigma) + 1)))
     minus = BallSpec(plot_point(sigma), r_minus, kind="open")
     if not sigma:
-        _PROBE_CACHE[sigma] = (minus, None)
         return minus, None
     a = plot_point(sigma[:-1])
     b = plot_point(sigma)
@@ -143,7 +134,6 @@ def probe_balls(sigma: str) -> tuple[BallSpec, Optional[BallSpec]]:
             break
     if result is None:
         raise AssertionError("no admissible positive ball radius found")
-    _PROBE_CACHE[sigma] = (minus, result)
     return minus, result
 
 

@@ -40,6 +40,11 @@ def _cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def boxes_overlap(a, b) -> bool:
+    """Closed bounding boxes (x0, y0, x1, y1) meet."""
+    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
+
+
 def _dot(ax, ay, bx, by) -> Fraction:
     return ax * bx + ay * by
 
@@ -163,9 +168,7 @@ def polys_intersect(a: ConvexPoly, b: ConvexPoly) -> bool:
         return b.contains_point(a.vertices[0])
     if b.dim() == 0:
         return a.contains_point(b.vertices[0])
-    ax0, ay0, ax1, ay1 = a.bbox()
-    bx0, by0, bx1, by1 = b.bbox()
-    if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
+    if not boxes_overlap(a.bbox(), b.bbox()):
         return False
     for axis in _sat_axes(a) + _sat_axes(b):
         lo_a, hi_a = _project(a, *axis)
@@ -280,8 +283,7 @@ def connectivity_components(region: RegionSnapshot) -> list[list[int]]:
     boxes = [p.bbox() for p in region.pieces]
     for i in range(n):
         for j in range(i + 1, n):
-            bi, bj = boxes[i], boxes[j]
-            if bi[2] < bj[0] or bj[2] < bi[0] or bi[3] < bj[1] or bj[3] < bi[1]:
+            if not boxes_overlap(boxes[i], boxes[j]):
                 continue
             if find(i) == find(j):
                 continue
@@ -464,8 +466,7 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
             for c, cb in zip(cover2d, cover2d_boxes):
                 nxt: list[ConvexPoly] = []
                 for w in work:
-                    wb = w.bbox()
-                    if wb[2] < cb[0] or cb[2] < wb[0] or wb[3] < cb[1] or cb[3] < wb[1]:
+                    if not boxes_overlap(w.bbox(), cb):
                         nxt.append(w)
                         continue
                     nxt.extend(p for p in convex_difference(w, c) if p.dim() == 2)
@@ -569,8 +570,7 @@ def subtract_poly(region: RegionSnapshot, poly: ConvexPoly) -> RegionSnapshot:
     out: list[ConvexPoly] = []
     pb = poly.bbox()
     for piece in region.pieces:
-        wb = piece.bbox()
-        if wb[2] < pb[0] or pb[2] < wb[0] or wb[3] < pb[1] or pb[3] < wb[1]:
+        if not boxes_overlap(piece.bbox(), pb):
             out.append(piece)
             continue
         if piece.dim() == 2:

@@ -4,27 +4,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cantor import TreePresentation
-from .cesets import EnumerationScript, SequenceFamily
-from .continua.comb import build_dendroid_k, comb_cut_box, comb_width
-from .continua.dendrite import build_dendrite_d, cut_ball, rising_width
 from .continua.fanq import BlockGraph, check_touch
-from .continua.trees import build_dendrite_h, h_cut_box
 from .geom import (
+    ConvexPoly,
     RegionSnapshot,
     connectivity_components,
     frac,
     frac_str,
     hausdorff_enclosure,
     region_covers,
-    subtract_ball,
     subtract_poly,
 )
-
-Frac = Fraction
 
 
 @dataclass(frozen=True)
@@ -89,67 +82,18 @@ def check_connectivity(snapshots: Sequence[RegionSnapshot], name: str = "connect
 
 
 def check_cut_dichotomy(
-    builder: str,
-    stage: int,
-    *,
-    script: Optional[EnumerationScript] = None,
-    tree: Optional[TreePresentation] = None,
-    family: Optional[SequenceFamily] = None,
-    search_bound: Optional[int] = None,
+    builder: str, snap: RegionSnapshot, probes: Iterable[tuple[dict, ConvexPoly, bool]]
 ) -> CheckReport:
-    """Pass iff cut probes disconnect exactly where the scripts say they must."""
+    """Pass iff removing each probe shape disconnects the snapshot exactly
+    when the probe expects a cut.  A probe is (witness label, shape, expected)."""
     name = f"cut-dichotomy-{builder}"
-    if builder == "dendrite-d":
-        snap = build_dendrite_d(stage, script)
-        for t in range(stage + 1):
-            expected = rising_width(script, t) > 0
-            cut = subtract_ball(snap, cut_ball(t))
-            observed = _component_count(cut) > 1
-            if expected != observed:
-                return CheckReport(
-                    check_name=name,
-                    stage_range=(stage, stage),
-                    verdict="fail",
-                    witness={"t": t, "expected_cut": expected, "observed_cut": observed},
-                )
-        return CheckReport(check_name=name, stage_range=(stage, stage), verdict="pass")
-    if builder == "dendroid-k":
-        bound = search_bound if search_bound is not None else max(stage, len(family.members))
-        snap = build_dendroid_k(stage, family, bound)
-        for t in range(stage + 1):
-            for u in range(stage + 1):
-                expected = comb_width(family, t, u, stage, bound) > 0
-                cut = subtract_poly(snap, comb_cut_box(t, u))
-                observed = _component_count(cut) > 1
-                if expected != observed:
-                    return CheckReport(
-                        check_name=name,
-                        stage_range=(stage, stage),
-                        verdict="fail",
-                        witness={
-                            "t": t,
-                            "u": u,
-                            "expected_cut": expected,
-                            "observed_cut": observed,
-                        },
-                    )
-        return CheckReport(check_name=name, stage_range=(stage, stage), verdict="pass")
-    if builder == "dendrite-h":
-        snap = build_dendrite_h(stage, script, tree)
-        depth = max(stage, 1)
-        for t in range(stage + 1):
-            expected = rising_width(script, t) > 0
-            cut = subtract_poly(snap, h_cut_box(t, depth))
-            observed = _component_count(cut) > 1
-            if expected != observed:
-                return CheckReport(
-                    check_name=name,
-                    stage_range=(stage, stage),
-                    verdict="fail",
-                    witness={"t": t, "expected_cut": expected, "observed_cut": observed},
-                )
-        return CheckReport(check_name=name, stage_range=(stage, stage), verdict="pass")
-    raise ValueError(f"unknown cut builder: {builder}")
+    stages = (snap.stage, snap.stage)
+    for label, shape, expected in probes:
+        observed = _component_count(subtract_poly(snap, shape)) > 1
+        if expected != observed:
+            witness = {**label, "expected_cut": expected, "observed_cut": observed}
+            return CheckReport(name, stages, "fail", witness)
+    return CheckReport(name, stages, "pass")
 
 
 def check_touch_chain(

@@ -48,6 +48,18 @@ class TestCoding:
             assert coords == sorted(coords)
             assert len(set(coords)) == len(coords)
 
+    def test_matches_term_by_term_sum(self):
+        # reference: 1/3 plus 2 * 3^-(i+2) for each 1-bit, one Fraction per term
+        for length in range(10):
+            for i in range(1 << length):
+                sigma = format(i, f"0{length}b") if length else ""
+                terms = [2 * F(1, 3 ** (j + 2)) for j, c in enumerate(sigma) if c == "1"]
+                assert cantor_coord(sigma) == F(1, 3) + sum(terms, F(0))
+
+    def test_rejects_non_binary(self):
+        with pytest.raises(ValueError):
+            cantor_coord("012")
+
 
 class TestFatLevels:
     def test_full_tree_level_zero(self):

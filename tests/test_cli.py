@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from planarpi.cli import main
+import pytest
+
+from planarpi.cli import CHECK_NAMES, CONSTRUCTIONS, main
 from planarpi.svg import count_elements
 
 FIG5_CONFIG = {
@@ -138,6 +140,60 @@ class TestVerifyCommand:
         assert r1.read_bytes() == r2.read_bytes()
 
 
+GOOD = json.dumps(FIG5_CONFIG)
+NO_FRAME = json.dumps({"stage": 0, "pieces": []})
+
+
+def verify_argv(stage_range: str) -> list[str]:
+    return ["verify", "--config", "c.json", "--checks", "nesting", "--stage-range", stage_range,
+            "--out", "out.json"]
+
+
+def build_argv(*extra: str) -> list[str]:
+    return ["build", "--config", "c.json", *extra, "--out", "out.json"]
+
+
+# (case id, files to write, argv with file names relative to the test dir,
+# a fragment of the error line)
+BAD_INPUTS = [
+    ("stage-range-one-number", {"c.json": GOOD}, verify_argv("3"), "LO:HI"),
+    ("stage-range-reversed", {"c.json": GOOD}, verify_argv("4:2"), "LO <= HI"),
+    ("stage-range-not-numbers", {"c.json": GOOD}, verify_argv("a:b"), "LO:HI"),
+    ("negative-stage", {"c.json": GOOD}, build_argv("--stage", "-3"), "natural number"),
+    ("config-stage-not-a-number", {"c.json": json.dumps({**FIG5_CONFIG, "stage": "4"})},
+     build_argv(), "natural number"),
+    ("missing-config", {}, build_argv(), "cannot read config"),
+    ("malformed-json", {"c.json": "{"}, build_argv(), "not JSON"),
+    ("non-object-config", {"c.json": "[1, 2]"}, build_argv(), "JSON object"),
+    ("unknown-construction", {"c.json": '{"construction": "nope"}'}, build_argv(),
+     "unknown construction"),
+    ("config-field-wrong-type", {"c.json": '{"construction": "dendrite-d", "A": 5}'},
+     build_argv(), "'A'"),
+    ("config-tree-not-an-object", {"c.json": '{"construction": "dendrite-h", "P": []}'},
+     build_argv(), "'P'"),
+    ("config-depth-null", {"c.json": '{"construction": "plotted-tree", "depth": null}'},
+     build_argv(), "'depth'"),
+    ("render-scene-without-frame", {"s.json": NO_FRAME},
+     ["render", "--scene", "s.json", "--out", "out.json"], "'frame'"),
+    ("hausdorff-scene-without-frame", {"s.json": NO_FRAME},
+     ["hausdorff", "--scene-a", "s.json", "--scene-b", "s.json"], "'frame'"),
+]
+
+
+@pytest.mark.parametrize(
+    "files,argv,fragment", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, argv, fragment):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 class TestRender:
     def test_basic_dendrite_svg_counts(self, tmp_path):
         cfg = write_config(tmp_path, {"construction": "basic-dendrite", "stage": 4})
@@ -178,3 +234,16 @@ class TestHausdorffCommand:
         )
         assert proc.returncode == 0
         assert "build" in proc.stdout
+
+
+def test_readme_table_matches_registry():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = [line.split("|")[1:-1] for line in readme.splitlines() if line.startswith("| `")]
+    table = {
+        cells[0].strip(" `"): tuple(c for c, cell in zip(CHECK_NAMES, cells[1:]) if cell.strip())
+        for cells in rows
+    }
+    registry = {
+        name: tuple(sorted(c.checks, key=CHECK_NAMES.index)) for name, c in CONSTRUCTIONS.items()
+    }
+    assert table == registry

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from planarpi.cantor import TreePresentation
-from planarpi.cesets import EnumerationScript, FamilyMember, SequenceFamily
-from planarpi.continua import build_dendrite_d
+from planarpi.cesets import EnumerationScript
+from planarpi.cli import CONSTRUCTIONS
+from planarpi.continua import build_dendrite_d, cut_ball
 from planarpi.continua.fanq import DestinationTrack, q_snapshots
-from planarpi.geom import RegionSnapshot, rect, segment
+from planarpi.geom import RegionSnapshot, ball_polygon, rect, segment
 from planarpi.verify import (
     CheckReport,
     check_cut_dichotomy,
@@ -18,6 +19,14 @@ from planarpi.verify import (
     exit_code,
     reports_to_json,
 )
+
+
+def cut_report(config: dict, stage: int) -> CheckReport:
+    """cut-dichotomy at one stage, through the construction table."""
+    construction = CONSTRUCTIONS[config["construction"]]
+    (snap,), _ = construction.snapshots(config, stage, stage)
+    probes = construction.cut_probes(config, snap)
+    return check_cut_dichotomy(config["construction"], snap, probes)
 
 
 def two_branch_tree(depth: int = 12) -> TreePresentation:
@@ -55,19 +64,26 @@ class TestNesting:
 
 class TestCutDichotomy:
     def test_dendrite_d_pass(self):
-        script = EnumerationScript([(1, 1), (3, 3), (5, 5)])
-        report = check_cut_dichotomy("dendrite-d", 6, script=script)
+        config = {"construction": "dendrite-d", "A": [[1, 1], [3, 3], [5, 5]]}
+        report = cut_report(config, 6)
         assert report.verdict == "pass"
 
     def test_dendrite_d_empty_script(self):
-        report = check_cut_dichotomy("dendrite-d", 4, script=EnumerationScript([]))
+        report = cut_report({"construction": "dendrite-d", "A": []}, 4)
         assert report.verdict == "pass"  # no cut ever disconnects
 
     def test_dendroid_k_figure_script(self):
-        triples = tuple((n, 2, 2) for n in range(12))
-        fam = SequenceFamily([FamilyMember("V0", triples)])
-        report = check_cut_dichotomy("dendroid-k", 3, family=fam)
+        family = [{"name": "V0", "triples": [[n, 2, 2] for n in range(12)]}]
+        report = cut_report({"construction": "dendroid-k", "families": family}, 3)
         assert report.verdict == "pass"
+
+    def test_wrong_expectation_fails_with_witness(self):
+        # negative control: rising 1 is gated, so its ball does cut
+        snap = build_dendrite_d(3, EnumerationScript([(1, 1)]))
+        probes = [({"t": 1}, ball_polygon(cut_ball(1)), False)]
+        report = check_cut_dichotomy("dendrite-d", snap, probes)
+        assert report.verdict == "fail"
+        assert report.witness == {"t": 1, "expected_cut": False, "observed_cut": True}
 
 
 class TestTouchChain:
@@ -131,7 +147,7 @@ class TestReports:
         assert exit_code([passing, failing]) == 1
 
     def test_reports_reproducible(self):
-        script = EnumerationScript([(1, 1)])
-        r1 = check_cut_dichotomy("dendrite-d", 3, script=script)
-        r2 = check_cut_dichotomy("dendrite-d", 3, script=script)
+        config = {"construction": "dendrite-d", "A": [[1, 1]]}
+        r1 = cut_report(config, 3)
+        r2 = cut_report(config, 3)
         assert reports_to_json([r1]) == reports_to_json([r2])
