@@ -114,16 +114,6 @@ class SequenceFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def padded(self, size: int) -> "SequenceFamily":
-        """Family extended with silent members so indices below `size` exist."""
-        if len(self.members) >= size:
-            return self
-        extra = tuple(
-            FamilyMember(f"pad{i}", ())
-            for i in range(len(self.members), size)
-        )
-        return SequenceFamily(self.members + extra, normalized=False)
-
     def to_json(self) -> list[dict]:
         return [
             {"name": m.name, "triples": [list(t) for t in m.triples]}

@@ -8,6 +8,7 @@ width decaying in the stage of first selection.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from ..cesets import SequenceFamily, limit_f
 from ..geom import ConvexPoly, RegionSnapshot, rect, segment
@@ -21,13 +22,20 @@ def comb_center(t: int, u: int) -> Fraction:
     return Frac(1, 1 << (2 * t + 1)) + Frac(1, 1 << (2 * t + u + 1))
 
 
+@lru_cache(maxsize=64)
+def _first_choices(fam: SequenceFamily, t: int, stage: int, search_bound: int) -> dict[int, int]:
+    """u -> the least s <= stage with f_s(t) = u, for each u so chosen.  The
+    family is keyed by identity, so each u of one family reuses one pass."""
+    first: dict[int, int] = {}
+    for s in range(stage + 1):
+        first.setdefault(limit_f(fam, t, s, search_bound), s)
+    return first
+
+
 def rising_scale(fam: SequenceFamily, t: int, u: int, stage: int, search_bound: int) -> Fraction:
     """v(t,u) = 2^-s for the least s <= stage with f_s(t) = u, else 0."""
-    fam = fam.padded(t + 1)
-    for s in range(stage + 1):
-        if limit_f(fam, t, s, search_bound) == u:
-            return Frac(1, 1 << s)
-    return Frac(0)
+    s = _first_choices(fam, t, stage, search_bound).get(u)
+    return Frac(0) if s is None else Frac(1, 1 << s)
 
 
 def comb_width(fam: SequenceFamily, t: int, u: int, stage: int, search_bound: int) -> Fraction:
@@ -53,7 +61,6 @@ def build_dendroid_k(
     """
     if search_bound is None:
         search_bound = max(stage, len(fam.members))
-    fam = fam.padded(stage + 1)
     pieces: list[ConvexPoly] = []
     for t in range(stage + 1):
         left = Frac(1, 1 << (2 * t + 1))

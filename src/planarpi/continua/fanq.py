@@ -144,12 +144,17 @@ class BlockGraph:
     blocks: list[BlockRecord] = field(default_factory=list)
     touches: list[TouchEdge] = field(default_factory=list)
     end_boxes: list[BlockRecord] = field(default_factory=list)  # one per stage
+    by_id: dict[int, BlockRecord] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.by_id = {b.id: b for b in self.blocks}
+
+    def add(self, record: BlockRecord) -> None:
+        self.blocks.append(record)
+        self.by_id[record.id] = record
 
     def block(self, bid: int) -> BlockRecord:
-        for b in self.blocks:
-            if b.id == bid:
-                return b
-        raise KeyError(bid)
+        return self.by_id[bid]
 
     def to_json(self) -> dict:
         incoming = {t.dst: t for t in self.touches}
@@ -227,7 +232,7 @@ class _Builder:
         return self._next_id - 1
 
     def _add(self, record: BlockRecord) -> BlockRecord:
-        self.graph.blocks.append(record)
+        self.graph.add(record)
         return record
 
     def _touch(self, src: Optional[BlockRecord], dst: BlockRecord, d: Direction):

@@ -45,6 +45,54 @@ def boxes_overlap(a, b) -> bool:
     return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
 
 
+def overlapping_pairs(boxes, others=None) -> list[tuple[int, int]]:
+    """Index pairs of closed boxes that meet, by sweep and prune along x.
+
+    Without `others`: the pairs (i, j), i < j, of boxes that meet.  With
+    `others`: the pairs (i, j) where boxes[i] meets others[j].  Boxes that
+    only touch meet.
+    """
+    cross = others is not None
+    sides = (boxes, others) if cross else (boxes,)
+    order = sorted((box[0], s, i) for s, side in enumerate(sides) for i, box in enumerate(side))
+    active: list[list[int]] = [[] for _ in sides]
+    pairs: list[tuple[int, int]] = []
+    for x0, s, i in order:
+        _, y0, _, y1 = sides[s][i]
+        o = 1 - s if cross else s  # the side this box pairs with
+        alive = []
+        for k in active[o]:
+            box = sides[o][k]
+            if box[2] < x0:
+                continue  # ends left of every box still to come
+            alive.append(k)
+            if not (box[3] < y0 or y1 < box[1]):
+                if cross:
+                    pairs.append((k, i) if s else (i, k))
+                else:
+                    pairs.append((k, i) if k < i else (i, k))
+        active[o] = alive
+        active[s].append(i)
+    return pairs
+
+
+class UnionFind:
+    """Union-find over 0..n-1 with path halving."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        self.parent[self.find(i)] = self.find(j)
+
+
 def _dot(ax, ay, bx, by) -> Fraction:
     return ax * bx + ay * by
 
@@ -77,7 +125,7 @@ class ConvexPoly:
     rotation so the lexicographically least vertex comes first.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_bbox")
 
     def __init__(self, points: Iterable) -> None:
         pts = [(frac(x), frac(y)) for x, y in points]
@@ -88,6 +136,7 @@ class ConvexPoly:
             k = hull.index(min(hull))
             hull = hull[k:] + hull[:k]
         self.vertices: tuple[Point, ...] = tuple(hull)
+        self._bbox = None  # filled by the first bbox() call
 
     # -- basic queries ----------------------------------------------------
 
@@ -95,9 +144,11 @@ class ConvexPoly:
         return min(len(self.vertices) - 1, 2)
 
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        xs = [p[0] for p in self.vertices]
-        ys = [p[1] for p in self.vertices]
-        return min(xs), min(ys), max(xs), max(ys)
+        if self._bbox is None:
+            xs = [p[0] for p in self.vertices]
+            ys = [p[1] for p in self.vertices]
+            self._bbox = (min(xs), min(ys), max(xs), max(ys))
+        return self._bbox
 
     def edges(self) -> list[tuple[Point, Point]]:
         v = self.vertices
@@ -271,27 +322,14 @@ class RegionSnapshot:
 
 def connectivity_components(region: RegionSnapshot) -> list[list[int]]:
     """Partition of piece indices: chains of pairwise-intersecting closed pieces."""
-    n = len(region.pieces)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    boxes = [p.bbox() for p in region.pieces]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not boxes_overlap(boxes[i], boxes[j]):
-                continue
-            if find(i) == find(j):
-                continue
-            if polys_intersect(region.pieces[i], region.pieces[j]):
-                parent[find(i)] = find(j)
+    pieces = region.pieces
+    part = UnionFind(len(pieces))
+    for i, j in overlapping_pairs([p.bbox() for p in pieces]):
+        if part.find(i) != part.find(j) and polys_intersect(pieces[i], pieces[j]):
+            part.union(i, j)
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i in range(len(pieces)):
+        groups.setdefault(part.find(i), []).append(i)
     return sorted(groups.values())
 
 
@@ -458,12 +496,18 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
     coverage of 2-D pieces suffices, so degenerate slivers of 2-D remainders
     are dropped.
     """
-    cover2d = [c for c in cover if c.dim() == 2]
-    cover2d_boxes = [c.bbox() for c in cover2d]
-    for t in target:
+    # a cover piece whose bbox misses the target's misses every remainder
+    near: list[list[int]] = [[] for _ in target]
+    for i, j in overlapping_pairs([c.bbox() for c in cover], [t.bbox() for t in target]):
+        near[j].append(i)
+    for t, idx in zip(target, near):
+        near_cover = [cover[i] for i in sorted(idx)]
         if t.dim() == 2:
             work = [t]
-            for c, cb in zip(cover2d, cover2d_boxes):
+            for c in near_cover:
+                if c.dim() < 2:
+                    continue
+                cb = c.bbox()
                 nxt: list[ConvexPoly] = []
                 for w in work:
                     if not boxes_overlap(w.bbox(), cb):
@@ -477,7 +521,7 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
                 return False, work[0]
         elif t.dim() == 1:
             intervals = []
-            for c in cover:
+            for c in near_cover:
                 iv = _segment_params_inside(t, c)
                 if iv is not None:
                     intervals.append(iv)
@@ -499,7 +543,7 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
                 return False, wit
         else:
             p = t.vertices[0]
-            if not any(c.contains_point(p) for c in cover):
+            if not any(c.contains_point(p) for c in near_cover):
                 return False, t
     return True, None
 
@@ -566,33 +610,37 @@ def ball_polygon(ball: BallSpec, k: int = 6) -> ConvexPoly:
     return ConvexPoly([(cx + r * ux, cy + r * uy) for ux, uy in _unit_circle_points(1 << k)])
 
 
+def subtract_piece(piece: ConvexPoly, poly: ConvexPoly) -> list[ConvexPoly]:
+    """Closure of one piece minus a convex poly, as convex pieces."""
+    if piece.dim() == 2:
+        return convex_difference(piece, poly)
+    if piece.dim() == 0:
+        return [] if poly.contains_point(piece.vertices[0]) else [piece]
+    iv = _segment_params_inside(piece, poly)
+    if iv is None:
+        return [piece]
+    a, b = piece.vertices
+    lo, hi = iv
+
+    def lerp(t):
+        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+    out = []
+    if lo > 0:
+        out.append(ConvexPoly([a, lerp(lo)]))
+    if hi < 1:
+        out.append(ConvexPoly([lerp(hi), b]))
+    return out
+
+
 def subtract_poly(region: RegionSnapshot, poly: ConvexPoly) -> RegionSnapshot:
     out: list[ConvexPoly] = []
     pb = poly.bbox()
     for piece in region.pieces:
-        if not boxes_overlap(piece.bbox(), pb):
-            out.append(piece)
-            continue
-        if piece.dim() == 2:
-            out.extend(convex_difference(piece, poly))
-        elif piece.dim() == 1:
-            iv = _segment_params_inside(piece, poly)
-            if iv is None:
-                out.append(piece)
-            else:
-                a, b = piece.vertices
-                lo, hi = iv
-
-                def lerp(t):
-                    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-
-                if lo > 0:
-                    out.append(ConvexPoly([a, lerp(lo)]))
-                if hi < 1:
-                    out.append(ConvexPoly([lerp(hi), b]))
+        if boxes_overlap(piece.bbox(), pb):
+            out.extend(subtract_piece(piece, poly))
         else:
-            if not poly.contains_point(piece.vertices[0]):
-                out.append(piece)
+            out.append(piece)
     return RegionSnapshot(region.stage, out, region.frame)
 
 
@@ -703,20 +751,25 @@ def sqrt_upper(q: Fraction, prec: int) -> Fraction:
     return Fraction(r, s)
 
 
-def _bbox_gap_sq(p: Point, box) -> Fraction:
-    x0, y0, x1, y1 = box
-    dx = max(x0 - p[0], Fraction(0), p[0] - x1)
-    dy = max(y0 - p[1], Fraction(0), p[1] - y1)
+def _box_gap_sq(a, b) -> Fraction:
+    """Squared distance between two closed boxes."""
+    dx = max(a[0] - b[2], Fraction(0), b[0] - a[2])
+    dy = max(a[1] - b[3], Fraction(0), b[1] - a[3])
     return dx * dx + dy * dy
 
 
-def _min_sq_to_region(p: Point, pieces: Sequence[ConvexPoly], boxes) -> Fraction:
+def _min_sq_to_region(p: Point, pieces: Sequence[ConvexPoly], boxes, order, gaps) -> Fraction:
+    """Squared distance from p to the union of pieces.  `order` lists piece
+    indices by `gaps`, lower bounds of the squared distance from p to each."""
     pt = ConvexPoly([p])
     best: Optional[Fraction] = None
-    for piece, box in zip(pieces, boxes):
-        if best is not None and _bbox_gap_sq(p, box) >= best:
-            continue
-        d = squared_distance(pt, piece)
+    for i in order:
+        if best is not None:
+            if gaps[i] >= best:
+                break  # sorted order: nothing later can improve
+            if _box_gap_sq((*p, *p), boxes[i]) >= best:
+                continue
+        d = squared_distance(pt, pieces[i])
         if best is None or d < best:
             best = d
             if best == 0:
@@ -754,16 +807,17 @@ def _directed_sq_bounds(
     dst_boxes = [d.bbox() for d in dst]
 
     def bounds(piece: ConvexPoly) -> tuple[Fraction, Fraction]:
-        lb = max(_min_sq_to_region(v, dst, dst_boxes) for v in piece.vertices)
-        # min over targets of the vertex-max distance, visiting targets in
-        # order of a cheap lower bound so farther ones prune away
-        cheap = [
-            max(_bbox_gap_sq(v, box) for v in piece.vertices) for box in dst_boxes
-        ]
-        order = sorted(range(len(dst)), key=lambda i: cheap[i])
+        # the gap between the boxes bounds from below the distance from any
+        # point of piece to a target, so targets are visited nearest first
+        # and farther ones prune away
+        box = piece.bbox()
+        gaps = [_box_gap_sq(box, b) for b in dst_boxes]
+        order = sorted(range(len(dst)), key=gaps.__getitem__)
+        lb = max(_min_sq_to_region(v, dst, dst_boxes, order, gaps) for v in piece.vertices)
+        # min over targets of the vertex-max distance
         ub: Optional[Fraction] = None
         for i in order:
-            if ub is not None and cheap[i] >= ub:
+            if ub is not None and gaps[i] >= ub:
                 break  # sorted order: nothing later can improve
             val = _max_sq_vertex(piece, dst[i])
             if ub is None or val < ub:
@@ -800,14 +854,22 @@ def _directed_sq_bounds(
 def hausdorff_enclosure(
     a: RegionSnapshot, b: RegionSnapshot, tol_exp: int
 ) -> DistanceEnclosure:
-    """Enclosure of width <= 2^-tol_exp around d_H(a, b), by adaptive subdivision."""
+    """Enclosure of width <= 2^-tol_exp around d_H(a, b), by adaptive
+    subdivision.  A directed distance is exactly 0, and is not bounded, when
+    `region_covers` proves its source lies inside its target."""
     if a.is_empty() or b.is_empty():
         raise ValueError("undefined distance to empty set")
     tol = Fraction(1, 1 << tol_exp)
     prec = tol_exp + 4
     half = tol / 2
-    lo1, hi1 = _directed_sq_bounds(a.pieces, b.pieces, half, prec)
-    lo2, hi2 = _directed_sq_bounds(b.pieces, a.pieces, half, prec)
+
+    def directed(src: RegionSnapshot, dst: RegionSnapshot) -> tuple[Fraction, Fraction]:
+        if region_covers(dst.pieces, src.pieces)[0]:
+            return Fraction(0), Fraction(0)  # src inside dst: exactly 0
+        return _directed_sq_bounds(src.pieces, dst.pieces, half, prec)
+
+    lo1, hi1 = directed(a, b)
+    lo2, hi2 = directed(b, a)
     low = max(sqrt_lower(lo1, prec), sqrt_lower(lo2, prec))
     high = max(sqrt_upper(hi1, prec), sqrt_upper(hi2, prec))
     return DistanceEnclosure(low=max(Fraction(0), low), high=high)

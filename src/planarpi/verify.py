@@ -11,12 +11,16 @@ from .continua.fanq import BlockGraph, check_touch
 from .geom import (
     ConvexPoly,
     RegionSnapshot,
+    UnionFind,
+    boxes_overlap,
     connectivity_components,
     frac,
     frac_str,
     hausdorff_enclosure,
+    overlapping_pairs,
+    polys_intersect,
     region_covers,
-    subtract_poly,
+    subtract_piece,
 )
 
 
@@ -63,14 +67,10 @@ def check_nesting(snapshots: Sequence[RegionSnapshot], name: str = "nesting") ->
     return CheckReport(check_name=name, stage_range=(lo, hi), verdict="pass")
 
 
-def _component_count(region: RegionSnapshot) -> int:
-    return len(connectivity_components(region))
-
-
 def check_connectivity(snapshots: Sequence[RegionSnapshot], name: str = "connectivity") -> CheckReport:
     lo, hi = snapshots[0].stage, snapshots[-1].stage
     for snap in snapshots:
-        n = _component_count(snap)
+        n = len(connectivity_components(snap))
         if n != 1:
             return CheckReport(
                 check_name=name,
@@ -81,6 +81,64 @@ def check_connectivity(snapshots: Sequence[RegionSnapshot], name: str = "connect
     return CheckReport(check_name=name, stage_range=(lo, hi), verdict="pass")
 
 
+class PieceGraph:
+    """The intersection graph of a snapshot's pieces, built once, for
+    counting the components left after removing one shape at a time.
+
+    `components_without(shape)` equals
+    `len(connectivity_components(subtract_poly(region, shape)))`.  Only the
+    pieces whose bbox meets the shape are cut.  A fragment of piece i lies
+    in piece i, so it can only meet the neighbours of i, their fragments and
+    its sibling fragments; those are the only pairs tested again.
+    """
+
+    def __init__(self, region: RegionSnapshot) -> None:
+        self.pieces = region.pieces
+        self.boxes = [p.bbox() for p in self.pieces]
+        self.neighbours: list[list[int]] = [[] for _ in self.pieces]
+        for i, j in overlapping_pairs(self.boxes):
+            if polys_intersect(self.pieces[i], self.pieces[j]):
+                self.neighbours[i].append(j)
+                self.neighbours[j].append(i)
+
+    def components_without(self, shape: ConvexPoly) -> int:
+        nodes = list(self.pieces)  # node i < n is piece i, later ones fragments
+        fragments: dict[int, range] = {}  # cut piece -> its fragment nodes
+        shape_box = shape.bbox()
+        for i, box in enumerate(self.boxes):
+            if boxes_overlap(box, shape_box):
+                rest = subtract_piece(self.pieces[i], shape)
+                fragments[i] = range(len(nodes), len(nodes) + len(rest))
+                nodes.extend(rest)
+        part = UnionFind(len(nodes))
+
+        def join(u: int, v: int) -> None:
+            pu, pv = nodes[u], nodes[v]
+            if (
+                part.find(u) != part.find(v)
+                and boxes_overlap(pu.bbox(), pv.bbox())
+                and polys_intersect(pu, pv)
+            ):
+                part.union(u, v)
+
+        for i in range(len(self.pieces)):
+            if i not in fragments:
+                for j in self.neighbours[i]:
+                    if j > i and j not in fragments:
+                        part.union(i, j)
+        for i, frags in fragments.items():
+            for a, u in enumerate(frags):
+                for v in frags[a + 1:]:
+                    join(u, v)
+                for j in self.neighbours[i]:
+                    if j not in fragments:
+                        join(u, j)
+                    elif j > i:
+                        for v in fragments[j]:
+                            join(u, v)
+        return len({part.find(u) for u in range(len(nodes)) if u not in fragments})
+
+
 def check_cut_dichotomy(
     builder: str, snap: RegionSnapshot, probes: Iterable[tuple[dict, ConvexPoly, bool]]
 ) -> CheckReport:
@@ -88,8 +146,9 @@ def check_cut_dichotomy(
     when the probe expects a cut.  A probe is (witness label, shape, expected)."""
     name = f"cut-dichotomy-{builder}"
     stages = (snap.stage, snap.stage)
+    graph = PieceGraph(snap)
     for label, shape, expected in probes:
-        observed = _component_count(subtract_poly(snap, shape)) > 1
+        observed = graph.components_without(shape) > 1
         if expected != observed:
             witness = {**label, "expected_cut": expected, "observed_cut": observed}
             return CheckReport(name, stages, "fail", witness)

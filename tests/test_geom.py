@@ -1,20 +1,29 @@
 """Geometry kernel: exact distances, connectivity, subtraction, enclosures."""
 
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import planarpi.geom as geom
+from planarpi.cli import CONSTRUCTIONS
 from planarpi.geom import (
     BallSpec,
     CoCePresentation,
+    DistanceEnclosure,
     RegionSnapshot,
     Removal,
     ball_polygon,
+    boxes_overlap,
     connectivity_components,
     convex_difference,
     convex_intersection,
     hausdorff_enclosure,
+    overlapping_pairs,
     point,
     polys_intersect,
     probe_ball_empty,
@@ -26,9 +35,32 @@ from planarpi.geom import (
     sqrt_upper,
     squared_distance,
     subtract_ball,
+    subtract_poly,
 )
 
+from planarpi.verify import PieceGraph
+
 from oracles import flood_fill_components
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _interval(pair):
+    return min(pair), max(pair)
+
+
+# closed boxes on a coarse dyadic grid, so zero-width boxes, point boxes and
+# boxes that only touch are common
+BOX = st.tuples(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(_interval),
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(_interval),
+).map(lambda xy: (F(xy[0][0], 4), F(xy[1][0], 4), F(xy[0][1], 4), F(xy[1][1], 4)))
+BOXES = st.lists(BOX, max_size=24)
+# a box of zero width or height makes a segment or a point piece
+BOX_PIECES = BOX.map(lambda box: rect(*box))
+CUT_SHAPES = st.tuples(
+    st.integers(-6, 5), st.integers(1, 6), st.integers(-6, 5), st.integers(1, 6)
+).map(lambda v: rect(F(v[0], 4), F(v[2], 4), F(v[0] + v[1], 4), F(v[2] + v[3], 4)))
 
 
 class TestSquaredDistance:
@@ -88,6 +120,55 @@ class TestConnectivity:
             assert len(connectivity_components(region)) == flood_fill_components(
                 region, 5
             )
+
+
+class TestBroadPhase:
+    @settings(max_examples=200, deadline=None)
+    @given(BOXES)
+    def test_pairs_match_double_loop(self, boxes):
+        expected = {
+            (i, j)
+            for i in range(len(boxes))
+            for j in range(i + 1, len(boxes))
+            if boxes_overlap(boxes[i], boxes[j])
+        }
+        pairs = overlapping_pairs(boxes)
+        assert len(pairs) == len(expected)
+        assert set(pairs) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(BOXES, BOXES)
+    def test_cross_pairs_match_double_loop(self, boxes, others):
+        expected = {
+            (i, j)
+            for i in range(len(boxes))
+            for j in range(len(others))
+            if boxes_overlap(boxes[i], others[j])
+        }
+        pairs = overlapping_pairs(boxes, others)
+        assert len(pairs) == len(expected)
+        assert set(pairs) == expected
+
+    def test_touching_boxes_meet(self):
+        boxes = [(F(0), F(0), F(1), F(1)), (F(1), F(1), F(2), F(2)), (F(2), F(0), F(2), F(1))]
+        assert sorted(overlapping_pairs(boxes)) == [(0, 1), (1, 2)]
+
+
+class TestPieceGraph:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(BOX_PIECES, min_size=1, max_size=10), CUT_SHAPES)
+    def test_matches_full_pass(self, pieces, shape):
+        region = RegionSnapshot(0, pieces)
+        full = len(connectivity_components(subtract_poly(region, shape)))
+        assert PieceGraph(region).components_without(shape) == full
+
+    def test_joins_fragments(self):
+        # a hole splits each square into fragments that still meet each other
+        # and the neighbour's fragments: one component, not ten
+        region = RegionSnapshot(0, [rect(0, 0, 1, 1), rect(1, 0, 2, 1)])
+        hole = rect(F(3, 4), F(1, 4), F(5, 4), F(3, 4))
+        assert PieceGraph(region).components_without(hole) == 1
+        assert PieceGraph(region).components_without(rect(F(3, 4), -1, F(5, 4), 2)) == 2
 
 
 class TestSubtraction:
@@ -155,6 +236,32 @@ class TestContainment:
         assert not ok and witness.dim() == 1
 
 
+def _two_way(d_ab, d_ba, tol_exp: int) -> DistanceEnclosure:
+    """The enclosure from squared bounds of both directed distances."""
+    prec = tol_exp + 4
+    low = max(geom.sqrt_lower(d_ab[0], prec), geom.sqrt_lower(d_ba[0], prec))
+    high = max(geom.sqrt_upper(d_ab[1], prec), geom.sqrt_upper(d_ba[1], prec))
+    return DistanceEnclosure(low=max(F(0), low), high=high)
+
+
+def _stage_of(snaps: dict, pieces) -> int:
+    return next(s for s, snap in snaps.items() if snap.pieces is pieces)
+
+
+@pytest.fixture(scope="module")
+def fan_directed():
+    """Fan stages 1..3 and squared bounds of both directed distances of the
+    pairs (1, 2) and (2, 3) at tol_exp 12, each computed in full."""
+    config = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
+    snaps = {s.stage: s for s in CONSTRUCTIONS["cantor-fan-q"].snapshots(config, 1, 3)[0]}
+    half, prec = F(1, 1 << 13), 16
+    directed = {
+        (s, t): geom._directed_sq_bounds(snaps[s].pieces, snaps[t].pieces, half, prec)
+        for s, t in ((1, 2), (2, 1), (2, 3), (3, 2))
+    }
+    return snaps, directed
+
+
 class TestHausdorff:
     def test_self_distance_zero_lower(self):
         region = RegionSnapshot(0, [rect(0, 0, 1, 1), segment((F(3, 2), 0), (2, 0))])
@@ -189,6 +296,36 @@ class TestHausdorff:
             e1 = hausdorff_enclosure(a, b, 10)
             e2 = hausdorff_enclosure(b, a, 10)
             assert e1.low <= e2.high and e2.low <= e1.high
+
+    def test_containment_skip_matches_two_way(self, fan_directed, monkeypatch):
+        # q(s+1) lies inside q(s), so one direction of each pair is skipped
+        # as exactly 0; the enclosure must equal the one computed both ways
+        snaps, directed = fan_directed
+        requested = []
+
+        def recorded(src, dst, tol, prec):
+            key = (_stage_of(snaps, src), _stage_of(snaps, dst))
+            requested.append(key)
+            return directed[key]
+
+        monkeypatch.setattr(geom, "_directed_sq_bounds", recorded)
+        for s, t in ((1, 2), (2, 1), (2, 3), (3, 2)):
+            requested.clear()
+            enc = hausdorff_enclosure(snaps[s], snaps[t], 12)
+            assert enc == _two_way(directed[s, t], directed[t, s], 12)
+            assert requested == [(min(s, t), max(s, t))]  # the nested way is skipped
+            assert directed[max(s, t), min(s, t)][0] == 0
+
+    def test_no_skip_when_not_nested(self):
+        config = json.loads((CONFIGS / "dendrite-h.json").read_text())
+        a, b = CONSTRUCTIONS["dendrite-h"].snapshots(config, 1, 2)[0]
+        assert not region_covers(a.pieces, b.pieces)[0]
+        assert not region_covers(b.pieces, a.pieces)[0]
+        half, prec = F(1, 1 << 13), 16
+        ab = geom._directed_sq_bounds(a.pieces, b.pieces, half, prec)
+        ba = geom._directed_sq_bounds(b.pieces, a.pieces, half, prec)
+        assert hausdorff_enclosure(a, b, 12) == _two_way(ab, ba, 12)
+        assert hausdorff_enclosure(b, a, 12) == _two_way(ba, ab, 12)
 
     def test_empty_raises(self):
         a = RegionSnapshot(0, [])

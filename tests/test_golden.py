@@ -1,4 +1,5 @@
-"""Golden outputs: sha256 of every sample-config scene and verify report.
+"""Golden outputs: sha256 of every sample-config scene and verify report,
+and the stdout of `hausdorff` on small scene pairs.
 
 The digests pin the Scene JSON of each `configs/*.json` at stages 0..6 and
 the report JSON of each supported (construction, check) pair over stages
@@ -79,13 +80,20 @@ VERIFY = {
     ("cantor-fan-q", "touch-chain"): (0, "f4890bbc060b13f54f2fb6c1958d2de23a52115565ef6bfbe3753c07a8220246"),
     ("dendrite-d", "connectivity"): (0, "76c4d5d81e6cebc6b0cd24585ce3ab2f761ddf062cee4c1a1694bc94ef1a67ac"),
     ("dendrite-d", "cut-dichotomy"): (0, "29e85292bef0388061cfd9a2d900131dcdfc64ba1e0e297ad251e575354cad71"),
-    ("dendrite-d", "nesting"): (1, "cc5792a9928bc43a93423583ec2b4313dc5b674bc9f705dcf23620a54e153b52"),
     ("dendrite-h", "connectivity"): (0, "76c4d5d81e6cebc6b0cd24585ce3ab2f761ddf062cee4c1a1694bc94ef1a67ac"),
     ("dendrite-h", "cut-dichotomy"): (0, "dba2b497ee94aa579df9f6b3f7ea96b271645f5f2b448c936fb8e905c9abb077"),
-    ("dendrite-h", "nesting"): (1, "6e09b0e0496d8cbdbd40bc986d7f828daa957e9a22706bec8c8227dc01f4bdd4"),
     ("dendroid-k", "connectivity"): (0, "76c4d5d81e6cebc6b0cd24585ce3ab2f761ddf062cee4c1a1694bc94ef1a67ac"),
     ("dendroid-k", "cut-dichotomy"): (0, "6a1e833816cff5013856e1b8b1b2fb53558e7e85bf599d4c42c3a6f96d9f70eb"),
-    ("dendroid-k", "nesting"): (1, "19a36ba18a9f35d4efbeb8f2a7bee21c3b217a1d102ad5e4c5c3331b79862878"),
+}
+
+# (config, stage of scene a, stage of scene b) -> `hausdorff --tol-exp 12`
+# stdout.  dendrite-d stage 1 lies inside stage 2; dendrite-h stages 1 and 2
+# are not nested either way.
+HAUSDORFF = {
+    ("dendrite-d", 1, 2): "1/8 1/8\n",
+    ("dendrite-d", 2, 1): "1/8 1/8\n",
+    ("dendrite-h", 1, 2): "2503/16384 10013/65536\n",
+    ("dendrite-h", 2, 1): "2503/16384 10013/65536\n",
 }
 
 UNSUPPORTED = [
@@ -114,6 +122,18 @@ def test_verify_report_bytes(tmp_path, name, check):
     argv = ["verify", "--config", str(CONFIGS / f"{name}.json"), "--checks", check]
     code = main(argv + ["--stage-range", "0:3", "--out", str(out)])
     assert (code, _digest(out)) == VERIFY[name, check]
+
+
+@pytest.mark.parametrize("name,stage_a,stage_b", sorted(HAUSDORFF))
+def test_hausdorff_stdout(tmp_path, capsys, name, stage_a, stage_b):
+    scenes = []
+    for stage in (stage_a, stage_b):
+        scenes.append(tmp_path / f"s{stage}.json")
+        argv = ["build", "--config", str(CONFIGS / f"{name}.json"), "--stage", str(stage)]
+        assert main(argv + ["--out", str(scenes[-1])]) == 0
+    argv = ["hausdorff", "--scene-a", str(scenes[0]), "--scene-b", str(scenes[1])]
+    assert main(argv + ["--tol-exp", "12"]) == 0
+    assert capsys.readouterr().out == HAUSDORFF[name, stage_a, stage_b]
 
 
 @pytest.mark.parametrize("name,check", UNSUPPORTED)

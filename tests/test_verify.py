@@ -1,17 +1,29 @@
 """Checkers: reports, negative controls, bound resolution."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import planarpi.geom as geom
+import planarpi.verify as verify
 from planarpi.cantor import TreePresentation
 from planarpi.cesets import EnumerationScript
-from planarpi.cli import CONSTRUCTIONS
+from planarpi.cli import CONSTRUCTIONS, main
 from planarpi.continua import build_dendrite_d, cut_ball
 from planarpi.continua.fanq import DestinationTrack, q_snapshots
-from planarpi.geom import RegionSnapshot, ball_polygon, rect, segment
+from planarpi.geom import (
+    RegionSnapshot,
+    ball_polygon,
+    connectivity_components,
+    rect,
+    segment,
+    subtract_poly,
+)
 from planarpi.verify import (
     CheckReport,
+    PieceGraph,
     check_cut_dichotomy,
     check_hausdorff_bound,
     check_nesting,
@@ -27,6 +39,28 @@ def cut_report(config: dict, stage: int) -> CheckReport:
     (snap,), _ = construction.snapshots(config, stage, stage)
     probes = construction.cut_probes(config, snap)
     return check_cut_dichotomy(config["construction"], snap, probes)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_snapshot_probes(name: str, stage: int):
+    """The sample config's snapshot at one stage and its cut probes."""
+    config = json.loads((CONFIGS / f"{name}.json").read_text())
+    construction = CONSTRUCTIONS[name]
+    (snap,), _ = construction.snapshots(config, stage, stage)
+    return snap, list(construction.cut_probes(config, snap))
+
+
+def full_pass_cut_report(builder: str, snap: RegionSnapshot, probes) -> CheckReport:
+    """cut-dichotomy by one full subtract-and-count pass per probe."""
+    stages = (snap.stage, snap.stage)
+    for label, shape, expected in probes:
+        observed = len(connectivity_components(subtract_poly(snap, shape))) > 1
+        if expected != observed:
+            witness = {**label, "expected_cut": expected, "observed_cut": observed}
+            return CheckReport(f"cut-dichotomy-{builder}", stages, "fail", witness)
+    return CheckReport(f"cut-dichotomy-{builder}", stages, "pass")
 
 
 def two_branch_tree(depth: int = 12) -> TreePresentation:
@@ -84,6 +118,50 @@ class TestCutDichotomy:
         report = check_cut_dichotomy("dendrite-d", snap, probes)
         assert report.verdict == "fail"
         assert report.witness == {"t": 1, "expected_cut": False, "observed_cut": True}
+
+
+    # dendrite-h stops at stage 6: its stages 7 and 8 hold 1,804 and 4,109
+    # pieces, and the full passes there take ~20 s
+    @pytest.mark.parametrize(
+        "name,stage",
+        [("dendrite-d", s) for s in range(9)]
+        + [("dendrite-h", s) for s in range(7)]
+        + [("dendroid-k", s) for s in range(9)],
+    )
+    def test_piece_graph_counts_match_full_pass(self, name, stage):
+        snap, probes = config_snapshot_probes(name, stage)
+        graph = PieceGraph(snap)
+        for _, shape, _ in probes:
+            full = len(connectivity_components(subtract_poly(snap, shape)))
+            assert graph.components_without(shape) == full
+
+    def test_some_sample_probes_expect_a_cut(self):
+        for name, stage in (("dendrite-d", 8), ("dendroid-k", 8)):
+            _, probes = config_snapshot_probes(name, stage)
+            expected = [e for _, _, e in probes]
+            assert any(expected) and not all(expected)
+
+    @pytest.mark.parametrize("flip", [0, 3, 7, 12, 20])
+    def test_wrong_expectation_matches_full_pass(self, flip):
+        snap, probes = config_snapshot_probes("dendroid-k", 4)
+        label, shape, expected = probes[flip]
+        probes[flip] = (label, shape, not expected)
+        report = check_cut_dichotomy("dendroid-k", snap, probes)
+        assert report.verdict == "fail"
+        assert report.witness["expected_cut"] == (not expected)
+        assert report == full_pass_cut_report("dendroid-k", snap, probes)
+
+    def test_intersection_tests_stay_few(self, tmp_path, monkeypatch):
+        # the uncut graph is built once and only fragments are tested again;
+        # one full pass per probe would make 12,357 tests here
+        calls = []
+        real = geom.polys_intersect
+        for module in (geom, verify):
+            monkeypatch.setattr(module, "polys_intersect", lambda a, b: calls.append(1) or real(a, b))
+        argv = ["verify", "--config", str(CONFIGS / "dendroid-k.json"), "--checks",
+                "cut-dichotomy", "--stage-range", "0:8", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        assert len(calls) <= 1000
 
 
 class TestTouchChain:
