@@ -120,9 +120,13 @@ def _family_from(config: dict) -> SequenceFamily:
 def _load_scene(path: str) -> RegionSnapshot:
     doc = _read_json(path, "scene")
     try:
-        return RegionSnapshot.from_json(doc)
+        scene = RegionSnapshot.from_json(doc)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed scene {path}: {type(exc).__name__} {exc}") from None
+    x0, y0, x1, y1 = scene.frame
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError(f"scene {path} needs a frame with x0 < x1 and y0 < y1")
+    return scene
 
 
 def _config_hash(config: dict) -> str:
@@ -285,12 +289,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.width <= 0:
+        raise ValueError(f"--width must be positive, got {args.width}")
     region = _load_scene(args.scene)
     _atomic_write(args.out, render_svg(region, args.width))
     return 0
 
 
 def cmd_hausdorff(args) -> int:
+    _natural(args.tol_exp, "--tol-exp")
     a, b = _load_scene(args.scene_a), _load_scene(args.scene_b)
     enc = hausdorff_enclosure(a, b, args.tol_exp)
     print(f"{frac_str(enc.low)} {frac_str(enc.high)}")

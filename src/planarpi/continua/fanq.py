@@ -26,10 +26,10 @@ from ..geom import (
     ConvexPoly,
     RegionSnapshot,
     _cross,
-    boxes_overlap,
     clip_halfplane,
     convex_intersection,
     frac_str,
+    overlapping_pairs,
     rect,
     segment,
 )
@@ -225,18 +225,46 @@ class _Builder:
         self.tree = tree
         self.track = track
         self.graph = BlockGraph()
-        self._next_id = 0
 
-    def _new_id(self) -> int:
-        self._next_id += 1
-        return self._next_id - 1
+    def _chain(
+        self,
+        prev: Optional[BlockRecord],
+        created: int,
+        frame_stage: int,
+        kind: str,
+        d_in: Direction,
+        box,
+        d_out: Optional[Direction] = None,
+        **frames,
+    ) -> BlockRecord:
+        """Append the next block of the snake, entered from `prev` (None for
+        the first block) by a touch along d_in."""
+        block = BlockRecord(
+            id=len(self.graph.blocks),
+            creation_stage=created,
+            kind=kind,
+            d_in=d_in,
+            d_out=d_in if d_out is None else d_out,
+            frame_stage=frame_stage,
+            box=box,
+            **frames,
+        )
+        self.graph.add(block)
+        self.graph.touches.append(TouchEdge(None if prev is None else prev.id, block.id, d_in))
+        return block
 
-    def _add(self, record: BlockRecord) -> BlockRecord:
-        self.graph.add(record)
-        return record
-
-    def _touch(self, src: Optional[BlockRecord], dst: BlockRecord, d: Direction):
-        self.graph.touches.append(TouchEdge(src.id if src else None, dst.id, d))
+    def _end_box(self, created: int, frame_stage: int, box) -> None:
+        self.graph.end_boxes.append(
+            BlockRecord(
+                id=-1,
+                creation_stage=created,
+                kind="end-box",
+                d_in=None,
+                d_out=None,
+                frame_stage=frame_stage,
+                box=box,
+            )
+        )
 
     # -- stage 0 ------------------------------------------------------------
 
@@ -244,32 +272,9 @@ class _Builder:
         m = fat_level(self.tree, 0)
         gmin, gmax = self.track.gamma(0)
         frame = AffineFrame(Frac(0), Frac(1))
-        z0 = self._add(
-            BlockRecord(
-                id=self._new_id(),
-                creation_stage=0,
-                kind="straight",
-                d_in=LEFT,
-                d_out=LEFT,
-                frame_stage=0,
-                box=(gmin, gmax, m.l_minus, m.r_plus),
-                axis=0,
-                fy=frame,
-            )
-        )
-        self._touch(None, z0, LEFT)
-        self.graph.end_boxes.append(
-            BlockRecord(
-                id=-1,
-                creation_stage=0,
-                kind="end-box",
-                d_in=None,
-                d_out=None,
-                frame_stage=0,
-                box=(gmin - ONE_THIRD, gmin, m.l_minus, m.r_plus),
-            )
-        )
-        self.active = z0
+        box = (gmin, gmax, m.l_minus, m.r_plus)
+        self.active = self._chain(None, 0, 0, "straight", LEFT, box, axis=0, fy=frame)
+        self._end_box(0, 0, (gmin - ONE_THIRD, gmin, m.l_minus, m.r_plus))
         self.active_frame = frame
         self.zeta = ONE_THIRD
         self.gammas = [(gmin, gmax)]
@@ -280,29 +285,11 @@ class _Builder:
         d = host.d_in.reverse()
         cross = host.fy if host.axis == 0 else host.fx
         lo, hi = _corridor(d, m)
-        new_cross = reframe(cross, lo, hi, m)
-        c0, c1 = cross.img_interval(lo, hi)
-        if host.axis == 0:
-            box = (host.box[0], host.box[1], c0, c1)
-        else:
-            box = (c0, c1, host.box[2], host.box[3])
-        blk = self._add(
-            BlockRecord(
-                id=self._new_id(),
-                creation_stage=s + 1,
-                kind="straight",
-                d_in=d,
-                d_out=d,
-                frame_stage=s,
-                box=box,
-                axis=host.axis,
-                fx=None if host.axis == 0 else new_cross,
-                fy=new_cross if host.axis == 0 else None,
-                host_id=host.id,
-            )
-        )
-        self._touch(prev, blk, d)
-        return blk
+        k = 2 - 2 * host.axis  # the cross axis's slot in the box
+        box = host.box[:k] + cross.img_interval(lo, hi) + host.box[k + 2 :]
+        frame = {"fy" if host.axis == 0 else "fx": reframe(cross, lo, hi, m)}
+        return self._chain(prev, s + 1, s, "straight", d, box, axis=host.axis, host_id=host.id,
+                           **frame)
 
     def _corner_return(self, host: BlockRecord, m: FatCantorLevel, s: int, prev):
         entry_dir = host.d_out.reverse()
@@ -313,66 +300,23 @@ class _Builder:
         y_corr = _corridor(d_horiz, m)
         fx_chunk = reframe(host.fx, *x_corr, m)
         fy_chunk = reframe(host.fy, *y_corr, m)
-        cx0, cx1 = host.fx.img_interval(*x_corr)
-        cy0, cy1 = host.fy.img_interval(*y_corr)
-        bx0, bx1, by0, by1 = host.box
+        chunk_box = host.fx.img_interval(*x_corr) + host.fy.img_interval(*y_corr)
 
-        def leg(d: Direction, before_chunk: bool) -> BlockRecord:
-            if d.axis == 1:
-                if d.sense == 0:  # travelling down
-                    y_rng = (cy1, by1) if before_chunk else (by0, cy0)
-                else:
-                    y_rng = (by0, cy0) if before_chunk else (cy1, by1)
-                return BlockRecord(
-                    id=self._new_id(),
-                    creation_stage=s + 1,
-                    kind="straight",
-                    d_in=d,
-                    d_out=d,
-                    frame_stage=s,
-                    box=(cx0, cx1, y_rng[0], y_rng[1]),
-                    axis=1,
-                    fx=fx_chunk,
-                    host_id=host.id,
-                )
-            if d.sense == 1:  # travelling right
-                x_rng = (bx0, cx0) if before_chunk else (cx1, bx1)
-            else:
-                x_rng = (cx1, bx1) if before_chunk else (bx0, cx0)
-            return BlockRecord(
-                id=self._new_id(),
-                creation_stage=s + 1,
-                kind="straight",
-                d_in=d,
-                d_out=d,
-                frame_stage=s,
-                box=(x_rng[0], x_rng[1], cy0, cy1),
-                axis=0,
-                fy=fy_chunk,
-                host_id=host.id,
-            )
+        def leg(prev: BlockRecord, d: Direction, before_chunk: bool) -> BlockRecord:
+            # a leg spans from the host's low edge to the chunk when it
+            # travels up or right into the chunk, or down or left out of it
+            k = 2 * d.axis
+            (h0, h1), (c0, c1) = host.box[k : k + 2], chunk_box[k : k + 2]
+            span = (h0, c0) if before_chunk == (d.sense == 1) else (c1, h1)
+            box = chunk_box[:k] + span + chunk_box[k + 2 :]
+            frame = {"fy": fy_chunk} if d.axis == 0 else {"fx": fx_chunk}
+            return self._chain(prev, s + 1, s, "straight", d, box, axis=d.axis, host_id=host.id,
+                               **frame)
 
-        entry = self._add(leg(entry_dir, before_chunk=True))
-        self._touch(prev, entry, entry_dir)
-        chunk = self._add(
-            BlockRecord(
-                id=self._new_id(),
-                creation_stage=s + 1,
-                kind="corner",
-                d_in=entry_dir,
-                d_out=exit_dir,
-                frame_stage=s,
-                box=(cx0, cx1, cy0, cy1),
-                symbol=host.symbol,
-                fx=fx_chunk,
-                fy=fy_chunk,
-                host_id=host.id,
-            )
-        )
-        self._touch(entry, chunk, entry_dir)
-        exit_leg = self._add(leg(exit_dir, before_chunk=False))
-        self._touch(chunk, exit_leg, exit_dir)
-        return exit_leg
+        entry = leg(prev, entry_dir, before_chunk=True)
+        chunk = self._chain(entry, s + 1, s, "corner", entry_dir, chunk_box, d_out=exit_dir,
+                            symbol=host.symbol, fx=fx_chunk, fy=fy_chunk, host_id=host.id)
+        return leg(chunk, exit_dir, before_chunk=False)
 
     # -- one stage step -------------------------------------------------------
 
@@ -383,51 +327,16 @@ class _Builder:
         self.gammas.append((gmin_n, gmax_n))
         injured = not (gmin_s <= gmin_n and gmax_n <= gmax_s)
         y_frame = self.active_frame
-        endbox_fx = frame_onto(gmin_s - self.zeta, gmin_s, m)
+        x_end = (gmin_s - self.zeta, gmin_s)
+        endbox_fx = frame_onto(*x_end, m)
 
-        z0 = self._add(
-            BlockRecord(
-                id=self._new_id(),
-                creation_stage=s + 1,
-                kind="corner",
-                d_in=LEFT,
-                d_out=UP,
-                frame_stage=s,
-                box=(
-                    gmin_s - self.zeta,
-                    gmin_s,
-                    y_frame.img(m.l_minus),
-                    y_frame.img(m.r_star),
-                ),
-                symbol="ll",
-                fx=endbox_fx,
-                fy=y_frame,
-            )
-        )
-        self._touch(self.active, z0, LEFT)
-        y1_frame = reframe(y_frame, m.r_star, m.r_plus, m)
-        z1 = self._add(
-            BlockRecord(
-                id=self._new_id(),
-                creation_stage=s + 1,
-                kind="corner",
-                d_in=UP,
-                d_out=RIGHT,
-                frame_stage=s,
-                box=(
-                    gmin_s - self.zeta,
-                    gmin_s,
-                    y_frame.img(m.r_star),
-                    y_frame.img(m.r_plus),
-                ),
-                symbol="ul",
-                fx=endbox_fx,
-                fy=y1_frame,
-            )
-        )
-        self._touch(z0, z1, UP)
+        z0 = self._chain(self.active, s + 1, s, "corner", LEFT,
+                         x_end + (y_frame.img(m.l_minus), y_frame.img(m.r_star)), d_out=UP,
+                         symbol="ll", fx=endbox_fx, fy=y_frame)
+        prev = self._chain(z0, s + 1, s, "corner", UP,
+                           x_end + (y_frame.img(m.r_star), y_frame.img(m.r_plus)), d_out=RIGHT,
+                           symbol="ul", fx=endbox_fx, fy=reframe(y_frame, m.r_star, m.r_plus, m))
 
-        prev = z1
         if injured:
             if gmin_n <= gmax_s:
                 raise ValueError("injured destination intervals must be disjoint")
@@ -438,11 +347,7 @@ class _Builder:
                     p = cand
                     break
             assert p is not None  # stage 0 spans [1/3, 2/3]
-            hosts = [
-                b
-                for b in self.graph.blocks
-                if p < b.creation_stage <= s and b.kind != "end-box"
-            ]
+            hosts = [b for b in self.graph.blocks if p < b.creation_stage <= s]
             for host in reversed(hosts):
                 if host.kind == "straight":
                     prev = self._straight_return(host, m, s, prev)
@@ -460,110 +365,29 @@ class _Builder:
             gmin_host, gmax_host = gmin_s, gmax_s
 
         ystar = reframe(base_frame, m.r_star, m.r_plus, m)
-        z2 = self._add(
-            BlockRecord(
-                id=self._new_id(),
-                creation_stage=s + 1,
-                kind="straight",
-                d_in=RIGHT,
-                d_out=RIGHT,
-                frame_stage=s,
-                box=(
-                    gmin_host,
-                    gmax_n,
-                    base_frame.img(m.r_star),
-                    base_frame.img(m.r_plus),
-                ),
-                axis=0,
-                fy=ystar,
-            )
-        )
-        self._touch(prev, z2, RIGHT)
+        z2 = self._chain(prev, s + 1, s, "straight", RIGHT,
+                         (gmin_host, gmax_n, base_frame.img(m.r_star), base_frame.img(m.r_plus)),
+                         axis=0, fy=ystar)
 
         zeta_star = (gmax_host - gmax_n) / (3**s)
         if zeta_star <= 0:
             raise ValueError("destination max must strictly shrink inside a frame")
-        fx34 = frame_onto(gmax_n, gmax_n + zeta_star, m)
-        z3 = self._add(
-            BlockRecord(
-                id=self._new_id(),
-                creation_stage=s + 1,
-                kind="corner",
-                d_in=RIGHT,
-                d_out=UP,
-                frame_stage=s,
-                box=(
-                    gmax_n,
-                    gmax_n + zeta_star,
-                    ystar.img(m.l_minus),
-                    ystar.img(m.r_star),
-                ),
-                symbol="lr",
-                fx=fx34,
-                fy=ystar,
-            )
-        )
-        self._touch(z2, z3, RIGHT)
+        x34 = (gmax_n, gmax_n + zeta_star)
+        fx34 = frame_onto(*x34, m)
         ystarstar = reframe(ystar, m.r_star, m.r_plus, m)
-        z4 = self._add(
-            BlockRecord(
-                id=self._new_id(),
-                creation_stage=s + 1,
-                kind="corner",
-                d_in=UP,
-                d_out=LEFT,
-                frame_stage=s,
-                box=(
-                    gmax_n,
-                    gmax_n + zeta_star,
-                    ystar.img(m.r_star),
-                    ystar.img(m.r_plus),
-                ),
-                symbol="ur",
-                fx=fx34,
-                fy=ystarstar,
-            )
-        )
-        self._touch(z3, z4, UP)
-        z5 = self._add(
-            BlockRecord(
-                id=self._new_id(),
-                creation_stage=s + 1,
-                kind="straight",
-                d_in=LEFT,
-                d_out=LEFT,
-                frame_stage=s,
-                box=(
-                    gmin_n,
-                    gmax_n,
-                    ystarstar.img(m.l_minus),
-                    ystarstar.img(m.r_plus),
-                ),
-                axis=0,
-                fy=ystarstar,
-            )
-        )
-        self._touch(z4, z5, LEFT)
+        z3 = self._chain(z2, s + 1, s, "corner", RIGHT,
+                         x34 + (ystar.img(m.l_minus), ystar.img(m.r_star)), d_out=UP,
+                         symbol="lr", fx=fx34, fy=ystar)
+        z4 = self._chain(z3, s + 1, s, "corner", UP,
+                         x34 + (ystar.img(m.r_star), ystar.img(m.r_plus)), d_out=LEFT,
+                         symbol="ur", fx=fx34, fy=ystarstar)
+        y_band = (ystarstar.img(m.l_minus), ystarstar.img(m.r_plus))
+        self.active = self._chain(z4, s + 1, s, "straight", LEFT, (gmin_n, gmax_n) + y_band,
+                                  axis=0, fy=ystarstar)
         zeta_ss = (gmin_n - gmin_host) / (3**s)
         if zeta_ss <= 0:
             raise ValueError("destination min must strictly grow")
-        self.graph.end_boxes.append(
-            BlockRecord(
-                id=-1,
-                creation_stage=s + 1,
-                kind="end-box",
-                d_in=None,
-                d_out=None,
-                frame_stage=s,
-                box=(
-                    gmin_n - zeta_ss,
-                    gmin_n,
-                    ystarstar.img(m.l_minus),
-                    ystarstar.img(m.r_plus),
-                ),
-            )
-        )
-        self.active = z5
+        self._end_box(s + 1, s, (gmin_n - zeta_ss, gmin_n) + y_band)
         self.active_frame = ystarstar
         self.zeta = zeta_ss
 
@@ -681,17 +505,13 @@ def check_touch(
     def on_line(p) -> bool:
         return (b[0] - a[0]) * (p[1] - a[1]) == (b[1] - a[1]) * (p[0] - a[0])
     shared: list[ConvexPoly] = []
-    for p0 in body0:
-        bb0 = p0.bbox()
-        for p1 in body1:
-            if not boxes_overlap(bb0, p1.bbox()):
-                continue
-            inter = convex_intersection(p0, p1)
-            if inter is None:
-                continue
-            if inter.dim() == 2 or not all(on_line(v) for v in inter.vertices):
-                return False  # bodies meet away from the touch line
-            shared.append(inter)
+    for i, j in overlapping_pairs([p.bbox() for p in body0], [p.bbox() for p in body1]):
+        inter = convex_intersection(body0[i], body1[j])
+        if inter is None:
+            continue
+        if inter.dim() == 2 or not all(on_line(v) for v in inter.vertices):
+            return False  # bodies meet away from the touch line
+        shared.append(inter)
     s_edge0 = _params_on_chart(e0, body0, e0)
     s_edge1 = _params_on_chart(e0, body1, e1)
     s_shared = _params_on_chart(e0, shared, e0)

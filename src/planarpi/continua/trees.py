@@ -12,12 +12,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from ..cantor import TreePresentation, check_bits, leftmost_path
+from ..cantor import TreePresentation, cantor_coord, check_bits, leftmost_path
 from ..cesets import EnumerationScript, stage_function
 from ..geom import (
     BallSpec,
     ConvexPoly,
     RegionSnapshot,
+    overlapping_pairs,
     point,
     segment,
     squared_distance,
@@ -56,11 +57,8 @@ def plotted_tree(tree: TreePresentation, stage: int, depth: int) -> RegionSnapsh
 
 
 def _subtree_x_base(tau: str) -> Fraction:
-    base = Frac(0)
-    for i, c in enumerate(tau):
-        if c == "1":
-            base += 2 * Frac(1, 3 ** (i + 1))
-    return base
+    """Sum of 2 * 3^-(i+1) over the 1-bits: the left end of tau's subtree."""
+    return 3 * cantor_coord(tau) - 1
 
 
 def _full_tree_edges_near(
@@ -159,45 +157,23 @@ class RecoveredTree:
     region_empty: bool
 
 
-_BUCKET = 512
-
-
-def _bucket_range(lo: Fraction, hi: Fraction) -> range:
-    return range((lo.numerator * _BUCKET) // lo.denominator,
-                 (hi.numerator * _BUCKET) // hi.denominator + 1)
-
-
 def recover_tree(presentation, stage: int, depth: int) -> RecoveredTree:
     """Strings whose positive ball meets the stage snapshot, plus the root."""
-    snapshot = presentation.snapshot(stage)
-    index: dict[int, list[int]] = {}
-    for i, piece in enumerate(snapshot.pieces):
-        x0, _, x1, _ = piece.bbox()
-        for b in _bucket_range(x0, x1):
-            index.setdefault(b, []).append(i)
-    hits = [""]
-    any_hit = False
-    for length in range(1, depth + 1):
-        for i in range(1 << length):
-            sigma = format(i, f"0{length}b")
-            _, plus = probe_balls(sigma)
-            center = point(*plus.center)
-            r2 = plus.radius * plus.radius
-            cx = plus.center[0]
-            candidates = sorted(
-                {
-                    j
-                    for b in _bucket_range(cx - plus.radius, cx + plus.radius)
-                    for j in index.get(b, ())
-                }
-            )
-            if any(
-                squared_distance(center, snapshot.pieces[j]) < r2
-                for j in candidates
-            ):
-                hits.append(sigma)
-                any_hit = True
-    return RecoveredTree(strings=tuple(sorted(hits, key=lambda s: (len(s), s))), region_empty=not any_hit)
+    pieces = presentation.snapshot(stage).pieces
+    strings = [format(i, f"0{n}b") for n in range(1, depth + 1) for i in range(1 << n)]
+    balls = [probe_balls(sigma)[1] for sigma in strings]
+    # a piece whose box misses the ball's closed box is farther than the radius
+    ball_boxes = []
+    for ball in balls:
+        (x, y), r = ball.center, ball.radius
+        ball_boxes.append((x - r, y - r, x + r, y + r))
+    met: set[int] = set()
+    for i, j in overlapping_pairs(ball_boxes, [p.bbox() for p in pieces]):
+        ball = balls[i]
+        if i not in met and squared_distance(point(*ball.center), pieces[j]) < ball.radius**2:
+            met.add(i)
+    hits = tuple(strings[i] for i in sorted(met))
+    return RecoveredTree(strings=("",) + hits, region_empty=not met)
 
 
 # -- fat approximations -------------------------------------------------------

@@ -144,6 +144,17 @@ GOOD = json.dumps(FIG5_CONFIG)
 NO_FRAME = json.dumps({"stage": 0, "pieces": []})
 
 
+def scene_with_frame(x0: str, y0: str, x1: str, y1: str) -> str:
+    return json.dumps({"stage": 0, "pieces": [], "frame": [[x0, y0], [x1, y1]]})
+
+
+UNIT_SCENE = scene_with_frame("0", "0", "1", "1")
+
+
+def render_argv(*extra: str) -> list[str]:
+    return ["render", "--scene", "s.json", *extra, "--out", "out.json"]
+
+
 def verify_argv(stage_range: str) -> list[str]:
     return ["verify", "--config", "c.json", "--checks", "nesting", "--stage-range", stage_range,
             "--out", "out.json"]
@@ -177,6 +188,16 @@ BAD_INPUTS = [
      ["render", "--scene", "s.json", "--out", "out.json"], "'frame'"),
     ("hausdorff-scene-without-frame", {"s.json": NO_FRAME},
      ["hausdorff", "--scene-a", "s.json", "--scene-b", "s.json"], "'frame'"),
+    ("render-zero-width-frame", {"s.json": scene_with_frame("1", "0", "1", "1")}, render_argv(),
+     "x0 < x1"),
+    ("render-zero-height-frame", {"s.json": scene_with_frame("0", "1/2", "1", "1/2")},
+     render_argv(), "y0 < y1"),
+    ("render-inverted-frame", {"s.json": scene_with_frame("1", "1", "0", "0")}, render_argv(),
+     "x0 < x1"),
+    ("render-negative-width", {"s.json": UNIT_SCENE}, render_argv("--width", "-5"), "--width"),
+    ("render-zero-width", {"s.json": UNIT_SCENE}, render_argv("--width", "0"), "--width"),
+    ("hausdorff-negative-tol-exp", {"s.json": UNIT_SCENE},
+     ["hausdorff", "--scene-a", "s.json", "--scene-b", "s.json", "--tol-exp", "-1"], "--tol-exp"),
 ]
 
 

@@ -1,6 +1,8 @@
 """The snake machine: stage 0, chains, injuries, and containment facts."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +67,45 @@ class TestDestinationTrack:
             DestinationTrack([(1, 0)])  # 0 is reserved for the tail
         with pytest.raises(ValueError):
             DestinationTrack([(1, 3), (2, 3)])  # repeated element
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_fan(stage: int):
+    doc = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
+    return TreePresentation.from_json(doc["P"]), DestinationTrack(doc["B"]), stage
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: config_fan(6),
+        lambda: (two_branch_tree(), DestinationTrack(INJURY_TRACK), 6),
+        lambda: (two_branch_tree(), DestinationTrack([(1, 1), (2, 5), (3, 7), (4, 3)]), 4),
+        lambda: (full_tree(), DestinationTrack([(1, 4), (2, 2), (3, 6)]), 3),
+    ],
+    ids=["cantor-fan-q.json", "injury-track", "partial-rollback", "full-tree"],
+)
+def test_snake_invariants(make):
+    """One linear chain: block k is entered from block k-1 along its own d_in."""
+    tree, track, stage = make()
+    _, graph = build_cantor_fan_q(stage, tree, track)
+    blocks = graph.blocks
+    assert [b.id for b in blocks] == list(range(len(blocks)))
+    assert [(e.src, e.dst) for e in graph.touches] == [
+        (None if k == 0 else k - 1, k) for k in range(len(blocks))
+    ]
+    for e in graph.touches:
+        assert e.direction == graph.block(e.dst).d_in
+    for b in blocks:
+        if b.kind == "straight":
+            assert b.d_out == b.d_in, b.id
+        if b.creation_stage > 0:
+            assert b.creation_stage == b.frame_stage + 1, b.id
+    assert len(graph.end_boxes) == stage + 1
+    assert all(e.kind == "end-box" for e in graph.end_boxes)
+    assert all(b.kind != "end-box" for b in blocks)
 
 
 class TestStageZero:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 from planarpi.cantor import TreePresentation, full_tree
 from planarpi.cesets import EnumerationScript
@@ -155,6 +156,27 @@ class TestRecoverTree:
             assert list(recovered.strings) == sorted(
                 expected, key=lambda s: (len(s), s)
             )
+
+    def test_matches_exhaustive_scan(self):
+        # the broad phase must keep every ball that some piece meets; fat
+        # trees put pieces off the ball centres, where plotted edges run
+        rng = random.Random(7)
+        for _ in range(16):
+            tree = random_schedule(rng, depth=6)
+            depth = rng.randint(1, 5)
+            stage = rng.randint(0, tree.final_stage)
+            w, snap_depth = rng.choice([F(0), F(1, 8), F(1, 4), F(1, 2)]), rng.randint(1, 6)
+            pres = SimpleNamespace(snapshot=lambda s: fat_tree(tree, w, s, snap_depth))
+            pieces = pres.snapshot(stage).pieces
+            hits = []
+            for sigma in all_strings_upto(depth)[1:]:
+                _, plus = probe_balls(sigma)
+                center = point(*plus.center)
+                if any(squared_distance(center, piece) < plus.radius**2 for piece in pieces):
+                    hits.append(sigma)
+            recovered = recover_tree(pres, stage, depth)
+            assert recovered.strings == ("", *hits)
+            assert recovered.region_empty == (not hits)
 
 
 class TestFatTree:
