@@ -26,7 +26,7 @@ from ..geom import (
     ConvexPoly,
     RegionSnapshot,
     _cross,
-    clip_halfplane,
+    chart_interval,
     convex_intersection,
     frac_str,
     overlapping_pairs,
@@ -101,12 +101,10 @@ class BlockRecord:
         fm = fat_level(tree, self.frame_stage)
         fx0, fx1 = self.fx.img_interval(fm.l_minus, fm.r_plus)
         fy0, fy1 = self.fy.img_interval(fm.l_minus, fm.r_plus)
+        box = rect(x0, y0, x1, y1)
         out = []
         for piece in v_region(self.symbol, bands, fx0, fy0, fx1 - fx0, fy1 - fy0):
-            for nx, ny, c in ((1, 0, x1), (-1, 0, -x0), (0, 1, y1), (0, -1, -y0)):
-                piece = clip_halfplane(piece, nx, ny, c)
-                if piece is None:
-                    break
+            piece = convex_intersection(piece, box)
             if piece is not None:
                 out.append(piece)
         return out
@@ -463,16 +461,11 @@ def _collinear(a: ConvexPoly, b: ConvexPoly) -> bool:
 def _params_on_chart(chart: ConvexPoly, pieces: Sequence[ConvexPoly], clip: ConvexPoly):
     """Pieces cut to the segment `clip`, as merged parameter intervals on the
     line through `chart` (both segments must be collinear)."""
-    a, b = chart.vertices
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    denom = dx * dx + dy * dy
     intervals = []
     for piece in pieces:
         inter = convex_intersection(piece, clip)
-        if inter is None:
-            continue
-        ts = [((v[0] - a[0]) * dx + (v[1] - a[1]) * dy) / denom for v in inter.vertices]
-        intervals.append((min(ts), max(ts)))
+        if inter is not None:
+            intervals.append(chart_interval(chart, inter))
     merged: list[tuple[Fraction, Fraction]] = []
     for lo, hi in sorted(intervals):
         if merged and lo <= merged[-1][1]:
@@ -502,14 +495,12 @@ def check_touch(
     body0 = z0.body_at(tree, t)
     body1 = z1.body_at(tree, t)
     a, b = e0.vertices
-    def on_line(p) -> bool:
-        return (b[0] - a[0]) * (p[1] - a[1]) == (b[1] - a[1]) * (p[0] - a[0])
     shared: list[ConvexPoly] = []
     for i, j in overlapping_pairs([p.bbox() for p in body0], [p.bbox() for p in body1]):
         inter = convex_intersection(body0[i], body1[j])
         if inter is None:
             continue
-        if inter.dim() == 2 or not all(on_line(v) for v in inter.vertices):
+        if inter.dim() == 2 or any(_cross(a, b, v) != 0 for v in inter.vertices):
             return False  # bodies meet away from the touch line
         shared.append(inter)
     s_edge0 = _params_on_chart(e0, body0, e0)

@@ -52,16 +52,13 @@ CORNER_DELTAS = {
 
 
 def delta_cube(i: int, j: int, a, b, q, r) -> ConvexPoly:
-    """Triangle on [a,a+q]x[b,b+r] omitting the corner (a+(1-i)q, b+(1-j)r).
+    """Triangle on [a,a+q]x[b,b+r] omitting the corner (a+(1-i)q, b+(1-j)r):
+    the box clipped by `delta_halfplane`.
 
     A degenerate box (q = 0 or r = 0) has no corner to omit and stays whole.
     """
     a, b, q, r = frac(a), frac(b), frac(q), frac(r)
-    corners = [(a, b), (a + q, b), (a, b + r), (a + q, b + r)]
-    if q == 0 or r == 0:
-        return ConvexPoly(corners)
-    omit = (a + (1 - i) * q, b + (1 - j) * r)
-    return ConvexPoly([c for c in corners if c != omit])
+    return clip_halfplane(rect(a, b, a + q, b + r), *delta_halfplane(i, j, a, b, q, r))
 
 
 def delta_halfplane(i: int, j: int, a, b, q, r):

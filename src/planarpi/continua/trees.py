@@ -28,6 +28,7 @@ from .dendrite import _base_pieces, rising_width
 Frac = Fraction
 
 
+@lru_cache(maxsize=None)
 def plot_point(sigma: str) -> tuple[Fraction, Fraction]:
     """Planar vertex of a binary string: root (1/2, 1), level k at y = 2^-k."""
     check_bits(sigma)

@@ -93,10 +93,6 @@ class UnionFind:
         self.parent[self.find(i)] = self.find(j)
 
 
-def _dot(ax, ay, bx, by) -> Fraction:
-    return ax * bx + ay * by
-
-
 def convex_hull(points: Sequence[Point]) -> list[Point]:
     """Andrew monotone chain; exact.  Collinear inputs collapse to 1-2 points."""
     pts = sorted(set(points))
@@ -159,18 +155,8 @@ class ConvexPoly:
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def contains_point(self, p) -> bool:
-        p = (frac(p[0]), frac(p[1]))
-        v = self.vertices
-        if len(v) == 1:
-            return p == v[0]
-        if len(v) == 2:
-            a, b = v
-            if _cross(a, b, p) != 0:
-                return False
-            t = _dot(p[0] - a[0], p[1] - a[1], b[0] - a[0], b[1] - a[1])
-            length = _dot(b[0] - a[0], b[1] - a[1], b[0] - a[0], b[1] - a[1])
-            return 0 <= t <= length
-        return all(_cross(a, b, p) >= 0 for a, b in self.edges())
+        x, y = frac(p[0]), frac(p[1])
+        return all(nx * x + ny * y <= c for nx, ny, c in _halfplanes(self))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConvexPoly) and self.vertices == other.vertices
@@ -199,34 +185,9 @@ def point(x, y) -> ConvexPoly:
 # -- intersection / distance ---------------------------------------------
 
 
-def _project(poly: ConvexPoly, ax: Fraction, ay: Fraction) -> tuple[Fraction, Fraction]:
-    vals = [_dot(ax, ay, x, y) for x, y in poly.vertices]
-    return min(vals), max(vals)
-
-
-def _sat_axes(poly: ConvexPoly) -> list[tuple[Fraction, Fraction]]:
-    axes = []
-    for (ax_, ay_), (bx, by) in poly.edges():
-        dx, dy = bx - ax_, by - ay_
-        axes.append((-dy, dx))  # edge normal
-        axes.append((dx, dy))  # edge direction (separates collinear segments)
-    return axes
-
-
 def polys_intersect(a: ConvexPoly, b: ConvexPoly) -> bool:
-    """Exact closed-set intersection test for convex polys (SAT)."""
-    if a.dim() == 0:
-        return b.contains_point(a.vertices[0])
-    if b.dim() == 0:
-        return a.contains_point(b.vertices[0])
-    if not boxes_overlap(a.bbox(), b.bbox()):
-        return False
-    for axis in _sat_axes(a) + _sat_axes(b):
-        lo_a, hi_a = _project(a, *axis)
-        lo_b, hi_b = _project(b, *axis)
-        if hi_a < lo_b or hi_b < lo_a:
-            return False
-    return True
+    """Exact closed-set intersection test for convex pieces."""
+    return boxes_overlap(a.bbox(), b.bbox()) and convex_intersection(a, b) is not None
 
 
 def _point_segment_sq(p: Point, a: Point, b: Point) -> Fraction:
@@ -246,22 +207,14 @@ def squared_distance(a: ConvexPoly, b: ConvexPoly) -> Fraction:
     """Exact squared Euclidean min-distance; zero iff the polys intersect."""
     if polys_intersect(a, b):
         return Fraction(0)
-    best: Optional[Fraction] = None
-    for src, dst in ((a, b), (b, a)):
-        dst_edges = dst.edges()
-        for v in src.vertices:
-            if dst_edges:
-                for e0, e1 in dst_edges:
-                    d = _point_segment_sq(v, e0, e1)
-                    if best is None or d < best:
-                        best = d
-            else:
-                w = dst.vertices[0]
-                d = (v[0] - w[0]) ** 2 + (v[1] - w[1]) ** 2
-                if best is None or d < best:
-                    best = d
-    assert best is not None
-    return best
+    # the nearest pair of points has a vertex of one piece at one end; a
+    # point piece is its own (zero-length) edge
+    return min(
+        _point_segment_sq(v, e0, e1)
+        for src, dst in ((a, b), (b, a))
+        for e0, e1 in dst.edges() or [dst.vertices * 2]
+        for v in src.vertices
+    )
 
 
 # -- snapshots -------------------------------------------------------------
@@ -336,27 +289,23 @@ def connectivity_components(region: RegionSnapshot) -> list[list[int]]:
 # -- convex clipping / difference ------------------------------------------
 
 
+def _lerp(a: Point, b: Point, t: Fraction) -> Point:
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+
 def clip_halfplane(poly: ConvexPoly, nx, ny, c) -> Optional[ConvexPoly]:
-    """Part of poly with nx*x + ny*y <= c (exact Sutherland-Hodgman)."""
+    """Part of poly with nx*x + ny*y <= c (exact Sutherland-Hodgman).
+
+    Points and segments go through the same loop: a segment is the closed
+    path a -> b -> a, so its one cut point is met twice.
+    """
     nx, ny, c = frac(nx), frac(ny), frac(c)
     verts = poly.vertices
-    if len(verts) == 1:
-        (x, y) = verts[0]
-        return poly if nx * x + ny * y <= c else None
     vals = [nx * x + ny * y - c for x, y in verts]
     if all(v <= 0 for v in vals):
         return poly
     if all(v > 0 for v in vals):
         return None
-    if len(verts) == 2:
-        (a, b), (va, vb) = verts, vals
-        if va > 0:
-            a, b, va, vb = b, a, vb, va
-        if vb <= 0:
-            return poly
-        t = va / (va - vb)  # va<=0<vb
-        cut = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-        return ConvexPoly([a, cut])
     out: list[Point] = []
     n = len(verts)
     for i in range(n):
@@ -365,63 +314,40 @@ def clip_halfplane(poly: ConvexPoly, nx, ny, c) -> Optional[ConvexPoly]:
         if va <= 0:
             out.append(a)
         if (va < 0 < vb) or (vb < 0 < va):
-            t = va / (va - vb)
-            out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    if not out:
-        return None
+            out.append(_lerp(a, b, va / (va - vb)))
     return ConvexPoly(out)
 
 
-def _halfplanes(poly: ConvexPoly) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Inward halfplanes nx*x+ny*y <= c whose intersection is the CCW polygon."""
-    planes = []
-    for (ax, ay), (bx, by) in poly.edges():
-        dx, dy = bx - ax, by - ay
+def _halfplanes(piece: ConvexPoly):
+    """Halfplanes nx*x + ny*y <= c whose intersection is the closed piece.
+
+    A polygon gives its inward edge planes.  A segment gives both sides of
+    its line (its edges a -> b and b -> a) and its two end caps.  A point
+    gives its four axis planes.
+    """
+    v = piece.vertices
+    n = len(v)
+    if n == 1:
+        x, y = v[0]
+        yield from ((1, 0, x), (-1, 0, -x), (0, 1, y), (0, -1, -y))
+        return
+    for i in range(n):
+        (ax, ay), (bx, by) = v[i], v[(i + 1) % n]
         # interior is to the left of a->b: cross((b-a),(p-a)) >= 0
-        nx, ny = dy, -dx
-        planes.append((nx, ny, nx * ax + ny * ay))
-    return planes
+        nx, ny = by - ay, ax - bx
+        yield nx, ny, nx * ax + ny * ay
+    if n == 2:
+        (ax, ay), (bx, by) = v
+        dx, dy = bx - ax, by - ay
+        yield -dx, -dy, -(dx * ax + dy * ay)
+        yield dx, dy, dx * bx + dy * by
 
 
 def convex_intersection(a: ConvexPoly, b: ConvexPoly) -> Optional[ConvexPoly]:
-    """Exact intersection of two convex pieces (may be degenerate), or None."""
-    if a.dim() == 0:
-        return a if b.contains_point(a.vertices[0]) else None
-    if b.dim() == 0:
-        return b if a.contains_point(b.vertices[0]) else None
-    if a.dim() == 1 and b.dim() == 1:
-        a0, a1 = a.vertices
-        b0, b1 = b.vertices
-        if _cross(a0, a1, b0) == 0 and _cross(a0, a1, b1) == 0:
-            iv = _segment_params_inside(a, b)
-            if iv is None:
-                return None
-            lo, hi = iv
-            p = (a0[0] + lo * (a1[0] - a0[0]), a0[1] + lo * (a1[1] - a0[1]))
-            q = (a0[0] + hi * (a1[0] - a0[0]), a0[1] + hi * (a1[1] - a0[1]))
-            return ConvexPoly([p, q])
-        # proper crossing: solve the 2x2 system exactly
-        dax, day = a1[0] - a0[0], a1[1] - a0[1]
-        dbx, dby = b1[0] - b0[0], b1[1] - b0[1]
-        denom = dax * dby - day * dbx
-        if denom == 0:
-            return None
-        t = ((b0[0] - a0[0]) * dby - (b0[1] - a0[1]) * dbx) / denom
-        u = ((b0[0] - a0[0]) * day - (b0[1] - a0[1]) * dax) / denom
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            return ConvexPoly([(a0[0] + t * dax, a0[1] + t * day)])
-        return None
-    if a.dim() == 1:
-        a, b = b, a  # now a is 2-D, b is the segment
-    if b.dim() == 1:
-        iv = _segment_params_inside(b, a)
-        if iv is None:
-            return None
-        lo, hi = iv
-        b0, b1 = b.vertices
-        p = (b0[0] + lo * (b1[0] - b0[0]), b0[1] + lo * (b1[1] - b0[1]))
-        q = (b0[0] + hi * (b1[0] - b0[0]), b0[1] + hi * (b1[1] - b0[1]))
-        return ConvexPoly([p, q])
+    """Exact intersection of two convex pieces (may be degenerate), or None:
+    the lower-dimensional piece clipped by the other's halfplanes."""
+    if a.dim() > b.dim():
+        a, b = b, a
     piece: Optional[ConvexPoly] = a
     for nx, ny, c in _halfplanes(b):
         piece = clip_halfplane(piece, nx, ny, c)
@@ -451,41 +377,14 @@ def convex_difference(a: ConvexPoly, b: ConvexPoly) -> list[ConvexPoly]:
     return out
 
 
-def _segment_params_inside(seg: ConvexPoly, cover: ConvexPoly):
-    """Parameter interval [lo, hi] of seg covered by convex `cover`, or None."""
+def chart_interval(seg: ConvexPoly, piece: ConvexPoly) -> tuple[Fraction, Fraction]:
+    """Parameter interval, along seg from its first vertex (0) to its last
+    (1), of a piece lying on seg's line."""
     a, b = seg.vertices
-    lo, hi = Fraction(0), Fraction(1)
-    if cover.dim() == 2:
-        for nx, ny, c in _halfplanes(cover):
-            va = nx * a[0] + ny * a[1] - c
-            vb = nx * b[0] + ny * b[1] - c
-            dv = vb - va
-            if dv == 0:
-                if va > 0:
-                    return None
-                continue
-            t = -va / dv
-            if dv > 0:
-                hi = min(hi, t)
-            else:
-                lo = max(lo, t)
-            if lo > hi:
-                return None
-        return (lo, hi)
-    if cover.dim() == 1:
-        c0, c1 = cover.vertices
-        if _cross(a, b, c0) != 0 or _cross(a, b, c1) != 0:
-            return None  # not collinear; overlap is at most a point - ignore
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        denom = dx * dx + dy * dy
-        t0 = ((c0[0] - a[0]) * dx + (c0[1] - a[1]) * dy) / denom
-        t1 = ((c1[0] - a[0]) * dx + (c1[1] - a[1]) * dy) / denom
-        lo2, hi2 = min(t0, t1), max(t0, t1)
-        lo, hi = max(lo, lo2), min(hi, hi2)
-        if lo > hi:
-            return None
-        return (lo, hi)
-    return None
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    denom = dx * dx + dy * dy
+    ts = [((x - a[0]) * dx + (y - a[1]) * dy) / denom for x, y in piece.vertices]
+    return min(ts), max(ts)
 
 
 def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
@@ -522,9 +421,9 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
         elif t.dim() == 1:
             intervals = []
             for c in near_cover:
-                iv = _segment_params_inside(t, c)
-                if iv is not None:
-                    intervals.append(iv)
+                inter = convex_intersection(t, c)
+                if inter is not None:
+                    intervals.append(chart_interval(t, inter))
             intervals.sort()
             reach = Fraction(0)
             for lo, hi in intervals:
@@ -533,14 +432,7 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
                 reach = max(reach, hi)
             if reach < 1:
                 a, b = t.vertices
-                lo = reach
-                wit = ConvexPoly(
-                    [
-                        (a[0] + lo * (b[0] - a[0]), a[1] + lo * (b[1] - a[1])),
-                        b,
-                    ]
-                )
-                return False, wit
+                return False, ConvexPoly([_lerp(a, b, reach), b])
         else:
             p = t.vertices[0]
             if not any(c.contains_point(p) for c in near_cover):
@@ -614,22 +506,20 @@ def subtract_piece(piece: ConvexPoly, poly: ConvexPoly) -> list[ConvexPoly]:
     """Closure of one piece minus a convex poly, as convex pieces."""
     if piece.dim() == 2:
         return convex_difference(piece, poly)
-    if piece.dim() == 0:
-        return [] if poly.contains_point(piece.vertices[0]) else [piece]
-    iv = _segment_params_inside(piece, poly)
-    if iv is None:
+    inter = convex_intersection(piece, poly)
+    if inter is None:
         return [piece]
+    if piece.dim() == 0:
+        return []
+    if inter.dim() == 0 and poly.dim() < 2:
+        return [piece]  # a point or a crossing segment removes no length
     a, b = piece.vertices
-    lo, hi = iv
-
-    def lerp(t):
-        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-
+    lo, hi = chart_interval(piece, inter)
     out = []
     if lo > 0:
-        out.append(ConvexPoly([a, lerp(lo)]))
+        out.append(ConvexPoly([a, _lerp(a, b, lo)]))
     if hi < 1:
-        out.append(ConvexPoly([lerp(hi), b]))
+        out.append(ConvexPoly([_lerp(a, b, hi), b]))
     return out
 
 

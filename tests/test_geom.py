@@ -6,19 +6,21 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import planarpi.geom as geom
 from planarpi.cli import CONSTRUCTIONS
 from planarpi.geom import (
     BallSpec,
+    ConvexPoly,
     CoCePresentation,
     DistanceEnclosure,
     RegionSnapshot,
     Removal,
     ball_polygon,
     boxes_overlap,
+    clip_halfplane,
     connectivity_components,
     convex_difference,
     convex_intersection,
@@ -40,7 +42,7 @@ from planarpi.geom import (
 
 from planarpi.verify import PieceGraph
 
-from oracles import flood_fill_components
+from oracles import flood_fill_components, raster_covers, sat_intersect
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -61,6 +63,121 @@ BOX_PIECES = BOX.map(lambda box: rect(*box))
 CUT_SHAPES = st.tuples(
     st.integers(-6, 5), st.integers(1, 6), st.integers(-6, 5), st.integers(1, 6)
 ).map(lambda v: rect(F(v[0], 4), F(v[2], 4), F(v[0] + v[1], 4), F(v[2] + v[3], 4)))
+
+
+# pieces with dyadic corners: points, segments (any, and axis-aligned) and
+# 3-5-gons; pairs of them drawn apart, as boxes, through a common vertex,
+# or as segments that are collinear (overlapping, touching at an endpoint or
+# apart) or that cross
+COORD = st.integers(-8, 8).map(lambda k: F(k, 4))
+PT = st.tuples(COORD, COORD)
+STEP = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+POLYGONS = st.lists(PT, min_size=3, max_size=5).map(ConvexPoly)
+SEGMENTS = st.tuples(PT, PT).filter(lambda ab: ab[0] != ab[1]).map(lambda ab: segment(*ab))
+AXIS_SEGMENTS = st.tuples(PT, COORD, st.booleans()).filter(lambda v: v[1] != v[0][v[2]]).map(
+    lambda v: segment(v[0], (v[1], v[0][1]) if v[2] == 0 else (v[0][0], v[1]))
+)
+PIECES = st.one_of(PT.map(lambda p: point(*p)), SEGMENTS, AXIS_SEGMENTS, POLYGONS)
+
+
+def _along(p, d, k):
+    return (p[0] + F(k * d[0], 4), p[1] + F(k * d[1], 4))
+
+
+@st.composite
+def collinear_pairs(draw):
+    p, d = draw(PT), draw(STEP)
+    i0, i1, j0, j1 = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    if draw(st.booleans()):
+        j0 = i1  # touch at an endpoint (or overlap, if j1 turns back)
+    assume(i0 != i1 and j0 != j1)
+    return segment(_along(p, d, i0), _along(p, d, i1)), segment(_along(p, d, j0), _along(p, d, j1))
+
+
+@st.composite
+def crossing_pairs(draw):
+    p, d, e = draw(PT), draw(STEP), draw(STEP)
+    assume(d[0] * e[1] != d[1] * e[0])
+    i, j = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return segment(_along(p, d, -i), _along(p, d, j)), segment(_along(p, e, -j), _along(p, e, i))
+
+
+# pieces through one common vertex
+SHARED_VERTEX_PAIRS = st.tuples(PT, st.lists(PT, max_size=3), st.lists(PT, max_size=3)).map(
+    lambda v: (ConvexPoly([v[0], *v[1]]), ConvexPoly([v[0], *v[2]]))
+)
+PAIRS = st.one_of(
+    st.tuples(PIECES, PIECES),
+    st.tuples(BOX_PIECES, BOX_PIECES),
+    SHARED_VERTEX_PAIRS,
+    collinear_pairs(),
+    crossing_pairs(),
+)
+HALFPLANES = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-16, 16)).map(
+    lambda v: (v[0], v[1], F(v[2], 8))
+)
+
+
+class TestHalfplaneKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(PAIRS)
+    def test_meeting_matches_separating_axes(self, pair):
+        a, b = pair
+        meet = sat_intersect(a, b)
+        assert polys_intersect(a, b) == meet
+        inter = convex_intersection(a, b)
+        assert inter == convex_intersection(b, a)
+        assert (inter is not None) == meet
+
+    @settings(max_examples=200, deadline=None)
+    @given(PAIRS)
+    def test_intersection_lies_in_both(self, pair):
+        a, b = pair
+        inter = convex_intersection(a, b)
+        if inter is not None:
+            assert all(a.contains_point(v) and b.contains_point(v) for v in inter.vertices)
+
+    def test_cases_by_dimension(self):
+        square = rect(0, 0, 2, 2)
+        assert convex_intersection(square, point(2, 1)) == point(2, 1)
+        assert convex_intersection(point(3, 1), square) is None
+        assert convex_intersection(segment((-1, 1), (3, 1)), square) == segment((0, 1), (2, 1))
+        assert convex_intersection(segment((0, 0), (2, 0)), segment((1, 0), (3, 0))) == segment(
+            (1, 0), (2, 0)
+        )
+        assert convex_intersection(segment((0, 0), (1, 0)), segment((1, 0), (3, 0))) == point(1, 0)
+        assert convex_intersection(segment((0, 0), (1, 0)), segment((0, 1), (1, 1))) is None
+        assert convex_intersection(point(1, 0), point(1, 0)) == point(1, 0)
+        assert convex_intersection(point(1, 0), point(1, F(1, 4))) is None
+
+
+class TestKernelLaws:
+    @settings(max_examples=200, deadline=None)
+    @given(PIECES, HALFPLANES)
+    def test_clip_is_idempotent(self, piece, plane):
+        once = clip_halfplane(piece, *plane)
+        assert once is None or clip_halfplane(once, *plane) == once
+
+    @settings(max_examples=200, deadline=None)
+    @given(PAIRS)
+    def test_difference_and_intersection_cover(self, pair):
+        a, b = pair
+        inter = convex_intersection(a, b)
+        cover = convex_difference(a, b) + ([inter] if inter is not None else [])
+        assert region_covers(cover, [a])[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(BOX, max_size=6), BOX, st.integers(-6, 6), st.integers(0, 2))
+    def test_covers_matches_raster(self, boxes, target, cut, halves):
+        # add none, one or both of the target's halves either side of x = cut/4
+        x0, y0, x1, y1 = target
+        mid = min(max(F(cut, 4), x0), x1)
+        boxes = boxes + [(x0, y0, mid, y1), (mid, y0, x1, y1)][:halves]
+        cover = [rect(*box) for box in boxes]
+        ok, witness = region_covers(cover, [rect(*target)])
+        assert ok == raster_covers(cover, [rect(*target)], 3)
+        if not ok:
+            assert region_covers([rect(*target)], [witness])[0]
 
 
 class TestSquaredDistance:

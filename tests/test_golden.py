@@ -94,6 +94,9 @@ HAUSDORFF = {
     ("dendrite-d", 2, 1): "1/8 1/8\n",
     ("dendrite-h", 1, 2): "2503/16384 10013/65536\n",
     ("dendrite-h", 2, 1): "2503/16384 10013/65536\n",
+    # polygon pieces: point-to-polygon distances, unlike the segment-only
+    # dendrites
+    ("cantor-fan-q", 2, 3): "629/16384 2517/65536\n",
 }
 
 UNSUPPORTED = [

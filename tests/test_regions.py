@@ -22,6 +22,15 @@ class TestDeltaCube:
         tri = delta_cube(0, 0, 5, 2, 0, 3)
         assert tri == ConvexPoly([(5, 2), (5, 5)])
 
+    def test_omits_the_named_corner(self):
+        for i in (0, 1):
+            for j in (0, 1):
+                for a, b, q, r in ((0, 0, 1, 1), (F(-1, 3), F(7, 8), F(5, 2), F(1, 7))):
+                    corners = [(a + dx * q, b + dy * r) for dx in (0, 1) for dy in (0, 1)]
+                    omit = (a + (1 - i) * q, b + (1 - j) * r)
+                    expected = ConvexPoly([c for c in corners if c != omit])
+                    assert delta_cube(i, j, a, b, q, r) == expected
+
 
 class TestVRegion:
     def test_full_interval_bar_is_square(self):

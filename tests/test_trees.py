@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
+import pytest
+
 from planarpi.cantor import TreePresentation, full_tree
 from planarpi.cesets import EnumerationScript
 from planarpi.continua import (
@@ -58,6 +60,12 @@ class TestPlotPoint:
         for length in range(1, 6):
             xs = [plot_point(format(i, f"0{length}b"))[0] for i in range(1 << length)]
             assert xs == sorted(xs)
+
+    def test_bad_string_raises_every_time(self):
+        # plot_point is memoized; a raised error is not cached
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                plot_point("012")
 
 
 class TestProbeBalls:
