@@ -21,6 +21,13 @@ def check_bits(sigma: str) -> str:
     return sigma
 
 
+def check_natural(value, what: str) -> int:
+    """The one rule for naturals read from input: an int >= 0, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be a natural number, got {value!r}")
+    return value
+
+
 def flip_bits(sigma: str) -> str:
     return "".join("1" if c == "0" else "0" for c in sigma)
 
@@ -40,7 +47,7 @@ class TreePresentation:
     def __init__(self, prune: Iterable[tuple[str, int]] = ()):
         entries = []
         for sigma, stage in prune:
-            entries.append((check_bits(sigma), int(stage)))
+            entries.append((check_bits(sigma), check_natural(stage, "prune stage")))
         self.prune = tuple(sorted(entries, key=lambda e: (e[1], e[0])))
         self.max_prune_len = max((len(s) for s, _ in self.prune), default=0)
         self.final_stage = max((u + 1 for _, u in self.prune), default=0)

@@ -10,21 +10,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+from .cantor import check_natural
+
 
 class EnumerationScript:
     """Stage-indexed enumeration of naturals: entries (stage, element), one
     element per stage, element <= stage."""
 
     def __init__(self, entries: Iterable[tuple[int, int]] = ()):
-        rows = sorted((int(s), int(n)) for s, n in entries)
+        rows = sorted((check_natural(s, "stage"), check_natural(n, "element")) for s, n in entries)
         stages = [s for s, _ in rows]
         if len(set(stages)) != len(stages):
             raise ValueError("at most one element per stage")
         for s, n in rows:
             if n > s:
                 raise ValueError(f"element {n} enumerated before stage {n}")
-            if n < 0 or s < 0:
-                raise ValueError("stages and elements are naturals")
         self.entries = tuple(rows)
         self.final_stage = max((s for s, _ in rows), default=0)
 
@@ -78,6 +78,11 @@ def sigma_reduce(
 class FamilyMember:
     name: str
     triples: tuple[tuple[int, int, int], ...]  # (component n, stage, element)
+
+    def __post_init__(self):
+        for triple in self.triples:
+            for value, what in zip(triple, ("component", "stage", "element")):
+                check_natural(value, f"{self.name}: {what}")
 
     @cached_property
     def _index(self) -> dict[tuple[int, int], int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import __version__
-from .cantor import TreePresentation
+from .cantor import TreePresentation, check_natural
 from .cesets import EnumerationScript, SequenceFamily
 from .continua import (
     basic_dendrite,
@@ -71,12 +71,6 @@ def _read_json(path: str, what: str):
         raise ValueError(f"{what} {path} is not JSON: {exc}") from None
 
 
-def _natural(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{what} must be a natural number, got {value!r}")
-    return value
-
-
 def _stage_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
@@ -92,9 +86,9 @@ def _load_config(path: str) -> dict:
         raise ValueError(f"config {path} must be a JSON object")
     _construction(config)
     if "depth" in config:
-        _natural(config["depth"], "config field 'depth'")
+        check_natural(config["depth"], "config field 'depth'")
     if config.get("search_bound") is not None:
-        _natural(config["search_bound"], "config field 'search_bound'")
+        check_natural(config["search_bound"], "config field 'search_bound'")
     return config
 
 
@@ -265,15 +259,15 @@ def _run_checks(config: dict, checks: list[str], lo: int, hi: int):
         "cut-dichotomy": lambda: check_cut_dichotomy(
             kind, last, construction.cut_probes(config, last)
         ),
-        "touch-chain": lambda: check_touch_chain(graph, _tree_from(config), hi),
+        "touch-chain": lambda: check_touch_chain(graph, hi),
     }
     return [run[check]() for check in checks]
 
 
 def cmd_build(args) -> int:
     config = _load_config(args.config)
-    stage = _natural(args.stage if args.stage is not None else config.get("stage", 0), "stage")
-    doc = build_scene(config, stage)
+    stage = args.stage if args.stage is not None else config.get("stage", 0)
+    doc = build_scene(config, check_natural(stage, "stage"))
     _atomic_write(args.out, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return 0
 
@@ -297,7 +291,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_hausdorff(args) -> int:
-    _natural(args.tol_exp, "--tol-exp")
+    check_natural(args.tol_exp, "--tol-exp")
     a, b = _load_scene(args.scene_a), _load_scene(args.scene_b)
     enc = hausdorff_enclosure(a, b, args.tol_exp)
     print(f"{frac_str(enc.low)} {frac_str(enc.high)}")

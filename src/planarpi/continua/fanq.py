@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..cantor import FatCantorLevel, TreePresentation, fat_level, flip_bits
+from ..cantor import FatCantorLevel, TreePresentation, check_natural, fat_level, flip_bits
 from ..geom import (
     ConvexPoly,
     RegionSnapshot,
@@ -139,20 +139,35 @@ class TouchEdge:
 
 @dataclass
 class BlockGraph:
-    blocks: list[BlockRecord] = field(default_factory=list)
+    """The fan machine's state: its tree, its blocks, its touches, one end box
+    per stage, and the stage-t body of each block, built once on first use."""
+
+    tree: TreePresentation
+    blocks: list[BlockRecord] = field(default_factory=list)  # block id == list index
     touches: list[TouchEdge] = field(default_factory=list)
     end_boxes: list[BlockRecord] = field(default_factory=list)  # one per stage
-    by_id: dict[int, BlockRecord] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.by_id = {b.id: b for b in self.blocks}
-
-    def add(self, record: BlockRecord) -> None:
-        self.blocks.append(record)
-        self.by_id[record.id] = record
+    _bodies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def block(self, bid: int) -> BlockRecord:
-        return self.by_id[bid]
+        if not 0 <= bid < len(self.blocks):
+            raise KeyError(bid)
+        return self.blocks[bid]
+
+    def body(self, block: BlockRecord, t: int) -> list[ConvexPoly]:
+        """`block.body_at(self.tree, t)`, built once; callers must not mutate it."""
+        key = (block.id, block.creation_stage, t)  # end boxes all carry id -1
+        body = self._bodies.get(key)
+        if body is None:
+            body = self._bodies[key] = block.body_at(self.tree, t)
+        return body
+
+    def snapshot(self, t: int) -> RegionSnapshot:
+        """Stage t: the stage-t end box and every block made by then."""
+        pieces = list(self.body(self.end_boxes[t], t))
+        for b in self.blocks:
+            if b.creation_stage <= t:
+                pieces.extend(self.body(b, t))
+        return RegionSnapshot(t, pieces)
 
     def to_json(self) -> dict:
         incoming = {t.dst: t for t in self.touches}
@@ -178,7 +193,7 @@ class DestinationTrack:
     """
 
     def __init__(self, entries: Sequence[tuple[int, int]]):
-        rows = sorted((int(s), int(n)) for s, n in entries)
+        rows = sorted((check_natural(s, "stage"), check_natural(n, "element")) for s, n in entries)
         stages = [s for s, _ in rows]
         elements = [n for _, n in rows]
         if len(set(stages)) != len(stages):
@@ -220,9 +235,8 @@ def _corridor(d: Direction, m: FatCantorLevel) -> tuple[Fraction, Fraction]:
 
 class _Builder:
     def __init__(self, tree: TreePresentation, track: DestinationTrack):
-        self.tree = tree
         self.track = track
-        self.graph = BlockGraph()
+        self.graph = BlockGraph(tree)
 
     def _chain(
         self,
@@ -247,7 +261,7 @@ class _Builder:
             box=box,
             **frames,
         )
-        self.graph.add(block)
+        self.graph.blocks.append(block)
         self.graph.touches.append(TouchEdge(None if prev is None else prev.id, block.id, d_in))
         return block
 
@@ -267,7 +281,7 @@ class _Builder:
     # -- stage 0 ------------------------------------------------------------
 
     def stage_zero(self):
-        m = fat_level(self.tree, 0)
+        m = fat_level(self.graph.tree, 0)
         gmin, gmax = self.track.gamma(0)
         frame = AffineFrame(Frac(0), Frac(1))
         box = (gmin, gmax, m.l_minus, m.r_plus)
@@ -319,7 +333,7 @@ class _Builder:
     # -- one stage step -------------------------------------------------------
 
     def step(self, s: int):
-        m = fat_level(self.tree, s)
+        m = fat_level(self.graph.tree, s)
         gmin_s, gmax_s = self.gammas[s]
         gmin_n, gmax_n = self.track.gamma(s + 1)
         self.gammas.append((gmin_n, gmax_n))
@@ -389,14 +403,6 @@ class _Builder:
         self.active_frame = ystarstar
         self.zeta = zeta_ss
 
-    def snapshot(self, t: int) -> RegionSnapshot:
-        pieces: list[ConvexPoly] = []
-        pieces.extend(self.graph.end_boxes[t].body_at(self.tree, t))
-        for b in self.graph.blocks:
-            if b.creation_stage <= t:
-                pieces.extend(b.body_at(self.tree, t))
-        return RegionSnapshot(t, pieces)
-
 
 def _check_symmetric(tree: TreePresentation, depth: int) -> bool:
     for length in range(depth + 1):
@@ -407,9 +413,7 @@ def _check_symmetric(tree: TreePresentation, depth: int) -> bool:
     return True
 
 
-def _validated_builder(
-    stage: int, tree: TreePresentation, track: DestinationTrack
-) -> _Builder:
+def _replay(stage: int, tree: TreePresentation, track: DestinationTrack) -> BlockGraph:
     if stage > track.final_stage:
         raise ValueError("stage exceeds the scripted destination track")
     if tree.is_empty(stage + 1):
@@ -420,23 +424,23 @@ def _validated_builder(
     builder.stage_zero()
     for s in range(stage):
         builder.step(s)
-    return builder
+    return builder.graph
 
 
 def build_cantor_fan_q(
     stage: int, tree: TreePresentation, track: DestinationTrack
 ) -> tuple[RegionSnapshot, BlockGraph]:
     """Replay the snake machine to the requested stage."""
-    builder = _validated_builder(stage, tree, track)
-    return builder.snapshot(stage), builder.graph
+    graph = _replay(stage, tree, track)
+    return graph.snapshot(stage), graph
 
 
 def q_snapshots(
     stage: int, tree: TreePresentation, track: DestinationTrack
 ) -> tuple[list[RegionSnapshot], BlockGraph]:
     """All snapshots 0..stage from a single replay."""
-    builder = _validated_builder(stage, tree, track)
-    return [builder.snapshot(t) for t in range(stage + 1)], builder.graph
+    graph = _replay(stage, tree, track)
+    return [graph.snapshot(t) for t in range(stage + 1)], graph
 
 
 # -- the touch predicate --------------------------------------------------------
@@ -475,14 +479,7 @@ def _params_on_chart(chart: ConvexPoly, pieces: Sequence[ConvexPoly], clip: Conv
     return tuple(merged)
 
 
-def check_touch(
-    z0: BlockRecord,
-    z1: BlockRecord,
-    d: Direction,
-    graph: BlockGraph,
-    tree: TreePresentation,
-    t: int,
-) -> bool:
+def check_touch(z0: BlockRecord, z1: BlockRecord, d: Direction, graph: BlockGraph, t: int) -> bool:
     """Exact test of the three touch conditions at stage-t bodies."""
     if not any(e.dst == z0.id for e in graph.touches):
         return False  # (2) z0 not yet reached
@@ -492,8 +489,8 @@ def check_touch(
     e1 = _edge_segment(z1.box, d.reverse())
     if e0.dim() != 1 or e1.dim() != 1 or not _collinear(e0, e1):
         return False
-    body0 = z0.body_at(tree, t)
-    body1 = z1.body_at(tree, t)
+    body0 = graph.body(z0, t)
+    body1 = graph.body(z1, t)
     a, b = e0.vertices
     shared: list[ConvexPoly] = []
     for i, j in overlapping_pairs([p.bbox() for p in body0], [p.bbox() for p in body1]):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ..cantor import fat_level
 from ..geom import ConvexPoly, clip_halfplane, frac, rect
 
 Frac = Fraction
@@ -141,8 +142,6 @@ def n_coefficients(l_minus, r_plus, a, b, alpha, beta) -> tuple[Fraction, Fracti
 
 def normalize_level(tree, s: int, t: int) -> list[tuple[Fraction, Fraction]]:
     """Stage-t fat level rescaled by the stage-s frame onto [0, 1]."""
-    from ..cantor import fat_level
-
     if t < s:
         raise ValueError("normalization needs t >= s")
     frame = fat_level(tree, s)

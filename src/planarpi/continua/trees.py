@@ -20,6 +20,7 @@ from ..geom import (
     RegionSnapshot,
     overlapping_pairs,
     point,
+    rect,
     segment,
     squared_distance,
 )
@@ -295,8 +296,6 @@ def h_cut_box(t: int, depth: int) -> ConvexPoly:
     Removing it severs a single fat path (copies only rejoin at the cap) but
     not a branching tree (crossings below the slice reconnect the copies).
     """
-    from ..geom import rect
-
     x_lo = 3 * Frac(1, 1 << (t + 2))
     x_hi = 5 * Frac(1, 1 << (t + 2))
     y_tip = (2 - Frac(1, 1 << depth)) / (1 << (t + 1))

@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .cantor import TreePresentation
 from .continua.fanq import BlockGraph, check_touch
 from .geom import (
     ConvexPoly,
@@ -155,14 +154,11 @@ def check_cut_dichotomy(
     return CheckReport(name, stages, "pass")
 
 
-def check_touch_chain(
-    graph: BlockGraph, tree: Optional[TreePresentation] = None, at_stage: Optional[int] = None
-) -> CheckReport:
+def check_touch_chain(graph: BlockGraph, at_stage: Optional[int] = None) -> CheckReport:
     """Pass iff the touch edges form a simple path over all blocks in
-    creation order; with a tree, also re-verifies each edge geometrically."""
+    creation order and each edge meets the touch conditions at its stage."""
     name = "touch-chain"
-    blocks = [b for b in graph.blocks if b.kind != "end-box"]
-    stages = (0, max((b.creation_stage for b in blocks), default=0))
+    stages = (0, max((b.creation_stage for b in graph.blocks), default=0))
     incoming: dict[int, int] = {}
     outgoing: dict[int, int] = {}
     for e in graph.touches:
@@ -173,7 +169,7 @@ def check_touch_chain(
             if e.src in outgoing:
                 return CheckReport(name, stages, "fail", {"block": e.src, "issue": "two successors"})
             outgoing[e.src] = e.dst
-    missing = [b.id for b in blocks if b.id not in incoming]
+    missing = [b.id for b in graph.blocks if b.id not in incoming]
     if missing:
         return CheckReport(name, stages, "fail", {"issue": "unreached blocks", "blocks": missing})
     # the chain must respect creation stages (precedence extends them)
@@ -188,31 +184,29 @@ def check_touch_chain(
         seen.add(cur)
         chain.append(cur)
         cur = outgoing.get(cur)
-    if len(chain) != len(blocks):
+    if len(chain) != len(graph.blocks):
         return CheckReport(
             name, stages, "fail", {"issue": "path does not cover blocks", "covered": len(chain)}
         )
-    by_id = {b.id: b for b in blocks}
     for a, b in zip(chain, chain[1:]):
-        if by_id[a].creation_stage > by_id[b].creation_stage:
+        if graph.block(a).creation_stage > graph.block(b).creation_stage:
             return CheckReport(
                 name, stages, "fail", {"issue": "precedence violates creation stages", "at": b}
             )
-    if tree is not None:
-        at = at_stage if at_stage is not None else stages[1]
-        for e in graph.touches:
-            if e.src is None:
-                continue
-            z0 = graph.block(e.src)
-            z1 = graph.block(e.dst)
-            t = max(z0.creation_stage, z1.creation_stage, at if at else 0)
-            if not check_touch(z0, z1, e.direction, graph, tree, t):
-                return CheckReport(
-                    name,
-                    stages,
-                    "fail",
-                    {"issue": "touch conditions fail", "edge": [e.src, e.dst, e.direction.symbol], "stage": t},
-                )
+    at = at_stage if at_stage is not None else stages[1]
+    for e in graph.touches:
+        if e.src is None:
+            continue
+        z0 = graph.block(e.src)
+        z1 = graph.block(e.dst)
+        t = max(z0.creation_stage, z1.creation_stage, at)
+        if not check_touch(z0, z1, e.direction, graph, t):
+            return CheckReport(
+                name,
+                stages,
+                "fail",
+                {"issue": "touch conditions fail", "edge": [e.src, e.dst, e.direction.symbol], "stage": t},
+            )
     return CheckReport(name, stages, "pass")
 
 

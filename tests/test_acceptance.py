@@ -219,7 +219,7 @@ def test_criterion_5_cantor_fan_machine():
         assert ok, (b.stage, witness)
     for snap in snaps:
         assert len(connectivity_components(snap)) == 1, snap.stage
-    report = check_touch_chain(graph, tree)
+    report = check_touch_chain(graph)
     assert report.verdict == "pass", report.witness
     # non-injured sublemmas: the two end-box corners sit inside the end box,
     # and every other new block sits inside the union of the previous stage

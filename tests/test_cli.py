@@ -164,6 +164,11 @@ def build_argv(*extra: str) -> list[str]:
     return ["build", "--config", "c.json", *extra, "--out", "out.json"]
 
 
+def family_with_triple(*triple) -> str:
+    families = [{"name": "V0", "triples": [list(triple)]}]
+    return json.dumps({"construction": "dendroid-k", "families": families})
+
+
 # (case id, files to write, argv with file names relative to the test dir,
 # a fragment of the error line)
 BAD_INPUTS = [
@@ -184,6 +189,17 @@ BAD_INPUTS = [
      build_argv(), "'P'"),
     ("config-depth-null", {"c.json": '{"construction": "plotted-tree", "depth": null}'},
      build_argv(), "'depth'"),
+    ("family-component-not-a-number", {"c.json": family_with_triple("a", 2, 2)}, build_argv(),
+     "natural number"),
+    ("family-stage-not-an-integer", {"c.json": family_with_triple(0, 2.5, 2)}, build_argv(),
+     "natural number"),
+    ("script-stage-not-an-integer", {"c.json": json.dumps({**FIG5_CONFIG, "A": [[1.5, 1]]})},
+     build_argv(), "natural number"),
+    ("track-stage-not-an-integer",
+     {"c.json": json.dumps({**Q_CONFIG, "B": [[1.5, 4], [2, 2]]})}, build_argv(), "natural number"),
+    ("prune-stage-not-an-integer",
+     {"c.json": '{"construction": "plotted-tree", "P": {"prune": [["1", 0.5]]}}'}, build_argv(),
+     "natural number"),
     ("render-scene-without-frame", {"s.json": NO_FRAME},
      ["render", "--scene", "s.json", "--out", "out.json"], "'frame'"),
     ("hausdorff-scene-without-frame", {"s.json": NO_FRAME},

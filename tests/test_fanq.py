@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from planarpi.cantor import TreePresentation, fat_level, full_tree
+from planarpi.cli import main
 from planarpi.continua.fanq import (
+    BlockRecord,
     DestinationTrack,
     build_cantor_fan_q,
     check_touch,
@@ -98,6 +100,9 @@ def test_snake_invariants(make):
     ]
     for e in graph.touches:
         assert e.direction == graph.block(e.dst).d_in
+    for bid in (-1, len(blocks)):  # -1 is the id every end box carries
+        with pytest.raises(KeyError):
+            graph.block(bid)
     for b in blocks:
         if b.kind == "straight":
             assert b.d_out == b.d_in, b.id
@@ -129,7 +134,7 @@ class TestNonInjuredChain:
         assert len(graph.blocks) == 13
         dirs = [e.direction for e in graph.touches[1:7]]
         assert dirs == [LEFT, UP, RIGHT, RIGHT, UP, LEFT]
-        rep = check_touch_chain(graph, tree)
+        rep = check_touch_chain(graph)
         assert rep.verdict == "pass", rep.witness
 
     def test_new_blocks_inside_old_straight_and_end_box(self):
@@ -241,7 +246,7 @@ class TestInjuredStages:
         returns = [b for b in graph.blocks if b.host_id is not None]
         host_stages = sorted({graph.block(b.host_id).creation_stage for b in returns})
         assert host_stages == [2, 3]
-        assert check_touch_chain(graph, tree).verdict == "pass"
+        assert check_touch_chain(graph).verdict == "pass"
         for a, b in zip(snaps, snaps[1:]):
             ok, witness = region_covers(a.pieces, b.pieces)
             assert ok, (b.stage, witness)
@@ -261,7 +266,7 @@ class TestInjuredStages:
         tree = two_branch_tree()
         track = DestinationTrack(INJURY_TRACK)
         _, graph = build_cantor_fan_q(6, tree, track)
-        rep = check_touch_chain(graph, tree)
+        rep = check_touch_chain(graph)
         assert rep.verdict == "pass", rep.witness
 
 
@@ -302,7 +307,7 @@ class TestSnapshots:
         for a, b in zip(snaps, snaps[1:]):
             ok, witness = region_covers(a.pieces, b.pieces)
             assert ok, (b.stage, witness)
-        rep = check_touch_chain(graph, tree)
+        rep = check_touch_chain(graph)
         assert rep.verdict == "pass", rep.witness
 
 
@@ -327,7 +332,7 @@ class TestCheckTouch:
         z0 = solid(1, (0, 5, 0, 5))
         z1 = solid(2, (0, 5, -5, 0))
         z2 = solid(3, (5, 9, -5, 0))
-        graph = BlockGraph(blocks=[z_first, z0, z1, z2])
+        graph = BlockGraph(tree=full_tree(), blocks=[z_first, z0, z1, z2])
         graph.touches = [
             TouchEdge(None, 0, LEFT),
             TouchEdge(0, 1, LEFT),
@@ -340,17 +345,15 @@ class TestCheckTouch:
         from planarpi.continua.regions import DOWN
 
         graph = self._solid_graph()
-        tree = full_tree()
         z = {b.id: b for b in graph.blocks}
-        assert check_touch(z[0], z[1], LEFT, graph, tree, 0)
-        assert check_touch(z[1], z[2], DOWN, graph, tree, 0)
-        assert check_touch(z[2], z[3], RIGHT, graph, tree, 0)
+        assert check_touch(z[0], z[1], LEFT, graph, 0)
+        assert check_touch(z[1], z[2], DOWN, graph, 0)
+        assert check_touch(z[2], z[3], RIGHT, graph, 0)
 
     def test_disjoint_boxes_false(self):
         graph = self._solid_graph()
-        tree = full_tree()
         z = {b.id: b for b in graph.blocks}
-        assert not check_touch(z[0], z[2], LEFT, graph, tree, 0)
+        assert not check_touch(z[0], z[2], LEFT, graph, 0)
 
     def test_unreached_source_false(self):
         from planarpi.continua.fanq import BlockGraph, TouchEdge
@@ -358,6 +361,32 @@ class TestCheckTouch:
         graph = self._solid_graph()
         # drop all incoming edges of block 1: condition (2) must fail
         graph.touches = [e for e in graph.touches if e.dst != 1]
-        tree = full_tree()
         z = {b.id: b for b in graph.blocks}
-        assert not check_touch(z[1], z[2], LEFT, graph, tree, 0)
+        assert not check_touch(z[1], z[2], LEFT, graph, 0)
+
+class TestBodyMemo:
+    def test_each_body_built_once(self, tmp_path, monkeypatch):
+        # the snapshots and touch-chain read one memo on the graph; with
+        # check_touch rebuilding its bodies this run made 630 builds
+        built = []
+        real = BlockRecord.body_at
+
+        def counting(block, tree, t):
+            built.append((block.id, block.creation_stage, t))
+            return real(block, tree, t)
+
+        monkeypatch.setattr(BlockRecord, "body_at", counting)
+        argv = ["verify", "--config", str(CONFIGS / "cantor-fan-q.json"), "--checks",
+                "nesting,connectivity,touch-chain", "--stage-range", "0:6",
+                "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        assert len(built) == len(set(built)) == 402
+
+    def test_memo_returns_what_body_at_builds(self):
+        # end boxes all carry id -1, so a memo keyed on the id alone would
+        # hand one end box another's body
+        tree = two_branch_tree()
+        _, graph = build_cantor_fan_q(6, tree, DestinationTrack(INJURY_TRACK))
+        for blk in graph.blocks + graph.end_boxes:
+            for t in range(blk.creation_stage, 7):
+                assert graph.body(blk, t) == blk.body_at(tree, t), (blk.id, blk.creation_stage, t)

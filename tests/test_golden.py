@@ -3,7 +3,8 @@ and the stdout of `hausdorff` on small scene pairs.
 
 The digests pin the Scene JSON of each `configs/*.json` at stages 0..6 and
 the report JSON of each supported (construction, check) pair over stages
-0:3, so a refactor that changes a single output byte fails here.
+0:3 and of the fan's three checks over 0:6, so a refactor that changes a
+single output byte fails here.
 """
 
 import hashlib
@@ -85,6 +86,7 @@ VERIFY = {
     ("dendroid-k", "connectivity"): (0, "76c4d5d81e6cebc6b0cd24585ce3ab2f761ddf062cee4c1a1694bc94ef1a67ac"),
     ("dendroid-k", "cut-dichotomy"): (0, "6a1e833816cff5013856e1b8b1b2fb53558e7e85bf599d4c42c3a6f96d9f70eb"),
 }
+FAN_VERIFY_0_6 = "3c240ef2a6ce4ac94e3bc66559ab2d30a1a5781da15f5f6564cd09fc5a528b01"
 
 # (config, stage of scene a, stage of scene b) -> `hausdorff --tol-exp 12`
 # stdout.  dendrite-d stage 1 lies inside stage 2; dendrite-h stages 1 and 2
@@ -125,6 +127,14 @@ def test_verify_report_bytes(tmp_path, name, check):
     argv = ["verify", "--config", str(CONFIGS / f"{name}.json"), "--checks", check]
     code = main(argv + ["--stage-range", "0:3", "--out", str(out)])
     assert (code, _digest(out)) == VERIFY[name, check]
+
+
+def test_fan_verify_report_bytes_0_6(tmp_path):
+    # touch-chain checks each edge at stage hi, past the 0:3 reports
+    out = tmp_path / "report.json"
+    argv = ["verify", "--config", str(CONFIGS / "cantor-fan-q.json"), "--checks",
+            "nesting,connectivity,touch-chain", "--stage-range", "0:6", "--out", str(out)]
+    assert (main(argv), _digest(out)) == (0, FAN_VERIFY_0_6)
 
 
 @pytest.mark.parametrize("name,stage_a,stage_b", sorted(HAUSDORFF))

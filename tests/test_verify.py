@@ -169,7 +169,7 @@ class TestTouchChain:
         tree = two_branch_tree()
         track = DestinationTrack([(1, 4), (2, 2)])
         _, graph = q_snapshots(2, tree, track)
-        assert check_touch_chain(graph, tree).verdict == "pass"
+        assert check_touch_chain(graph).verdict == "pass"
         # negative control: drop an edge so a block goes unreached
         graph.touches = graph.touches[:-1]
         assert check_touch_chain(graph).verdict == "fail"
