@@ -1,0 +1,160 @@
+"""Balls and the co-c.e. presentations they probe.
+
+A ball has a rational centre and radius.  Its inscribed 2^k-gon, k <= 6,
+takes its vertices from a checked-in integer tangent table, so no float
+reaches it.  A `CoCePresentation` replays a schedule of removed balls and
+boxes, and `probe_ball_empty` asks whether a closed ball misses a stage.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from .geom import (
+    FRAME,
+    ConvexPoly,
+    Point,
+    RegionSnapshot,
+    frac,
+    point,
+    rect,
+    squared_distance,
+    subtract_poly,
+)
+
+
+@dataclass(frozen=True)
+class BallSpec:
+    """Euclidean ball with rational center/radius; kind 'open' or 'closed'."""
+
+    center: Point
+    radius: Fraction
+    kind: str = "closed"
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "center", (frac(self.center[0]), frac(self.center[1]))
+        )
+        object.__setattr__(self, "radius", frac(self.radius))
+        if self.radius <= 0:
+            raise ValueError("ball radius must be positive")
+        if self.kind not in ("open", "closed"):
+            raise ValueError("ball kind must be open or closed")
+
+
+# round(tan(pi * j / 64) * 2^16) for j = 0..63; at j = 32 the tangent is
+# infinite and the point is (-1, 0)
+_TAN_TABLE = (
+    0, 3220, 6455, 9721, 13036, 16416, 19880, 23449, 27146, 30996, 35030, 39281, 43790,
+    48605, 53784, 59398, 65536, 72308, 79856, 88365, 98082, 109340, 122609, 138564,
+    158218, 183161, 216043, 261634, 329472, 441808, 665398, 1334016, None, -1334016,
+    -665398, -441808, -329472, -261634, -216043, -183161, -158218, -138564, -122609,
+    -109340, -98082, -88365, -79856, -72308, -65536, -59398, -53784, -48605, -43790,
+    -39281, -35030, -30996, -27146, -23449, -19880, -16416, -13036, -9721, -6455, -3220,
+)
+
+
+def _unit_circle_points(k: int) -> list[Point]:
+    """2^k rational points on the unit circle, roughly evenly spaced, k <= 6.
+
+    Tangent-half-angle parametrization keeps every vertex exactly on the
+    circle, so the polygon they span is inscribed in the disk.
+    """
+    if not 0 <= k <= 6:
+        raise ValueError(f"ball polygons have 1 to 64 vertices, got 2^{k}")
+    pts: list[Point] = []
+    for j in range(0, 64, 1 << (6 - k)):
+        if _TAN_TABLE[j] is None:
+            pts.append((Fraction(-1), Fraction(0)))
+            continue
+        t = Fraction(_TAN_TABLE[j], 1 << 16)
+        d = 1 + t * t
+        pts.append(((1 - t * t) / d, 2 * t / d))
+    return pts
+
+
+def ball_polygon(ball: BallSpec, k: int = 6) -> ConvexPoly:
+    """Inscribed 2^k-gon, k <= 6, with rational vertices on (or within) the
+    circle.
+
+    For open balls the radius is shrunk by 2^-20 so the polygon is a subset
+    of the open ball as well.
+    """
+    r = ball.radius
+    if ball.kind == "open":
+        r = r * (Fraction(1) - Fraction(1, 1 << 20))
+    cx, cy = ball.center
+    return ConvexPoly([(cx + r * ux, cy + r * uy) for ux, uy in _unit_circle_points(k)])
+
+
+def subtract_ball(region: RegionSnapshot, ball: BallSpec, k: int = 6) -> RegionSnapshot:
+    """Snapshot covering region minus ball (removed polygon is inside the ball)."""
+    return subtract_poly(region, ball_polygon(ball, k))
+
+
+# -- co-c.e. presentations ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Removal:
+    stage: int
+    shape: object  # BallSpec or ConvexPoly (axis-aligned box)
+
+
+class CoCePresentation:
+    """Closed set presented by a replayable schedule of removed basic sets.
+
+    The stage-s snapshot depends only on removals with stage < s.  The
+    declared final stage bounds the scripted behaviour; beyond it nothing
+    further is removed.
+    """
+
+    def __init__(self, removals: Sequence[Removal], frame=FRAME, final_stage: Optional[int] = None):
+        self.removals = tuple(sorted(removals, key=lambda r: r.stage))
+        self.frame = tuple(frac(v) for v in frame)
+        if final_stage is None:
+            final_stage = max((r.stage + 1 for r in self.removals), default=0)
+        self.final_stage = final_stage
+        self._cache: dict[int, RegionSnapshot] = {}
+
+    def snapshot(self, stage: int) -> RegionSnapshot:
+        stage = min(stage, self.final_stage)
+        if stage in self._cache:
+            return self._cache[stage]
+        fx0, fy0, fx1, fy1 = self.frame
+        region = RegionSnapshot(stage, [rect(fx0, fy0, fx1, fy1)], self.frame)
+        for r in self.removals:
+            if r.stage < stage:
+                if isinstance(r.shape, BallSpec):
+                    region = subtract_ball(region, r.shape)
+                else:
+                    region = subtract_poly(region, r.shape)
+        region = RegionSnapshot(stage, region.pieces, self.frame)
+        self._cache[stage] = region
+        return region
+
+
+def probe_ball_empty(presentation, ball: BallSpec, stage: int) -> str:
+    """'certified-empty' | 'hit' | 'unknown' against a stage snapshot.
+
+    certified-empty is the c.e. event: the stage snapshot misses the closed
+    ball.  hit additionally requires the intersection to survive to the
+    declared final stage.
+    """
+    if ball.kind != "closed":
+        raise ValueError("probe balls must be closed")
+    ball_piece = point(*ball.center)
+    r2 = ball.radius * ball.radius
+
+    def disjoint(snapshot: RegionSnapshot) -> bool:
+        return all(
+            squared_distance(ball_piece, piece) > r2 for piece in snapshot.pieces
+        )
+
+    if disjoint(presentation.snapshot(stage)):
+        return "certified-empty"
+    if not disjoint(presentation.snapshot(presentation.final_stage)):
+        return "hit"
+    return "unknown"

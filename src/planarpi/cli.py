@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import __version__
+from .balls import ball_polygon
 from .cantor import TreePresentation, check_natural
 from .cesets import EnumerationScript, SequenceFamily
 from .continua import (
@@ -32,8 +33,8 @@ from .continua import (
     plotted_tree,
     rising_width,
 )
-from .continua.fanq import BlockGraph, DestinationTrack, build_cantor_fan_q, q_snapshots
-from .geom import ConvexPoly, RegionSnapshot, ball_polygon, frac_str, hausdorff_enclosure
+from .continua.fanq import BlockGraph, DestinationTrack, q_snapshots
+from .geom import ConvexPoly, RegionSnapshot, frac_str, hausdorff_enclosure
 from .svg import render_svg
 from .verify import (
     check_connectivity,
@@ -157,11 +158,7 @@ def _per_stage(build: Callable[[dict, int], RegionSnapshot]):
 
 def _fan_snapshots(config: dict, lo: int, hi: int) -> Snapshots:
     tree, track = _tree_from(config), _field(config, "B", DestinationTrack, [])
-    if lo == hi:
-        snap, graph = build_cantor_fan_q(hi, tree, track)
-        return [snap], graph
-    snaps, graph = q_snapshots(hi, tree, track)
-    return snaps[lo:], graph
+    return q_snapshots(hi, tree, track, lo)
 
 
 def _dendrite_d_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:

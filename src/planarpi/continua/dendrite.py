@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from ..cesets import EnumerationScript, stage_function
-from ..geom import BallSpec, RegionSnapshot, segment
+from ..balls import BallSpec
+from ..geom import RegionSnapshot, segment
 
 Frac = Fraction
 

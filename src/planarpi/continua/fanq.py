@@ -25,14 +25,15 @@ from ..cantor import FatCantorLevel, TreePresentation, check_natural, fat_level,
 from ..geom import (
     ConvexPoly,
     RegionSnapshot,
-    _cross,
     chart_interval,
     convex_intersection,
+    frac,
     frac_str,
-    overlapping_pairs,
+    piece_pairs,
     rect,
     segment,
 )
+from ..intgeom import orient
 from .regions import DOWN, Direction, LEFT, RIGHT, UP, normalize_level, v_region
 
 Frac = Fraction
@@ -49,7 +50,7 @@ class AffineFrame:
     scale: Fraction
 
     def img(self, x) -> Fraction:
-        return self.offset + self.scale * Fraction(x)
+        return self.offset + self.scale * frac(x)
 
     def img_interval(self, lo, hi) -> tuple[Fraction, Fraction]:
         a, b = self.img(lo), self.img(hi)
@@ -189,15 +190,16 @@ class DestinationTrack:
 
     gamma_min(s) = 1/3 + rho(B_s)/3 and gamma_max(s) adds the exact all-ones
     tail above the stage-s element, so the track always starts at [1/3, 2/3]
-    and stays inside it.
+    and stays inside it.  The entries are the rows (s, element) for the
+    stages s = 1, 2, ..., n in turn.
     """
 
     def __init__(self, entries: Sequence[tuple[int, int]]):
-        rows = sorted((check_natural(s, "stage"), check_natural(n, "element")) for s, n in entries)
+        rows = [(check_natural(s, "stage"), check_natural(n, "element")) for s, n in entries]
         stages = [s for s, _ in rows]
         elements = [n for _, n in rows]
-        if len(set(stages)) != len(stages):
-            raise ValueError("one element per scripted stage")
+        if stages != list(range(1, len(rows) + 1)):
+            raise ValueError(f"rows must be stages 1, 2, ... in turn, got stages {stages}")
         if len(set(elements)) != len(elements):
             raise ValueError("elements must be distinct")
         if any(n < 1 for n in elements):
@@ -436,11 +438,11 @@ def build_cantor_fan_q(
 
 
 def q_snapshots(
-    stage: int, tree: TreePresentation, track: DestinationTrack
+    stage: int, tree: TreePresentation, track: DestinationTrack, first: int = 0
 ) -> tuple[list[RegionSnapshot], BlockGraph]:
-    """All snapshots 0..stage from a single replay."""
+    """The snapshots first..stage from a single replay."""
     graph = _replay(stage, tree, track)
-    return [graph.snapshot(t) for t in range(stage + 1)], graph
+    return [graph.snapshot(t) for t in range(first, stage + 1)], graph
 
 
 # -- the touch predicate --------------------------------------------------------
@@ -458,8 +460,8 @@ def _edge_segment(box, d: Direction) -> ConvexPoly:
 
 
 def _collinear(a: ConvexPoly, b: ConvexPoly) -> bool:
-    (a0, a1), (b0, b1) = a.vertices, b.vertices
-    return _cross(a0, a1, b0) == 0 and _cross(a0, a1, b1) == 0
+    (a0, a1), (b0, b1) = a.hverts, b.hverts
+    return orient(a0, a1, b0) == 0 and orient(a0, a1, b1) == 0
 
 
 def _params_on_chart(chart: ConvexPoly, pieces: Sequence[ConvexPoly], clip: ConvexPoly):
@@ -491,13 +493,13 @@ def check_touch(z0: BlockRecord, z1: BlockRecord, d: Direction, graph: BlockGrap
         return False
     body0 = graph.body(z0, t)
     body1 = graph.body(z1, t)
-    a, b = e0.vertices
+    a, b = e0.hverts
     shared: list[ConvexPoly] = []
-    for i, j in overlapping_pairs([p.bbox() for p in body0], [p.bbox() for p in body1]):
+    for i, j in piece_pairs(body0, body1):
         inter = convex_intersection(body0[i], body1[j])
         if inter is None:
             continue
-        if inter.dim() == 2 or any(_cross(a, b, v) != 0 for v in inter.vertices):
+        if inter.dim() == 2 or any(orient(a, b, v) != 0 for v in inter.hverts):
             return False  # bodies meet away from the touch line
         shared.append(inter)
     s_edge0 = _params_on_chart(e0, body0, e0)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..cantor import fat_level
-from ..geom import ConvexPoly, clip_halfplane, frac, rect
+from ..geom import ConvexPoly, box_piece, clip_halfplane, frac, rect, to_ints
 
 Frac = Fraction
 
@@ -85,12 +85,14 @@ def _interval_pieces(
     q: Fraction,
     r: Fraction,
 ) -> list[ConvexPoly]:
+    # every coordinate is an integer over d^2, with d the common denominator
+    (a, b, q, r, *ends), d = to_ints(a, b, q, r, *(v for iv in intervals for v in iv))
     pieces = []
-    for lo, hi in intervals:
+    for lo, hi in zip(ends[::2], ends[1::2]):
         if horizontal:
-            pieces.append(rect(a, b + r * lo, a + q, b + r * hi))
+            pieces.append(box_piece(a * d, b * d + r * lo, (a + q) * d, b * d + r * hi, d * d))
         else:
-            pieces.append(rect(a + q * lo, b, a + q * hi, b + r))
+            pieces.append(box_piece(a * d + q * lo, b * d, a * d + q * hi, (b + r) * d, d * d))
     return pieces
 
 

@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 from ..cantor import TreePresentation, cantor_coord, check_bits, leftmost_path
 from ..cesets import EnumerationScript, stage_function
+from ..balls import BallSpec
 from ..geom import (
-    BallSpec,
     ConvexPoly,
     RegionSnapshot,
     overlapping_pairs,

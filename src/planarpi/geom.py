@@ -1,21 +1,41 @@
-"""Exact rational planar geometry kernel.
+"""Exact rational planar geometry kernel on integers.
 
-Everything here works on `fractions.Fraction` coordinates; no floats enter
-any predicate.  Regions are finite unions of convex polygons which may
-degenerate to segments or points.  Distances are never emitted as scalars,
-only as rational enclosures.
+Regions are finite unions of convex polygons which may degenerate to
+segments or points.  A piece keeps its vertices as homogeneous integer
+triples (X, Y, W), each the point (X/W, Y/W), with one W > 0 per piece: the
+least common denominator of its coordinates (`planarpi.intgeom`).
+Halfplane signs, clips, convex differences, containment, box tests, chart
+order and squared distances all run on Python ints; no float enters the
+kernel.
+
+Rationals (ints, `fractions.Fraction`s or lowest-terms 'p/q' strings) are
+converted once, when a piece is made.  Fractions are made only where a
+value leaves the kernel: `ConvexPoly.vertices` and `bbox()`,
+`chart_interval`, `squared_distance`, the Scene JSON and the bounds of a
+Hausdorff enclosure.  Distances are never emitted as scalars, only as
+rational enclosures.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from itertools import groupby
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
-Frac = Fraction
+from .intgeom import (
+    Hom,
+    UnionFind,
+    canonical,
+    convex_hull,
+    orient,
+    overlapping_pairs,
+    reduced,
+    scaled,
+)
+
 Point = tuple[Fraction, Fraction]
 
 FRAME = (Fraction(-2), Fraction(-2), Fraction(2), Fraction(2))
@@ -36,133 +56,86 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def boxes_overlap(a, b) -> bool:
-    """Closed bounding boxes (x0, y0, x1, y1) meet."""
-    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
-
-
-def overlapping_pairs(boxes, others=None) -> list[tuple[int, int]]:
-    """Index pairs of closed boxes that meet, by sweep and prune along x.
-
-    Without `others`: the pairs (i, j), i < j, of boxes that meet.  With
-    `others`: the pairs (i, j) where boxes[i] meets others[j].  Boxes that
-    only touch meet.
-    """
-    cross = others is not None
-    sides = (boxes, others) if cross else (boxes,)
-    order = sorted((box[0], s, i) for s, side in enumerate(sides) for i, box in enumerate(side))
-    active: list[list[int]] = [[] for _ in sides]
-    pairs: list[tuple[int, int]] = []
-    for x0, s, i in order:
-        _, y0, _, y1 = sides[s][i]
-        o = 1 - s if cross else s  # the side this box pairs with
-        alive = []
-        for k in active[o]:
-            box = sides[o][k]
-            if box[2] < x0:
-                continue  # ends left of every box still to come
-            alive.append(k)
-            if not (box[3] < y0 or y1 < box[1]):
-                if cross:
-                    pairs.append((k, i) if s else (i, k))
-                else:
-                    pairs.append((k, i) if k < i else (i, k))
-        active[o] = alive
-        active[s].append(i)
-    return pairs
-
-
-class UnionFind:
-    """Union-find over 0..n-1 with path halving."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        self.parent[self.find(i)] = self.find(j)
-
-
-def convex_hull(points: Sequence[Point]) -> list[Point]:
-    """Andrew monotone chain; exact.  Collinear inputs collapse to 1-2 points."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) <= 2:
-        return [min(pts), max(pts)]
-    return hull
+def to_ints(*values) -> tuple[list[int], int]:
+    """Rationals as integers over their least common denominator d, and d."""
+    qs = [frac(v) for v in values]
+    d = lcm(*(q.denominator for q in qs))
+    return [q.numerator if q.denominator == d else q.numerator * (d // q.denominator)
+            for q in qs], d
 
 
 class ConvexPoly:
     """A convex polygon in counterclockwise order; may be a segment or point.
 
-    Vertices are canonicalized: convex hull, no redundant collinear vertices,
-    rotation so the lexicographically least vertex comes first.
+    `hverts` holds the vertices as homogeneous ints (X, Y, W) over one W,
+    the least common denominator of the piece's coordinates, so that
+    vertices share their ints.  They are canonicalized: no repeated or
+    redundant collinear vertex, a segment's ends in (x, y) order, a polygon
+    rotated so that its (x, y)-least vertex comes first.  The constructor
+    takes rational points in any order and runs a hull; `_convex` takes
+    vertices already in convex counterclockwise order and runs none.
     """
 
-    __slots__ = ("vertices", "_bbox")
+    __slots__ = ("hverts", "_box")
 
     def __init__(self, points: Iterable) -> None:
-        pts = [(frac(x), frac(y)) for x, y in points]
-        if not pts:
+        coords, d = to_ints(*(v for x, y in points for v in (x, y)))
+        if not coords:
             raise ValueError("empty polygon")
-        hull = convex_hull(pts)
-        if len(hull) > 2:
-            k = hull.index(min(hull))
-            hull = hull[k:] + hull[:k]
-        self.vertices: tuple[Point, ...] = tuple(hull)
-        self._bbox = None  # filled by the first bbox() call
+        hull = convex_hull(list(zip(coords[::2], coords[1::2])))
+        self.hverts: tuple[Hom, ...] = canonical(hull, d)
+        self._box = None  # filled by the first _ibox() call
+
+    @classmethod
+    def _convex(cls, verts: Sequence[Hom]) -> "ConvexPoly":
+        """The piece of homogeneous vertices in convex counterclockwise order
+        (a rectangle's corners, a clip's output); repeated and collinear
+        vertices are dropped and the list is rotated, with no hull."""
+        vs = [v for i, v in enumerate(verts) if v != verts[i - 1]] or [verts[0]]
+        n = len(vs)
+        turns = [v for i, v in enumerate(vs) if n > 2 and orient(vs[i - 1], v, vs[(i + 1) % n])]
+        pts, d = scaled(turns or vs)
+        if turns:
+            k = pts.index(min(pts))
+            pts = pts[k:] + pts[:k]
+        elif n > 1:  # collinear: its two extreme points
+            pts = [min(pts), max(pts)]
+        poly = cls.__new__(cls)
+        poly.hverts = canonical(pts, d)
+        poly._box = None
+        return poly
 
     # -- basic queries ----------------------------------------------------
 
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        """The vertices as `Fraction` pairs, made on each read."""
+        return tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in self.hverts)
+
     def dim(self) -> int:
-        return min(len(self.vertices) - 1, 2)
+        return min(len(self.hverts) - 1, 2)
+
+    def _ibox(self) -> tuple[int, int, int, int, int]:
+        """(x0, y0, x1, y1, d): the bounding box [x0/d, x1/d] x [y0/d, y1/d]."""
+        if self._box is None:
+            h = self.hverts
+            xs, ys = [v[0] for v in h], [v[1] for v in h]
+            self._box = (min(xs), min(ys), max(xs), max(ys), h[0][2])
+        return self._box
 
     def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        if self._bbox is None:
-            xs = [p[0] for p in self.vertices]
-            ys = [p[1] for p in self.vertices]
-            self._bbox = (min(xs), min(ys), max(xs), max(ys))
-        return self._bbox
-
-    def edges(self) -> list[tuple[Point, Point]]:
-        v = self.vertices
-        if len(v) == 1:
-            return []
-        if len(v) == 2:
-            return [(v[0], v[1])]
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+        x0, y0, x1, y1, d = self._ibox()
+        return Fraction(x0, d), Fraction(y0, d), Fraction(x1, d), Fraction(y1, d)
 
     def contains_point(self, p) -> bool:
-        x, y = frac(p[0]), frac(p[1])
-        return all(nx * x + ny * y <= c for nx, ny, c in _halfplanes(self))
+        (x, y), w = to_ints(*p)
+        return _inside(self, (x, y, w))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ConvexPoly) and self.vertices == other.vertices
+        return isinstance(other, ConvexPoly) and self.hverts == other.hverts
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        return hash(self.hverts)
 
     def __repr__(self) -> str:
         coords = ", ".join(f"({frac_str(x)},{frac_str(y)})" for x, y in self.vertices)
@@ -170,8 +143,18 @@ class ConvexPoly:
 
 
 def rect(x0, y0, x1, y1) -> ConvexPoly:
-    x0, y0, x1, y1 = frac(x0), frac(y0), frac(x1), frac(y1)
-    return ConvexPoly([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+    (x0, y0, x1, y1), d = to_ints(x0, y0, x1, y1)
+    return box_piece(x0, y0, x1, y1, d)
+
+
+def box_piece(x0: int, y0: int, x1: int, y1: int, d: int) -> ConvexPoly:
+    """rect(x0/d, y0/d, x1/d, y1/d) from integers, d > 0."""
+    g = gcd(x0, y0, x1, y1, d)
+    if g > 1:  # reduced once, so that the corners share their ints
+        x0, y0, x1, y1, d = x0 // g, y0 // g, x1 // g, y1 // g, d // g
+    x0, x1 = min(x0, x1), max(x0, x1)
+    y0, y1 = min(y0, y1), max(y0, y1)
+    return ConvexPoly._convex([(x0, y0, d), (x1, y0, d), (x1, y1, d), (x0, y1, d)])
 
 
 def segment(a, b) -> ConvexPoly:
@@ -182,25 +165,48 @@ def point(x, y) -> ConvexPoly:
     return ConvexPoly([(x, y)])
 
 
+# -- boxes -------------------------------------------------------------------
+
+
+def bboxes_meet(p: ConvexPoly, q: ConvexPoly) -> bool:
+    """The closed bounding boxes of pieces p and q meet."""
+    ax0, ay0, ax1, ay1, ad = p._ibox()
+    bx0, by0, bx1, by1, bd = q._ibox()
+    return not (
+        ax1 * bd < bx0 * ad or bx1 * ad < ax0 * bd or ay1 * bd < by0 * ad or by1 * ad < ay0 * bd
+    )
+
+
+def piece_pairs(pieces: Sequence[ConvexPoly], others=None) -> list[tuple[int, int]]:
+    """`overlapping_pairs` of the pieces' (and others') bounding boxes."""
+    boxes = [p._ibox() for p in pieces]
+    return overlapping_pairs(boxes, None if others is None else [p._ibox() for p in others])
+
+
 # -- intersection / distance ---------------------------------------------
 
 
 def polys_intersect(a: ConvexPoly, b: ConvexPoly) -> bool:
     """Exact closed-set intersection test for convex pieces."""
-    return boxes_overlap(a.bbox(), b.bbox()) and convex_intersection(a, b) is not None
+    return bboxes_meet(a, b) and convex_intersection(a, b) is not None
 
 
-def _point_segment_sq(p: Point, a: Point, b: Point) -> Fraction:
-    abx, aby = b[0] - a[0], b[1] - a[1]
-    apx, apy = p[0] - a[0], p[1] - a[1]
-    denom = abx * abx + aby * aby
-    if denom == 0:
-        return apx * apx + apy * apy
-    t = (apx * abx + apy * aby) / denom
-    t = max(Fraction(0), min(Fraction(1), t))
-    dx = apx - t * abx
-    dy = apy - t * aby
-    return dx * dx + dy * dy
+def _point_segment_sq(p: Hom, a: Hom, b: Hom) -> tuple[int, int]:
+    """Squared distance from p to the segment ab, as (numerator, denominator)."""
+    x, y, w = p
+    ax, ay, aw = a
+    ux, uy = x * aw - ax * w, y * aw - ay * w  # (p - a) * w * aw
+    if a != b:
+        bx, by, bw = b
+        vx, vy = bx * aw - ax * bw, by * aw - ay * bw  # (b - a) * aw * bw
+        dot = ux * vx + uy * vy
+        if dot > 0:
+            vv = vx * vx + vy * vy
+            if dot * bw < w * vv:  # the foot lies strictly inside ab
+                cross = ux * vy - uy * vx
+                return cross * cross, (w * aw) ** 2 * vv
+            ux, uy, aw = x * bw - bx * w, y * bw - by * w, bw  # nearest to b
+    return ux * ux + uy * uy, (w * aw) ** 2
 
 
 def squared_distance(a: ConvexPoly, b: ConvexPoly) -> Fraction:
@@ -209,36 +215,53 @@ def squared_distance(a: ConvexPoly, b: ConvexPoly) -> Fraction:
         return Fraction(0)
     # the nearest pair of points has a vertex of one piece at one end; a
     # point piece is its own (zero-length) edge
-    return min(
-        _point_segment_sq(v, e0, e1)
-        for src, dst in ((a, b), (b, a))
-        for e0, e1 in dst.edges() or [dst.vertices * 2]
-        for v in src.vertices
-    )
+    best = None
+    for src, dst in ((a, b), (b, a)):
+        v = dst.hverts
+        edges = [(v[i - 1], v[i]) for i in range(len(v))] if len(v) > 2 else [(v[0], v[-1])]
+        for e0, e1 in edges:
+            for p in src.hverts:
+                n, d = _point_segment_sq(p, e0, e1)
+                if best is None or n * best[1] < best[0] * d:
+                    best = n, d
+    return Fraction(*best)
 
 
 # -- snapshots -------------------------------------------------------------
 
 
-def _poly_sort_key(p: ConvexPoly):
-    return (len(p.vertices), p.vertices)
-
-
 class RegionSnapshot:
-    """Stage-s view of a planar co-c.e. set: a canonical union of convex polys."""
+    """Stage-s view of a planar co-c.e. set: a canonical union of convex polys.
+
+    Pieces are sorted by vertex count, then by their vertex lists in (x, y)
+    order, compared as integers over the snapshot's common denominator.
+    """
 
     __slots__ = ("stage", "pieces", "frame")
 
     def __init__(self, stage: int, pieces: Iterable[ConvexPoly], frame=FRAME) -> None:
         self.stage = int(stage)
         self.frame = tuple(frac(v) for v in frame)
-        uniq = sorted(set(pieces), key=_poly_sort_key)
-        fx0, fy0, fx1, fy1 = self.frame
+        uniq = list(set(pieces))
+        (fx0, fy0, fx1, fy1), e = to_ints(*self.frame)
         for p in uniq:
-            x0, y0, x1, y1 = p.bbox()
-            if x0 < fx0 or y0 < fy0 or x1 > fx1 or y1 > fy1:
+            x0, y0, x1, y1, w = p._ibox()
+            if x0 * e < fx0 * w or y0 * e < fy0 * w or x1 * e > fx1 * w or y1 * e > fy1 * w:
                 raise ValueError(f"piece outside frame: {p!r}")
-        self.pieces: tuple[ConvexPoly, ...] = tuple(uniq)
+        d = lcm(*(p.hverts[0][2] for p in uniq))
+
+        def key(p: ConvexPoly, whole: bool = False):
+            h = p.hverts
+            f = d // h[0][2]
+            return (len(h), *(c * f for x, y, _ in (h if whole else h[:1]) for c in (x, y)))
+
+        # by size and first vertex, then by every vertex among equal keys;
+        # so only one piece at a time has its whole key made
+        self.pieces: tuple[ConvexPoly, ...] = tuple(
+            q
+            for _, run in groupby(sorted(uniq, key=key), key)
+            for q in sorted(run, key=lambda p: key(p, True))
+        )
 
     def is_empty(self) -> bool:
         return not self.pieces
@@ -277,7 +300,7 @@ def connectivity_components(region: RegionSnapshot) -> list[list[int]]:
     """Partition of piece indices: chains of pairwise-intersecting closed pieces."""
     pieces = region.pieces
     part = UnionFind(len(pieces))
-    for i, j in overlapping_pairs([p.bbox() for p in pieces]):
+    for i, j in piece_pairs(pieces):
         if part.find(i) != part.find(j) and polys_intersect(pieces[i], pieces[j]):
             part.union(i, j)
     groups: dict[int, list[int]] = {}
@@ -289,58 +312,68 @@ def connectivity_components(region: RegionSnapshot) -> list[list[int]]:
 # -- convex clipping / difference ------------------------------------------
 
 
-def _lerp(a: Point, b: Point, t: Fraction) -> Point:
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+def _clip(poly: ConvexPoly, h: Hom) -> Optional[ConvexPoly]:
+    """Part of poly in the halfplane h = (a, b, c): the points (X, Y, W) with
+    a*X + b*Y + c*W <= 0 (exact Sutherland-Hodgman).
+
+    Points and segments go through the same loop: a segment is the closed
+    path p -> q -> p, so its one cut point is met twice.
+    """
+    a, b, c = h
+    verts = poly.hverts
+    vals = [a * x + b * y + c * w for x, y, w in verts]
+    if max(vals) <= 0:
+        return poly
+    if min(vals) > 0:
+        return None
+    out: list[Hom] = []
+    n = len(verts)
+    for i in range(n):
+        p, vp = verts[i], vals[i]
+        q, vq = verts[(i + 1) % n], vals[(i + 1) % n]
+        if vp <= 0:
+            out.append(p)
+        if (vp < 0 < vq) or (vq < 0 < vp):
+            # vq*p - vp*q lies on the line, between p and q
+            x, y, w = vq * p[0] - vp * q[0], vq * p[1] - vp * q[1], vq * p[2] - vp * q[2]
+            out.append(reduced(x, y, w))
+    return ConvexPoly._convex(out)
 
 
 def clip_halfplane(poly: ConvexPoly, nx, ny, c) -> Optional[ConvexPoly]:
-    """Part of poly with nx*x + ny*y <= c (exact Sutherland-Hodgman).
-
-    Points and segments go through the same loop: a segment is the closed
-    path a -> b -> a, so its one cut point is met twice.
-    """
-    nx, ny, c = frac(nx), frac(ny), frac(c)
-    verts = poly.vertices
-    vals = [nx * x + ny * y - c for x, y in verts]
-    if all(v <= 0 for v in vals):
-        return poly
-    if all(v > 0 for v in vals):
-        return None
-    out: list[Point] = []
-    n = len(verts)
-    for i in range(n):
-        a, va = verts[i], vals[i]
-        b, vb = verts[(i + 1) % n], vals[(i + 1) % n]
-        if va <= 0:
-            out.append(a)
-        if (va < 0 < vb) or (vb < 0 < va):
-            out.append(_lerp(a, b, va / (va - vb)))
-    return ConvexPoly(out)
+    """Part of poly with nx*x + ny*y <= c, for rationals nx, ny, c."""
+    (a, b, c), _ = to_ints(nx, ny, c)
+    return _clip(poly, (a, b, -c))
 
 
 def _halfplanes(piece: ConvexPoly):
-    """Halfplanes nx*x + ny*y <= c whose intersection is the closed piece.
+    """Integer halfplanes (a, b, c), as in `_clip`, whose intersection is the
+    closed piece.
 
     A polygon gives its inward edge planes.  A segment gives both sides of
-    its line (its edges a -> b and b -> a) and its two end caps.  A point
+    its line (its edges p -> q and q -> p) and its two end caps.  A point
     gives its four axis planes.
     """
-    v = piece.vertices
+    v = piece.hverts
     n = len(v)
     if n == 1:
-        x, y = v[0]
-        yield from ((1, 0, x), (-1, 0, -x), (0, 1, y), (0, -1, -y))
+        x, y, w = v[0]
+        yield from ((w, 0, -x), (-w, 0, x), (0, w, -y), (0, -w, y))
         return
     for i in range(n):
-        (ax, ay), (bx, by) = v[i], v[(i + 1) % n]
-        # interior is to the left of a->b: cross((b-a),(p-a)) >= 0
-        nx, ny = by - ay, ax - bx
-        yield nx, ny, nx * ax + ny * ay
+        (px, py, pw), (qx, qy, qw) = v[i], v[(i + 1) % n]
+        # interior is to the left of p->q: -orient(p, q, r) <= 0
+        yield pw * qy - py * qw, px * qw - pw * qx, py * qx - px * qy
     if n == 2:
-        (ax, ay), (bx, by) = v
-        dx, dy = bx - ax, by - ay
-        yield -dx, -dy, -(dx * ax + dy * ay)
-        yield dx, dy, dx * bx + dy * by
+        (ax, ay, aw), (bx, by, bw) = v
+        dx, dy = bx * aw - ax * bw, by * aw - ay * bw  # (b - a) * aw * bw
+        yield -dx * aw, -dy * aw, dx * ax + dy * ay  # (r - a).d >= 0
+        yield dx * bw, dy * bw, -(dx * bx + dy * by)  # (r - b).d <= 0
+
+
+def _inside(piece: ConvexPoly, p: Hom) -> bool:
+    x, y, w = p
+    return all(a * x + b * y + c * w <= 0 for a, b, c in _halfplanes(piece))
 
 
 def convex_intersection(a: ConvexPoly, b: ConvexPoly) -> Optional[ConvexPoly]:
@@ -349,8 +382,8 @@ def convex_intersection(a: ConvexPoly, b: ConvexPoly) -> Optional[ConvexPoly]:
     if a.dim() > b.dim():
         a, b = b, a
     piece: Optional[ConvexPoly] = a
-    for nx, ny, c in _halfplanes(b):
-        piece = clip_halfplane(piece, nx, ny, c)
+    for h in _halfplanes(b):
+        piece = _clip(piece, h)
         if piece is None:
             return None
     return piece
@@ -366,11 +399,11 @@ def convex_difference(a: ConvexPoly, b: ConvexPoly) -> list[ConvexPoly]:
         return [a]
     remainder = a
     out: list[ConvexPoly] = []
-    for nx, ny, c in _halfplanes(b):
-        outside = clip_halfplane(remainder, -nx, -ny, -c)
+    for h0, h1, h2 in _halfplanes(b):
+        outside = _clip(remainder, (-h0, -h1, -h2))
         if outside is not None:
             out.append(outside)
-        inside = clip_halfplane(remainder, nx, ny, c)
+        inside = _clip(remainder, (h0, h1, h2))
         if inside is None:
             return out
         remainder = inside
@@ -380,10 +413,9 @@ def convex_difference(a: ConvexPoly, b: ConvexPoly) -> list[ConvexPoly]:
 def chart_interval(seg: ConvexPoly, piece: ConvexPoly) -> tuple[Fraction, Fraction]:
     """Parameter interval, along seg from its first vertex (0) to its last
     (1), of a piece lying on seg's line."""
-    a, b = seg.vertices
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    denom = dx * dx + dy * dy
-    ts = [((x - a[0]) * dx + (y - a[1]) * dy) / denom for x, y in piece.vertices]
+    ((ax, ay), (bx, by), *pts), _ = scaled([*seg.hverts, *piece.hverts])
+    dx, dy = bx - ax, by - ay
+    ts = [Fraction((x - ax) * dx + (y - ay) * dy, dx * dx + dy * dy) for x, y in pts]
     return min(ts), max(ts)
 
 
@@ -397,7 +429,7 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
     """
     # a cover piece whose bbox misses the target's misses every remainder
     near: list[list[int]] = [[] for _ in target]
-    for i, j in overlapping_pairs([c.bbox() for c in cover], [t.bbox() for t in target]):
+    for i, j in piece_pairs(cover, target):
         near[j].append(i)
     for t, idx in zip(target, near):
         near_cover = [cover[i] for i in sorted(idx)]
@@ -406,10 +438,9 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
             for c in near_cover:
                 if c.dim() < 2:
                     continue
-                cb = c.bbox()
                 nxt: list[ConvexPoly] = []
                 for w in work:
-                    if not boxes_overlap(w.bbox(), cb):
+                    if not bboxes_meet(w, c):
                         nxt.append(w)
                         continue
                     nxt.extend(p for p in convex_difference(w, c) if p.dim() == 2)
@@ -419,23 +450,21 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
             if work:
                 return False, work[0]
         elif t.dim() == 1:
-            intervals = []
-            for c in near_cover:
-                inter = convex_intersection(t, c)
-                if inter is not None:
-                    intervals.append(chart_interval(t, inter))
-            intervals.sort()
-            reach = Fraction(0)
-            for lo, hi in intervals:
+            # each meeting is a sub-segment of t with its ends in (x, y)
+            # order, which along t is the order from t's first vertex to its
+            # last; so ends compare as integer pairs over one denominator
+            meets = [m.hverts for c in near_cover if (m := convex_intersection(t, c)) is not None]
+            ends, d = scaled([*t.hverts, *(v for m in meets for v in (m[0], m[-1]))])
+            reach = ends[0]
+            for lo, hi in sorted(zip(ends[2::2], ends[3::2])):
                 if lo > reach:
                     break
                 reach = max(reach, hi)
-            if reach < 1:
-                a, b = t.vertices
-                return False, ConvexPoly([_lerp(a, b, reach), b])
+            if reach < ends[1]:
+                return False, ConvexPoly._convex([(*reach, d), t.hverts[1]])
         else:
-            p = t.vertices[0]
-            if not any(c.contains_point(p) for c in near_cover):
+            p = t.hverts[0]
+            if not any(_inside(c, p) for c in near_cover):
                 return False, t
     return True, None
 
@@ -449,59 +478,6 @@ def regions_equal(a: RegionSnapshot, b: RegionSnapshot) -> bool:
     return region_contains(a, b) and region_contains(b, a)
 
 
-# -- balls ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    """Euclidean ball with rational center/radius; kind 'open' or 'closed'."""
-
-    center: Point
-    radius: Fraction
-    kind: str = "closed"
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "center", (frac(self.center[0]), frac(self.center[1]))
-        )
-        object.__setattr__(self, "radius", frac(self.radius))
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
-        if self.kind not in ("open", "closed"):
-            raise ValueError("ball kind must be open or closed")
-
-
-def _unit_circle_points(n: int) -> list[Point]:
-    """n rational points on the unit circle, roughly evenly spaced.
-
-    Tangent-half-angle parametrization keeps every vertex exactly on the
-    circle, so the polygon they span is inscribed in the disk.
-    """
-    pts: list[Point] = []
-    for j in range(n):
-        half = math.pi * j / n
-        if abs(half - math.pi / 2) < 1e-9:
-            pts.append((Fraction(-1), Fraction(0)))
-            continue
-        t = Fraction(round(math.tan(half) * (1 << 16)), 1 << 16)
-        d = 1 + t * t
-        pts.append(((1 - t * t) / d, 2 * t / d))
-    return pts
-
-
-def ball_polygon(ball: BallSpec, k: int = 6) -> ConvexPoly:
-    """Inscribed 2^k-gon with rational vertices on (or within) the circle.
-
-    For open balls the radius is shrunk by 2^-20 so the polygon is a subset
-    of the open ball as well.
-    """
-    r = ball.radius
-    if ball.kind == "open":
-        r = r * (Fraction(1) - Fraction(1, 1 << 20))
-    cx, cy = ball.center
-    return ConvexPoly([(cx + r * ux, cy + r * uy) for ux, uy in _unit_circle_points(1 << k)])
-
-
 def subtract_piece(piece: ConvexPoly, poly: ConvexPoly) -> list[ConvexPoly]:
     """Closure of one piece minus a convex poly, as convex pieces."""
     if piece.dim() == 2:
@@ -513,96 +489,27 @@ def subtract_piece(piece: ConvexPoly, poly: ConvexPoly) -> list[ConvexPoly]:
         return []
     if inter.dim() == 0 and poly.dim() < 2:
         return [piece]  # a point or a crossing segment removes no length
-    a, b = piece.vertices
-    lo, hi = chart_interval(piece, inter)
+    # inter is a sub-segment (or point) of the piece; its ends in (x, y)
+    # order are the ends nearer to a and to b
+    ends = (piece.hverts[0], inter.hverts[0], inter.hverts[-1], piece.hverts[1])
+    pts, d = scaled(ends)
+    a, lo, hi, b = ((x, y, d) for x, y in pts)
     out = []
-    if lo > 0:
-        out.append(ConvexPoly([a, _lerp(a, b, lo)]))
-    if hi < 1:
-        out.append(ConvexPoly([_lerp(a, b, hi), b]))
+    if lo != a:
+        out.append(ConvexPoly._convex([a, lo]))
+    if hi != b:
+        out.append(ConvexPoly._convex([hi, b]))
     return out
 
 
 def subtract_poly(region: RegionSnapshot, poly: ConvexPoly) -> RegionSnapshot:
     out: list[ConvexPoly] = []
-    pb = poly.bbox()
     for piece in region.pieces:
-        if boxes_overlap(piece.bbox(), pb):
+        if bboxes_meet(piece, poly):
             out.extend(subtract_piece(piece, poly))
         else:
             out.append(piece)
     return RegionSnapshot(region.stage, out, region.frame)
-
-
-def subtract_ball(region: RegionSnapshot, ball: BallSpec, k: int = 6) -> RegionSnapshot:
-    """Snapshot covering region minus ball (removed polygon is inside the ball)."""
-    return subtract_poly(region, ball_polygon(ball, k))
-
-
-# -- co-c.e. presentations ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Removal:
-    stage: int
-    shape: object  # BallSpec or ConvexPoly (axis-aligned box)
-
-
-class CoCePresentation:
-    """Closed set presented by a replayable schedule of removed basic sets.
-
-    The stage-s snapshot depends only on removals with stage < s.  The
-    declared final stage bounds the scripted behaviour; beyond it nothing
-    further is removed.
-    """
-
-    def __init__(self, removals: Sequence[Removal], frame=FRAME, final_stage: Optional[int] = None):
-        self.removals = tuple(sorted(removals, key=lambda r: r.stage))
-        self.frame = tuple(frac(v) for v in frame)
-        if final_stage is None:
-            final_stage = max((r.stage + 1 for r in self.removals), default=0)
-        self.final_stage = final_stage
-        self._cache: dict[int, RegionSnapshot] = {}
-
-    def snapshot(self, stage: int) -> RegionSnapshot:
-        stage = min(stage, self.final_stage)
-        if stage in self._cache:
-            return self._cache[stage]
-        fx0, fy0, fx1, fy1 = self.frame
-        region = RegionSnapshot(stage, [rect(fx0, fy0, fx1, fy1)], self.frame)
-        for r in self.removals:
-            if r.stage < stage:
-                if isinstance(r.shape, BallSpec):
-                    region = subtract_ball(region, r.shape)
-                else:
-                    region = subtract_poly(region, r.shape)
-        region = RegionSnapshot(stage, region.pieces, self.frame)
-        self._cache[stage] = region
-        return region
-
-
-def probe_ball_empty(presentation, ball: BallSpec, stage: int) -> str:
-    """'certified-empty' | 'hit' | 'unknown' against a stage snapshot.
-
-    certified-empty is the c.e. event: the stage snapshot misses the closed
-    ball.  hit additionally requires the intersection to survive to the
-    declared final stage.
-    """
-    if ball.kind != "closed":
-        raise ValueError("probe balls must be closed")
-    ball_piece = point(*ball.center)
-    r2 = ball.radius * ball.radius
-
-    def disjoint(snapshot: RegionSnapshot) -> bool:
-        return all(
-            squared_distance(ball_piece, piece) > r2 for piece in snapshot.pieces
-        )
-
-    if disjoint(presentation.snapshot(stage)):
-        return "certified-empty"
-    if not disjoint(presentation.snapshot(presentation.final_stage)):
-        return "hit"
-    return "unknown"
 
 
 # -- certified Hausdorff distance -------------------------------------------
@@ -641,23 +548,31 @@ def sqrt_upper(q: Fraction, prec: int) -> Fraction:
     return Fraction(r, s)
 
 
-def _box_gap_sq(a, b) -> Fraction:
-    """Squared distance between two closed boxes."""
-    dx = max(a[0] - b[2], Fraction(0), b[0] - a[2])
-    dy = max(a[1] - b[3], Fraction(0), b[1] - a[3])
+def _box_gap_sq(a, b) -> int:
+    """Squared distance between two closed boxes (x0, y0, x1, y1, d), times
+    (d_a * d_b)^2."""
+    ax0, ay0, ax1, ay1, ad = a
+    bx0, by0, bx1, by1, bd = b
+    dx = max(ax0 * bd - bx1 * ad, 0, bx0 * ad - ax1 * bd)
+    dy = max(ay0 * bd - by1 * ad, 0, by0 * ad - ay1 * bd)
     return dx * dx + dy * dy
 
 
-def _min_sq_to_region(p: Point, pieces: Sequence[ConvexPoly], boxes, order, gaps) -> Fraction:
+def _min_sq_to_region(
+    p: Hom, pieces: Sequence[ConvexPoly], boxes, order, gaps, gd: int
+) -> Fraction:
     """Squared distance from p to the union of pieces.  `order` lists piece
-    indices by `gaps`, lower bounds of the squared distance from p to each."""
-    pt = ConvexPoly([p])
+    indices by `gaps`: each gap over `gd` bounds from below the squared
+    distance from p to its piece."""
+    pt = ConvexPoly._convex([p])
+    pbox = (p[0], p[1], p[0], p[1], p[2])
     best: Optional[Fraction] = None
     for i in order:
         if best is not None:
-            if gaps[i] >= best:
+            n, m = best.numerator, best.denominator
+            if gaps[i] * m >= n * gd:
                 break  # sorted order: nothing later can improve
-            if _box_gap_sq((*p, *p), boxes[i]) >= best:
+            if _box_gap_sq(pbox, boxes[i]) * m >= n * (p[2] * boxes[i][4]) ** 2:
                 continue
         d = squared_distance(pt, pieces[i])
         if best is None or d < best:
@@ -669,45 +584,40 @@ def _min_sq_to_region(p: Point, pieces: Sequence[ConvexPoly], boxes, order, gaps
 
 def _max_sq_vertex(piece: ConvexPoly, other: ConvexPoly) -> Fraction:
     # max over x in piece of dist(x, other) is attained at a vertex
-    best = Fraction(0)
-    for v in piece.vertices:
-        d = squared_distance(ConvexPoly([v]), other)
-        if d > best:
-            best = d
-    return best
+    return max(squared_distance(ConvexPoly._convex([v]), other) for v in piece.hverts)
 
 
 def _split_piece(piece: ConvexPoly) -> list[ConvexPoly]:
-    x0, y0, x1, y1 = piece.bbox()
+    """The piece cut in two across the middle of its longer box side."""
+    x0, y0, x1, y1, d = piece._ibox()
     if x1 - x0 >= y1 - y0:
-        mid = (x0 + x1) / 2
-        lo = clip_halfplane(piece, 1, 0, mid)
-        hi = clip_halfplane(piece, -1, 0, -mid)
+        halves = ((2 * d, 0, -(x0 + x1)), (-2 * d, 0, x0 + x1))
     else:
-        mid = (y0 + y1) / 2
-        lo = clip_halfplane(piece, 0, 1, mid)
-        hi = clip_halfplane(piece, 0, -1, -mid)
-    return [p for p in (lo, hi) if p is not None]
+        halves = ((0, 2 * d, -(y0 + y1)), (0, -2 * d, y0 + y1))
+    return [p for p in (_clip(piece, h) for h in halves) if p is not None]
 
 
 def _directed_sq_bounds(
     src: Sequence[ConvexPoly], dst: Sequence[ConvexPoly], tol: Fraction, prec: int
 ) -> tuple[Fraction, Fraction]:
     """Squared-domain enclosure of sup_{x in src} dist(x, dst)."""
-    dst_boxes = [d.bbox() for d in dst]
+    # the targets' boxes over one denominator dd, so that gaps sort as integers
+    dd = lcm(*(p._ibox()[4] for p in dst))
+    dst_boxes = [(*(v * (dd // b[4]) for v in b[:4]), dd) for b in (p._ibox() for p in dst)]
 
     def bounds(piece: ConvexPoly) -> tuple[Fraction, Fraction]:
         # the gap between the boxes bounds from below the distance from any
         # point of piece to a target, so targets are visited nearest first
         # and farther ones prune away
-        box = piece.bbox()
+        box = piece._ibox()
+        gd = (box[4] * dd) ** 2
         gaps = [_box_gap_sq(box, b) for b in dst_boxes]
         order = sorted(range(len(dst)), key=gaps.__getitem__)
-        lb = max(_min_sq_to_region(v, dst, dst_boxes, order, gaps) for v in piece.vertices)
+        lb = max(_min_sq_to_region(v, dst, dst_boxes, order, gaps, gd) for v in piece.hverts)
         # min over targets of the vertex-max distance
         ub: Optional[Fraction] = None
         for i in order:
-            if ub is not None and gaps[i] >= ub:
+            if ub is not None and gaps[i] * ub.denominator >= ub.numerator * gd:
                 break  # sorted order: nothing later can improve
             val = _max_sq_vertex(piece, dst[i])
             if ub is None or val < ub:

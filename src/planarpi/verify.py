@@ -11,12 +11,12 @@ from .geom import (
     ConvexPoly,
     RegionSnapshot,
     UnionFind,
-    boxes_overlap,
+    bboxes_meet,
     connectivity_components,
     frac,
     frac_str,
     hausdorff_enclosure,
-    overlapping_pairs,
+    piece_pairs,
     polys_intersect,
     region_covers,
     subtract_piece,
@@ -93,9 +93,8 @@ class PieceGraph:
 
     def __init__(self, region: RegionSnapshot) -> None:
         self.pieces = region.pieces
-        self.boxes = [p.bbox() for p in self.pieces]
         self.neighbours: list[list[int]] = [[] for _ in self.pieces]
-        for i, j in overlapping_pairs(self.boxes):
+        for i, j in piece_pairs(self.pieces):
             if polys_intersect(self.pieces[i], self.pieces[j]):
                 self.neighbours[i].append(j)
                 self.neighbours[j].append(i)
@@ -103,10 +102,9 @@ class PieceGraph:
     def components_without(self, shape: ConvexPoly) -> int:
         nodes = list(self.pieces)  # node i < n is piece i, later ones fragments
         fragments: dict[int, range] = {}  # cut piece -> its fragment nodes
-        shape_box = shape.bbox()
-        for i, box in enumerate(self.boxes):
-            if boxes_overlap(box, shape_box):
-                rest = subtract_piece(self.pieces[i], shape)
+        for i, piece in enumerate(self.pieces):
+            if bboxes_meet(piece, shape):
+                rest = subtract_piece(piece, shape)
                 fragments[i] = range(len(nodes), len(nodes) + len(rest))
                 nodes.extend(rest)
         part = UnionFind(len(nodes))
@@ -115,7 +113,7 @@ class PieceGraph:
             pu, pv = nodes[u], nodes[v]
             if (
                 part.find(u) != part.find(v)
-                and boxes_overlap(pu.bbox(), pv.bbox())
+                and bboxes_meet(pu, pv)
                 and polys_intersect(pu, pv)
             ):
                 part.union(u, v)

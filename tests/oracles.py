@@ -2,19 +2,51 @@
 
 These deliberately avoid the code paths they check: connectivity is
 re-derived by rasterized flood fill with its own separating-axis cell test,
-and the limit function by exhaustive state comparison.
+the limit function by exhaustive state comparison, and the integer kernel of
+`planarpi.geom` by the `Fraction` kernel it replaced (clips, intersections,
+differences, containment, distances and Hausdorff bounds, all computed on
+`Fraction` vertices).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from planarpi.cesets import SequenceFamily, e_state
-from planarpi.geom import ConvexPoly, RegionSnapshot, _cross, boxes_overlap, rect
+from planarpi.geom import (
+    ConvexPoly,
+    RegionSnapshot,
+    frac,
+    overlapping_pairs,
+    rect,
+    sqrt_lower,
+    sqrt_upper,
+)
+
+Point = tuple[Fraction, Fraction]
+
+
+def boxes_overlap(a, b) -> bool:
+    """Closed bounding boxes (x0, y0, x1, y1) meet."""
+    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
+
+
+def _cross(o: Point, a: Point, b: Point) -> Fraction:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _dot(ax, ay, bx, by) -> Fraction:
     return ax * bx + ay * by
+
+
+def _edges(poly: ConvexPoly) -> list[tuple[Point, Point]]:
+    v = poly.vertices
+    if len(v) == 1:
+        return []
+    if len(v) == 2:
+        return [(v[0], v[1])]
+    return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
 
 def _contains_point(poly: ConvexPoly, p) -> bool:
@@ -28,17 +60,17 @@ def _contains_point(poly: ConvexPoly, p) -> bool:
         t = _dot(p[0] - a[0], p[1] - a[1], b[0] - a[0], b[1] - a[1])
         length = _dot(b[0] - a[0], b[1] - a[1], b[0] - a[0], b[1] - a[1])
         return 0 <= t <= length
-    return all(_cross(a, b, p) >= 0 for a, b in poly.edges())
+    return all(_cross(a, b, p) >= 0 for a, b in _edges(poly))
 
 
-def _project(poly: ConvexPoly, ax: Fraction, ay: Fraction) -> tuple[Fraction, Fraction]:
-    vals = [_dot(ax, ay, x, y) for x, y in poly.vertices]
+def _project(vertices, ax: Fraction, ay: Fraction) -> tuple[Fraction, Fraction]:
+    vals = [_dot(ax, ay, x, y) for x, y in vertices]
     return min(vals), max(vals)
 
 
 def _sat_axes(poly: ConvexPoly) -> list[tuple[Fraction, Fraction]]:
     axes = []
-    for (ax_, ay_), (bx, by) in poly.edges():
+    for (ax_, ay_), (bx, by) in _edges(poly):
         dx, dy = bx - ax_, by - ay_
         axes.append((-dy, dx))  # edge normal
         axes.append((dx, dy))  # edge direction (separates collinear segments)
@@ -56,9 +88,10 @@ def sat_intersect(a: ConvexPoly, b: ConvexPoly) -> bool:
         return _contains_point(a, b.vertices[0])
     if not boxes_overlap(a.bbox(), b.bbox()):
         return False
+    va, vb = a.vertices, b.vertices  # made on each read, so read once
     for axis in _sat_axes(a) + _sat_axes(b):
-        lo_a, hi_a = _project(a, *axis)
-        lo_b, hi_b = _project(b, *axis)
+        lo_a, hi_a = _project(va, *axis)
+        lo_b, hi_b = _project(vb, *axis)
         if hi_a < lo_b or hi_b < lo_a:
             return False
     return True
@@ -121,6 +154,303 @@ def raster_covers(cover, target, pitch_exp: int) -> bool:
                 if not any(_contains_point(c, p) for c in cover):
                     return False
     return True
+
+
+# -- the Fraction kernel -------------------------------------------------------
+# The halfplane kernel as it was computed on `Fraction` coordinates, kept as
+# the differential reference for the integer kernel.  Pieces are read through
+# `ConvexPoly.vertices` and made with the general `ConvexPoly` constructor.
+
+
+def _lerp(a: Point, b: Point, t: Fraction) -> Point:
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+
+def clip_halfplane(poly: ConvexPoly, nx, ny, c) -> Optional[ConvexPoly]:
+    """Part of poly with nx*x + ny*y <= c (exact Sutherland-Hodgman).
+
+    Points and segments go through the same loop: a segment is the closed
+    path a -> b -> a, so its one cut point is met twice.
+    """
+    nx, ny, c = frac(nx), frac(ny), frac(c)
+    verts = poly.vertices
+    vals = [nx * x + ny * y - c for x, y in verts]
+    if all(v <= 0 for v in vals):
+        return poly
+    if all(v > 0 for v in vals):
+        return None
+    out: list[Point] = []
+    n = len(verts)
+    for i in range(n):
+        a, va = verts[i], vals[i]
+        b, vb = verts[(i + 1) % n], vals[(i + 1) % n]
+        if va <= 0:
+            out.append(a)
+        if (va < 0 < vb) or (vb < 0 < va):
+            out.append(_lerp(a, b, va / (va - vb)))
+    return ConvexPoly(out)
+
+
+def _halfplanes(piece: ConvexPoly):
+    """Halfplanes nx*x + ny*y <= c whose intersection is the closed piece.
+
+    A polygon gives its inward edge planes.  A segment gives both sides of
+    its line (its edges a -> b and b -> a) and its two end caps.  A point
+    gives its four axis planes.
+    """
+    v = piece.vertices
+    n = len(v)
+    if n == 1:
+        x, y = v[0]
+        yield from ((1, 0, x), (-1, 0, -x), (0, 1, y), (0, -1, -y))
+        return
+    for i in range(n):
+        (ax, ay), (bx, by) = v[i], v[(i + 1) % n]
+        # interior is to the left of a->b: cross((b-a),(p-a)) >= 0
+        nx, ny = by - ay, ax - bx
+        yield nx, ny, nx * ax + ny * ay
+    if n == 2:
+        (ax, ay), (bx, by) = v
+        dx, dy = bx - ax, by - ay
+        yield -dx, -dy, -(dx * ax + dy * ay)
+        yield dx, dy, dx * bx + dy * by
+
+
+def contains_point(piece: ConvexPoly, p) -> bool:
+    x, y = frac(p[0]), frac(p[1])
+    return all(nx * x + ny * y <= c for nx, ny, c in _halfplanes(piece))
+
+
+def convex_intersection(a: ConvexPoly, b: ConvexPoly) -> Optional[ConvexPoly]:
+    """Exact intersection of two convex pieces (may be degenerate), or None:
+    the lower-dimensional piece clipped by the other's halfplanes."""
+    if a.dim() > b.dim():
+        a, b = b, a
+    piece: Optional[ConvexPoly] = a
+    for nx, ny, c in _halfplanes(b):
+        piece = clip_halfplane(piece, nx, ny, c)
+        if piece is None:
+            return None
+    return piece
+
+
+def polys_intersect(a: ConvexPoly, b: ConvexPoly) -> bool:
+    """Exact closed-set intersection test for convex pieces."""
+    return boxes_overlap(a.bbox(), b.bbox()) and convex_intersection(a, b) is not None
+
+
+def convex_difference(a: ConvexPoly, b: ConvexPoly) -> list[ConvexPoly]:
+    """Closure of a minus b as convex pieces; b must be 2-dimensional.
+
+    Fan decomposition: outside-parts of successive edge halfplanes of b.
+    Degenerate remainders are kept; callers filter as needed.
+    """
+    if b.dim() < 2:
+        return [a]
+    remainder = a
+    out: list[ConvexPoly] = []
+    for nx, ny, c in _halfplanes(b):
+        outside = clip_halfplane(remainder, -nx, -ny, -c)
+        if outside is not None:
+            out.append(outside)
+        inside = clip_halfplane(remainder, nx, ny, c)
+        if inside is None:
+            return out
+        remainder = inside
+    return out
+
+
+def chart_interval(seg: ConvexPoly, piece: ConvexPoly) -> tuple[Fraction, Fraction]:
+    """Parameter interval, along seg from its first vertex (0) to its last
+    (1), of a piece lying on seg's line."""
+    a, b = seg.vertices
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    denom = dx * dx + dy * dy
+    ts = [((x - a[0]) * dx + (y - a[1]) * dy) / denom for x, y in piece.vertices]
+    return min(ts), max(ts)
+
+
+def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
+    """Exact containment: union(target) subseteq union(cover).
+
+    Returns (True, None) or (False, witness_piece) where the witness is an
+    uncovered convex remainder.  Sound for closed finite unions: interior
+    coverage of 2-D pieces suffices, so degenerate slivers of 2-D remainders
+    are dropped.
+    """
+    # a cover piece whose bbox misses the target's misses every remainder
+    near: list[list[int]] = [[] for _ in target]
+    for i, j in overlapping_pairs([c.bbox() for c in cover], [t.bbox() for t in target]):
+        near[j].append(i)
+    for t, idx in zip(target, near):
+        near_cover = [cover[i] for i in sorted(idx)]
+        if t.dim() == 2:
+            work = [t]
+            for c in near_cover:
+                if c.dim() < 2:
+                    continue
+                cb = c.bbox()
+                nxt: list[ConvexPoly] = []
+                for w in work:
+                    if not boxes_overlap(w.bbox(), cb):
+                        nxt.append(w)
+                        continue
+                    nxt.extend(p for p in convex_difference(w, c) if p.dim() == 2)
+                work = nxt
+                if not work:
+                    break
+            if work:
+                return False, work[0]
+        elif t.dim() == 1:
+            intervals = []
+            for c in near_cover:
+                inter = convex_intersection(t, c)
+                if inter is not None:
+                    intervals.append(chart_interval(t, inter))
+            intervals.sort()
+            reach = Fraction(0)
+            for lo, hi in intervals:
+                if lo > reach:
+                    break
+                reach = max(reach, hi)
+            if reach < 1:
+                a, b = t.vertices
+                return False, ConvexPoly([_lerp(a, b, reach), b])
+        else:
+            p = t.vertices[0]
+            if not any(contains_point(c, p) for c in near_cover):
+                return False, t
+    return True, None
+
+
+def _point_segment_sq(p: Point, a: Point, b: Point) -> Fraction:
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    apx, apy = p[0] - a[0], p[1] - a[1]
+    denom = abx * abx + aby * aby
+    if denom == 0:
+        return apx * apx + apy * apy
+    t = (apx * abx + apy * aby) / denom
+    t = max(Fraction(0), min(Fraction(1), t))
+    dx = apx - t * abx
+    dy = apy - t * aby
+    return dx * dx + dy * dy
+
+
+def squared_distance(a: ConvexPoly, b: ConvexPoly) -> Fraction:
+    """Exact squared Euclidean min-distance; zero iff the polys intersect."""
+    if polys_intersect(a, b):
+        return Fraction(0)
+    # the nearest pair of points has a vertex of one piece at one end; a
+    # point piece is its own (zero-length) edge
+    return min(
+        _point_segment_sq(v, e0, e1)
+        for src, dst in ((a, b), (b, a))
+        for e0, e1 in _edges(dst) or [dst.vertices * 2]
+        for v in src.vertices
+    )
+
+
+def _box_gap_sq(a, b) -> Fraction:
+    """Squared distance between two closed boxes."""
+    dx = max(a[0] - b[2], Fraction(0), b[0] - a[2])
+    dy = max(a[1] - b[3], Fraction(0), b[1] - a[3])
+    return dx * dx + dy * dy
+
+
+def _min_sq_to_region(p: Point, pieces: Sequence[ConvexPoly], boxes, order, gaps) -> Fraction:
+    """Squared distance from p to the union of pieces.  `order` lists piece
+    indices by `gaps`, lower bounds of the squared distance from p to each."""
+    pt = ConvexPoly([p])
+    best: Optional[Fraction] = None
+    for i in order:
+        if best is not None:
+            if gaps[i] >= best:
+                break  # sorted order: nothing later can improve
+            if _box_gap_sq((*p, *p), boxes[i]) >= best:
+                continue
+        d = squared_distance(pt, pieces[i])
+        if best is None or d < best:
+            best = d
+            if best == 0:
+                return best
+    return best
+
+
+def _max_sq_vertex(piece: ConvexPoly, other: ConvexPoly) -> Fraction:
+    # max over x in piece of dist(x, other) is attained at a vertex
+    best = Fraction(0)
+    for v in piece.vertices:
+        d = squared_distance(ConvexPoly([v]), other)
+        if d > best:
+            best = d
+    return best
+
+
+def _split_piece(piece: ConvexPoly) -> list[ConvexPoly]:
+    x0, y0, x1, y1 = piece.bbox()
+    if x1 - x0 >= y1 - y0:
+        mid = (x0 + x1) / 2
+        lo = clip_halfplane(piece, 1, 0, mid)
+        hi = clip_halfplane(piece, -1, 0, -mid)
+    else:
+        mid = (y0 + y1) / 2
+        lo = clip_halfplane(piece, 0, 1, mid)
+        hi = clip_halfplane(piece, 0, -1, -mid)
+    return [p for p in (lo, hi) if p is not None]
+
+
+def directed_sq_bounds(
+    src: Sequence[ConvexPoly], dst: Sequence[ConvexPoly], tol: Fraction, prec: int
+) -> tuple[Fraction, Fraction]:
+    """Squared-domain enclosure of sup_{x in src} dist(x, dst)."""
+    dst_boxes = [d.bbox() for d in dst]
+
+    def bounds(piece: ConvexPoly) -> tuple[Fraction, Fraction]:
+        # the gap between the boxes bounds from below the distance from any
+        # point of piece to a target, so targets are visited nearest first
+        # and farther ones prune away
+        box = piece.bbox()
+        gaps = [_box_gap_sq(box, b) for b in dst_boxes]
+        order = sorted(range(len(dst)), key=gaps.__getitem__)
+        lb = max(_min_sq_to_region(v, dst, dst_boxes, order, gaps) for v in piece.vertices)
+        # min over targets of the vertex-max distance
+        ub: Optional[Fraction] = None
+        for i in order:
+            if ub is not None and gaps[i] >= ub:
+                break  # sorted order: nothing later can improve
+            val = _max_sq_vertex(piece, dst[i])
+            if ub is None or val < ub:
+                ub = val
+                if ub == lb:
+                    break
+        return lb, ub
+
+    items = [(piece, *bounds(piece)) for piece in src]
+    global_lb = max(lb for _, lb, _ in items)
+    while True:
+        global_hi = max(ub for _, _, ub in items)
+        if sqrt_upper(global_hi, prec) - sqrt_lower(global_lb, prec) <= tol:
+            return global_lb, global_hi
+        # refine the piece holding the largest upper bound
+        idx = max(range(len(items)), key=lambda i: items[i][2])
+        piece, lb, ub = items.pop(idx)
+        if lb == ub:
+            # bounds already tight (e.g. a point piece); freeze it
+            items.append((piece, lb, ub))
+            global_lb = max(global_lb, lb)
+            continue
+        halves = _split_piece(piece)
+        if not halves:
+            items.append((piece, ub, ub))
+            global_lb = max(global_lb, ub)
+            continue
+        for h in halves:
+            hlb, hub = bounds(h)
+            global_lb = max(global_lb, hlb)
+            items.append((h, hlb, min(hub, ub)))
+
+
+# -- the limit function ---------------------------------------------------------
 
 
 def brute_force_limit_f(fam: SequenceFamily, e: int, stage: int, bound: int) -> int:

@@ -30,6 +30,7 @@ from planarpi.continua import (
     v_region,
 )
 from planarpi.continua.fanq import DestinationTrack, q_snapshots
+from planarpi.balls import subtract_ball
 from planarpi.geom import (
     RegionSnapshot,
     clip_halfplane,
@@ -39,7 +40,6 @@ from planarpi.geom import (
     rect,
     region_covers,
     segment,
-    subtract_ball,
     subtract_poly,
 )
 from planarpi.svg import count_elements, render_svg

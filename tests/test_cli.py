@@ -197,6 +197,12 @@ BAD_INPUTS = [
      build_argv(), "natural number"),
     ("track-stage-not-an-integer",
      {"c.json": json.dumps({**Q_CONFIG, "B": [[1.5, 4], [2, 2]]})}, build_argv(), "natural number"),
+    ("track-stages-not-one-to-n",
+     {"c.json": json.dumps({**Q_CONFIG, "B": [[3, 4], [7, 2]]})}, build_argv(), "in turn"),
+    ("track-stages-out-of-order",
+     {"c.json": json.dumps({**Q_CONFIG, "B": [[2, 2], [1, 4]]})}, build_argv(), "in turn"),
+    ("track-stage-repeated",
+     {"c.json": json.dumps({**Q_CONFIG, "B": [[1, 4], [1, 2]]})}, build_argv(), "in turn"),
     ("prune-stage-not-an-integer",
      {"c.json": '{"construction": "plotted-tree", "P": {"prune": [["1", 0.5]]}}'}, build_argv(),
      "natural number"),

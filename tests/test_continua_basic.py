@@ -13,7 +13,8 @@ from planarpi.continua import (
     rising_width,
     sample_path_d,
 )
-from planarpi.geom import connectivity_components, segment, subtract_ball
+from planarpi.balls import subtract_ball
+from planarpi.geom import connectivity_components, segment
 
 from oracles import flood_fill_components
 
@@ -98,7 +99,7 @@ class TestDendriteD:
 
     def test_explicit_small_ball_also_cuts(self):
         # even a radius-1/16 closed ball on the gate cap severs the snapshot
-        from planarpi.geom import BallSpec
+        from planarpi.balls import BallSpec
 
         region = build_dendrite_d(4, FIG5_SCRIPT)
         ball = BallSpec((F(1, 2), F(1, 2)), F(1, 16), kind="closed")

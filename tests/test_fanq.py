@@ -1,5 +1,6 @@
 """The snake machine: stage 0, chains, injuries, and containment facts."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -69,6 +70,13 @@ class TestDestinationTrack:
             DestinationTrack([(1, 0)])  # 0 is reserved for the tail
         with pytest.raises(ValueError):
             DestinationTrack([(1, 3), (2, 3)])  # repeated element
+
+    @pytest.mark.parametrize(
+        "rows", [[(3, 4), (7, 2)], [(2, 2), (1, 4)], [(1, 4), (1, 2)], [(0, 4), (1, 2)], [(2, 4)]]
+    )
+    def test_rows_are_stages_one_to_n_in_turn(self, rows):
+        with pytest.raises(ValueError, match="in turn"):
+            DestinationTrack(rows)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -381,6 +389,25 @@ class TestBodyMemo:
                 "--out", str(tmp_path / "r.json")]
         assert main(argv) == 0
         assert len(built) == len(set(built)) == 402
+
+    def test_late_stage_range_builds_only_its_stages(self, tmp_path, monkeypatch):
+        # 5:6 reads the bodies of stages 5 and 6 only; building every stage
+        # from 0 made 402 bodies, 176 of them for stages 0-4
+        built = []
+        real = BlockRecord.body_at
+
+        def counting(block, tree, t):
+            built.append(t)
+            return real(block, tree, t)
+
+        monkeypatch.setattr(BlockRecord, "body_at", counting)
+        out = tmp_path / "r.json"
+        argv = ["verify", "--config", str(CONFIGS / "cantor-fan-q.json"), "--checks",
+                "nesting,connectivity,touch-chain", "--stage-range", "5:6", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(built) == 226 and set(built) == {5, 6}
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "2725855d7031916788da8062d6e044063ffe716b42d2aa05dfef004a58ab2037"
 
     def test_memo_returns_what_body_at_builds(self):
         # end boxes all carry id -1, so a memo keyed on the id alone would

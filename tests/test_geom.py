@@ -1,6 +1,7 @@
 """Geometry kernel: exact distances, connectivity, subtraction, enclosures."""
 
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -9,17 +10,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import planarpi.balls as balls
 import planarpi.geom as geom
-from planarpi.cli import CONSTRUCTIONS
-from planarpi.geom import (
+from planarpi.balls import (
     BallSpec,
-    ConvexPoly,
     CoCePresentation,
-    DistanceEnclosure,
-    RegionSnapshot,
     Removal,
     ball_polygon,
-    boxes_overlap,
+    probe_ball_empty,
+    subtract_ball,
+)
+from planarpi.cli import CONSTRUCTIONS
+from planarpi.geom import (
+    ConvexPoly,
+    DistanceEnclosure,
+    RegionSnapshot,
     clip_halfplane,
     connectivity_components,
     convex_difference,
@@ -28,7 +33,6 @@ from planarpi.geom import (
     overlapping_pairs,
     point,
     polys_intersect,
-    probe_ball_empty,
     rect,
     region_covers,
     regions_equal,
@@ -36,13 +40,12 @@ from planarpi.geom import (
     sqrt_lower,
     sqrt_upper,
     squared_distance,
-    subtract_ball,
     subtract_poly,
 )
 
 from planarpi.verify import PieceGraph
 
-from oracles import flood_fill_components, raster_covers, sat_intersect
+from oracles import boxes_overlap, flood_fill_components, raster_covers, sat_intersect
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -328,6 +331,32 @@ class TestSubtraction:
         for piece in pieces:
             inter = convex_intersection(piece, b)
             assert inter is None or inter.dim() < 2
+
+
+def _tangent_circle_points(n: int):
+    """The rounded-tangent circle points that the checked-in table replaced."""
+    pts = []
+    for j in range(n):
+        half = math.pi * j / n
+        if abs(half - math.pi / 2) < 1e-9:
+            pts.append((F(-1), F(0)))
+            continue
+        t = F(round(math.tan(half) * (1 << 16)), 1 << 16)
+        d = 1 + t * t
+        pts.append(((1 - t * t) / d, 2 * t / d))
+    return pts
+
+
+class TestBallPolygon:
+    def test_table_reproduces_tangent_formula(self):
+        for k in range(7):
+            pts = balls._unit_circle_points(k)
+            assert pts == _tangent_circle_points(1 << k)
+            assert all(x * x + y * y == 1 for x, y in pts)
+
+    def test_more_than_64_vertices_raise(self):
+        with pytest.raises(ValueError):
+            ball_polygon(BallSpec((0, 0), 1), k=7)
 
 
 class TestContainment:

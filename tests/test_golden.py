@@ -1,5 +1,6 @@
 """Golden outputs: sha256 of every sample-config scene and verify report,
-and the stdout of `hausdorff` on small scene pairs.
+the stdout of `hausdorff` on small scene pairs, and the failing nesting
+witnesses of the fan's stages taken in reverse.
 
 The digests pin the Scene JSON of each `configs/*.json` at stages 0..6 and
 the report JSON of each supported (construction, check) pair over stages
@@ -8,11 +9,13 @@ single output byte fails here.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from planarpi.cli import main
+from planarpi.cli import CONSTRUCTIONS, main
+from planarpi.verify import check_nesting, reports_to_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CHECKS = ("nesting", "connectivity", "cut-dichotomy", "touch-chain")
@@ -99,7 +102,19 @@ HAUSDORFF = {
     # polygon pieces: point-to-polygon distances, unlike the segment-only
     # dendrites
     ("cantor-fan-q", 2, 3): "629/16384 2517/65536\n",
+    ("cantor-fan-q", 3, 4): "419/32768 839/65536\n",
 }
+
+# sha256 of the report JSON of `check_nesting([q(t+1), q(t)])` on the fan:
+# each stage is not covered by the next, so these pin the failing witness
+REVERSED_FAN_NESTING = [
+    "ecc0e62f7612b5b194d7dd8157a3b4afde727522754c4342609ff0d5fc4cc81a",
+    "a5f8a251f350a72fa5e0d77a2df68ad23af705a040c5b321e883ac9b6035aefb",
+    "a40f530f5fa4489ab83ebb6d24f39aed1ae2986b587a553ebb81369b2b47b453",
+    "5d25886cb8658c6a12258be543c427df20b296e60beb57ba8b6c75f535422a64",
+    "fb926d686e452858ab75f445ba4023ad1c44536208e54715cc640532a1caef00",
+    "6752541be8218fbe575815a1b4a2fa96b30ce48a976e58778e1ee36cd34c9721",
+]
 
 UNSUPPORTED = [
     (name, check)
@@ -147,6 +162,17 @@ def test_hausdorff_stdout(tmp_path, capsys, name, stage_a, stage_b):
     argv = ["hausdorff", "--scene-a", str(scenes[0]), "--scene-b", str(scenes[1])]
     assert main(argv + ["--tol-exp", "12"]) == 0
     assert capsys.readouterr().out == HAUSDORFF[name, stage_a, stage_b]
+
+
+def test_reversed_fan_nesting_witness_bytes():
+    config = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
+    snaps = CONSTRUCTIONS["cantor-fan-q"].snapshots(config, 0, 6)[0]
+    digests = []
+    for t in range(6):
+        report = check_nesting([snaps[t + 1], snaps[t]])
+        assert report.verdict == "fail"
+        digests.append(hashlib.sha256(reports_to_json([report]).encode()).hexdigest())
+    assert digests == REVERSED_FAN_NESTING
 
 
 @pytest.mark.parametrize("name,check", UNSUPPORTED)

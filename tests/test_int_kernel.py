@@ -1,0 +1,182 @@
+"""The integer kernel of `planarpi.geom` against the `Fraction` kernel it
+replaced, kept in `tests/oracles.py`: the same pieces, in the same order,
+with the same witnesses and the same exact distances.
+
+Pieces are drawn with dyadic and triadic corners, so that the homogeneous
+weights of one piece's vertices differ, and in pairs biased to shared
+vertices, collinear segments, endpoint touches and vertices on edges.  Every
+sample config is compared too, at stages 0..6.
+"""
+
+import json
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import oracles
+import planarpi.geom as geom
+from planarpi.cli import CONSTRUCTIONS
+from planarpi.geom import (
+    ConvexPoly,
+    chart_interval,
+    clip_halfplane,
+    convex_difference,
+    convex_intersection,
+    piece_pairs,
+    point,
+    rect,
+    region_covers,
+    segment,
+    squared_distance,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+UNITS = (F(1, 4), F(1, 9), F(1, 6))
+COORD = st.one_of(
+    st.integers(-8, 8).map(lambda k: F(k, 4)), st.integers(-9, 9).map(lambda k: F(k, 9))
+)
+PT = st.tuples(COORD, COORD)
+UNIT = st.sampled_from(UNITS)
+STEP = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+POLYGONS = st.lists(PT, min_size=3, max_size=5).map(ConvexPoly)
+SEGMENTS = st.tuples(PT, PT).filter(lambda ab: ab[0] != ab[1]).map(lambda ab: segment(*ab))
+BOXES = st.tuples(PT, PT).map(lambda pq: rect(pq[0][0], pq[0][1], pq[1][0], pq[1][1]))
+PIECES = st.one_of(PT.map(lambda p: point(*p)), SEGMENTS, BOXES, POLYGONS)
+
+
+def _along(p, d, unit, k):
+    return (p[0] + k * d[0] * unit, p[1] + k * d[1] * unit)
+
+
+@st.composite
+def collinear_pairs(draw):
+    """Two segments on one line: overlapping, touching at an end, or apart."""
+    p, d, unit = draw(PT), draw(STEP), draw(UNIT)
+    i0, i1, j0, j1 = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    if draw(st.booleans()):
+        j0 = i1  # touch at an endpoint (or overlap, if j1 turns back)
+    assume(i0 != i1 and j0 != j1)
+    a = segment(_along(p, d, unit, i0), _along(p, d, unit, i1))
+    return a, segment(_along(p, d, unit, j0), _along(p, d, unit, j1))
+
+
+@st.composite
+def on_edge_pairs(draw):
+    """A piece with a vertex on an edge of a polygon (or at a corner)."""
+    poly = draw(POLYGONS)
+    assume(poly.dim() == 2)
+    v = poly.vertices
+    i, k, m = draw(st.integers(0, len(v) - 1)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    p, q = v[i], v[(i + 1) % len(v)]
+    on_edge = (p[0] + (q[0] - p[0]) * F(k, 3 * m), p[1] + (q[1] - p[1]) * F(k, 3 * m))
+    other = ConvexPoly([on_edge, *draw(st.lists(PT, max_size=3))])
+    return (poly, other) if draw(st.booleans()) else (other, poly)
+
+
+SHARED_VERTEX_PAIRS = st.tuples(PT, st.lists(PT, max_size=3), st.lists(PT, max_size=3)).map(
+    lambda v: (ConvexPoly([v[0], *v[1]]), ConvexPoly([v[0], *v[2]]))
+)
+PAIRS = st.one_of(
+    st.tuples(PIECES, PIECES), SHARED_VERTEX_PAIRS, collinear_pairs(), on_edge_pairs()
+)
+HALFPLANES = st.tuples(
+    st.integers(-3, 3), st.sampled_from((1, F(1, 2), F(1, 3))), st.integers(-3, 3), COORD
+).map(lambda v: (v[0] * v[1], v[2], v[3]))
+
+
+def _assert_pair_matches(a: ConvexPoly, b: ConvexPoly) -> None:
+    inter = convex_intersection(a, b)
+    assert inter == oracles.convex_intersection(a, b)
+    assert convex_difference(a, b) == oracles.convex_difference(a, b)  # pieces and order
+    assert squared_distance(a, b) == oracles.squared_distance(a, b)
+    if a.dim() == 1 and inter is not None:
+        assert chart_interval(a, inter) == oracles.chart_interval(a, inter)
+
+
+class TestDrawnPieces:
+    @settings(max_examples=300, deadline=None)
+    @given(PIECES, HALFPLANES)
+    def test_clip_matches_oracle(self, piece, plane):
+        assert clip_halfplane(piece, *plane) == oracles.clip_halfplane(piece, *plane)
+
+    @settings(max_examples=400, deadline=None)
+    @given(PAIRS)
+    def test_pair_operations_match_oracle(self, pair):
+        a, b = pair
+        _assert_pair_matches(a, b)
+        _assert_pair_matches(b, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(PIECES, max_size=4), st.lists(PIECES, min_size=1, max_size=2))
+    def test_covers_and_witness_match_oracle(self, cover, target):
+        assert region_covers(cover, target) == oracles.region_covers(cover, target)
+
+    @settings(max_examples=200, deadline=None)
+    @given(collinear_pairs(), st.booleans())
+    def test_segment_covers_match_oracle(self, pair, with_box):
+        # a segment against pieces on its line, so its cover has gaps,
+        # overlaps and touching ends
+        seg, other = pair
+        cover = [other, rect(*seg.vertices[0], *seg.vertices[0])]
+        if with_box:
+            cover.append(rect(*other.vertices[1], *seg.vertices[1]))
+        assert region_covers(cover, [seg]) == oracles.region_covers(cover, [seg])
+
+    @settings(max_examples=200, deadline=None)
+    @given(SEGMENTS, st.lists(st.integers(-6, 12), min_size=1, max_size=3))
+    def test_chart_interval_matches_oracle(self, seg, ks):
+        # points and segments on seg's line, at thirds and sixths of seg
+        a, b = seg.vertices
+        pts = [(a[0] + (b[0] - a[0]) * F(k, 6), a[1] + (b[1] - a[1]) * F(k, 6)) for k in ks]
+        piece = ConvexPoly(pts)
+        assert chart_interval(seg, piece) == oracles.chart_interval(seg, piece)
+
+
+@pytest.fixture(scope="module")
+def config_snapshots():
+    """Every sample config's snapshots at stages 0..6."""
+    snaps = {}
+    for path in sorted(CONFIGS.glob("*.json")):
+        config = json.loads(path.read_text())
+        snaps[path.stem] = CONSTRUCTIONS[config["construction"]].snapshots(config, 0, 6)[0]
+    return snaps
+
+
+NAMES = sorted(p.stem for p in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_config_covers_match_oracle(config_snapshots, name):
+    # both orders of consecutive stages, so failing witnesses are compared too
+    snaps = config_snapshots[name]
+    for prev, nxt in zip(snaps, snaps[1:]):
+        for cover, target in ((prev, nxt), (nxt, prev)):
+            got = region_covers(cover.pieces, target.pieces)
+            want = oracles.region_covers(cover.pieces, target.pieces)
+            assert got == want, (cover.stage, target.stage)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_config_pieces_match_oracle(config_snapshots, name):
+    # pieces whose boxes meet, every 7th such pair, and neighbours in
+    # snapshot order, which mostly lie apart
+    for snap in config_snapshots[name]:
+        pieces = snap.pieces
+        pairs = piece_pairs(pieces)[::7] + [(i, i + 1) for i in range(0, len(pieces) - 1, 5)]
+        for i, j in pairs:
+            _assert_pair_matches(pieces[i], pieces[j])
+            _assert_pair_matches(pieces[j], pieces[i])
+
+
+@pytest.mark.parametrize(
+    "name,s,t", [("dendrite-h", 1, 2), ("dendrite-h", 2, 1), ("cantor-fan-q", 2, 1)]
+)
+def test_hausdorff_bounds_match_oracle(config_snapshots, name, s, t):
+    src, dst = config_snapshots[name][s].pieces, config_snapshots[name][t].pieces
+    half, prec = F(1, 1 << 13), 16
+    got = geom._directed_sq_bounds(src, dst, half, prec)
+    assert got == oracles.directed_sq_bounds(src, dst, half, prec)

@@ -13,9 +13,9 @@ from planarpi.cesets import EnumerationScript
 from planarpi.cli import CONSTRUCTIONS, main
 from planarpi.continua import build_dendrite_d, cut_ball
 from planarpi.continua.fanq import DestinationTrack, q_snapshots
+from planarpi.balls import ball_polygon
 from planarpi.geom import (
     RegionSnapshot,
-    ball_polygon,
     connectivity_components,
     rect,
     segment,
