@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from ..cesets import SequenceFamily, limit_f
 from ..geom import ConvexPoly, RegionSnapshot, rect, segment
-from .dendrite import _base_pieces
+from .dendrite import _base_pieces, _rising
 
 Frac = Fraction
 
@@ -71,13 +71,8 @@ def build_dendroid_k(
         for u in range(stage + 1):
             c = comb_center(t, u)
             w = comb_width(fam, t, u, stage, search_bound)
-            if w == 0:
-                pieces.append(segment((c, 0), (c, height)))
-            else:
-                pieces.append(segment((c - w, 0), (c - w, height)))
-                pieces.append(segment((c + w, 0), (c + w, height)))
-                pieces.append(segment((c - w, height), (c + w, height)))
-                gaps.append((c - w, c + w))
+            pieces.extend(_rising(c, w, height))
+            gaps.append((c - w, c + w))
         pieces.extend(_base_pieces(gaps, lo=left, hi=right))
         # bridge toward the next comb
         pieces.append(segment((Frac(1, 1 << (2 * t + 2)), 0), (left, 0)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from ..cesets import EnumerationScript, stage_function
 from ..balls import BallSpec
-from ..geom import RegionSnapshot, segment
+from ..geom import ConvexPoly, RegionSnapshot, segment
 
 Frac = Fraction
 
@@ -42,6 +42,15 @@ def _base_pieces(gaps: list[tuple[Fraction, Fraction]], lo=Frac(-1), hi=Frac(1))
     return pieces
 
 
+def _rising(x: Fraction, w: Fraction, height: Fraction, cap: bool = True) -> list[ConvexPoly]:
+    """A rising at x up to height: one segment when w == 0, else two legs at
+    x -+ w, joined by a cap when `cap` is set."""
+    if w == 0:
+        return [segment((x, 0), (x, height))]
+    legs = [segment((x - w, 0), (x - w, height)), segment((x + w, 0), (x + w, height))]
+    return [*legs, segment((x - w, height), (x + w, height))] if cap else legs
+
+
 def build_dendrite_d(stage: int, script: EnumerationScript) -> RegionSnapshot:
     """Stage snapshot: risings t <= stage over the base, gates where enumerated."""
     pieces = []
@@ -49,13 +58,8 @@ def build_dendrite_d(stage: int, script: EnumerationScript) -> RegionSnapshot:
     for t in range(stage + 1):
         x = Frac(1, 1 << t)
         w = rising_width(script, t)
-        if w == 0:
-            pieces.append(segment((x, 0), (x, x)))
-        else:
-            pieces.append(segment((x - w, 0), (x - w, x)))
-            pieces.append(segment((x + w, 0), (x + w, x)))
-            pieces.append(segment((x - w, x), (x + w, x)))
-            gaps.append((x - w, x + w))
+        pieces.extend(_rising(x, w, x))
+        gaps.append((x - w, x + w))
     pieces.extend(_base_pieces(gaps))
     return RegionSnapshot(stage, pieces)
 

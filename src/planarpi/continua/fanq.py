@@ -25,16 +25,25 @@ from ..cantor import FatCantorLevel, TreePresentation, check_natural, fat_level,
 from ..geom import (
     ConvexPoly,
     RegionSnapshot,
-    chart_interval,
     convex_intersection,
     frac,
     frac_str,
     piece_pairs,
     rect,
+    region_covers,
     segment,
 )
 from ..intgeom import orient
-from .regions import DOWN, Direction, LEFT, RIGHT, UP, normalize_level, v_region
+from .regions import (
+    DOWN,
+    Direction,
+    LEFT,
+    RIGHT,
+    UP,
+    n_coefficients,
+    normalize_level,
+    v_region,
+)
 
 Frac = Fraction
 
@@ -59,16 +68,12 @@ class AffineFrame:
 
 def reframe(base: AffineFrame, lo, hi, m: FatCantorLevel) -> AffineFrame:
     """Frame mapping the stage-m ambient [l-, r+] onto base.img([lo, hi])."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    scale = base.scale * (hi - lo) / (m.r_plus - m.l_minus)
-    offset = base.offset + base.scale * lo - scale * m.l_minus
-    return AffineFrame(offset, scale)
+    return AffineFrame(*n_coefficients(m.l_minus, m.r_plus, base.offset, base.scale, lo, hi))
 
 
 def frame_onto(x0: Fraction, x1: Fraction, m: FatCantorLevel) -> AffineFrame:
     """Frame mapping the stage-m ambient [l-, r+] onto [x0, x1]."""
-    scale = (x1 - x0) / (m.r_plus - m.l_minus)
-    return AffineFrame(x0 - scale * m.l_minus, scale)
+    return reframe(AffineFrame(Frac(0), Frac(1)), x0, x1, m)
 
 
 @dataclass
@@ -464,23 +469,6 @@ def _collinear(a: ConvexPoly, b: ConvexPoly) -> bool:
     return orient(a0, a1, b0) == 0 and orient(a0, a1, b1) == 0
 
 
-def _params_on_chart(chart: ConvexPoly, pieces: Sequence[ConvexPoly], clip: ConvexPoly):
-    """Pieces cut to the segment `clip`, as merged parameter intervals on the
-    line through `chart` (both segments must be collinear)."""
-    intervals = []
-    for piece in pieces:
-        inter = convex_intersection(piece, clip)
-        if inter is not None:
-            intervals.append(chart_interval(chart, inter))
-    merged: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return tuple(merged)
-
-
 def check_touch(z0: BlockRecord, z1: BlockRecord, d: Direction, graph: BlockGraph, t: int) -> bool:
     """Exact test of the three touch conditions at stage-t bodies."""
     if not any(e.dst == z0.id for e in graph.touches):
@@ -494,15 +482,14 @@ def check_touch(z0: BlockRecord, z1: BlockRecord, d: Direction, graph: BlockGrap
     body0 = graph.body(z0, t)
     body1 = graph.body(z1, t)
     a, b = e0.hverts
-    shared: list[ConvexPoly] = []
     for i, j in piece_pairs(body0, body1):
         inter = convex_intersection(body0[i], body1[j])
         if inter is None:
             continue
         if inter.dim() == 2 or any(orient(a, b, v) != 0 for v in inter.hverts):
             return False  # bodies meet away from the touch line
-        shared.append(inter)
-    s_edge0 = _params_on_chart(e0, body0, e0)
-    s_edge1 = _params_on_chart(e0, body1, e1)
-    s_shared = _params_on_chart(e0, shared, e0)
-    return bool(s_edge0) and s_edge0 == s_edge1 == s_shared
+    on0 = [meet for p in body0 if (meet := convex_intersection(p, e0)) is not None]
+    on1 = [meet for p in body1 if (meet := convex_intersection(p, e1)) is not None]
+    # on0 & on1 <= body0 & body1 & e0 <= on0, so on0 == on1 makes both equal
+    # the part of the touch line that the two bodies share
+    return bool(on0) and region_covers(on0, on1)[0] and region_covers(on1, on0)[0]

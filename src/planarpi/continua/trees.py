@@ -24,7 +24,7 @@ from ..geom import (
     segment,
     squared_distance,
 )
-from .dendrite import _base_pieces, rising_width
+from .dendrite import _base_pieces, _rising, rising_width
 
 Frac = Fraction
 
@@ -268,12 +268,8 @@ def build_dendrite_h(
         q = Frac(1, 1 << (t + 2))
         w_tree = w * (1 << (t + 2))
         legs_top = Frac(1, 1 << (t + 1))
-        if w == 0:
-            pieces.append(segment((x, 0), (x, legs_top)))
-        else:
-            pieces.append(segment((x - w, 0), (x - w, legs_top)))
-            pieces.append(segment((x + w, 0), (x + w, legs_top)))
-            gaps.append((x - w, x + w))
+        pieces.extend(_rising(x, w, legs_top, cap=False))
+        gaps.append((x - w, x + w))
         st = stage_function(script, t)
         if st is None:
             tree_pieces = _fat_edge_pieces(

@@ -4,21 +4,20 @@ Regions are finite unions of convex polygons which may degenerate to
 segments or points.  A piece keeps its vertices as homogeneous integer
 triples (X, Y, W), each the point (X/W, Y/W), with one W > 0 per piece: the
 least common denominator of its coordinates (`planarpi.intgeom`).
-Halfplane signs, clips, convex differences, containment, box tests, chart
-order and squared distances all run on Python ints; no float enters the
-kernel.
+Halfplane signs, clips, convex differences, containment, box tests, the
+order along a segment and squared distances all run on Python ints; no
+float enters the kernel.
 
 Rationals (ints, `fractions.Fraction`s or lowest-terms 'p/q' strings) are
 converted once, when a piece is made.  Fractions are made only where a
 value leaves the kernel: `ConvexPoly.vertices` and `bbox()`,
-`chart_interval`, `squared_distance`, the Scene JSON and the bounds of a
-Hausdorff enclosure.  Distances are never emitted as scalars, only as
+`squared_distance`, the Scene JSON and the bounds of a Hausdorff
+enclosure.  Distances are never emitted as scalars, only as
 rational enclosures.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import groupby
 from fractions import Fraction
@@ -48,7 +47,10 @@ def frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise TypeError(f"not a rational: {value!r}")
 
 
@@ -292,9 +294,6 @@ class RegionSnapshot:
         pieces = [ConvexPoly(p["verts"]) for p in doc["pieces"]]
         return RegionSnapshot(doc["stage"], pieces, frame)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"), sort_keys=True)
-
 
 def connectivity_components(region: RegionSnapshot) -> list[list[int]]:
     """Partition of piece indices: chains of pairwise-intersecting closed pieces."""
@@ -408,15 +407,6 @@ def convex_difference(a: ConvexPoly, b: ConvexPoly) -> list[ConvexPoly]:
             return out
         remainder = inside
     return out
-
-
-def chart_interval(seg: ConvexPoly, piece: ConvexPoly) -> tuple[Fraction, Fraction]:
-    """Parameter interval, along seg from its first vertex (0) to its last
-    (1), of a piece lying on seg's line."""
-    ((ax, ay), (bx, by), *pts), _ = scaled([*seg.hverts, *piece.hverts])
-    dx, dy = bx - ax, by - ay
-    ts = [Fraction((x - ax) * dx + (y - ay) * dy, dx * dx + dy * dy) for x, y in pts]
-    return min(ts), max(ts)
 
 
 def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
@@ -640,12 +630,7 @@ def _directed_sq_bounds(
             items.append((piece, lb, ub))
             global_lb = max(global_lb, lb)
             continue
-        halves = _split_piece(piece)
-        if not halves:
-            items.append((piece, ub, ub))
-            global_lb = max(global_lb, ub)
-            continue
-        for h in halves:
+        for h in _split_piece(piece):
             hlb, hub = bounds(h)
             global_lb = max(global_lb, hlb)
             items.append((h, hlb, min(hub, ub)))

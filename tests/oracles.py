@@ -2,10 +2,11 @@
 
 These deliberately avoid the code paths they check: connectivity is
 re-derived by rasterized flood fill with its own separating-axis cell test,
-the limit function by exhaustive state comparison, and the integer kernel of
+the limit function by exhaustive state comparison, the integer kernel of
 `planarpi.geom` by the `Fraction` kernel it replaced (clips, intersections,
 differences, containment, distances and Hausdorff bounds, all computed on
-`Fraction` vertices).
+`Fraction` vertices), and the fan's touch decision by the merge of `Fraction`
+chart parameters it replaced.
 """
 
 from __future__ import annotations
@@ -13,16 +14,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from planarpi import geom
 from planarpi.cesets import SequenceFamily, e_state
+from planarpi.continua.fanq import BlockGraph, BlockRecord, _collinear, _edge_segment
+from planarpi.continua.regions import Direction
 from planarpi.geom import (
     ConvexPoly,
     RegionSnapshot,
     frac,
     overlapping_pairs,
+    piece_pairs,
     rect,
     sqrt_lower,
     sqrt_upper,
 )
+from planarpi.intgeom import orient
 
 Point = tuple[Fraction, Fraction]
 
@@ -448,6 +454,56 @@ def directed_sq_bounds(
             hlb, hub = bounds(h)
             global_lb = max(global_lb, hlb)
             items.append((h, hlb, min(hub, ub)))
+
+
+# -- the touch decision ---------------------------------------------------------
+# `fanq.check_touch` as it decided on merged `Fraction` chart parameters, kept
+# as the differential reference for its decision by `region_covers`.  As
+# before, pieces are met through the integer kernel's `convex_intersection`.
+
+
+def _params_on_chart(chart: ConvexPoly, pieces: Sequence[ConvexPoly], clip: ConvexPoly):
+    """Pieces cut to the segment `clip`, as merged parameter intervals on the
+    line through `chart` (both segments must be collinear)."""
+    intervals = []
+    for piece in pieces:
+        inter = geom.convex_intersection(piece, clip)
+        if inter is not None:
+            intervals.append(chart_interval(chart, inter))
+    merged: list[tuple[Fraction, Fraction]] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def check_touch(z0: BlockRecord, z1: BlockRecord, d: Direction, graph: BlockGraph, t: int) -> bool:
+    """Exact test of the three touch conditions at stage-t bodies."""
+    if not any(e.dst == z0.id for e in graph.touches):
+        return False  # (2) z0 not yet reached
+    if any(e.src == z1.id and e.dst == z0.id for e in graph.touches):
+        return False  # (3) reverse touch exists
+    e0 = _edge_segment(z0.box, d)
+    e1 = _edge_segment(z1.box, d.reverse())
+    if e0.dim() != 1 or e1.dim() != 1 or not _collinear(e0, e1):
+        return False
+    body0 = graph.body(z0, t)
+    body1 = graph.body(z1, t)
+    a, b = e0.hverts
+    shared: list[ConvexPoly] = []
+    for i, j in piece_pairs(body0, body1):
+        inter = geom.convex_intersection(body0[i], body1[j])
+        if inter is None:
+            continue
+        if inter.dim() == 2 or any(orient(a, b, v) != 0 for v in inter.hverts):
+            return False  # bodies meet away from the touch line
+        shared.append(inter)
+    s_edge0 = _params_on_chart(e0, body0, e0)
+    s_edge1 = _params_on_chart(e0, body1, e1)
+    s_shared = _params_on_chart(e0, shared, e0)
+    return bool(s_edge0) and s_edge0 == s_edge1 == s_shared
 
 
 # -- the limit function ---------------------------------------------------------

@@ -149,6 +149,10 @@ def scene_with_frame(x0: str, y0: str, x1: str, y1: str) -> str:
 
 
 UNIT_SCENE = scene_with_frame("0", "0", "1", "1")
+ZERO_DENOMINATOR_VERTEX = json.dumps(
+    {"stage": 0, "pieces": [{"verts": [["1/0", "0"]]}], "frame": [["0", "0"], ["1", "1"]]}
+)
+HALF_STAGE = json.dumps({"stage": 1.5, "pieces": [], "frame": [["0", "0"], ["1", "1"]]})
 
 
 def render_argv(*extra: str) -> list[str]:
@@ -218,6 +222,11 @@ BAD_INPUTS = [
      "x0 < x1"),
     ("render-negative-width", {"s.json": UNIT_SCENE}, render_argv("--width", "-5"), "--width"),
     ("render-zero-width", {"s.json": UNIT_SCENE}, render_argv("--width", "0"), "--width"),
+    ("render-zero-denominator-frame", {"s.json": scene_with_frame("1/0", "0", "1", "1")},
+     render_argv(), "zero denominator"),
+    ("hausdorff-zero-denominator-vertex", {"s.json": ZERO_DENOMINATOR_VERTEX},
+     ["hausdorff", "--scene-a", "s.json", "--scene-b", "s.json"], "zero denominator"),
+    ("render-stage-not-an-integer", {"s.json": HALF_STAGE}, render_argv(), "natural number"),
     ("hausdorff-negative-tol-exp", {"s.json": UNIT_SCENE},
      ["hausdorff", "--scene-a", "s.json", "--scene-b", "s.json", "--tol-exp", "-1"], "--tol-exp"),
 ]

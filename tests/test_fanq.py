@@ -2,24 +2,32 @@
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction as F
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
+import oracles
 from planarpi.cantor import TreePresentation, fat_level, full_tree
 from planarpi.cli import main
 from planarpi.continua.fanq import (
+    BlockGraph,
     BlockRecord,
     DestinationTrack,
+    TouchEdge,
+    _edge_segment,
     build_cantor_fan_q,
     check_touch,
     q_snapshots,
 )
-from planarpi.continua.regions import LEFT, RIGHT, UP
+from planarpi.continua.regions import DOWN, LEFT, RIGHT, UP
 from planarpi.geom import (
     RegionSnapshot,
+    _split_piece,
     connectivity_components,
+    convex_intersection,
     rect,
     region_covers,
     regions_equal,
@@ -319,58 +327,113 @@ class TestSnapshots:
         assert rep.verdict == "pass", rep.witness
 
 
+def solid_graph():
+    """Hand-built configuration of solid blocks chained <- <- v ->."""
+
+    def solid(bid, box):
+        return BlockRecord(
+            id=bid,
+            creation_stage=0,
+            kind="end-box",
+            d_in=None,
+            d_out=None,
+            frame_stage=0,
+            box=tuple(F(v) for v in box),
+        )
+
+    z_first = solid(0, (5, 11, 0, 5))
+    z0 = solid(1, (0, 5, 0, 5))
+    z1 = solid(2, (0, 5, -5, 0))
+    z2 = solid(3, (5, 9, -5, 0))
+    graph = BlockGraph(tree=full_tree(), blocks=[z_first, z0, z1, z2])
+    graph.touches = [
+        TouchEdge(None, 0, LEFT),
+        TouchEdge(0, 1, LEFT),
+        TouchEdge(1, 2, DOWN),
+        TouchEdge(2, 3, RIGHT),
+    ]
+    return graph
+
+
 class TestCheckTouch:
-    def _solid_graph(self):
-        """Hand-built configuration of solid blocks chained <- <- v ->."""
-        from planarpi.continua.fanq import BlockGraph, BlockRecord, TouchEdge
-        from planarpi.continua.regions import DOWN
-
-        def solid(bid, box):
-            return BlockRecord(
-                id=bid,
-                creation_stage=0,
-                kind="end-box",
-                d_in=None,
-                d_out=None,
-                frame_stage=0,
-                box=tuple(F(v) for v in box),
-            )
-
-        z_first = solid(0, (5, 11, 0, 5))
-        z0 = solid(1, (0, 5, 0, 5))
-        z1 = solid(2, (0, 5, -5, 0))
-        z2 = solid(3, (5, 9, -5, 0))
-        graph = BlockGraph(tree=full_tree(), blocks=[z_first, z0, z1, z2])
-        graph.touches = [
-            TouchEdge(None, 0, LEFT),
-            TouchEdge(0, 1, LEFT),
-            TouchEdge(1, 2, DOWN),
-            TouchEdge(2, 3, RIGHT),
-        ]
-        return graph
-
     def test_solid_chain_all_true(self):
-        from planarpi.continua.regions import DOWN
-
-        graph = self._solid_graph()
+        graph = solid_graph()
         z = {b.id: b for b in graph.blocks}
         assert check_touch(z[0], z[1], LEFT, graph, 0)
         assert check_touch(z[1], z[2], DOWN, graph, 0)
         assert check_touch(z[2], z[3], RIGHT, graph, 0)
 
     def test_disjoint_boxes_false(self):
-        graph = self._solid_graph()
+        graph = solid_graph()
         z = {b.id: b for b in graph.blocks}
         assert not check_touch(z[0], z[2], LEFT, graph, 0)
 
     def test_unreached_source_false(self):
-        from planarpi.continua.fanq import BlockGraph, TouchEdge
-
-        graph = self._solid_graph()
+        graph = solid_graph()
         # drop all incoming edges of block 1: condition (2) must fail
         graph.touches = [e for e in graph.touches if e.dst != 1]
         z = {b.id: b for b in graph.blocks}
         assert not check_touch(z[1], z[2], LEFT, graph, 0)
+
+
+class _OneBodySwapped:
+    """A block graph's touches and bodies, with one block's body replaced."""
+
+    def __init__(self, graph, block, body):
+        self.touches = graph.touches
+        self._graph, self._block, self._body = graph, block, body
+
+    def body(self, block, t):
+        return self._body if block is self._block else self._graph.body(block, t)
+
+
+def _touch_cases(graph, z0, z1, d, t):
+    """The touch as given, reversed, and with one piece of either body that
+    meets the touch line dropped or halved."""
+    yield z0, z1, d, graph, t
+    yield z0, z1, d.reverse(), graph, t
+    for z, edge in ((z0, _edge_segment(z0.box, d)), (z1, _edge_segment(z1.box, d.reverse()))):
+        body = graph.body(z, t)
+        for i, piece in enumerate(body):
+            if convex_intersection(piece, edge) is None:
+                continue
+            rest = body[:i] + body[i + 1 :]
+            yield z0, z1, d, _OneBodySwapped(graph, z, rest), t
+            yield z0, z1, d, _OneBodySwapped(graph, z, [*rest, _split_piece(piece)[0]]), t
+
+
+class TestCheckTouchMatchesChartMerge:
+    """`check_touch` decides by two `region_covers` calls what the merge of
+    Fraction chart parameters in `tests/oracles.py` decided."""
+
+    def _assert_matches(self, cases) -> None:
+        verdicts = Counter()
+        for case in cases:
+            got = check_touch(*case)
+            assert got == oracles.check_touch(*case), case[:3] + case[4:]
+            verdicts[got] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_fan_touches_at_stages_0_to_6(self):
+        # every touch edge of the stage-6 replay at every stage from its
+        # later block's creation to 6
+        tree, track, stage = config_fan(6)
+        _, graph = build_cantor_fan_q(stage, tree, track)
+        cases = []
+        for e in (e for e in graph.touches if e.src is not None):
+            z0, z1 = graph.block(e.src), graph.block(e.dst)
+            for t in range(max(z0.creation_stage, z1.creation_stage), stage + 1):
+                cases.extend(_touch_cases(graph, z0, z1, e.direction, t))
+        self._assert_matches(cases)
+
+    def test_solid_graph(self):
+        graph = solid_graph()
+        cases = []
+        for z0, z1 in permutations(graph.blocks, 2):
+            for d in (LEFT, RIGHT, UP, DOWN):
+                cases.extend(_touch_cases(graph, z0, z1, d, 0))
+        self._assert_matches(cases)
+
 
 class TestBodyMemo:
     def test_each_body_built_once(self, tmp_path, monkeypatch):

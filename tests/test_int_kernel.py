@@ -21,7 +21,6 @@ import planarpi.geom as geom
 from planarpi.cli import CONSTRUCTIONS
 from planarpi.geom import (
     ConvexPoly,
-    chart_interval,
     clip_halfplane,
     convex_difference,
     convex_intersection,
@@ -93,8 +92,6 @@ def _assert_pair_matches(a: ConvexPoly, b: ConvexPoly) -> None:
     assert inter == oracles.convex_intersection(a, b)
     assert convex_difference(a, b) == oracles.convex_difference(a, b)  # pieces and order
     assert squared_distance(a, b) == oracles.squared_distance(a, b)
-    if a.dim() == 1 and inter is not None:
-        assert chart_interval(a, inter) == oracles.chart_interval(a, inter)
 
 
 class TestDrawnPieces:
@@ -125,15 +122,6 @@ class TestDrawnPieces:
         if with_box:
             cover.append(rect(*other.vertices[1], *seg.vertices[1]))
         assert region_covers(cover, [seg]) == oracles.region_covers(cover, [seg])
-
-    @settings(max_examples=200, deadline=None)
-    @given(SEGMENTS, st.lists(st.integers(-6, 12), min_size=1, max_size=3))
-    def test_chart_interval_matches_oracle(self, seg, ks):
-        # points and segments on seg's line, at thirds and sixths of seg
-        a, b = seg.vertices
-        pts = [(a[0] + (b[0] - a[0]) * F(k, 6), a[1] + (b[1] - a[1]) * F(k, 6)) for k in ks]
-        piece = ConvexPoly(pts)
-        assert chart_interval(seg, piece) == oracles.chart_interval(seg, piece)
 
 
 @pytest.fixture(scope="module")
