@@ -16,7 +16,7 @@ BITS = ("0", "1")
 
 
 def check_bits(sigma: str) -> str:
-    if any(c not in "01" for c in sigma):
+    if not isinstance(sigma, str) or sigma.strip("01"):
         raise ValueError(f"not a binary string: {sigma!r}")
     return sigma
 
@@ -73,19 +73,21 @@ class TreePresentation:
         return not self._covered(check_bits(sigma), stage)
 
     def level(self, length: int, stage: int) -> list[str]:
-        """Surviving strings of the given length, lexicographically sorted."""
-        out = []
-        work = [""]
-        for _ in range(length):
-            nxt = []
-            for sigma in work:
-                for b in BITS:
-                    if self.survives(sigma + b, stage):
-                        nxt.append(sigma + b)
-            work = nxt
-        if length == 0:
-            work = [s for s in work if self.survives(s, stage)]
-        return sorted(work)
+        """Surviving strings of the given length, lexicographically sorted.
+
+        Survival is tested only down to length `max_prune_len`: no pruned
+        string is longer, and `_covered` applies no closure at that length or
+        beyond, so a longer string survives iff its prefix of that length does.
+        """
+        depth = min(length, self.max_prune_len)
+        # the root needs its own test only when no level below it is walked
+        work = [""] if depth or not self._covered("", stage) else []
+        for _ in range(depth):
+            work = [
+                sigma + b for sigma in work for b in BITS if not self._covered(sigma + b, stage)
+            ]
+        tails = all_strings(length - depth)
+        return [sigma + tail for sigma in work for tail in tails]
 
     def is_empty(self, stage: int) -> bool:
         return not self.survives("", stage)
@@ -112,13 +114,17 @@ def single_path_tree(path_bit: str = "0", depth: int = 16, stage: int = 0) -> Tr
 # -- the middle-thirds coding -------------------------------------------------
 
 
+def _ternary_code(sigma: str) -> int:
+    """The bits read as ternary digits 0 and 2, in one integer."""
+    return int("0" + sigma.replace("1", "2"), 3)
+
+
 def cantor_coord(sigma: str) -> Fraction:
     """Left endpoint (un-padded) of sigma's middle-thirds level interval."""
     check_bits(sigma)
-    # 1/3 + sum of 2 * 3^-(i+2) over the 1-bits, with the bits read as
-    # ternary digits 0 and 2 in one integer
+    # 1/3 + sum of 2 * 3^-(i+2) over the 1-bits
     k = len(sigma)
-    return Fraction(3**k + int("0" + sigma.replace("1", "2"), 3), 3 ** (k + 1))
+    return Fraction(3**k + _ternary_code(sigma), 3 ** (k + 1))
 
 
 def pad_eps(s: int) -> Fraction:
@@ -171,12 +177,13 @@ def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
     strings = tree.level(s, s)
     if not strings:
         raise ValueError(f"tree level {s} is empty")
-    eps = pad_eps(s)
-    width = Fraction(1, 3 ** (s + 1))
+    # with n/3^(s+2) = cantor_coord(sigma), the interval is [n - 1, n + 4]
+    # over 3^(s+2); both ends are prime to 3, so already in lowest terms
+    base, den = 3**s, 3 ** (s + 2)
     intervals = []
     for sigma in strings:
-        left = cantor_coord(sigma)
-        intervals.append((left - eps, left + width + eps))
+        n = 3 * (base + _ternary_code(sigma))
+        intervals.append((Fraction(n - 1, den), Fraction(n + 4, den)))
     level = FatCantorLevel(stage=s, intervals=tuple(intervals))
     cache[s] = level
     return level

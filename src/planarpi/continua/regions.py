@@ -14,8 +14,6 @@ from typing import Sequence
 from ..cantor import fat_level
 from ..geom import ConvexPoly, box_piece, clip_halfplane, frac, rect, to_ints
 
-Frac = Fraction
-
 
 @dataclass(frozen=True)
 class Direction:
@@ -148,5 +146,10 @@ def normalize_level(tree, s: int, t: int) -> list[tuple[Fraction, Fraction]]:
         raise ValueError("normalization needs t >= s")
     frame = fat_level(tree, s)
     lvl = fat_level(tree, t)
-    span = frame.r_plus - frame.l_minus
-    return [((lo - frame.l_minus) / span, (hi - frame.l_minus) / span) for lo, hi in lvl.intervals]
+    # every stage-s endpoint has denominator exactly 3^(s+2): bring the
+    # frame's numerators over 3^(t+2) and make each endpoint in one step
+    k = 3 ** (t - s)
+    l0 = frame.l_minus.numerator * k
+    span = frame.r_plus.numerator * k - l0
+    return [(Fraction(lo.numerator - l0, span), Fraction(hi.numerator - l0, span))
+            for lo, hi in lvl.intervals]

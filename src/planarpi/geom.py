@@ -18,6 +18,7 @@ rational enclosures.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import groupby
 from fractions import Fraction
@@ -40,17 +41,26 @@ Point = tuple[Fraction, Fraction]
 FRAME = (Fraction(-2), Fraction(-2), Fraction(2), Fraction(2))
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def frac(value) -> Fraction:
-    """Parse a rational from int, Fraction, or a lowest-terms 'p/q' string."""
+    """Parse a rational from int, Fraction, or a lowest-terms 'p/q' string.
+
+    A bool is not a number here, and a string must be ASCII digits with an
+    optional sign and denominator: no decimal point, exponent or spaces.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {value!r}") from None
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"not a rational 'p/q' string: {value!r}")
+        num, _, den = value.partition("/")
+        if den and not int(den):
+            raise ValueError(f"zero denominator: {value!r}")
+        return Fraction(int(num), int(den or 1))
     raise TypeError(f"not a rational: {value!r}")
 
 

@@ -5,8 +5,10 @@ re-derived by rasterized flood fill with its own separating-axis cell test,
 the limit function by exhaustive state comparison, the integer kernel of
 `planarpi.geom` by the `Fraction` kernel it replaced (clips, intersections,
 differences, containment, distances and Hausdorff bounds, all computed on
-`Fraction` vertices), and the fan's touch decision by the merge of `Fraction`
-chart parameters it replaced.
+`Fraction` vertices), the fan's touch decision by the merge of `Fraction`
+chart parameters it replaced, and the fat Cantor levels by the code they
+replaced: a survival test on every string of every length, and four
+`Fraction`s per interval.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from planarpi import geom
+from planarpi.cantor import BITS, FatCantorLevel, check_bits, pad_eps
 from planarpi.cesets import SequenceFamily, e_state
 from planarpi.continua.fanq import BlockGraph, BlockRecord, _collinear, _edge_segment
 from planarpi.continua.regions import Direction
@@ -514,3 +517,49 @@ def brute_force_limit_f(fam: SequenceFamily, e: int, stage: int, bound: int) -> 
     states = [(e_state(fam, e, y, stage), -y) for y in range(bound + 1)]
     best = max(states)
     return -best[1]
+
+
+# -- fat Cantor levels: every string tested, four Fractions per interval -------
+
+
+def level(tree, length: int, stage: int) -> list[str]:
+    """Surviving strings of the given length, lexicographically sorted."""
+    work = [""]
+    for _ in range(length):
+        nxt = []
+        for sigma in work:
+            for b in BITS:
+                if tree.survives(sigma + b, stage):
+                    nxt.append(sigma + b)
+        work = nxt
+    if length == 0:
+        work = [s for s in work if tree.survives(s, stage)]
+    return sorted(work)
+
+
+def cantor_coord(sigma: str) -> Fraction:
+    """Left endpoint (un-padded) of sigma's middle-thirds level interval."""
+    check_bits(sigma)
+    k = len(sigma)
+    return Fraction(3**k + int("0" + sigma.replace("1", "2"), 3), 3 ** (k + 1))
+
+
+def fat_level(tree, s: int) -> FatCantorLevel:
+    """Level-s intervals J(sigma) = [pi - eps, pi + 3^-(s+1) + eps], eps = 3^-(s+2);
+    computed afresh on every call, with no cache."""
+    strings = level(tree, s, s)
+    if not strings:
+        raise ValueError(f"tree level {s} is empty")
+    eps = pad_eps(s)
+    width = Fraction(1, 3 ** (s + 1))
+    intervals = []
+    for sigma in strings:
+        left = cantor_coord(sigma)
+        intervals.append((left - eps, left + width + eps))
+    return FatCantorLevel(stage=s, intervals=tuple(intervals))
+
+
+def normalize_level(frame: FatCantorLevel, lvl: FatCantorLevel) -> list[Point]:
+    """Stage-t fat level `lvl` rescaled by the stage-s frame onto [0, 1]."""
+    span = frame.r_plus - frame.l_minus
+    return [((lo - frame.l_minus) / span, (hi - frame.l_minus) / span) for lo, hi in lvl.intervals]

@@ -1,9 +1,14 @@
 """Trees, fat levels, symmetrization, and the stutter embedding."""
 
+import contextlib
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planarpi.cantor import (
     TreePresentation,
@@ -20,6 +25,9 @@ from planarpi.cantor import (
     symmetrize,
     tree_immune_witness,
 )
+from planarpi.continua import normalize_level
+
+import oracles
 
 
 def random_presentation(rng: random.Random, depth: int = 7, entries: int = 6):
@@ -126,6 +134,85 @@ class TestFatLevels:
             nxt = fat_level(tree, s + 1)
             assert nxt.min_point() > lvl.l_star
             assert nxt.max_point() < lvl.r_star
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_PRUNES = [
+    [tuple(entry) for entry in json.loads(path.read_text())["P"]["prune"]]
+    for path in sorted(CONFIGS.glob("*.json"))
+    if "P" in json.loads(path.read_text())
+]
+# schedules as criterion 3 draws them: up to 8 strings of length 1..8, each
+# pruned after a stage in 0..10
+SCHEDULES = st.lists(
+    st.tuples(st.text("01", min_size=1, max_size=8), st.integers(0, 10)), max_size=8
+)
+
+
+def with_config_prunes(**fixed):
+    """Run a test on every config's schedule as well as on drawn ones, and on
+    two that prune the root: alone, so that `level` walks no length, and with
+    a longer string.  `fixed` gives the test's other arguments for these."""
+
+    def add_examples(test):
+        for prune in CONFIG_PRUNES + [[("", 3)], [("", 0), ("01", 5)]]:
+            test = example(prune=prune, **fixed)(test)
+        return test
+
+    return add_examples
+
+
+def as_ints(intervals):
+    return [(lo.numerator, lo.denominator, hi.numerator, hi.denominator) for lo, hi in intervals]
+
+
+class TestMatchesOracle:
+    """`level`, `fat_level` and `normalize_level` equal the code they replaced,
+    each side on its own fresh tree."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(prune=SCHEDULES, stage=st.integers(0, 14))
+    @with_config_prunes(stage=14)
+    def test_level(self, prune, stage):
+        tree, old = TreePresentation(prune), TreePresentation(prune)
+        for length in range(15):
+            assert tree.level(length, stage) == oracles.level(old, length, stage)
+
+    @settings(max_examples=4, deadline=None)
+    @given(prune=SCHEDULES, order=st.permutations(range(15)))
+    @with_config_prunes(order=[7, 14, 0, 13, 3, 12, 1, 11, 2, 10, 4, 9, 5, 8, 6])
+    def test_fat_level_in_any_order(self, prune, order):
+        tree, old = TreePresentation(prune), TreePresentation(prune)
+        for s in order:
+            try:
+                expected = as_ints(oracles.fat_level(old, s).intervals)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    fat_level(tree, s)
+            else:
+                assert as_ints(fat_level(tree, s).intervals) == expected
+
+    @settings(max_examples=5, deadline=None)
+    @given(prune=SCHEDULES)
+    @with_config_prunes()
+    def test_normalize_level(self, prune):
+        tree, old = TreePresentation(prune), TreePresentation(prune)
+        if tree.is_empty(10):
+            return
+        levels = [oracles.fat_level(old, s) for s in range(11)]
+        for s in range(11):
+            for t in range(s, 11):
+                expected = oracles.normalize_level(levels[s], levels[t])
+                assert as_ints(normalize_level(tree, s, t)) == as_ints(expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(prune=SCHEDULES)
+    @with_config_prunes()
+    def test_fat_levels_test_survival_only_to_the_prune_horizon(self, prune):
+        tree = TreePresentation(prune)
+        with contextlib.suppress(ValueError):  # an empty level is walked all the same
+            fat_level(tree, 12)
+        assert max(len(sigma) for sigma, _ in tree._covered_cache) <= tree.max_prune_len
 
 
 class TestSymmetrize:

@@ -149,10 +149,19 @@ def scene_with_frame(x0: str, y0: str, x1: str, y1: str) -> str:
 
 
 UNIT_SCENE = scene_with_frame("0", "0", "1", "1")
-ZERO_DENOMINATOR_VERTEX = json.dumps(
-    {"stage": 0, "pieces": [{"verts": [["1/0", "0"]]}], "frame": [["0", "0"], ["1", "1"]]}
-)
+
+
+def scene_with_vertex(x) -> str:
+    return json.dumps(
+        {"stage": 0, "pieces": [{"verts": [[x, "0"]]}], "frame": [["0", "0"], ["1", "1"]]}
+    )
+
+
+ZERO_DENOMINATOR_VERTEX = scene_with_vertex("1/0")
 HALF_STAGE = json.dumps({"stage": 1.5, "pieces": [], "frame": [["0", "0"], ["1", "1"]]})
+
+
+HAUSDORFF_ARGV = ["hausdorff", "--scene-a", "s.json", "--scene-b", "s.json"]
 
 
 def render_argv(*extra: str) -> list[str]:
@@ -210,10 +219,16 @@ BAD_INPUTS = [
     ("prune-stage-not-an-integer",
      {"c.json": '{"construction": "plotted-tree", "P": {"prune": [["1", 0.5]]}}'}, build_argv(),
      "natural number"),
+    ("prune-string-not-a-string",
+     {"c.json": '{"construction": "plotted-tree", "P": {"prune": [[["1"], 0]]}, "stage": 3}'},
+     build_argv(), "not a binary string"),
+    ("prune-string-not-a-string-at-stage-0",
+     {"c.json": '{"construction": "plotted-tree", "P": {"prune": [[["1"], 0]]}, "stage": 0}'},
+     build_argv(), "not a binary string"),
     ("render-scene-without-frame", {"s.json": NO_FRAME},
      ["render", "--scene", "s.json", "--out", "out.json"], "'frame'"),
     ("hausdorff-scene-without-frame", {"s.json": NO_FRAME},
-     ["hausdorff", "--scene-a", "s.json", "--scene-b", "s.json"], "'frame'"),
+     HAUSDORFF_ARGV, "'frame'"),
     ("render-zero-width-frame", {"s.json": scene_with_frame("1", "0", "1", "1")}, render_argv(),
      "x0 < x1"),
     ("render-zero-height-frame", {"s.json": scene_with_frame("0", "1/2", "1", "1/2")},
@@ -225,10 +240,16 @@ BAD_INPUTS = [
     ("render-zero-denominator-frame", {"s.json": scene_with_frame("1/0", "0", "1", "1")},
      render_argv(), "zero denominator"),
     ("hausdorff-zero-denominator-vertex", {"s.json": ZERO_DENOMINATOR_VERTEX},
-     ["hausdorff", "--scene-a", "s.json", "--scene-b", "s.json"], "zero denominator"),
+     HAUSDORFF_ARGV, "zero denominator"),
+    ("hausdorff-bool-vertex", {"s.json": scene_with_vertex(True)}, HAUSDORFF_ARGV,
+     "not a rational"),
+    ("hausdorff-decimal-vertex", {"s.json": scene_with_vertex("0.5")}, HAUSDORFF_ARGV,
+     "not a rational"),
+    ("hausdorff-exponent-vertex", {"s.json": scene_with_vertex("1e999")}, HAUSDORFF_ARGV,
+     "not a rational"),
     ("render-stage-not-an-integer", {"s.json": HALF_STAGE}, render_argv(), "natural number"),
-    ("hausdorff-negative-tol-exp", {"s.json": UNIT_SCENE},
-     ["hausdorff", "--scene-a", "s.json", "--scene-b", "s.json", "--tol-exp", "-1"], "--tol-exp"),
+    ("hausdorff-negative-tol-exp", {"s.json": UNIT_SCENE}, [*HAUSDORFF_ARGV, "--tol-exp", "-1"],
+     "--tol-exp"),
 ]
 
 
