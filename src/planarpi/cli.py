@@ -116,12 +116,12 @@ def _load_scene(path: str) -> RegionSnapshot:
     doc = _read_json(path, "scene")
     try:
         scene = RegionSnapshot.from_json(doc)
-    except (KeyError, TypeError, IndexError) as exc:
+        check_natural(doc["stage"], "stage")
+        x0, y0, x1, y1 = scene.frame
+        if not (x0 < x1 and y0 < y1):
+            raise ValueError("needs a frame with x0 < x1 and y0 < y1")
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed scene {path}: {type(exc).__name__} {exc}") from None
-    check_natural(doc["stage"], f"scene {path} stage")
-    x0, y0, x1, y1 = scene.frame
-    if not (x0 < x1 and y0 < y1):
-        raise ValueError(f"scene {path} needs a frame with x0 < x1 and y0 < y1")
     return scene
 
 

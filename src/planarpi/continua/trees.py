@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from ..cantor import TreePresentation, cantor_coord, check_bits, leftmost_path
+from ..cantor import TreePresentation, _ternary_code, cantor_coord, check_bits, leftmost_path
 from ..cesets import EnumerationScript, stage_function
 from ..balls import BallSpec
 from ..geom import (
@@ -23,6 +23,7 @@ from ..geom import (
     rect,
     segment,
     squared_distance,
+    to_ints,
 )
 from .dendrite import _base_pieces, _rising, rising_width
 
@@ -181,29 +182,39 @@ def recover_tree(presentation, stage: int, depth: int) -> RecoveredTree:
 # -- fat approximations -------------------------------------------------------
 
 
-def _fat_edge_pieces(
-    edges: Sequence[str], leaves: Sequence[str], w: Fraction
+def _fat_pieces(
+    edges: Sequence[str], leaves: Sequence[str], w: Fraction, depth: int, affine=(1, 0, 1, 0)
 ) -> list[ConvexPoly]:
-    """Two shifted copies per edge plus a cap joining the copies at each leaf.
+    """Two shifted copies per edge plus a cap joining the copies at each leaf,
+    mapped by (x, y) -> (ax*x + bx, ay*y + by) for affine = (ax, bx, ay, by).
 
-    The caps are the stage-bounded stand-in for the closure of the infinite
-    fat tree; with w = 0 everything collapses onto the plotted edges.
+    The copy of vertex sigma shifted by sign * w * 3^-len(sigma) is
+    (X / (2 * 3^depth * den(w)), Y / 2^depth) for integers X and Y, and the
+    map is composed onto them, so each vertex is one integer triple over one
+    denominator.  The caps are the stage-bounded stand-in for the closure of
+    the infinite fat tree; with w = 0 everything collapses onto the plotted
+    edges.
     """
-    pieces = []
-    for sigma in edges:
-        pa = plot_point(sigma[:-1])
-        pb = plot_point(sigma)
-        off_a = Frac(1, 3 ** (len(sigma) - 1)) * w
-        off_b = Frac(1, 3 ** len(sigma)) * w
-        for sign in (-1, 1):
-            pieces.append(
-                segment((pa[0] + sign * off_a, pa[1]), (pb[0] + sign * off_b, pb[1]))
-            )
-    if w != 0:
-        for sigma in leaves:
-            p = plot_point(sigma)
-            off = Frac(1, 3 ** len(sigma)) * w
-            pieces.append(segment((p[0] - off, p[1]), (p[0] + off, p[1])))
+    ax, bx, ay, by = affine
+    wn, wd = w.numerator, w.denominator
+    (a, b, g, e), m = to_ints(Frac(ax, 2 * 3**depth * wd), bx, Frac(ay, 1 << depth), by)
+    copies: dict[tuple[str, int], tuple[int, int, int]] = {}
+
+    def copy(sigma: str, sign: int) -> tuple[int, int, int]:
+        if (sigma, sign) not in copies:
+            k = depth - len(sigma)
+            x = ((1 + 2 * _ternary_code(sigma)) * wd + 2 * sign * wn) * 3**k
+            copies[sigma, sign] = (a * x + b, g * (1 << k) + e, m)
+        return copies[sigma, sign]
+
+    signs = (-1, 1) if wn else (1,)  # with w = 0 the two copies coincide
+    pieces = [
+        ConvexPoly._convex([copy(sigma[:-1], sign), copy(sigma, sign)])
+        for sigma in edges
+        for sign in signs
+    ]
+    if wn:
+        pieces.extend(ConvexPoly._convex([copy(sigma, -1), copy(sigma, 1)]) for sigma in leaves)
     return pieces
 
 
@@ -213,11 +224,12 @@ def fat_tree(
     """Edge set of the width-w fat approximation, truncated at the given depth."""
     edges = _tree_edges(tree, stage, depth)
     leaves = tree.level(depth, stage)
-    return RegionSnapshot(stage, _fat_edge_pieces(edges, leaves, Fraction(w)))
+    return RegionSnapshot(stage, _fat_pieces(edges, leaves, Fraction(w), depth))
 
 
-def _place(p: tuple[Fraction, Fraction], c: Fraction, t: int, q: Fraction):
-    return (c + q * (p[0] - Frac(1, 2)), (2 - p[1]) / (1 << (t + 1)))
+def _placement(c: Fraction, t: int, q: Fraction):
+    """The affine map x -> c + q * (x - 1/2), y -> (2 - y) / 2^(t+1)."""
+    return q, c - q / 2, Frac(-1, 1 << (t + 1)), Frac(1, 1 << t)
 
 
 def placed_fat_tree(
@@ -230,22 +242,13 @@ def placed_fat_tree(
     depth: int,
 ) -> RegionSnapshot:
     """Fat tree mapped into [c-q/2, c+q/2] x [2^-(t+1), 2^-t] (root at the bottom)."""
-    base = fat_tree(tree, w, stage, depth)
-    c, q = Fraction(c), Fraction(q)
-    pieces = [
-        ConvexPoly([_place(v, c, t, q) for v in piece.vertices])
-        for piece in base.pieces
-    ]
-    return RegionSnapshot(stage, pieces)
+    edges = _tree_edges(tree, stage, depth)
+    leaves = tree.level(depth, stage)
+    place = _placement(Fraction(c), t, Fraction(q))
+    return RegionSnapshot(stage, _fat_pieces(edges, leaves, Fraction(w), depth, place))
 
 
 # -- the tree dendrite --------------------------------------------------------
-
-
-def _path_tree_pieces(path: str, w: Fraction) -> list[ConvexPoly]:
-    edges = [path[: k + 1] for k in range(len(path))]
-    leaves = [path] if path else []
-    return _fat_edge_pieces(edges, leaves, w)
 
 
 def build_dendrite_h(
@@ -260,28 +263,23 @@ def build_dendrite_h(
     if tree.is_empty(stage):
         raise ValueError("empty tree presentation")
     depth = max(stage, 1)
+    full = _tree_edges(tree, stage, depth), tree.level(depth, stage)
     pieces: list[ConvexPoly] = []
     gaps = []
     for t in range(stage + 1):
         x = Frac(1, 1 << t)
         w = rising_width(script, t)
-        q = Frac(1, 1 << (t + 2))
-        w_tree = w * (1 << (t + 2))
         legs_top = Frac(1, 1 << (t + 1))
         pieces.extend(_rising(x, w, legs_top, cap=False))
         gaps.append((x - w, x + w))
         st = stage_function(script, t)
         if st is None:
-            tree_pieces = _fat_edge_pieces(
-                _tree_edges(tree, stage, depth), tree.level(depth, stage), w_tree
-            )
+            edges, leaves = full
         else:
             path = leftmost_path(tree, st, depth)
-            tree_pieces = _path_tree_pieces(path, w_tree)
-        pieces.extend(
-            ConvexPoly([_place(v, x, t, q) for v in piece.vertices])
-            for piece in tree_pieces
-        )
+            edges, leaves = [path[: k + 1] for k in range(depth)], [path]
+        place = _placement(x, t, Frac(1, 1 << (t + 2)))
+        pieces.extend(_fat_pieces(edges, leaves, w * (1 << (t + 2)), depth, place))
     pieces.extend(_base_pieces(gaps))
     return RegionSnapshot(stage, pieces)
 

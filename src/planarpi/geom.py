@@ -170,7 +170,8 @@ def box_piece(x0: int, y0: int, x1: int, y1: int, d: int) -> ConvexPoly:
 
 
 def segment(a, b) -> ConvexPoly:
-    return ConvexPoly([a, b])
+    (ax, ay, bx, by), d = to_ints(*a, *b)
+    return ConvexPoly._convex([(ax, ay, d), (bx, by, d)])
 
 
 def point(x, y) -> ConvexPoly:
@@ -380,9 +381,9 @@ def _halfplanes(piece: ConvexPoly):
         yield dx * bw, dy * bw, -(dx * bx + dy * by)  # (r - b).d <= 0
 
 
-def _inside(piece: ConvexPoly, p: Hom) -> bool:
-    x, y, w = p
-    return all(a * x + b * y + c * w <= 0 for a, b, c in _halfplanes(piece))
+def _inside(piece: ConvexPoly, *pts: Hom) -> bool:
+    """Every point lies in the closed piece."""
+    return all(a * x + b * y + c * w <= 0 for a, b, c in _halfplanes(piece) for x, y, w in pts)
 
 
 def convex_intersection(a: ConvexPoly, b: ConvexPoly) -> Optional[ConvexPoly]:
@@ -433,6 +434,9 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
         near[j].append(i)
     for t, idx in zip(target, near):
         near_cover = [cover[i] for i in sorted(idx)]
+        # a convex target lies in a closed convex piece iff its vertices do
+        if any(_inside(c, *t.hverts) for c in near_cover):
+            continue
         if t.dim() == 2:
             work = [t]
             for c in near_cover:
@@ -463,9 +467,7 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
             if reach < ends[1]:
                 return False, ConvexPoly._convex([(*reach, d), t.hverts[1]])
         else:
-            p = t.hverts[0]
-            if not any(_inside(c, p) for c in near_cover):
-                return False, t
+            return False, t
     return True, None
 
 

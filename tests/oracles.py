@@ -8,7 +8,10 @@ differences, containment, distances and Hausdorff bounds, all computed on
 `Fraction` vertices), the fan's touch decision by the merge of `Fraction`
 chart parameters it replaced, and the fat Cantor levels by the code they
 replaced: a survival test on every string of every length, and four
-`Fraction`s per interval.
+`Fraction`s per interval.  The fat trees and the tree dendrite are rebuilt
+the way they were before they moved to integers: each fat edge made from
+`Fraction` points through the hull constructor, then placed vertex by
+vertex and made again.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from planarpi import geom
-from planarpi.cantor import BITS, FatCantorLevel, check_bits, pad_eps
-from planarpi.cesets import SequenceFamily, e_state
+from planarpi.cantor import BITS, FatCantorLevel, check_bits, leftmost_path, pad_eps
+from planarpi.cesets import SequenceFamily, e_state, stage_function
 from planarpi.continua.fanq import BlockGraph, BlockRecord, _collinear, _edge_segment
+from planarpi.continua.dendrite import _base_pieces, _rising, rising_width
 from planarpi.continua.regions import Direction
+from planarpi.continua.trees import _tree_edges, plot_point
 from planarpi.geom import (
     ConvexPoly,
     RegionSnapshot,
@@ -563,3 +568,68 @@ def normalize_level(frame: FatCantorLevel, lvl: FatCantorLevel) -> list[Point]:
     """Stage-t fat level `lvl` rescaled by the stage-s frame onto [0, 1]."""
     span = frame.r_plus - frame.l_minus
     return [((lo - frame.l_minus) / span, (hi - frame.l_minus) / span) for lo, hi in lvl.intervals]
+
+
+# -- fat trees: Fraction points through the hull constructor, placed after -----
+
+
+def _fat_edge_pieces(edges, leaves, w: Fraction) -> list[ConvexPoly]:
+    """Two shifted copies per edge plus a cap joining the copies at each leaf."""
+    pieces = []
+    for sigma in edges:
+        pa = plot_point(sigma[:-1])
+        pb = plot_point(sigma)
+        off_a = Fraction(1, 3 ** (len(sigma) - 1)) * w
+        off_b = Fraction(1, 3 ** len(sigma)) * w
+        for sign in (-1, 1):
+            pieces.append(
+                ConvexPoly([(pa[0] + sign * off_a, pa[1]), (pb[0] + sign * off_b, pb[1])])
+            )
+    if w != 0:
+        for sigma in leaves:
+            p = plot_point(sigma)
+            off = Fraction(1, 3 ** len(sigma)) * w
+            pieces.append(ConvexPoly([(p[0] - off, p[1]), (p[0] + off, p[1])]))
+    return pieces
+
+
+def fat_tree(tree, w, stage: int, depth: int) -> RegionSnapshot:
+    edges = _tree_edges(tree, stage, depth)
+    return RegionSnapshot(stage, _fat_edge_pieces(edges, tree.level(depth, stage), Fraction(w)))
+
+
+def _place(p: Point, c: Fraction, t: int, q: Fraction) -> Point:
+    return (c + q * (p[0] - Fraction(1, 2)), (2 - p[1]) / (1 << (t + 1)))
+
+
+def _placed(pieces, c: Fraction, t: int, q: Fraction) -> list[ConvexPoly]:
+    return [ConvexPoly([_place(v, c, t, q) for v in piece.vertices]) for piece in pieces]
+
+
+def placed_fat_tree(tree, w, c, t: int, q, stage: int, depth: int) -> RegionSnapshot:
+    base = fat_tree(tree, w, stage, depth)
+    return RegionSnapshot(stage, _placed(base.pieces, Fraction(c), t, Fraction(q)))
+
+
+def build_dendrite_h(stage: int, script, tree) -> RegionSnapshot:
+    if tree.is_empty(stage):
+        raise ValueError("empty tree presentation")
+    depth = max(stage, 1)
+    pieces: list[ConvexPoly] = []
+    gaps = []
+    for t in range(stage + 1):
+        x = Fraction(1, 1 << t)
+        w = rising_width(script, t)
+        q = Fraction(1, 1 << (t + 2))
+        w_tree = w * (1 << (t + 2))
+        pieces.extend(_rising(x, w, Fraction(1, 1 << (t + 1)), cap=False))
+        gaps.append((x - w, x + w))
+        st = stage_function(script, t)
+        if st is None:
+            edges, leaves = _tree_edges(tree, stage, depth), tree.level(depth, stage)
+        else:
+            path = leftmost_path(tree, st, depth)
+            edges, leaves = [path[: k + 1] for k in range(len(path))], [path] if path else []
+        pieces.extend(_placed(_fat_edge_pieces(edges, leaves, w_tree), x, t, q))
+    pieces.extend(_base_pieces(gaps))
+    return RegionSnapshot(stage, pieces)

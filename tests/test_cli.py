@@ -151,10 +151,14 @@ def scene_with_frame(x0: str, y0: str, x1: str, y1: str) -> str:
 UNIT_SCENE = scene_with_frame("0", "0", "1", "1")
 
 
-def scene_with_vertex(x) -> str:
+def scene_with_verts(*verts) -> str:
     return json.dumps(
-        {"stage": 0, "pieces": [{"verts": [[x, "0"]]}], "frame": [["0", "0"], ["1", "1"]]}
+        {"stage": 0, "pieces": [{"verts": list(verts)}], "frame": [["0", "0"], ["1", "1"]]}
     )
+
+
+def scene_with_vertex(x) -> str:
+    return scene_with_verts([x, "0"])
 
 
 ZERO_DENOMINATOR_VERTEX = scene_with_vertex("1/0")
@@ -162,6 +166,8 @@ HALF_STAGE = json.dumps({"stage": 1.5, "pieces": [], "frame": [["0", "0"], ["1",
 
 
 HAUSDORFF_ARGV = ["hausdorff", "--scene-a", "s.json", "--scene-b", "s.json"]
+# a good scene a.json and a bad one b.json
+HAUSDORFF_B_ARGV = ["hausdorff", "--scene-a", "a.json", "--scene-b", "b.json"]
 
 
 def render_argv(*extra: str) -> list[str]:
@@ -183,7 +189,7 @@ def family_with_triple(*triple) -> str:
 
 
 # (case id, files to write, argv with file names relative to the test dir,
-# a fragment of the error line)
+# a fragment of the error line, where TMP/ stands for the test dir)
 BAD_INPUTS = [
     ("stage-range-one-number", {"c.json": GOOD}, verify_argv("3"), "LO:HI"),
     ("stage-range-reversed", {"c.json": GOOD}, verify_argv("4:2"), "LO <= HI"),
@@ -247,6 +253,12 @@ BAD_INPUTS = [
      "not a rational"),
     ("hausdorff-exponent-vertex", {"s.json": scene_with_vertex("1e999")}, HAUSDORFF_ARGV,
      "not a rational"),
+    ("hausdorff-scene-b-vertex-not-a-pair",
+     {"a.json": scene_with_vertex("1/2"), "b.json": scene_with_verts(["1"])}, HAUSDORFF_B_ARGV,
+     "malformed scene TMP/b.json: ValueError not enough values to unpack"),
+    ("hausdorff-scene-b-vertex-not-rational",
+     {"a.json": scene_with_vertex("1/2"), "b.json": scene_with_vertex("a")}, HAUSDORFF_B_ARGV,
+     "malformed scene TMP/b.json: ValueError not a rational 'p/q' string: 'a'"),
     ("render-stage-not-an-integer", {"s.json": HALF_STAGE}, render_argv(), "natural number"),
     ("hausdorff-negative-tol-exp", {"s.json": UNIT_SCENE}, [*HAUSDORFF_ARGV, "--tol-exp", "-1"],
      "--tol-exp"),
@@ -262,7 +274,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, argv, fragment
     argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and fragment in err
+    assert err.startswith("error: ") and fragment.replace("TMP/", f"{tmp_path}/") in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
 

@@ -124,6 +124,57 @@ class TestDrawnPieces:
         assert region_covers(cover, [seg]) == oracles.region_covers(cover, [seg])
 
 
+def _in_one_piece(cover, target) -> bool:
+    """Some cover piece holds every vertex of the target (by the oracle)."""
+    return any(all(oracles.contains_point(c, v) for v in target.vertices) for c in cover)
+
+
+class TestCoversBothWays:
+    """Targets that one cover piece holds, which containment accepts by their
+    vertices, and targets that only the difference loop or the 1-D meets
+    decide: across two pieces, or poking out of the cover.  Points, segments
+    and polygons on both sides."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(PIECES, max_size=3), PIECES, HALFPLANES)
+    def test_target_clipped_from_a_cover_piece(self, others, piece, plane):
+        target = clip_halfplane(piece, *plane)
+        assume(target is not None)
+        cover = [*others, piece]
+        got = region_covers(cover, [target])
+        assert got == oracles.region_covers(cover, [target]) == (True, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(PIECES, HALFPLANES, HALFPLANES)
+    def test_target_across_two_cover_pieces(self, piece, cut, plane):
+        # the cut runs through the mean of the piece's vertices, so that
+        # both halves hold that point
+        v = piece.vertices
+        nx, ny, _ = cut
+        c = sum(nx * x + ny * y for x, y in v) / len(v)
+        cover = [clip_halfplane(piece, nx, ny, c), clip_halfplane(piece, -nx, -ny, -c)]
+        target = clip_halfplane(piece, *plane)
+        assume(target is not None)
+        assume(not _in_one_piece(cover, target))
+        got = region_covers(cover, [target])
+        assert got == oracles.region_covers(cover, [target]) == (True, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(PIECES, min_size=1, max_size=3), HALFPLANES, PT, st.booleans())
+    def test_target_poking_out_of_the_cover(self, cover, plane, p, alone):
+        inside = clip_halfplane(cover[0], *plane)
+        assume(inside is not None)
+        target = point(*p) if alone else ConvexPoly([*inside.vertices, p])
+        assume(not _in_one_piece(cover, target))
+        assert region_covers(cover, [target]) == oracles.region_covers(cover, [target])
+
+
+@settings(max_examples=100, deadline=None)
+@given(PT, PT)
+def test_segment_matches_hull_constructor(a, b):
+    assert segment(a, b).hverts == ConvexPoly([a, b]).hverts
+
+
 @pytest.fixture(scope="module")
 def config_snapshots():
     """Every sample config's snapshots at stages 0..6."""

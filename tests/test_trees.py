@@ -1,10 +1,17 @@
 """Plotted trees, probe balls, recovery round-trips, and the tree dendrite."""
 
+import itertools
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from planarpi.cantor import TreePresentation, full_tree
 from planarpi.cesets import EnumerationScript
@@ -20,6 +27,7 @@ from planarpi.continua import (
     recover_tree,
 )
 from planarpi.geom import (
+    ConvexPoly,
     connectivity_components,
     point,
     region_covers,
@@ -258,3 +266,88 @@ class TestDendriteH:
             cut = subtract_poly(region, h_cut_box(t, depth))
             expected = 2 if t in (1, 3) else 1
             assert len(connectivity_components(cut)) == expected, t
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_DOCS = [json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))]
+CONFIG_PRUNES = [[tuple(e) for e in doc["P"]["prune"]] for doc in CONFIG_DOCS if "P" in doc]
+CONFIG_SCRIPTS = [[tuple(e) for e in doc["A"]] for doc in CONFIG_DOCS if "A" in doc]
+# schedules as criterion 3 draws them: up to 8 strings of length 1..8, each
+# pruned after a stage in 0..10; scripts enumerate at most one element <= s
+# at each stage s in 0..10
+SCHEDULES = st.lists(
+    st.tuples(st.text("01", min_size=1, max_size=8), st.integers(0, 10)), max_size=8
+)
+SCRIPTS = st.dictionaries(st.integers(0, 10), st.integers(0, 10), max_size=6).map(
+    lambda rows: [(s, n % (s + 1)) for s, n in sorted(rows.items())]
+)
+WIDTHS = st.one_of(st.just(F(0)), st.fractions(0, F(1, 2), max_denominator=12))
+
+
+def with_examples(examples):
+    """Run a test on each of the given keyword sets as well as on drawn ones."""
+
+    def add_examples(test):
+        for kwargs in examples:
+            test = example(**kwargs)(test)
+        return test
+
+    return add_examples
+
+
+class TestFatTreesMatchOracle:
+    """`fat_tree`, `placed_fat_tree` and `build_dendrite_h` give the pieces of
+    the `Fraction` code they replaced, each side on its own fresh tree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        prune=SCHEDULES,
+        w=WIDTHS,
+        c=st.fractions(-1, 1, max_denominator=15),
+        t=st.integers(0, 6),
+        q=st.fractions(F(1, 15), 1, max_denominator=15),
+        stage=st.integers(0, 10),
+        depth=st.integers(1, 6),
+    )
+    @with_examples(
+        dict(prune=prune, w=w, c=F(2, 7), t=3, q=F(1, 9), stage=4, depth=5)
+        for prune in CONFIG_PRUNES
+        for w in (F(0), F(1, 3))
+    )
+    def test_fat_and_placed_fat_tree(self, prune, w, c, t, q, stage, depth):
+        tree, old = TreePresentation(prune), TreePresentation(prune)
+        got = fat_tree(tree, w, stage, depth)
+        assert got.pieces == oracles.fat_tree(old, w, stage, depth).pieces
+        got = placed_fat_tree(tree, w, c, t, q, stage, depth)
+        assert got.pieces == oracles.placed_fat_tree(old, w, c, t, q, stage, depth).pieces
+
+    @settings(max_examples=4, deadline=None)
+    @given(prune=SCHEDULES, script=SCRIPTS)
+    @with_examples(
+        dict(prune=prune, script=script)
+        for prune, script in itertools.product(CONFIG_PRUNES, CONFIG_SCRIPTS)
+    )
+    def test_build_dendrite_h(self, prune, script):
+        tree, old = TreePresentation(prune), TreePresentation(prune)
+        for stage in range(9):
+            try:
+                expected = oracles.build_dendrite_h(stage, EnumerationScript(script), old)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    build_dendrite_h(stage, EnumerationScript(script), tree)
+            else:
+                got = build_dendrite_h(stage, EnumerationScript(script), tree)
+                assert got.pieces == expected.pieces, stage
+
+
+def test_dendrite_h_builds_no_hull(monkeypatch):
+    # every piece of the tree dendrite goes through `ConvexPoly._convex`
+    config = json.loads((CONFIGS / "dendrite-h.json").read_text())
+    script = EnumerationScript.from_json(config["A"])
+    tree = TreePresentation.from_json(config["P"])
+
+    def no_hull(self, points):
+        raise AssertionError("ConvexPoly.__init__ called")
+
+    monkeypatch.setattr(ConvexPoly, "__init__", no_hull)
+    assert build_dendrite_h(6, script, tree).pieces

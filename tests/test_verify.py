@@ -229,3 +229,16 @@ class TestReports:
         r1 = cut_report(config, 3)
         r2 = cut_report(config, 3)
         assert reports_to_json([r1]) == reports_to_json([r2])
+
+
+def test_fan_nesting_makes_no_convex_difference(monkeypatch):
+    # every stage-(s+1) piece of the fan lies in one stage-s piece, so
+    # containment accepts each by its vertices
+    config = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
+    snaps, _ = CONSTRUCTIONS["cantor-fan-q"].snapshots(config, 0, 6)
+
+    def no_difference(a, b):
+        raise AssertionError("convex_difference called")
+
+    monkeypatch.setattr(geom, "convex_difference", no_difference)
+    assert check_nesting(snaps).verdict == "pass"
