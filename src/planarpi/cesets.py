@@ -98,9 +98,6 @@ class FamilyMember:
         s = self._index.get((n, x))
         return s is not None and s <= stage
 
-    def set_at(self, n: int, stage: int) -> set[int]:
-        return {x for (m, x), s in self._index.items() if m == n and s <= stage}
-
 
 class SequenceFamily:
     """Finite list of scripted uniformly-enumerable sequences V_i."""

@@ -7,43 +7,21 @@ atomically.  Bad input exits 2 with one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib
 import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from . import __version__
-from .balls import ball_polygon
 from .cantor import TreePresentation, check_natural
-from .cesets import EnumerationScript, SequenceFamily
-from .continua import (
-    basic_dendrite,
-    build_dendrite_d,
-    build_dendrite_h,
-    build_dendroid_k,
-    cantor_fan,
-    comb_cut_box,
-    comb_width,
-    cut_ball,
-    h_cut_box,
-    harmonic_comb,
-    plotted_tree,
-    rising_width,
-)
-from .continua.fanq import BlockGraph, DestinationTrack, q_snapshots
 from .geom import ConvexPoly, RegionSnapshot, frac_str, hausdorff_enclosure
-from .svg import render_svg
-from .verify import (
-    check_connectivity,
-    check_cut_dichotomy,
-    check_nesting,
-    check_touch_chain,
-    exit_code,
-    reports_to_json,
-)
+
+if TYPE_CHECKING:
+    from .cesets import EnumerationScript, SequenceFamily
+    from .continua.fanq import BlockGraph
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -105,10 +83,14 @@ def _tree_from(config: dict) -> TreePresentation:
 
 
 def _script_from(config: dict) -> EnumerationScript:
+    from .cesets import EnumerationScript
+
     return _field(config, "A", EnumerationScript.from_json, [])
 
 
 def _family_from(config: dict) -> SequenceFamily:
+    from .cesets import SequenceFamily
+
     return _field(config, "families", SequenceFamily.from_json, [])
 
 
@@ -126,13 +108,15 @@ def _load_scene(path: str) -> RegionSnapshot:
 
 
 def _config_hash(config: dict) -> str:
+    import hashlib
+
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # -- the construction table ----------------------------------------------------
 
-Snapshots = tuple[list[RegionSnapshot], Optional[BlockGraph]]
+Snapshots = tuple[list[RegionSnapshot], Optional["BlockGraph"]]
 Probe = tuple[dict, ConvexPoly, bool]  # (witness label, removed shape, expected cut)
 
 
@@ -143,8 +127,9 @@ class Construction:
     `snapshots(config, lo, hi)` replays it once and returns the snapshots of
     stages lo..hi, plus the block graph for the fan machine.  `checks` names
     the checks offered on it, and `cut_probes(config, snap)` yields the
-    probes of cut-dichotomy at the snapshot's stage.  Entries look builders
-    up by module-global name when called, never when the table is made.
+    probes of cut-dichotomy at the snapshot's stage.  Entries import their
+    builders when called, never when the table is made, so a run loads only
+    the modules of its own construction.
     """
 
     snapshots: Callable[[dict, int, int], Snapshots]
@@ -152,17 +137,28 @@ class Construction:
     cut_probes: Optional[Callable[[dict, RegionSnapshot], Iterable[Probe]]] = None
 
 
-def _per_stage(build: Callable[[dict, int], RegionSnapshot]):
-    """snapshots() of a builder that makes one stage per call."""
-    return lambda config, lo, hi: ([build(config, s) for s in range(lo, hi + 1)], None)
+def _per_stage(module: str, build: Callable[..., RegionSnapshot]):
+    """snapshots() of a builder that makes one stage per call:
+    `build(mod, config, stage)`, where `mod` is `planarpi.continua.<module>`."""
+
+    def snapshots(config: dict, lo: int, hi: int) -> Snapshots:
+        mod = importlib.import_module(f"{__package__}.continua.{module}")
+        return [build(mod, config, s) for s in range(lo, hi + 1)], None
+
+    return snapshots
 
 
 def _fan_snapshots(config: dict, lo: int, hi: int) -> Snapshots:
+    from .continua.fanq import DestinationTrack, q_snapshots
+
     tree, track = _tree_from(config), _field(config, "B", DestinationTrack, [])
     return q_snapshots(hi, tree, track, lo)
 
 
 def _dendrite_d_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
+    from .balls import ball_polygon
+    from .continua.dendrite import cut_ball, rising_width
+
     script = _script_from(config)
     return (
         ({"t": t}, ball_polygon(cut_ball(t)), rising_width(script, t) > 0)
@@ -171,6 +167,9 @@ def _dendrite_d_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
 
 
 def _dendrite_h_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
+    from .continua.dendrite import rising_width
+    from .continua.trees import h_cut_box
+
     script, depth = _script_from(config), max(snap.stage, 1)
     return (
         ({"t": t}, h_cut_box(t, depth), rising_width(script, t) > 0)
@@ -179,6 +178,8 @@ def _dendrite_h_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
 
 
 def _dendroid_k_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
+    from .continua.comb import comb_cut_box, comb_width
+
     fam, stage = _family_from(config), snap.stage
     bound = config.get("search_bound")
     if bound is None:
@@ -197,24 +198,30 @@ SPANNING_CHECKS = ("nesting", "connectivity")  # the checks that read every stag
 GROWING_CHECKS = ("connectivity", "cut-dichotomy")
 
 CONSTRUCTIONS: dict[str, Construction] = {
-    "basic-dendrite": Construction(_per_stage(lambda c, s: basic_dendrite(s))),
-    "harmonic-comb": Construction(_per_stage(lambda c, s: harmonic_comb(s))),
-    "cantor-fan": Construction(_per_stage(lambda c, s: cantor_fan(s))),
+    "basic-dendrite": Construction(_per_stage("examples", lambda m, c, s: m.basic_dendrite(s))),
+    "harmonic-comb": Construction(_per_stage("examples", lambda m, c, s: m.harmonic_comb(s))),
+    "cantor-fan": Construction(_per_stage("examples", lambda m, c, s: m.cantor_fan(s))),
     "plotted-tree": Construction(
-        _per_stage(lambda c, s: plotted_tree(_tree_from(c), s, c.get("depth", max(s, 1))))
+        _per_stage(
+            "trees", lambda m, c, s: m.plotted_tree(_tree_from(c), s, c.get("depth", max(s, 1)))
+        )
     ),
     "dendrite-d": Construction(
-        _per_stage(lambda c, s: build_dendrite_d(s, _script_from(c))),
+        _per_stage("dendrite", lambda m, c, s: m.build_dendrite_d(s, _script_from(c))),
         GROWING_CHECKS,
         _dendrite_d_probes,
     ),
     "dendrite-h": Construction(
-        _per_stage(lambda c, s: build_dendrite_h(s, _script_from(c), _tree_from(c))),
+        _per_stage(
+            "trees", lambda m, c, s: m.build_dendrite_h(s, _script_from(c), _tree_from(c))
+        ),
         GROWING_CHECKS,
         _dendrite_h_probes,
     ),
     "dendroid-k": Construction(
-        _per_stage(lambda c, s: build_dendroid_k(s, _family_from(c), c.get("search_bound"))),
+        _per_stage(
+            "comb", lambda m, c, s: m.build_dendroid_k(s, _family_from(c), c.get("search_bound"))
+        ),
         GROWING_CHECKS,
         _dendroid_k_probes,
     ),
@@ -242,6 +249,8 @@ def build_scene(config: dict, stage: int) -> dict:
 def _run_checks(config: dict, checks: list[str], lo: int, hi: int):
     """Reports of the named checks, from one replay of the construction that
     builds stages lo..hi when a check reads them all, else only stage hi."""
+    from .verify import check_connectivity, check_cut_dichotomy, check_nesting, check_touch_chain
+
     construction, kind = _construction(config), config["construction"]
     for check in checks:
         if check not in CHECK_NAMES:
@@ -271,6 +280,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import exit_code, reports_to_json
+
     config = _load_config(args.config)
     lo, hi = _stage_range(args.stage_range)
     reports = _run_checks(config, args.checks.split(","), lo, hi)
@@ -283,6 +294,8 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     if args.width <= 0:
         raise ValueError(f"--width must be positive, got {args.width}")
+    from .svg import render_svg
+
     region = _load_scene(args.scene)
     _atomic_write(args.out, render_svg(region, args.width))
     return 0

@@ -29,11 +29,6 @@ class Direction:
     def symbol(self) -> str:
         return {(0, 0): "←", (0, 1): "→", (1, 0): "↓", (1, 1): "↑"}[(self.axis, self.sense)]
 
-    @staticmethod
-    def from_symbol(sym: str) -> "Direction":
-        table = {"←": (0, 0), "→": (0, 1), "↓": (1, 0), "↑": (1, 1)}
-        return Direction(*table[sym])
-
 
 LEFT = Direction(0, 0)
 RIGHT = Direction(0, 1)

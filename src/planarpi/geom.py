@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
@@ -263,18 +262,12 @@ class RegionSnapshot:
                 raise ValueError(f"piece outside frame: {p!r}")
         d = lcm(*(p.hverts[0][2] for p in uniq))
 
-        def key(p: ConvexPoly, whole: bool = False):
+        def key(p: ConvexPoly):
             h = p.hverts
             f = d // h[0][2]
-            return (len(h), *(c * f for x, y, _ in (h if whole else h[:1]) for c in (x, y)))
+            return (len(h), *[c * f for x, y, _ in h for c in (x, y)])
 
-        # by size and first vertex, then by every vertex among equal keys;
-        # so only one piece at a time has its whole key made
-        self.pieces: tuple[ConvexPoly, ...] = tuple(
-            q
-            for _, run in groupby(sorted(uniq, key=key), key)
-            for q in sorted(run, key=lambda p: key(p, True))
-        )
+        self.pieces: tuple[ConvexPoly, ...] = tuple(sorted(uniq, key=key))
 
     def is_empty(self) -> bool:
         return not self.pieces

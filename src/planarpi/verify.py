@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .continua.fanq import BlockGraph, check_touch
 from .geom import (
     ConvexPoly,
     RegionSnapshot,
@@ -21,6 +20,9 @@ from .geom import (
     region_covers,
     subtract_piece,
 )
+
+if TYPE_CHECKING:
+    from .continua.fanq import BlockGraph
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,8 @@ def check_cut_dichotomy(
 def check_touch_chain(graph: BlockGraph, at_stage: Optional[int] = None) -> CheckReport:
     """Pass iff the touch edges form a simple path over all blocks in
     creation order and each edge meets the touch conditions at its stage."""
+    from .continua.fanq import check_touch
+
     name = "touch-chain"
     stages = (0, max((b.creation_stage for b in graph.blocks), default=0))
     incoming: dict[int, int] = {}

@@ -13,23 +13,18 @@ from fractions import Fraction as F
 from planarpi.cantor import TreePresentation, fat_level, full_tree, pad_eps
 from planarpi.cesets import EnumerationScript, FamilyMember, SequenceFamily, limit_f
 from planarpi.cli import main
-from planarpi.continua import (
+from planarpi.continua.comb import build_dendroid_k, comb_cut_box, comb_width
+from planarpi.continua.dendrite import build_dendrite_d, cut_ball
+from planarpi.continua.examples import basic_dendrite, cantor_fan, harmonic_comb
+from planarpi.continua.fanq import DestinationTrack, q_snapshots
+from planarpi.continua.regions import normalize_level, v_region
+from planarpi.continua.trees import (
     PlottedTreePresentation,
-    basic_dendrite,
-    build_dendrite_d,
     build_dendrite_h,
-    build_dendroid_k,
-    cantor_fan,
-    comb_cut_box,
-    comb_width,
-    cut_ball,
-    harmonic_comb,
     plotted_tree,
     probe_balls,
     recover_tree,
-    v_region,
 )
-from planarpi.continua.fanq import DestinationTrack, q_snapshots
 from planarpi.balls import subtract_ball
 from planarpi.geom import (
     RegionSnapshot,
@@ -247,8 +242,6 @@ def test_criterion_5_cantor_fan_machine():
             ok, witness = region_covers(end_body, blk.body_at(tree, s + 1))
             assert ok, (blk.id, witness)
     # straight-block bodies are exactly one rectangle per normalized interval
-    from planarpi.continua import normalize_level
-
     for blk in graph.blocks:
         if blk.kind != "straight":
             continue

@@ -25,7 +25,7 @@ from planarpi.cantor import (
     symmetrize,
     tree_immune_witness,
 )
-from planarpi.continua import normalize_level
+from planarpi.continua.regions import normalize_level
 
 import oracles
 

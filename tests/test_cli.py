@@ -1,14 +1,21 @@
 """Command-line surface: determinism, schema errors, rendering, enclosures."""
 
+import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import planarpi
 from planarpi.cli import CHECK_NAMES, CONSTRUCTIONS, main
 from planarpi.svg import count_elements
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the directory that holds the `planarpi` under test, for fresh interpreters
+SRC = str(Path(planarpi.__file__).resolve().parent.parent)
 
 FIG5_CONFIG = {
     "construction": "dendrite-d",
@@ -312,13 +319,96 @@ class TestHausdorffCommand:
         assert out[0] == "0/1"
 
     def test_console_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "planarpi.cli", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        proc = fresh_python("-m", "planarpi.cli", "--help")
         assert proc.returncode == 0
         assert "build" in proc.stdout
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """`python args` in a new interpreter that imports the `planarpi` under test."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+# runs main(argv) and prints, as its last stdout line, the exit code and
+# every module loaded
+LOADED_MODULES = """
+import json, sys
+from planarpi.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def verify_step(name: str, checks: str) -> list[str]:
+    return ["verify", "--config", str(CONFIGS / f"{name}.json"), "--checks", checks,
+            "--stage-range", "0:3", "--out", "TMP/report.json"]
+
+
+@pytest.mark.parametrize(
+    "argv,unloaded",
+    [
+        (
+            ["hausdorff", "--scene-a", "TMP/q2.json", "--scene-b", "TMP/q3.json"],
+            ("planarpi.continua", "planarpi.verify", "planarpi.cesets", "hashlib"),
+        ),
+        (
+            verify_step("dendrite-d", "connectivity,cut-dichotomy"),
+            ("planarpi.continua.fanq", "planarpi.continua.trees"),
+        ),
+        (
+            verify_step("cantor-fan-q", "nesting,connectivity,touch-chain"),
+            ("planarpi.cesets", "planarpi.balls", "planarpi.continua.trees"),
+        ),
+    ],
+    ids=["hausdorff", "dendrite-d-verify", "fan-verify"],
+)
+def test_command_loads_only_its_modules(tmp_path, argv, unloaded):
+    # a fresh process compiles every module it imports, so a step should
+    # import only what its command and construction run
+    for stage in (2, 3):
+        out = tmp_path / f"q{stage}.json"
+        assert main(["build", "--config", str(CONFIGS / "cantor-fan-q.json"),
+                     "--stage", str(stage), "--out", str(out)]) == 0
+    argv = [a.replace("TMP/", f"{tmp_path}/") for a in argv]
+    proc = fresh_python("-c", LOADED_MODULES, *argv)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    loaded = [m for m in modules if m.startswith(unloaded)]
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "module_name,attr,name,checks",
+    [
+        ("planarpi.continua.trees", "build_dendrite_h", "dendrite-h", "cut-dichotomy"),
+        ("planarpi.continua.dendrite", "build_dendrite_d", "dendrite-d", "cut-dichotomy"),
+        ("planarpi.continua.comb", "build_dendroid_k", "dendroid-k", "cut-dichotomy"),
+        ("planarpi.continua.fanq", "q_snapshots", "cantor-fan-q", "nesting"),
+        ("planarpi.continua.fanq", "check_touch", "cantor-fan-q", "touch-chain"),
+        ("planarpi.verify", "check_connectivity", "dendrite-h", "connectivity"),
+    ],
+)
+def test_cli_reaches_function_replaced_on_its_module(
+    tmp_path, monkeypatch, module_name, attr, name, checks
+):
+    # a timer installed from outside (perfbench/tracer.py) replaces the
+    # function on the module that defines it; the CLI must call the wrapper
+    argv = verify_step(name, checks)
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    assert main([a.replace("TMP/report.json", str(before)) for a in argv]) == 0
+    module = importlib.import_module(module_name)
+    real, calls = getattr(module, attr), []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counting)
+    assert main([a.replace("TMP/report.json", str(after)) for a in argv]) == 0
+    assert calls
+    assert after.read_bytes() == before.read_bytes()
 
 
 def test_readme_table_matches_registry():

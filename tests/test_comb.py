@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 from planarpi.cesets import FamilyMember, SequenceFamily
-from planarpi.continua import (
+from planarpi.continua.comb import (
     build_dendroid_k,
     comb_center,
     comb_cut_box,

@@ -4,15 +4,8 @@ import random
 from fractions import Fraction as F
 
 from planarpi.cesets import EnumerationScript
-from planarpi.continua import (
-    basic_dendrite,
-    build_dendrite_d,
-    cantor_fan,
-    cut_ball,
-    harmonic_comb,
-    rising_width,
-    sample_path_d,
-)
+from planarpi.continua.dendrite import build_dendrite_d, cut_ball, rising_width, sample_path_d
+from planarpi.continua.examples import basic_dendrite, cantor_fan, harmonic_comb
 from planarpi.balls import subtract_ball
 from planarpi.geom import connectivity_components, segment
 

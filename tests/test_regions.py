@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from planarpi.cantor import TreePresentation, full_tree
-from planarpi.continua import delta_cube, n_coefficients, normalize_level, v_region
+from planarpi.continua.regions import delta_cube, n_coefficients, normalize_level, v_region
 from planarpi.geom import ConvexPoly, rect, region_covers
 
 

@@ -15,7 +15,7 @@ import oracles
 
 from planarpi.cantor import TreePresentation, full_tree
 from planarpi.cesets import EnumerationScript
-from planarpi.continua import (
+from planarpi.continua.trees import (
     PlottedTreePresentation,
     build_dendrite_h,
     fat_tree,

@@ -11,7 +11,7 @@ import planarpi.verify as verify
 from planarpi.cantor import TreePresentation
 from planarpi.cesets import EnumerationScript
 from planarpi.cli import CONSTRUCTIONS, main
-from planarpi.continua import build_dendrite_d, cut_ball
+from planarpi.continua.dendrite import build_dendrite_d, cut_ball
 from planarpi.continua.fanq import DestinationTrack, q_snapshots
 from planarpi.balls import ball_polygon
 from planarpi.geom import (
