@@ -26,24 +26,15 @@ from ..geom import (
     ConvexPoly,
     RegionSnapshot,
     convex_intersection,
-    frac,
     frac_str,
     piece_pairs,
     rect,
     region_covers,
     segment,
+    to_ints,
 )
 from ..intgeom import orient
-from .regions import (
-    DOWN,
-    Direction,
-    LEFT,
-    RIGHT,
-    UP,
-    n_coefficients,
-    normalize_level,
-    v_region,
-)
+from .regions import DOWN, LEFT, RIGHT, UP, Direction, banded, level_ends
 
 Frac = Fraction
 
@@ -58,8 +49,8 @@ class AffineFrame:
     offset: Fraction
     scale: Fraction
 
-    def img(self, x) -> Fraction:
-        return self.offset + self.scale * frac(x)
+    def img(self, x: Fraction) -> Fraction:
+        return self.offset + self.scale * x
 
     def img_interval(self, lo, hi) -> tuple[Fraction, Fraction]:
         a, b = self.img(lo), self.img(hi)
@@ -68,7 +59,8 @@ class AffineFrame:
 
 def reframe(base: AffineFrame, lo, hi, m: FatCantorLevel) -> AffineFrame:
     """Frame mapping the stage-m ambient [l-, r+] onto base.img([lo, hi])."""
-    return AffineFrame(*n_coefficients(m.l_minus, m.r_plus, base.offset, base.scale, lo, hi))
+    scale = base.scale * (hi - lo) / (m.r_plus - m.l_minus)
+    return AffineFrame(base.img(lo) - scale * m.l_minus, scale)
 
 
 def frame_onto(x0: Fraction, x1: Fraction, m: FatCantorLevel) -> AffineFrame:
@@ -99,21 +91,19 @@ class BlockRecord:
         x0, x1, y0, y1 = self.box
         if self.kind == "end-box":
             return [rect(x0, y0, x1, y1)]
-        bands = normalize_level(tree, self.frame_stage, t)
+        ends, span = level_ends(tree, self.frame_stage, t)
         if self.kind == "straight":
-            return v_region("-" if self.axis == 0 else "|", bands, x0, y0, x1 - x0, y1 - y0)
+            (x0, y0, x1, y1), d = to_ints(x0, y0, x1, y1)
+            return banded("-" if self.axis == 0 else "|", (x0, y0, x1, y1, d), ends, span)
         # corner: the symbol laid over the frame box, then clipped to the
         # (possibly smaller) bounding box
         fm = fat_level(tree, self.frame_stage)
         fx0, fx1 = self.fx.img_interval(fm.l_minus, fm.r_plus)
         fy0, fy1 = self.fy.img_interval(fm.l_minus, fm.r_plus)
+        (fx0, fy0, fx1, fy1), d = to_ints(fx0, fy0, fx1, fy1)
         box = rect(x0, y0, x1, y1)
-        out = []
-        for piece in v_region(self.symbol, bands, fx0, fy0, fx1 - fx0, fy1 - fy0):
-            piece = convex_intersection(piece, box)
-            if piece is not None:
-                out.append(piece)
-        return out
+        return [piece for band in banded(self.symbol, (fx0, fy0, fx1, fy1, d), ends, span)
+                if (piece := convex_intersection(band, box)) is not None]
 
     def to_json(self) -> dict:
         return {

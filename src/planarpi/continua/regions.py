@@ -1,8 +1,9 @@
-"""Triangle-clipped product regions and frame reparametrization.
+"""Triangle-clipped product regions.
 
 These are the building blocks of the snake machine: boxes carrying scaled
 copies of a one-dimensional set, clipped by a diagonal to route the copies
-around a corner.
+around a corner.  They are laid on integers: `level_ends` gives a fat level
+as integer ends over one span, and `banded` lays them through an integer box.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..cantor import fat_level
-from ..geom import ConvexPoly, box_piece, clip_halfplane, frac, rect, to_ints
+from ..geom import ConvexPoly, _clip, box_piece, frac, to_ints
 
 
 @dataclass(frozen=True)
@@ -45,48 +46,55 @@ CORNER_DELTAS = {
 }
 
 
+def _delta_plane(i: int, j: int, box) -> tuple[int, int, int]:
+    """The triangle delta_ij of the integer box (x0, y0, x1, y1, d) as a
+    halfplane for `geom._clip`: sx*r*(x - ax) + sy*q*(y - ay) <= q*r, with
+    q, r the box's sides and (ax, ay) the corner the triangle leans on."""
+    x0, y0, x1, y1, d = box
+    q, r = x1 - x0, y1 - y0
+    sx, sy = 1 - 2 * i, 1 - 2 * j
+    ax, ay = (x1 if i else x0), (y1 if j else y0)
+    return sx * r * d, sy * q * d, -(q * r + sx * r * ax + sy * q * ay)
+
+
 def delta_cube(i: int, j: int, a, b, q, r) -> ConvexPoly:
     """Triangle on [a,a+q]x[b,b+r] omitting the corner (a+(1-i)q, b+(1-j)r):
-    the box clipped by `delta_halfplane`.
+    the box clipped by `_delta_plane`.
 
     A degenerate box (q = 0 or r = 0) has no corner to omit and stays whole.
     """
     a, b, q, r = frac(a), frac(b), frac(q), frac(r)
-    return clip_halfplane(rect(a, b, a + q, b + r), *delta_halfplane(i, j, a, b, q, r))
+    (x0, y0, x1, y1), d = to_ints(a, b, a + q, b + r)
+    box = (x0, y0, x1, y1, d)
+    return _clip(box_piece(*box), _delta_plane(i, j, box))
 
 
-def delta_halfplane(i: int, j: int, a, b, q, r):
-    """The triangle as a halfplane nx*x + ny*y <= c over the box."""
-    a, b, q, r = frac(a), frac(b), frac(q), frac(r)
-    sx = 1 if i == 0 else -1
-    sy = 1 if j == 0 else -1
-    # delta_ij = box cut by sx*r*(x-a') + sy*q*(y-b') <= qr with a' the
-    # corner the triangle leans on
-    ax = a if i == 0 else a + q
-    ay = b if j == 0 else b + r
-    nx = sx * r
-    ny = sy * q
-    c = q * r + nx * ax + ny * ay
-    return nx, ny, c
+def banded(symbol: str, box, ends: Sequence[int], span: int) -> list[ConvexPoly]:
+    """Bands ends[2k]/span .. ends[2k+1]/span of the integer box
+    (x0, y0, x1, y1, d): across it for '-', along it for '|'.
 
+    A corner symbol lays both band families and clips the horizontal and
+    vertical ones by the two complementary triangles of `CORNER_DELTAS`.
+    """
+    x0, y0, x1, y1, d = box
+    q, r, w = x1 - x0, y1 - y0, d * span
+    x0, y0, x1, y1 = x0 * span, y0 * span, x1 * span, y1 * span
+    bands = list(zip(ends[::2], ends[1::2]))
 
-def _interval_pieces(
-    intervals: Sequence[tuple[Fraction, Fraction]],
-    horizontal: bool,
-    a: Fraction,
-    b: Fraction,
-    q: Fraction,
-    r: Fraction,
-) -> list[ConvexPoly]:
-    # every coordinate is an integer over d^2, with d the common denominator
-    (a, b, q, r, *ends), d = to_ints(a, b, q, r, *(v for iv in intervals for v in iv))
-    pieces = []
-    for lo, hi in zip(ends[::2], ends[1::2]):
+    def family(horizontal: bool) -> list[ConvexPoly]:
         if horizontal:
-            pieces.append(box_piece(a * d, b * d + r * lo, (a + q) * d, b * d + r * hi, d * d))
-        else:
-            pieces.append(box_piece(a * d + q * lo, b * d, a * d + q * hi, (b + r) * d, d * d))
-    return pieces
+            return [box_piece(x0, y0 + r * lo, x1, y0 + r * hi, w) for lo, hi in bands]
+        return [box_piece(x0 + q * lo, y0, x0 + q * hi, y1, w) for lo, hi in bands]
+
+    if symbol in ("-", "|"):
+        return family(symbol == "-")
+    if symbol not in CORNER_DELTAS:
+        raise ValueError(f"unknown region symbol: {symbol}")
+    out: list[ConvexPoly] = []
+    for horizontal, (i, j) in zip((True, False), CORNER_DELTAS[symbol]):
+        plane = _delta_plane(i, j, box)
+        out.extend(p for band in family(horizontal) if (p := _clip(band, plane)) is not None)
+    return out
 
 
 def v_region(
@@ -97,54 +105,32 @@ def v_region(
     q,
     r,
 ) -> list[ConvexPoly]:
-    """Scaled copies of a subset of [0,1] laid through a box.
-
-    Corner symbols clip the horizontal and vertical band families by the two
-    complementary triangles; '-' and '|' are the unclipped band families.
-    """
+    """Scaled copies of a subset of [0,1] laid through a box: `banded` in
+    the box's [0, 1] chart."""
     a, b, q, r = frac(a), frac(b), frac(q), frac(r)
     ivs = [(frac(lo), frac(hi)) for lo, hi in intervals]
     for lo, hi in ivs:
         if lo < 0 or hi > 1 or lo > hi:
             raise ValueError("intervals must sit inside [0, 1]")
-    if symbol == "-":
-        return _interval_pieces(ivs, True, a, b, q, r)
-    if symbol == "|":
-        return _interval_pieces(ivs, False, a, b, q, r)
-    if symbol not in CORNER_DELTAS:
-        raise ValueError(f"unknown region symbol: {symbol}")
-    (hi_sel, vi_sel) = CORNER_DELTAS[symbol]
-    out: list[ConvexPoly] = []
-    for horizontal, (di, dj) in ((True, hi_sel), (False, vi_sel)):
-        plane = delta_halfplane(di, dj, a, b, q, r)
-        for piece in _interval_pieces(ivs, horizontal, a, b, q, r):
-            clipped = clip_halfplane(piece, *plane)
-            if clipped is not None:
-                out.append(clipped)
-    return out
+    (x0, y0, x1, y1, *ends), d = to_ints(a, b, a + q, b + r, *(v for iv in ivs for v in iv))
+    return banded(symbol, (x0, y0, x1, y1, d), ends, d)
 
 
-def n_coefficients(l_minus, r_plus, a, b, alpha, beta) -> tuple[Fraction, Fraction]:
-    """(N0, N1) with N0 + N1*l_minus = a + b*alpha and N0 + N1*r_plus = a + b*beta."""
-    l_minus, r_plus = frac(l_minus), frac(r_plus)
-    a, b, alpha, beta = frac(a), frac(b), frac(alpha), frac(beta)
-    if r_plus == l_minus:
-        raise ValueError("degenerate frame")
-    n1 = b * (beta - alpha) / (r_plus - l_minus)
-    n0 = a + b * alpha - n1 * l_minus
-    return n0, n1
+def level_ends(tree, s: int, t: int) -> tuple[list[int], int]:
+    """Stage-t fat level in the stage-s frame: integer ends e with e/span
+    on [0, 1], two per interval, and span."""
+    if t < s:
+        raise ValueError("normalization needs t >= s")
+    frame = fat_level(tree, s)
+    # every stage-s endpoint has denominator exactly 3^(s+2): bring the
+    # frame's numerators over 3^(t+2) to subtract them from the stage-t ones
+    k = 3 ** (t - s)
+    l0 = frame.l_minus.numerator * k
+    ends = [v.numerator - l0 for iv in fat_level(tree, t).intervals for v in iv]
+    return ends, frame.r_plus.numerator * k - l0
 
 
 def normalize_level(tree, s: int, t: int) -> list[tuple[Fraction, Fraction]]:
     """Stage-t fat level rescaled by the stage-s frame onto [0, 1]."""
-    if t < s:
-        raise ValueError("normalization needs t >= s")
-    frame = fat_level(tree, s)
-    lvl = fat_level(tree, t)
-    # every stage-s endpoint has denominator exactly 3^(s+2): bring the
-    # frame's numerators over 3^(t+2) and make each endpoint in one step
-    k = 3 ** (t - s)
-    l0 = frame.l_minus.numerator * k
-    span = frame.r_plus.numerator * k - l0
-    return [(Fraction(lo.numerator - l0, span), Fraction(hi.numerator - l0, span))
-            for lo, hi in lvl.intervals]
+    ends, span = level_ends(tree, s, t)
+    return [(Fraction(lo, span), Fraction(hi, span)) for lo, hi in zip(ends[::2], ends[1::2])]

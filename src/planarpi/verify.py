@@ -112,12 +112,7 @@ class PieceGraph:
         part = UnionFind(len(nodes))
 
         def join(u: int, v: int) -> None:
-            pu, pv = nodes[u], nodes[v]
-            if (
-                part.find(u) != part.find(v)
-                and bboxes_meet(pu, pv)
-                and polys_intersect(pu, pv)
-            ):
+            if part.find(u) != part.find(v) and polys_intersect(nodes[u], nodes[v]):
                 part.union(u, v)
 
         for i in range(len(self.pieces)):

@@ -8,10 +8,12 @@ differences, containment, distances and Hausdorff bounds, all computed on
 `Fraction` vertices), the fan's touch decision by the merge of `Fraction`
 chart parameters it replaced, and the fat Cantor levels by the code they
 replaced: a survival test on every string of every length, and four
-`Fraction`s per interval.  The fat trees and the tree dendrite are rebuilt
-the way they were before they moved to integers: each fat edge made from
-`Fraction` points through the hull constructor, then placed vertex by
-vertex and made again.
+`Fraction`s per interval.  The fan's block bodies and frames are rebuilt as
+they were on `Fraction`s: each level rescaled onto [0, 1] and laid back
+through the box, each frame solved from six coefficients.  The fat trees
+and the tree dendrite are rebuilt the way they were before they moved to
+integers: each fat edge made from `Fraction` points through the hull
+constructor, then placed vertex by vertex and made again.
 """
 
 from __future__ import annotations
@@ -568,6 +570,98 @@ def normalize_level(frame: FatCantorLevel, lvl: FatCantorLevel) -> list[Point]:
     """Stage-t fat level `lvl` rescaled by the stage-s frame onto [0, 1]."""
     span = frame.r_plus - frame.l_minus
     return [((lo - frame.l_minus) / span, (hi - frame.l_minus) / span) for lo, hi in lvl.intervals]
+
+
+# -- fan block bodies: levels onto [0, 1] in Fractions, then through the box ---
+# `regions` and `fanq` as they built bodies and frames before the bodies moved
+# to integer bands: the level rescaled onto [0, 1], every band scaled back
+# into the box, corners clipped by `Fraction` halfplanes through the public
+# `geom.clip_halfplane`, frames solved from six `Fraction` coefficients.
+
+CORNER_DELTAS = {
+    "ll": ((1, 0), (0, 1)),
+    "ur": ((0, 1), (1, 0)),
+    "lr": ((0, 0), (1, 1)),
+    "ul": ((1, 1), (0, 0)),
+}
+
+
+def delta_halfplane(i: int, j: int, a, b, q, r):
+    """The triangle as a halfplane nx*x + ny*y <= c over the box."""
+    a, b, q, r = frac(a), frac(b), frac(q), frac(r)
+    sx = 1 if i == 0 else -1
+    sy = 1 if j == 0 else -1
+    ax = a if i == 0 else a + q
+    ay = b if j == 0 else b + r
+    nx = sx * r
+    ny = sy * q
+    c = q * r + nx * ax + ny * ay
+    return nx, ny, c
+
+
+def _interval_pieces(intervals, horizontal: bool, a, b, q, r) -> list[ConvexPoly]:
+    (a, b, q, r, *ends), d = geom.to_ints(a, b, q, r, *(v for iv in intervals for v in iv))
+    pieces = []
+    for lo, hi in zip(ends[::2], ends[1::2]):
+        if horizontal:
+            pieces.append(geom.box_piece(a * d, b * d + r * lo, (a + q) * d, b * d + r * hi, d * d))
+        else:
+            pieces.append(geom.box_piece(a * d + q * lo, b * d, a * d + q * hi, (b + r) * d, d * d))
+    return pieces
+
+
+def v_region(symbol: str, intervals, a, b, q, r) -> list[ConvexPoly]:
+    """Scaled copies of a subset of [0,1] laid through a box."""
+    a, b, q, r = frac(a), frac(b), frac(q), frac(r)
+    ivs = [(frac(lo), frac(hi)) for lo, hi in intervals]
+    for lo, hi in ivs:
+        if lo < 0 or hi > 1 or lo > hi:
+            raise ValueError("intervals must sit inside [0, 1]")
+    if symbol == "-":
+        return _interval_pieces(ivs, True, a, b, q, r)
+    if symbol == "|":
+        return _interval_pieces(ivs, False, a, b, q, r)
+    if symbol not in CORNER_DELTAS:
+        raise ValueError(f"unknown region symbol: {symbol}")
+    out: list[ConvexPoly] = []
+    for horizontal, (di, dj) in zip((True, False), CORNER_DELTAS[symbol]):
+        plane = delta_halfplane(di, dj, a, b, q, r)
+        for piece in _interval_pieces(ivs, horizontal, a, b, q, r):
+            clipped = geom.clip_halfplane(piece, *plane)
+            if clipped is not None:
+                out.append(clipped)
+    return out
+
+
+def n_coefficients(l_minus, r_plus, a, b, alpha, beta) -> tuple[Fraction, Fraction]:
+    """(N0, N1) with N0 + N1*l_minus = a + b*alpha and N0 + N1*r_plus = a + b*beta."""
+    l_minus, r_plus = frac(l_minus), frac(r_plus)
+    a, b, alpha, beta = frac(a), frac(b), frac(alpha), frac(beta)
+    if r_plus == l_minus:
+        raise ValueError("degenerate frame")
+    n1 = b * (beta - alpha) / (r_plus - l_minus)
+    n0 = a + b * alpha - n1 * l_minus
+    return n0, n1
+
+
+def body_at(block: BlockRecord, levels: Sequence[FatCantorLevel], t: int) -> list[ConvexPoly]:
+    """The block's stage-t body from `levels[s]`, the fat level of each stage s."""
+    x0, x1, y0, y1 = block.box
+    if block.kind == "end-box":
+        return [rect(x0, y0, x1, y1)]
+    fm = levels[block.frame_stage]
+    bands = normalize_level(fm, levels[t])
+    if block.kind == "straight":
+        return v_region("-" if block.axis == 0 else "|", bands, x0, y0, x1 - x0, y1 - y0)
+    fx0, fx1 = block.fx.img_interval(fm.l_minus, fm.r_plus)
+    fy0, fy1 = block.fy.img_interval(fm.l_minus, fm.r_plus)
+    box = rect(x0, y0, x1, y1)
+    out = []
+    for piece in v_region(block.symbol, bands, fx0, fy0, fx1 - fx0, fy1 - fy0):
+        piece = geom.convex_intersection(piece, box)
+        if piece is not None:
+            out.append(piece)
+    return out
 
 
 # -- fat trees: Fraction points through the hull constructor, placed after -----

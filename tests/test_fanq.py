@@ -12,6 +12,7 @@ import pytest
 import oracles
 from planarpi.cantor import TreePresentation, fat_level, full_tree
 from planarpi.cli import main
+from planarpi.continua import fanq
 from planarpi.continua.fanq import (
     BlockGraph,
     BlockRecord,
@@ -90,21 +91,27 @@ class TestDestinationTrack:
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def config_fan(stage: int):
-    doc = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
+def config_fan(stage: int, name: str = "cantor-fan-q"):
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
     return TreePresentation.from_json(doc["P"]), DestinationTrack(doc["B"]), stage
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: config_fan(6),
-        lambda: (two_branch_tree(), DestinationTrack(INJURY_TRACK), 6),
-        lambda: (two_branch_tree(), DestinationTrack([(1, 1), (2, 5), (3, 7), (4, 3)]), 4),
-        lambda: (full_tree(), DestinationTrack([(1, 4), (2, 2), (3, 6)]), 3),
-    ],
-    ids=["cantor-fan-q.json", "injury-track", "partial-rollback", "full-tree"],
-)
+SNAKE_TRACKS = {
+    "cantor-fan-q.json": lambda: config_fan(6),
+    "injury-track": lambda: (two_branch_tree(), DestinationTrack(INJURY_TRACK), 6),
+    "partial-rollback": lambda: (
+        two_branch_tree(), DestinationTrack([(1, 1), (2, 5), (3, 7), (4, 3)]), 4
+    ),
+    "full-tree": lambda: (full_tree(), DestinationTrack([(1, 4), (2, 2), (3, 6)]), 3),
+}
+# every stage of the injured config injures, so every retrace path runs
+ALL_TRACKS = {
+    **SNAKE_TRACKS,
+    "cantor-fan-q-injured.json": lambda: config_fan(6, "cantor-fan-q-injured"),
+}
+
+
+@pytest.mark.parametrize("make", SNAKE_TRACKS.values(), ids=SNAKE_TRACKS.keys())
 def test_snake_invariants(make):
     """One linear chain: block k is entered from block k-1 along its own d_in."""
     tree, track, stage = make()
@@ -480,3 +487,86 @@ class TestBodyMemo:
         for blk in graph.blocks + graph.end_boxes:
             for t in range(blk.creation_stage, 7):
                 assert graph.body(blk, t) == blk.body_at(tree, t), (blk.id, blk.creation_stage, t)
+
+
+class TestReframe:
+    def test_onto_its_own_ambient_is_the_base_frame(self):
+        m = fat_level(full_tree(), 2)
+        base = fanq.AffineFrame(F(3), F(2))
+        assert fanq.reframe(base, m.l_minus, m.r_plus, m) == base
+
+    def test_frame_onto_maps_the_ambient_ends(self):
+        m = fat_level(two_branch_tree(), 3)
+        frame = fanq.frame_onto(F(1, 3), F(4, 7), m)
+        assert (frame.img(m.l_minus), frame.img(m.r_plus)) == (F(1, 3), F(4, 7))
+
+    def test_onto_a_point_is_constant(self):
+        m = fat_level(full_tree(), 1)
+        frame = fanq.reframe(fanq.AffineFrame(F(0), F(1)), F(1, 2), F(1, 2), m)
+        assert frame == fanq.AffineFrame(F(1, 2), F(0))
+
+
+class TestBodiesMatchFractionPath:
+    """Bodies and frames equal the `Fraction` path they replaced: each level
+    rescaled onto [0, 1] and laid back through the box, each frame solved
+    from six coefficients."""
+
+    @pytest.mark.parametrize("make", ALL_TRACKS.values(), ids=ALL_TRACKS.keys())
+    def test_bodies(self, make):
+        tree, track, stage = make()
+        _, graph = build_cantor_fan_q(stage, tree, track)
+        levels = [oracles.fat_level(TreePresentation(tree.prune), s) for s in range(stage + 1)]
+        for blk in graph.blocks + graph.end_boxes:
+            for t in range(blk.creation_stage, stage + 1):
+                got = [p.hverts for p in blk.body_at(tree, t)]
+                want = [p.hverts for p in oracles.body_at(blk, levels, t)]
+                assert got == want, (blk.id, blk.creation_stage, t)
+
+    @pytest.mark.parametrize("make", ALL_TRACKS.values(), ids=ALL_TRACKS.keys())
+    def test_frames(self, make, monkeypatch):
+        made = []
+        real = fanq.reframe
+
+        def recording(base, lo, hi, m):
+            made.append((base, lo, hi, m, real(base, lo, hi, m)))
+            return made[-1][-1]
+
+        monkeypatch.setattr(fanq, "reframe", recording)
+        tree, track, stage = make()
+        build_cantor_fan_q(stage, tree, track)
+        assert made
+        for base, lo, hi, m, frame in made:
+            want = oracles.n_coefficients(m.l_minus, m.r_plus, base.offset, base.scale, lo, hi)
+            assert (frame.offset, frame.scale) == want
+
+
+class TestBodyFractions:
+    """With the fat levels cached, a body is laid on ints: a straight body
+    makes no `Fraction`, and a corner body makes the same few, for its frame
+    box, at every band count."""
+
+    def test_fraction_count_does_not_grow_with_bands(self, monkeypatch):
+        tree = full_tree()
+        _, graph = build_cantor_fan_q(1, tree, DestinationTrack([(1, 4)]))
+        straight, corner = graph.blocks[0], graph.blocks[1]
+        assert (straight.kind, corner.kind) == ("straight", "corner")
+        for s in range(6):
+            fat_level(tree, s)
+        made = []
+        real = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(cls)
+            return real(cls, *args, **kwargs)
+
+        def fractions_made(blk, t) -> int:
+            made.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(F, "__new__", staticmethod(counting))
+                blk.body_at(tree, t)
+            return len(made)
+
+        ts = (1, 3, 5)  # 2, 8 and 32 bands
+        assert [len(straight.body_at(tree, t)) for t in ts] == [2, 8, 32]
+        assert [fractions_made(straight, t) for t in ts] == [0, 0, 0]
+        assert len({fractions_made(corner, t) for t in ts}) == 1

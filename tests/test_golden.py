@@ -35,6 +35,13 @@ BUILD = {
     ("cantor-fan-q", 4): "50daee0cd7966063bb78e76575caec3bce21d608d7e422fcdce6111b5a73515d",
     ("cantor-fan-q", 5): "67f1c610d2bbf76d2301392e34d4287857e2620fe37fd7b10ef9ac221c7b6d24",
     ("cantor-fan-q", 6): "67748ee63925f205a8baa65ad21352d0b1239b41e13b9fa67140eed23e47df3f",
+    ("cantor-fan-q-injured", 0): "307829bcba428919270967fa101c11e66d1f82c65b56a211e2361916c8f5caca",
+    ("cantor-fan-q-injured", 1): "7358ab80196688f9ccd1409401b710a1c7c700e9e10a59b8f1ab0b06d7008b8a",
+    ("cantor-fan-q-injured", 2): "5ad5cf8d896a280a868374bd15d2df4f6bd004dd5a99da702fa98eaf88974e9b",
+    ("cantor-fan-q-injured", 3): "efe6021075a239cc983956cf3dafd0b32cba0dd7036f2014153409ea1891154c",
+    ("cantor-fan-q-injured", 4): "4acbacdacce6f6fc82d0bf972b31d79f9fbd66d2aebf3b9d83acbed0720f9687",
+    ("cantor-fan-q-injured", 5): "8a14d1643d17510683c568aa9319f0f2927239938cc28c5b0a0be45aabc10927",
+    ("cantor-fan-q-injured", 6): "95338684f07463db82e198303b22b941113cc1edbebd997cdbf2430b322253b0",
     ("cantor-fan", 0): "d5eb4a9358a61df6de7b36dffa43fdfce568db255a1559e8ad7dd739f0058190",
     ("cantor-fan", 1): "32f2d01bcb09bffae275f7f31434e076ec8470fccfa4688ec496bac0ad060bb0",
     ("cantor-fan", 2): "150e9ea3027ea4195671004a2e9b84d57ef21124219b7f93aa081167d36e020a",
@@ -82,6 +89,9 @@ VERIFY = {
     ("cantor-fan-q", "connectivity"): (0, "76c4d5d81e6cebc6b0cd24585ce3ab2f761ddf062cee4c1a1694bc94ef1a67ac"),
     ("cantor-fan-q", "nesting"): (0, "377b4344b942cba653a73f7d02a2d8db731b79afc1c628d4adb1d03fd83fb6d7"),
     ("cantor-fan-q", "touch-chain"): (0, "f4890bbc060b13f54f2fb6c1958d2de23a52115565ef6bfbe3753c07a8220246"),
+    ("cantor-fan-q-injured", "connectivity"): (0, "76c4d5d81e6cebc6b0cd24585ce3ab2f761ddf062cee4c1a1694bc94ef1a67ac"),
+    ("cantor-fan-q-injured", "nesting"): (0, "377b4344b942cba653a73f7d02a2d8db731b79afc1c628d4adb1d03fd83fb6d7"),
+    ("cantor-fan-q-injured", "touch-chain"): (0, "f4890bbc060b13f54f2fb6c1958d2de23a52115565ef6bfbe3753c07a8220246"),
     ("dendrite-d", "connectivity"): (0, "76c4d5d81e6cebc6b0cd24585ce3ab2f761ddf062cee4c1a1694bc94ef1a67ac"),
     ("dendrite-d", "cut-dichotomy"): (0, "29e85292bef0388061cfd9a2d900131dcdfc64ba1e0e297ad251e575354cad71"),
     ("dendrite-h", "connectivity"): (0, "76c4d5d81e6cebc6b0cd24585ce3ab2f761ddf062cee4c1a1694bc94ef1a67ac"),

@@ -1,12 +1,20 @@
-"""Triangle cubes, banded corner regions, reframing coefficients."""
+"""Triangle cubes, banded corner regions, normalized levels."""
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from planarpi.cantor import TreePresentation, full_tree
-from planarpi.continua.regions import delta_cube, n_coefficients, normalize_level, v_region
-from planarpi.geom import ConvexPoly, rect, region_covers
+from planarpi.continua.regions import CORNER_DELTAS, delta_cube, normalize_level, v_region
+from planarpi.geom import ConvexPoly, clip_halfplane, rect, region_covers
+
+UNIT = st.fractions(0, 1, max_denominator=30)
+COORD = st.fractions(-3, 3, max_denominator=30)
+SIDE = st.one_of(st.just(F(0)), st.fractions(0, 3, max_denominator=30))
+INTERVALS = st.lists(st.tuples(UNIT, UNIT).map(sorted), max_size=5)
 
 
 class TestDeltaCube:
@@ -57,22 +65,29 @@ class TestVRegion:
         with pytest.raises(ValueError):
             v_region("-", [(F(-1, 2), F(1, 2))], 0, 0, 1, 1)
 
+    def test_unknown_symbol_rejected(self):
+        for symbol in ("", "-|", "x"):
+            with pytest.raises(ValueError, match="unknown region symbol"):
+                v_region(symbol, [(F(0), F(1))], 0, 0, 1, 1)
 
-class TestNCoefficients:
-    def test_identity_reframing(self):
-        l, r = F(1, 5), F(4, 5)
-        assert n_coefficients(l, r, 3, 2, l, r) == (F(3), F(2))
 
-    def test_constant_map(self):
-        assert n_coefficients(0, 1, F(7), F(0), F(1, 3), F(2, 3)) == (F(7), F(0))
+class TestMatchesFractionPath:
+    """The integer band builder equals the `Fraction` path it replaced."""
 
-    def test_solved_system(self):
-        n0, n1 = n_coefficients(0, 1, 0, 1, F(1, 2), F(3, 4))
-        assert (n0, n1) == (F(1, 2), F(1, 4))
+    @settings(max_examples=60, deadline=None)
+    @given(symbol=st.sampled_from(["-", "|", *CORNER_DELTAS]), intervals=INTERVALS,
+           a=COORD, b=COORD, q=SIDE, r=SIDE)
+    def test_v_region(self, symbol, intervals, a, b, q, r):
+        got = v_region(symbol, intervals, a, b, q, r)
+        want = oracles.v_region(symbol, intervals, a, b, q, r)
+        assert [p.hverts for p in got] == [p.hverts for p in want]
 
-    def test_degenerate_frame_rejected(self):
-        with pytest.raises(ValueError):
-            n_coefficients(F(1, 2), F(1, 2), 0, 1, 0, 1)
+    @settings(max_examples=40, deadline=None)
+    @given(i=st.integers(0, 1), j=st.integers(0, 1), a=COORD, b=COORD, q=SIDE, r=SIDE)
+    def test_delta_cube(self, i, j, a, b, q, r):
+        plane = oracles.delta_halfplane(i, j, a, b, q, r)
+        want = clip_halfplane(rect(a, b, a + q, b + r), *plane)
+        assert delta_cube(i, j, a, b, q, r).hverts == want.hverts
 
 
 class TestNormalizeLevel:
