@@ -22,7 +22,9 @@ from .geom import (
     rect,
     squared_distance,
     subtract_poly,
+    to_ints,
 )
+from .intgeom import Hom, reduced
 
 
 @dataclass(frozen=True)
@@ -56,22 +58,20 @@ _TAN_TABLE = (
 )
 
 
-def _unit_circle_points(k: int) -> list[Point]:
-    """2^k rational points on the unit circle, roughly evenly spaced, k <= 6.
+def _unit_circle_points(k: int) -> list[Hom]:
+    """2^k rational points on the unit circle, counterclockwise from (1, 0)
+    and roughly evenly spaced, k <= 6, as homogeneous ints (X, Y, W).
 
     Tangent-half-angle parametrization keeps every vertex exactly on the
-    circle, so the polygon they span is inscribed in the disk.
+    circle, so the polygon they span is inscribed in the disk: with
+    t = T / 2^16 the point is ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)).
     """
     if not 0 <= k <= 6:
         raise ValueError(f"ball polygons have 1 to 64 vertices, got 2^{k}")
-    pts: list[Point] = []
+    pts: list[Hom] = []
     for j in range(0, 64, 1 << (6 - k)):
-        if _TAN_TABLE[j] is None:
-            pts.append((Fraction(-1), Fraction(0)))
-            continue
-        t = Fraction(_TAN_TABLE[j], 1 << 16)
-        d = 1 + t * t
-        pts.append(((1 - t * t) / d, 2 * t / d))
+        t = _TAN_TABLE[j]
+        pts.append((-1, 0, 1) if t is None else ((1 << 32) - t * t, t << 17, (1 << 32) + t * t))
     return pts
 
 
@@ -80,13 +80,16 @@ def ball_polygon(ball: BallSpec, k: int = 6) -> ConvexPoly:
     circle.
 
     For open balls the radius is shrunk by 2^-20 so the polygon is a subset
-    of the open ball as well.
+    of the open ball as well.  The vertices are distinct and counterclockwise
+    on the circle, so no hull is run.
     """
     r = ball.radius
     if ball.kind == "open":
         r = r * (Fraction(1) - Fraction(1, 1 << 20))
-    cx, cy = ball.center
-    return ConvexPoly([(cx + r * ux, cy + r * uy) for ux, uy in _unit_circle_points(k)])
+    (cx, cy, r), d = to_ints(*ball.center, r)
+    return ConvexPoly._convex(
+        [reduced(cx * w + r * x, cy * w + r * y, d * w) for x, y, w in _unit_circle_points(k)]
+    )
 
 
 def subtract_ball(region: RegionSnapshot, ball: BallSpec, k: int = 6) -> RegionSnapshot:

@@ -84,6 +84,11 @@ class BlockRecord:
     fx: Optional[AffineFrame] = None
     fy: Optional[AffineFrame] = None
     host_id: Optional[int] = None
+    # the integer box (x0, y0, x1, y1, d) the bands are laid through: a
+    # straight block's box, a corner's frame box; set once by `_Builder._chain`
+    band_box: Optional[tuple[int, int, int, int, int]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def body_at(self, tree: TreePresentation, t: int) -> list[ConvexPoly]:
         if t < self.creation_stage:
@@ -93,16 +98,11 @@ class BlockRecord:
             return [rect(x0, y0, x1, y1)]
         ends, span = level_ends(tree, self.frame_stage, t)
         if self.kind == "straight":
-            (x0, y0, x1, y1), d = to_ints(x0, y0, x1, y1)
-            return banded("-" if self.axis == 0 else "|", (x0, y0, x1, y1, d), ends, span)
+            return banded("-" if self.axis == 0 else "|", self.band_box, ends, span)
         # corner: the symbol laid over the frame box, then clipped to the
         # (possibly smaller) bounding box
-        fm = fat_level(tree, self.frame_stage)
-        fx0, fx1 = self.fx.img_interval(fm.l_minus, fm.r_plus)
-        fy0, fy1 = self.fy.img_interval(fm.l_minus, fm.r_plus)
-        (fx0, fy0, fx1, fy1), d = to_ints(fx0, fy0, fx1, fy1)
         box = rect(x0, y0, x1, y1)
-        return [piece for band in banded(self.symbol, (fx0, fy0, fx1, fy1, d), ends, span)
+        return [piece for band in banded(self.symbol, self.band_box, ends, span)
                 if (piece := convex_intersection(band, box)) is not None]
 
     def to_json(self) -> dict:
@@ -248,6 +248,13 @@ class _Builder:
     ) -> BlockRecord:
         """Append the next block of the snake, entered from `prev` (None for
         the first block) by a touch along d_in."""
+        if kind == "corner":  # the frame's image of the stage's ambient square
+            m = fat_level(self.graph.tree, frame_stage)
+            fx, fy = frames["fx"], frames["fy"]
+            (x0, x1, y0, y1), d = to_ints(*fx.img_interval(m.l_minus, m.r_plus),
+                                          *fy.img_interval(m.l_minus, m.r_plus))
+        else:
+            (x0, x1, y0, y1), d = to_ints(*box)
         block = BlockRecord(
             id=len(self.graph.blocks),
             creation_stage=created,
@@ -256,6 +263,7 @@ class _Builder:
             d_out=d_in if d_out is None else d_out,
             frame_stage=frame_stage,
             box=box,
+            band_box=(x0, y0, x1, y1, d),
             **frames,
         )
         self.graph.blocks.append(block)

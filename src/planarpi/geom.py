@@ -6,7 +6,10 @@ triples (X, Y, W), each the point (X/W, Y/W), with one W > 0 per piece: the
 least common denominator of its coordinates (`planarpi.intgeom`).
 Halfplane signs, clips, convex differences, containment, box tests, the
 order along a segment and squared distances all run on Python ints; no
-float enters the kernel.
+float enters the kernel.  A chain of clips runs on raw vertex paths (`_cut`)
+and is made canonical once per result; `polys_intersect` makes no piece.
+Hausdorff bounds compare squared distances as integer (numerator,
+denominator) pairs and make one `Fraction` per bound.
 
 Rationals (ints, `fractions.Fraction`s or lowest-terms 'p/q' strings) are
 converted once, when a piece is made.  Fractions are made only where a
@@ -100,8 +103,8 @@ class ConvexPoly:
     @classmethod
     def _convex(cls, verts: Sequence[Hom]) -> "ConvexPoly":
         """The piece of homogeneous vertices in convex counterclockwise order
-        (a rectangle's corners, a clip's output); repeated and collinear
-        vertices are dropped and the list is rotated, with no hull."""
+        (a clip chain's raw path, a ball polygon's vertices); repeated and
+        collinear vertices are dropped and the list is rotated, with no hull."""
         vs = [v for i, v in enumerate(verts) if v != verts[i - 1]] or [verts[0]]
         n = len(vs)
         turns = [v for i, v in enumerate(vs) if n > 2 and orient(vs[i - 1], v, vs[(i + 1) % n])]
@@ -165,7 +168,14 @@ def box_piece(x0: int, y0: int, x1: int, y1: int, d: int) -> ConvexPoly:
         x0, y0, x1, y1, d = x0 // g, y0 // g, x1 // g, y1 // g, d // g
     x0, x1 = min(x0, x1), max(x0, x1)
     y0, y1 = min(y0, y1), max(y0, y1)
-    return ConvexPoly._convex([(x0, y0, d), (x1, y0, d), (x1, y1, d), (x0, y1, d)])
+    corners = [(x0, y0, d), (x1, y0, d), (x1, y1, d), (x0, y1, d)]
+    if x0 == x1 or y0 == y1:
+        return ConvexPoly._convex(corners)
+    # already canonical: reduced, counterclockwise, the least corner first
+    poly = ConvexPoly.__new__(ConvexPoly)
+    poly.hverts = tuple(corners)
+    poly._box = (x0, y0, x1, y1, d)
+    return poly
 
 
 def segment(a, b) -> ConvexPoly:
@@ -199,8 +209,8 @@ def piece_pairs(pieces: Sequence[ConvexPoly], others=None) -> list[tuple[int, in
 
 
 def polys_intersect(a: ConvexPoly, b: ConvexPoly) -> bool:
-    """Exact closed-set intersection test for convex pieces."""
-    return bboxes_meet(a, b) and convex_intersection(a, b) is not None
+    """Exact closed-set intersection test for convex pieces; makes no piece."""
+    return bboxes_meet(a, b) and _cut_chain(a, b)[1] is not None
 
 
 def _point_segment_sq(p: Hom, a: Hom, b: Hom) -> tuple[int, int]:
@@ -221,17 +231,20 @@ def _point_segment_sq(p: Hom, a: Hom, b: Hom) -> tuple[int, int]:
     return ux * ux + uy * uy, (w * aw) ** 2
 
 
+def _edges(piece: ConvexPoly) -> list[tuple[Hom, Hom]]:
+    """The piece's edges; a point piece is its own zero-length edge."""
+    v = piece.hverts
+    return [(v[i - 1], v[i]) for i in range(len(v))] if len(v) > 2 else [(v[0], v[-1])]
+
+
 def squared_distance(a: ConvexPoly, b: ConvexPoly) -> Fraction:
     """Exact squared Euclidean min-distance; zero iff the polys intersect."""
     if polys_intersect(a, b):
         return Fraction(0)
-    # the nearest pair of points has a vertex of one piece at one end; a
-    # point piece is its own (zero-length) edge
+    # the nearest pair of points has a vertex of one piece at one end
     best = None
     for src, dst in ((a, b), (b, a)):
-        v = dst.hverts
-        edges = [(v[i - 1], v[i]) for i in range(len(v))] if len(v) > 2 else [(v[0], v[-1])]
-        for e0, e1 in edges:
+        for e0, e1 in _edges(dst):
             for p in src.hverts:
                 n, d = _point_segment_sq(p, e0, e1)
                 if best is None or n * best[1] < best[0] * d:
@@ -315,18 +328,20 @@ def connectivity_components(region: RegionSnapshot) -> list[list[int]]:
 # -- convex clipping / difference ------------------------------------------
 
 
-def _clip(poly: ConvexPoly, h: Hom) -> Optional[ConvexPoly]:
-    """Part of poly in the halfplane h = (a, b, c): the points (X, Y, W) with
-    a*X + b*Y + c*W <= 0 (exact Sutherland-Hodgman).
+def _cut(verts: Sequence[Hom], h: Hom) -> Optional[Sequence[Hom]]:
+    """Part of the closed convex vertex path in the halfplane h = (a, b, c):
+    the points (X, Y, W) with a*X + b*Y + c*W <= 0 (exact Sutherland-Hodgman).
 
-    Points and segments go through the same loop: a segment is the closed
-    path p -> q -> p, so its one cut point is met twice.
+    Returns `verts` itself when it lies inside, None when nothing is left,
+    and otherwise the raw cut path, which may repeat vertices or keep
+    collinear ones; `ConvexPoly._convex` makes it canonical.  Points and
+    segments go through the same loop: a segment is the closed path
+    p -> q -> p, so its one cut point is met twice.
     """
     a, b, c = h
-    verts = poly.hverts
     vals = [a * x + b * y + c * w for x, y, w in verts]
     if max(vals) <= 0:
-        return poly
+        return verts
     if min(vals) > 0:
         return None
     out: list[Hom] = []
@@ -340,7 +355,16 @@ def _clip(poly: ConvexPoly, h: Hom) -> Optional[ConvexPoly]:
             # vq*p - vp*q lies on the line, between p and q
             x, y, w = vq * p[0] - vp * q[0], vq * p[1] - vp * q[1], vq * p[2] - vp * q[2]
             out.append(reduced(x, y, w))
-    return ConvexPoly._convex(out)
+    return out
+
+
+def _clip(poly: ConvexPoly, h: Hom) -> Optional[ConvexPoly]:
+    """Part of poly in the halfplane h, as in `_cut`: poly itself, a new
+    canonical piece, or None."""
+    verts = _cut(poly.hverts, h)
+    if verts is poly.hverts:
+        return poly
+    return None if verts is None else ConvexPoly._convex(verts)
 
 
 def clip_halfplane(poly: ConvexPoly, nx, ny, c) -> Optional[ConvexPoly]:
@@ -379,17 +403,28 @@ def _inside(piece: ConvexPoly, *pts: Hom) -> bool:
     return all(a * x + b * y + c * w <= 0 for a, b, c in _halfplanes(piece) for x, y, w in pts)
 
 
-def convex_intersection(a: ConvexPoly, b: ConvexPoly) -> Optional[ConvexPoly]:
-    """Exact intersection of two convex pieces (may be degenerate), or None:
-    the lower-dimensional piece clipped by the other's halfplanes."""
+def _cut_chain(a: ConvexPoly, b: ConvexPoly) -> tuple[ConvexPoly, Optional[Sequence[Hom]]]:
+    """The lower-dimensional of the two pieces, and its vertex path cut by
+    every halfplane of the other (`_cut`): its own `hverts` when untouched,
+    None when the pieces are disjoint."""
     if a.dim() > b.dim():
         a, b = b, a
-    piece: Optional[ConvexPoly] = a
+    verts: Optional[Sequence[Hom]] = a.hverts
     for h in _halfplanes(b):
-        piece = _clip(piece, h)
-        if piece is None:
-            return None
-    return piece
+        verts = _cut(verts, h)
+        if verts is None:
+            break
+    return a, verts
+
+
+def convex_intersection(a: ConvexPoly, b: ConvexPoly) -> Optional[ConvexPoly]:
+    """Exact intersection of two convex pieces (may be degenerate), or None:
+    the lower-dimensional piece clipped by the other's halfplanes, made
+    canonical once at the end."""
+    a, verts = _cut_chain(a, b)
+    if verts is a.hverts:
+        return a
+    return None if verts is None else ConvexPoly._convex(verts)
 
 
 def convex_difference(a: ConvexPoly, b: ConvexPoly) -> list[ConvexPoly]:
@@ -553,33 +588,49 @@ def _box_gap_sq(a, b) -> int:
     return dx * dx + dy * dy
 
 
+def _point_sq(p: Hom, piece: ConvexPoly) -> tuple[int, int]:
+    """Squared distance from p to the closed piece, as (numerator,
+    denominator): 0 inside, else the least over the piece's `_edges`."""
+    if _inside(piece, p):
+        return 0, 1
+    best = None
+    for e0, e1 in _edges(piece):
+        n, d = _point_segment_sq(p, e0, e1)
+        if best is None or n * best[1] < best[0] * d:
+            best = n, d
+    return best
+
+
 def _min_sq_to_region(
     p: Hom, pieces: Sequence[ConvexPoly], boxes, order, gaps, gd: int
 ) -> Fraction:
     """Squared distance from p to the union of pieces.  `order` lists piece
     indices by `gaps`: each gap over `gd` bounds from below the squared
     distance from p to its piece."""
-    pt = ConvexPoly._convex([p])
     pbox = (p[0], p[1], p[0], p[1], p[2])
-    best: Optional[Fraction] = None
+    n, m = None, 1  # the best (numerator, denominator) so far
     for i in order:
-        if best is not None:
-            n, m = best.numerator, best.denominator
+        if n is not None:
             if gaps[i] * m >= n * gd:
                 break  # sorted order: nothing later can improve
             if _box_gap_sq(pbox, boxes[i]) * m >= n * (p[2] * boxes[i][4]) ** 2:
                 continue
-        d = squared_distance(pt, pieces[i])
-        if best is None or d < best:
-            best = d
-            if best == 0:
-                return best
-    return best
+        dn, dm = _point_sq(p, pieces[i])
+        if n is None or dn * m < n * dm:
+            n, m = dn, dm
+            if n == 0:
+                break
+    return Fraction(n, m)
 
 
 def _max_sq_vertex(piece: ConvexPoly, other: ConvexPoly) -> Fraction:
     # max over x in piece of dist(x, other) is attained at a vertex
-    return max(squared_distance(ConvexPoly._convex([v]), other) for v in piece.hverts)
+    n, m = 0, 1
+    for v in piece.hverts:
+        dn, dm = _point_sq(v, other)
+        if dn * m > n * dm:
+            n, m = dn, dm
+    return Fraction(n, m)
 
 
 def _split_piece(piece: ConvexPoly) -> list[ConvexPoly]:

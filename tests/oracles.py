@@ -13,7 +13,9 @@ they were on `Fraction`s: each level rescaled onto [0, 1] and laid back
 through the box, each frame solved from six coefficients.  The fat trees
 and the tree dendrite are rebuilt the way they were before they moved to
 integers: each fat edge made from `Fraction` points through the hull
-constructor, then placed vertex by vertex and made again.
+constructor, then placed vertex by vertex and made again.  Ball polygons are
+made as before they moved to integers: `Fraction` points on the unit circle,
+scaled and shifted, through the hull constructor.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from planarpi import geom
+from planarpi import balls, geom
 from planarpi.cantor import BITS, FatCantorLevel, check_bits, leftmost_path, pad_eps
 from planarpi.cesets import SequenceFamily, e_state, stage_function
 from planarpi.continua.fanq import BlockGraph, BlockRecord, _collinear, _edge_segment
@@ -727,3 +729,29 @@ def build_dendrite_h(stage: int, script, tree) -> RegionSnapshot:
         pieces.extend(_placed(_fat_edge_pieces(edges, leaves, w_tree), x, t, q))
     pieces.extend(_base_pieces(gaps))
     return RegionSnapshot(stage, pieces)
+
+
+# -- ball polygons: Fraction points through the hull constructor ----------------
+
+
+def unit_circle_points(k: int) -> list[Point]:
+    """`balls._unit_circle_points` as `Fraction` points on the unit circle."""
+    if not 0 <= k <= 6:
+        raise ValueError(f"ball polygons have 1 to 64 vertices, got 2^{k}")
+    pts: list[Point] = []
+    for j in range(0, 64, 1 << (6 - k)):
+        if balls._TAN_TABLE[j] is None:
+            pts.append((Fraction(-1), Fraction(0)))
+            continue
+        t = Fraction(balls._TAN_TABLE[j], 1 << 16)
+        d = 1 + t * t
+        pts.append(((1 - t * t) / d, 2 * t / d))
+    return pts
+
+
+def ball_polygon(ball, k: int = 6) -> ConvexPoly:
+    r = ball.radius
+    if ball.kind == "open":
+        r = r * (Fraction(1) - Fraction(1, 1 << 20))
+    cx, cy = ball.center
+    return ConvexPoly([(cx + r * ux, cy + r * uy) for ux, uy in unit_circle_points(k)])

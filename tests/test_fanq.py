@@ -541,9 +541,9 @@ class TestBodiesMatchFractionPath:
 
 
 class TestBodyFractions:
-    """With the fat levels cached, a body is laid on ints: a straight body
-    makes no `Fraction`, and a corner body makes the same few, for its frame
-    box, at every band count."""
+    """With the fat levels cached, a body is laid on ints at every band
+    count: neither a straight nor a corner body makes a `Fraction`, since
+    each block's integer band box is made once, when the block is."""
 
     def test_fraction_count_does_not_grow_with_bands(self, monkeypatch):
         tree = full_tree()
@@ -569,4 +569,20 @@ class TestBodyFractions:
         ts = (1, 3, 5)  # 2, 8 and 32 bands
         assert [len(straight.body_at(tree, t)) for t in ts] == [2, 8, 32]
         assert [fractions_made(straight, t) for t in ts] == [0, 0, 0]
-        assert len({fractions_made(corner, t) for t in ts}) == 1
+        assert [fractions_made(corner, t) for t in ts] == [0, 0, 0]
+
+    def test_corner_frame_box_is_mapped_once(self, monkeypatch):
+        tree = full_tree()
+        _, graph = build_cantor_fan_q(1, tree, DestinationTrack([(1, 4)]))
+        corner = graph.blocks[1]
+        assert corner.kind == "corner"
+        calls = []
+        real = fanq.AffineFrame.img
+
+        def counting(self, x):
+            calls.append(x)
+            return real(self, x)
+
+        monkeypatch.setattr(fanq.AffineFrame, "img", counting)
+        assert all(corner.body_at(tree, t) for t in (1, 3, 5))
+        assert calls == []

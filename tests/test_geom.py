@@ -20,7 +20,7 @@ from planarpi.balls import (
     probe_ball_empty,
     subtract_ball,
 )
-from planarpi.cli import CONSTRUCTIONS
+from planarpi.cli import CONSTRUCTIONS, main
 from planarpi.geom import (
     ConvexPoly,
     DistanceEnclosure,
@@ -45,6 +45,7 @@ from planarpi.geom import (
 
 from planarpi.verify import PieceGraph
 
+import oracles
 from oracles import boxes_overlap, flood_fill_components, raster_covers, sat_intersect
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -347,16 +348,105 @@ def _tangent_circle_points(n: int):
     return pts
 
 
+# ball centres and radii over several denominators, so that the vertices'
+# weights differ
+CENTRE = st.tuples(st.integers(-40, 40), st.sampled_from((1, 3, 8, 1000))).map(lambda v: F(*v))
+BALLS = st.builds(
+    BallSpec,
+    st.tuples(CENTRE, CENTRE),
+    st.sampled_from((F(1), F(1, 3), F(5, 8), F(7, 1000), F(2, 3**7))),
+    st.sampled_from(("open", "closed")),
+)
+
+
 class TestBallPolygon:
     def test_table_reproduces_tangent_formula(self):
         for k in range(7):
-            pts = balls._unit_circle_points(k)
+            pts = [(F(x, w), F(y, w)) for x, y, w in balls._unit_circle_points(k)]
             assert pts == _tangent_circle_points(1 << k)
             assert all(x * x + y * y == 1 for x, y in pts)
 
     def test_more_than_64_vertices_raise(self):
         with pytest.raises(ValueError):
             ball_polygon(BallSpec((0, 0), 1), k=7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(BALLS)
+    def test_matches_fraction_path(self, ball):
+        for k in range(7):
+            assert ball_polygon(ball, k).hverts == oracles.ball_polygon(ball, k).hverts, k
+
+    def test_dendrite_d_probes_run_no_hull(self, monkeypatch, tmp_path):
+        # the cut-dichotomy probes are ball polygons, made with no hull
+        def no_hull(self, points):
+            raise AssertionError("ConvexPoly.__init__ called")
+
+        monkeypatch.setattr(ConvexPoly, "__init__", no_hull)
+        argv = ["verify", "--config", str(CONFIGS / "dendrite-d.json"), "--checks",
+                "cut-dichotomy", "--stage-range", "0:8", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+
+
+class TestKernelWork:
+    """The kernel makes canonical pieces and `Fraction`s only where its
+    callers read them."""
+
+    PAIRS = (
+        (rect(0, 0, 2, 2), ConvexPoly([(1, 0), (2, 1), (1, 2), (0, 1)])),  # the square's diamond
+        (rect(0, 0, 2, 2), segment((-1, F(1, 2)), (3, F(3, 2)))),  # cut at two edges
+        (rect(0, 0, 2, 2), ConvexPoly([(3, 1), (3, 3), (F(3, 2), 3)])),  # boxes meet only
+    )
+
+    def test_polys_intersect_makes_no_piece(self, monkeypatch):
+        def no_piece(cls, verts):
+            raise AssertionError("ConvexPoly._convex called")
+
+        monkeypatch.setattr(ConvexPoly, "_convex", classmethod(no_piece))
+        assert [polys_intersect(a, b) for a, b in self.PAIRS] == [True, True, False]
+        assert [polys_intersect(b, a) for a, b in self.PAIRS] == [True, True, False]
+
+    def test_convex_intersection_makes_one_piece(self, monkeypatch):
+        made = []
+        real = ConvexPoly._convex
+
+        def counting(cls, verts):
+            made.append(verts)
+            return real(verts)
+
+        monkeypatch.setattr(ConvexPoly, "_convex", classmethod(counting))
+        for a, b in self.PAIRS[:2]:
+            made.clear()
+            assert convex_intersection(a, b) is not None and len(made) == 1
+        made.clear()
+        assert convex_intersection(*self.PAIRS[2]) is None and made == []
+        inner = rect(F(1, 2), F(1, 2), 1, 1)
+        assert convex_intersection(inner, rect(0, 0, 2, 2)) is inner and made == []
+
+    def test_fan_hausdorff_makes_no_point_piece(self, monkeypatch):
+        config = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
+        snaps, _ = CONSTRUCTIONS["cantor-fan-q"].snapshots(config, 2, 3)
+        want = hausdorff_enclosure(snaps[0], snaps[1], 12)
+        real_convex, real_bounds = ConvexPoly._convex, geom._directed_sq_bounds
+        bounding = []  # the containment test may make point remainders; the bounds not
+
+        def no_point(cls, verts):
+            assert not bounding or len(set(verts)) > 1, "point piece made"
+            return real_convex(verts)
+
+        def bounds(*args):
+            bounding.append(args)
+            try:
+                return real_bounds(*args)
+            finally:
+                bounding.pop()
+
+        def no_distance(a, b):
+            raise AssertionError("squared_distance called")
+
+        monkeypatch.setattr(ConvexPoly, "_convex", classmethod(no_point))
+        monkeypatch.setattr(geom, "_directed_sq_bounds", bounds)
+        monkeypatch.setattr(geom, "squared_distance", no_distance)
+        assert hausdorff_enclosure(snaps[0], snaps[1], 12) == want
 
 
 class TestContainment:

@@ -4,8 +4,9 @@ with the same witnesses and the same exact distances.
 
 Pieces are drawn with dyadic and triadic corners, so that the homogeneous
 weights of one piece's vertices differ, and in pairs biased to shared
-vertices, collinear segments, endpoint touches and vertices on edges.  Every
-sample config is compared too, at stages 0..6.
+vertices, collinear segments, endpoint touches, vertices on edges, segments
+cut at two edges and slivers, whose clip chains leave repeated and collinear
+raw vertices.  Every sample config is compared too, at stages 0..6.
 """
 
 import json
@@ -26,6 +27,7 @@ from planarpi.geom import (
     convex_intersection,
     piece_pairs,
     point,
+    polys_intersect,
     rect,
     region_covers,
     segment,
@@ -76,11 +78,55 @@ def on_edge_pairs(draw):
     return (poly, other) if draw(st.booleans()) else (other, poly)
 
 
+def _on_edge(v, i: int, k: int):
+    """The point k/4 of the way along the polygon's edge from vertex i."""
+    p, q = v[i], v[(i + 1) % len(v)]
+    return (p[0] + (q[0] - p[0]) * F(k, 4), p[1] + (q[1] - p[1]) * F(k, 4))
+
+
+@st.composite
+def crossing_pairs(draw):
+    """A polygon and a segment or point from boundary points of it: the
+    segment ends on two edges or runs past them, so that two clips cut it
+    and each cut point is met twice on its closed path."""
+    poly = draw(POLYGONS)
+    assume(poly.dim() == 2)
+    v = poly.vertices
+    i, j = draw(st.lists(st.integers(0, len(v) - 1), min_size=2, max_size=2, unique=True))
+    p, q = _on_edge(v, i, draw(st.integers(0, 3))), _on_edge(v, j, draw(st.integers(0, 3)))
+    ext = draw(st.sampled_from((0, F(1, 2), 2)))
+    a = (p[0] - ext * (q[0] - p[0]), p[1] - ext * (q[1] - p[1]))
+    b = (q[0] + ext * (q[0] - p[0]), q[1] + ext * (q[1] - p[1]))
+    other = point(*p) if p == q or draw(st.booleans()) else segment(a, b)
+    return (poly, other) if draw(st.booleans()) else (other, poly)
+
+
+@st.composite
+def sliver_pairs(draw):
+    """A polygon and a thin piece along it: its translate by a short step,
+    or a triangle whose apex lies just off the middle of one of its edges."""
+    poly = draw(POLYGONS)
+    assume(poly.dim() == 2)
+    v, (dx, dy), unit = poly.vertices, draw(STEP), F(1, 36)
+    if draw(st.booleans()):
+        other = ConvexPoly([(x + dx * unit, y + dy * unit) for x, y in v])
+    else:
+        i = draw(st.integers(0, len(v) - 1))
+        mid = _on_edge(v, i, 2)
+        other = ConvexPoly([v[i], v[(i + 1) % len(v)], (mid[0] + dx * unit, mid[1] + dy * unit)])
+    return (poly, other) if draw(st.booleans()) else (other, poly)
+
+
 SHARED_VERTEX_PAIRS = st.tuples(PT, st.lists(PT, max_size=3), st.lists(PT, max_size=3)).map(
     lambda v: (ConvexPoly([v[0], *v[1]]), ConvexPoly([v[0], *v[2]]))
 )
 PAIRS = st.one_of(
-    st.tuples(PIECES, PIECES), SHARED_VERTEX_PAIRS, collinear_pairs(), on_edge_pairs()
+    st.tuples(PIECES, PIECES),
+    SHARED_VERTEX_PAIRS,
+    collinear_pairs(),
+    on_edge_pairs(),
+    crossing_pairs(),
+    sliver_pairs(),
 )
 HALFPLANES = st.tuples(
     st.integers(-3, 3), st.sampled_from((1, F(1, 2), F(1, 3))), st.integers(-3, 3), COORD
@@ -90,6 +136,7 @@ HALFPLANES = st.tuples(
 def _assert_pair_matches(a: ConvexPoly, b: ConvexPoly) -> None:
     inter = convex_intersection(a, b)
     assert inter == oracles.convex_intersection(a, b)
+    assert polys_intersect(a, b) == (inter is not None)
     assert convex_difference(a, b) == oracles.convex_difference(a, b)  # pieces and order
     assert squared_distance(a, b) == oracles.squared_distance(a, b)
 
@@ -100,7 +147,7 @@ class TestDrawnPieces:
     def test_clip_matches_oracle(self, piece, plane):
         assert clip_halfplane(piece, *plane) == oracles.clip_halfplane(piece, *plane)
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(PAIRS)
     def test_pair_operations_match_oracle(self, pair):
         a, b = pair
@@ -219,3 +266,15 @@ def test_hausdorff_bounds_match_oracle(config_snapshots, name, s, t):
     half, prec = F(1, 1 << 13), 16
     got = geom._directed_sq_bounds(src, dst, half, prec)
     assert got == oracles.directed_sq_bounds(src, dst, half, prec)
+
+
+@pytest.mark.parametrize("s", range(4))
+@pytest.mark.parametrize("name", NAMES)
+def test_config_hausdorff_bounds_match_oracle(config_snapshots, name, s):
+    # consecutive stages in both directions, so that both nested sources
+    # and sources that stick out are bounded and refined
+    a, b = config_snapshots[name][s].pieces, config_snapshots[name][s + 1].pieces
+    half, prec = F(1, 1 << 8), 12
+    for src, dst in ((a, b), (b, a)):
+        got = geom._directed_sq_bounds(src, dst, half, prec)
+        assert got == oracles.directed_sq_bounds(src, dst, half, prec)
