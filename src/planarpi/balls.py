@@ -17,10 +17,9 @@ from .geom import (
     ConvexPoly,
     Point,
     RegionSnapshot,
+    _sq_sign,
     frac,
-    point,
     rect,
-    squared_distance,
     subtract_poly,
     to_ints,
 )
@@ -148,13 +147,11 @@ def probe_ball_empty(presentation, ball: BallSpec, stage: int) -> str:
     """
     if ball.kind != "closed":
         raise ValueError("probe balls must be closed")
-    ball_piece = point(*ball.center)
+    (x, y), w = to_ints(*ball.center)
     r2 = ball.radius * ball.radius
 
     def disjoint(snapshot: RegionSnapshot) -> bool:
-        return all(
-            squared_distance(ball_piece, piece) > r2 for piece in snapshot.pieces
-        )
+        return all(_sq_sign((x, y, w), piece, r2) > 0 for piece in snapshot.pieces)
 
     if disjoint(presentation.snapshot(stage)):
         return "certified-empty"

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from . import check_natural
+
 BITS = ("0", "1")
 
 
@@ -19,13 +21,6 @@ def check_bits(sigma: str) -> str:
     if not isinstance(sigma, str) or sigma.strip("01"):
         raise ValueError(f"not a binary string: {sigma!r}")
     return sigma
-
-
-def check_natural(value, what: str) -> int:
-    """The one rule for naturals read from input: an int >= 0, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{what} must be a natural number, got {value!r}")
-    return value
 
 
 def flip_bits(sigma: str) -> str:

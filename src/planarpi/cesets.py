@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .cantor import check_natural
+from . import check_natural
 
 
 class EnumerationScript:
@@ -99,13 +99,18 @@ class FamilyMember:
         return s is not None and s <= stage
 
 
+@dataclass(frozen=True)
 class SequenceFamily:
-    """Finite list of scripted uniformly-enumerable sequences V_i."""
+    """Finite list of scripted uniformly-enumerable sequences V_i.  Families
+    compare and hash by value, so equal ones share cached work."""
 
-    def __init__(self, members: Sequence[FamilyMember], normalized: bool = False):
-        self.members = tuple(members)
-        self.normalized = bool(normalized)
-        if normalized:
+    members: Sequence[FamilyMember]
+    normalized: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "normalized", bool(self.normalized))
+        if self.normalized:
             for mem in self.members:
                 for (n, _, x) in mem.triples:
                     if x < n:

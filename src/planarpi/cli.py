@@ -15,11 +15,11 @@ import tempfile
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from . import __version__
-from .cantor import TreePresentation, check_natural
+from . import __version__, check_natural
 from .geom import ConvexPoly, RegionSnapshot, frac_str, hausdorff_enclosure
 
 if TYPE_CHECKING:
+    from .cantor import TreePresentation
     from .cesets import EnumerationScript, SequenceFamily
     from .continua.fanq import BlockGraph
 
@@ -79,6 +79,8 @@ def _field(config: dict, key: str, parse, default):
 
 
 def _tree_from(config: dict) -> TreePresentation:
+    from .cantor import TreePresentation
+
     return _field(config, "P", TreePresentation.from_json, {"prune": []})
 
 
@@ -266,7 +268,7 @@ def _run_checks(config: dict, checks: list[str], lo: int, hi: int):
         "cut-dichotomy": lambda: check_cut_dichotomy(
             kind, last, construction.cut_probes(config, last)
         ),
-        "touch-chain": lambda: check_touch_chain(graph, hi),
+        "touch-chain": lambda: check_touch_chain(graph),
     }
     return [run[check]() for check in checks]
 

@@ -25,7 +25,7 @@ def comb_center(t: int, u: int) -> Fraction:
 @lru_cache(maxsize=64)
 def _first_choices(fam: SequenceFamily, t: int, stage: int, search_bound: int) -> dict[int, int]:
     """u -> the least s <= stage with f_s(t) = u, for each u so chosen.  The
-    family is keyed by identity, so each u of one family reuses one pass."""
+    family is keyed by value, so each u of equal families reuses one pass."""
     first: dict[int, int] = {}
     for s in range(stage + 1):
         first.setdefault(limit_f(fam, t, s, search_bound), s)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..geom import RegionSnapshot, point, segment
+from ..cantor import _ternary_code, all_strings
+from ..geom import RegionSnapshot, segment
 
 Frac = Fraction
 
@@ -28,26 +29,13 @@ def harmonic_comb(stage: int) -> RegionSnapshot:
 
 
 def cantor_endpoints(level: int) -> list[Fraction]:
-    """Endpoints of the level-`level` middle-thirds intervals, sorted."""
-    intervals = [(Frac(0), Frac(1))]
-    for _ in range(level):
-        nxt = []
-        for lo, hi in intervals:
-            third = (hi - lo) / 3
-            nxt.append((lo, lo + third))
-            nxt.append((hi - third, hi))
-        intervals = nxt
-    pts: set[Fraction] = set()
-    for lo, hi in intervals:
-        pts.add(lo)
-        pts.add(hi)
-    return sorted(pts)
+    """Endpoints of the level-`level` middle-thirds intervals, sorted: sigma's
+    interval is [c / 3^level, (c + 1) / 3^level], c = `_ternary_code(sigma)`."""
+    codes = [_ternary_code(sigma) for sigma in all_strings(level)]
+    return sorted({Frac(c + e, 3**level) for c in codes for e in (0, 1)})
 
 
 def cantor_fan(stage: int) -> RegionSnapshot:
     """Cone from the apex (1/2, 0) over the stage-level Cantor endpoints at y=1."""
     apex = (Frac(1, 2), Frac(0))
-    pieces = [segment(apex, (x, 1)) for x in cantor_endpoints(stage)]
-    if not pieces:
-        pieces = [point(*apex)]
-    return RegionSnapshot(stage, pieces)
+    return RegionSnapshot(stage, [segment(apex, (x, 1)) for x in cantor_endpoints(stage)])

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..cantor import FatCantorLevel, TreePresentation, check_natural, fat_level, flip_bits
+from .. import check_natural
+from ..cantor import FatCantorLevel, TreePresentation, fat_level, flip_bits
 from ..geom import (
     ConvexPoly,
     RegionSnapshot,

@@ -12,17 +12,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from ..cantor import TreePresentation, _ternary_code, cantor_coord, check_bits, leftmost_path
+from ..cantor import TreePresentation, _ternary_code, check_bits, leftmost_path
 from ..cesets import EnumerationScript, stage_function
 from ..balls import BallSpec
 from ..geom import (
     ConvexPoly,
     RegionSnapshot,
+    _sq_sign,
     overlapping_pairs,
-    point,
     rect,
     segment,
-    squared_distance,
     to_ints,
 )
 from .dendrite import _base_pieces, _rising, rising_width
@@ -32,10 +31,14 @@ Frac = Fraction
 
 @lru_cache(maxsize=None)
 def plot_point(sigma: str) -> tuple[Fraction, Fraction]:
-    """Planar vertex of a binary string: root (1/2, 1), level k at y = 2^-k."""
+    """Planar vertex of a binary string: root (1/2, 1), level k at y = 2^-k.
+
+    Its x is the middle of sigma's level-k middle-thirds interval
+    [c / 3^k, (c + 1) / 3^k], c = `_ternary_code(sigma)`.
+    """
     check_bits(sigma)
     k = len(sigma)
-    return (Frac(1, 2 * 3**k) + _subtree_x_base(sigma), Frac(1, 1 << k))
+    return (Frac(1 + 2 * _ternary_code(sigma), 2 * 3**k), Frac(1, 1 << k))
 
 
 def _tree_edges(tree: TreePresentation, stage: int, depth: int) -> list[str]:
@@ -47,30 +50,22 @@ def _tree_edges(tree: TreePresentation, stage: int, depth: int) -> list[str]:
 
 
 def plotted_tree(tree: TreePresentation, stage: int, depth: int) -> RegionSnapshot:
-    """Edge set between surviving strings of length <= depth."""
+    """Edge set between surviving strings of length <= depth: the width-0
+    fat tree.  A surviving root has a surviving child, so it is never a
+    lone point."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    pieces = [
-        segment(plot_point(sigma[:-1]), plot_point(sigma))
-        for sigma in _tree_edges(tree, stage, depth)
-    ]
-    if not pieces:
-        pieces = [point(*plot_point(""))] if tree.survives("", stage) else []
-    return RegionSnapshot(stage, pieces)
-
-
-def _subtree_x_base(tau: str) -> Fraction:
-    """Sum of 2 * 3^-(i+1) over the 1-bits: the left end of tau's subtree."""
-    return 3 * cantor_coord(tau) - 1
+    return RegionSnapshot(stage, _fat_pieces(_tree_edges(tree, stage, depth), (), Frac(0), depth))
 
 
 def _full_tree_edges_near(
-    x_lo: Fraction, x_hi: Fraction, y_lo: Fraction, max_depth: int
+    x_lo: Fraction, x_hi: Fraction, y_lo: Fraction
 ) -> list[tuple[str, ConvexPoly]]:
     """Full-tree edges whose subtree window can reach [x_lo,x_hi] x [y_lo, 1].
 
-    The subtree below tau spans x in [base(tau), base(tau)+3^-len] and
-    y in (0, 2^-(len-1)], so whole branches prune away exactly.
+    The subtree below tau spans x in [c / 3^len, (c + 1) / 3^len],
+    c = `_ternary_code(tau)`, and y in (0, 2^-(len-1)], so whole branches
+    prune away exactly; the walk ends once the levels drop below y_lo > 0.
     """
     out = []
     stack = [""]
@@ -78,16 +73,13 @@ def _full_tree_edges_near(
         tau = stack.pop()
         if tau:
             out.append((tau, segment(plot_point(tau[:-1]), plot_point(tau))))
-        if len(tau) >= max_depth:
-            continue
         if Frac(1, 1 << len(tau)) < y_lo:
             continue  # every deeper edge lies below the window
         px = plot_point(tau)[0]
         for b in ("1", "0"):
             child = tau + b
-            base = _subtree_x_base(child)
-            lo = min(base, px)
-            hi = max(base + Frac(1, 3 ** len(child)), px)
+            c, den = _ternary_code(child), 3 ** len(child)
+            lo, hi = min(Frac(c, den), px), max(Frac(c + 1, den), px)
             if lo <= x_hi and hi >= x_lo:
                 stack.append(child)
     return out
@@ -112,30 +104,14 @@ def probe_balls(sigma: str) -> tuple[BallSpec, Optional[BallSpec]]:
     a = plot_point(sigma[:-1])
     b = plot_point(sigma)
     mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-    mid_piece = point(*mid)
-    own = segment(a, b)
-    result = None
+    (x, y), w = to_ints(*mid)
     for k in range(len(sigma), len(sigma) + 40):
+        # mid_y - r >= 3 * 2^-(len+1) - 2^-len > 0, so the walk below ends
         r = Frac(1, 1 << k)
-        if mid[1] - r <= 0:
-            continue
-        # edges entirely below y = mid_y - r cannot reach the ball
-        depth = 1
-        while Frac(1, 1 << (depth - 1)) >= mid[1] - r and depth < k + 60:
-            depth += 1
-        ok = True
-        for tau, edge in _full_tree_edges_near(mid[0] - r, mid[0] + r, mid[1] - r, depth):
-            if edge == own:
-                continue
-            if squared_distance(mid_piece, edge) < r * r:
-                ok = False
-                break
-        if ok:
-            result = BallSpec(mid, r, kind="open")
-            break
-    if result is None:
-        raise AssertionError("no admissible positive ball radius found")
-    return minus, result
+        near = _full_tree_edges_near(mid[0] - r, mid[0] + r, mid[1] - r)
+        if not any(tau != sigma and _sq_sign((x, y, w), e, r * r) < 0 for tau, e in near):
+            return minus, BallSpec(mid, r, kind="open")
+    raise AssertionError("no admissible positive ball radius found")
 
 
 class PlottedTreePresentation:
@@ -166,14 +142,15 @@ def recover_tree(presentation, stage: int, depth: int) -> RecoveredTree:
     strings = [format(i, f"0{n}b") for n in range(1, depth + 1) for i in range(1 << n)]
     balls = [probe_balls(sigma)[1] for sigma in strings]
     # a piece whose box misses the ball's closed box is farther than the radius
-    ball_boxes = []
+    ball_boxes, centres = [], []  # each centre as a homogeneous int triple
     for ball in balls:
         (x, y), r = ball.center, ball.radius
         ball_boxes.append((x - r, y - r, x + r, y + r))
+        (xn, yn), w = to_ints(x, y)
+        centres.append((xn, yn, w))
     met: set[int] = set()
     for i, j in overlapping_pairs(ball_boxes, [p.bbox() for p in pieces]):
-        ball = balls[i]
-        if i not in met and squared_distance(point(*ball.center), pieces[j]) < ball.radius**2:
+        if i not in met and _sq_sign(centres[i], pieces[j], balls[i].radius ** 2) < 0:
             met.add(i)
     hits = tuple(strings[i] for i in sorted(met))
     return RecoveredTree(strings=("",) + hits, region_empty=not met)

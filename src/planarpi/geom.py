@@ -8,15 +8,15 @@ Halfplane signs, clips, convex differences, containment, box tests, the
 order along a segment and squared distances all run on Python ints; no
 float enters the kernel.  A chain of clips runs on raw vertex paths (`_cut`)
 and is made canonical once per result; `polys_intersect` makes no piece.
-Hausdorff bounds compare squared distances as integer (numerator,
-denominator) pairs and make one `Fraction` per bound.
+Every distance is `_point_sq`, from a homogeneous point to a piece, as an
+integer (numerator, denominator) pair; Hausdorff bounds and ball probes
+compare these, and no probe makes a point piece.
 
 Rationals (ints, `fractions.Fraction`s or lowest-terms 'p/q' strings) are
-converted once, when a piece is made.  Fractions are made only where a
-value leaves the kernel: `ConvexPoly.vertices` and `bbox()`,
-`squared_distance`, the Scene JSON and the bounds of a Hausdorff
-enclosure.  Distances are never emitted as scalars, only as
-rational enclosures.
+converted once, when a piece or a frame is made.  Fractions are made only
+where a value leaves the kernel: `ConvexPoly.vertices`, `bbox()`, the Scene
+JSON, `squared_distance` (for tests and API callers) and one per Hausdorff
+bound.  Distances are never emitted as scalars, only as rational enclosures.
 """
 
 from __future__ import annotations
@@ -237,19 +237,31 @@ def _edges(piece: ConvexPoly) -> list[tuple[Hom, Hom]]:
     return [(v[i - 1], v[i]) for i in range(len(v))] if len(v) > 2 else [(v[0], v[-1])]
 
 
+def _point_sq(p: Hom, piece: ConvexPoly) -> tuple[int, int]:
+    """Squared distance from p to the closed piece, as (numerator,
+    denominator): 0 inside, else the least over the piece's `_edges`."""
+    if _inside(piece, p):
+        return 0, 1
+    best = None
+    for e0, e1 in _edges(piece):
+        n, d = _point_segment_sq(p, e0, e1)
+        if best is None or n * best[1] < best[0] * d:
+            best = n, d
+    return best
+
+
+def _sq_sign(p: Hom, piece: ConvexPoly, q: Fraction) -> int:
+    """The sign of (the squared distance from p to the closed piece) - q."""
+    n, m = _point_sq(p, piece)
+    return (n * q.denominator > q.numerator * m) - (n * q.denominator < q.numerator * m)
+
+
 def squared_distance(a: ConvexPoly, b: ConvexPoly) -> Fraction:
     """Exact squared Euclidean min-distance; zero iff the polys intersect."""
     if polys_intersect(a, b):
         return Fraction(0)
     # the nearest pair of points has a vertex of one piece at one end
-    best = None
-    for src, dst in ((a, b), (b, a)):
-        for e0, e1 in _edges(dst):
-            for p in src.hverts:
-                n, d = _point_segment_sq(p, e0, e1)
-                if best is None or n * best[1] < best[0] * d:
-                    best = n, d
-    return Fraction(*best)
+    return min(Fraction(*_point_sq(p, dst)) for src, dst in ((a, b), (b, a)) for p in src.hverts)
 
 
 # -- snapshots -------------------------------------------------------------
@@ -588,19 +600,6 @@ def _box_gap_sq(a, b) -> int:
     return dx * dx + dy * dy
 
 
-def _point_sq(p: Hom, piece: ConvexPoly) -> tuple[int, int]:
-    """Squared distance from p to the closed piece, as (numerator,
-    denominator): 0 inside, else the least over the piece's `_edges`."""
-    if _inside(piece, p):
-        return 0, 1
-    best = None
-    for e0, e1 in _edges(piece):
-        n, d = _point_segment_sq(p, e0, e1)
-        if best is None or n * best[1] < best[0] * d:
-            best = n, d
-    return best
-
-
 def _min_sq_to_region(
     p: Hom, pieces: Sequence[ConvexPoly], boxes, order, gaps, gd: int
 ) -> Fraction:
@@ -680,12 +679,9 @@ def _directed_sq_bounds(
             return global_lb, global_hi
         # refine the piece holding the largest upper bound
         idx = max(range(len(items)), key=lambda i: items[i][2])
+        # its lb < ub: an item with lb = ub = global_hi <= global_lb would
+        # have met the width test above, so a point piece is never split
         piece, lb, ub = items.pop(idx)
-        if lb == ub:
-            # bounds already tight (e.g. a point piece); freeze it
-            items.append((piece, lb, ub))
-            global_lb = max(global_lb, lb)
-            continue
         for h in _split_piece(piece):
             hlb, hub = bounds(h)
             global_lb = max(global_lb, hlb)
@@ -713,4 +709,4 @@ def hausdorff_enclosure(
     lo2, hi2 = directed(b, a)
     low = max(sqrt_lower(lo1, prec), sqrt_lower(lo2, prec))
     high = max(sqrt_upper(hi1, prec), sqrt_upper(hi2, prec))
-    return DistanceEnclosure(low=max(Fraction(0), low), high=high)
+    return DistanceEnclosure(low=low, high=high)

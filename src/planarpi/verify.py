@@ -45,7 +45,7 @@ class CheckReport:
         }
 
 
-def check_nesting(snapshots: Sequence[RegionSnapshot], name: str = "nesting") -> CheckReport:
+def check_nesting(snapshots: Sequence[RegionSnapshot]) -> CheckReport:
     """Pass iff each snapshot exactly contains the next one."""
     if len(snapshots) < 2:
         raise ValueError("nesting check needs at least two stages")
@@ -55,7 +55,7 @@ def check_nesting(snapshots: Sequence[RegionSnapshot], name: str = "nesting") ->
         ok, witness = region_covers(prev.pieces, nxt.pieces)
         if not ok:
             return CheckReport(
-                check_name=name,
+                check_name="nesting",
                 stage_range=(lo, hi),
                 verdict="fail",
                 witness={
@@ -65,21 +65,21 @@ def check_nesting(snapshots: Sequence[RegionSnapshot], name: str = "nesting") ->
                     ],
                 },
             )
-    return CheckReport(check_name=name, stage_range=(lo, hi), verdict="pass")
+    return CheckReport(check_name="nesting", stage_range=(lo, hi), verdict="pass")
 
 
-def check_connectivity(snapshots: Sequence[RegionSnapshot], name: str = "connectivity") -> CheckReport:
+def check_connectivity(snapshots: Sequence[RegionSnapshot]) -> CheckReport:
     lo, hi = snapshots[0].stage, snapshots[-1].stage
     for snap in snapshots:
         n = len(connectivity_components(snap))
         if n != 1:
             return CheckReport(
-                check_name=name,
+                check_name="connectivity",
                 stage_range=(lo, hi),
                 verdict="fail",
                 witness={"stage": snap.stage, "components": n},
             )
-    return CheckReport(check_name=name, stage_range=(lo, hi), verdict="pass")
+    return CheckReport(check_name="connectivity", stage_range=(lo, hi), verdict="pass")
 
 
 class PieceGraph:
@@ -149,9 +149,10 @@ def check_cut_dichotomy(
     return CheckReport(name, stages, "pass")
 
 
-def check_touch_chain(graph: BlockGraph, at_stage: Optional[int] = None) -> CheckReport:
+def check_touch_chain(graph: BlockGraph) -> CheckReport:
     """Pass iff the touch edges form a simple path over all blocks in
-    creation order and each edge meets the touch conditions at its stage."""
+    creation order and each edge meets the touch conditions at the last
+    creation stage."""
     from .continua.fanq import check_touch
 
     name = "touch-chain"
@@ -190,13 +191,12 @@ def check_touch_chain(graph: BlockGraph, at_stage: Optional[int] = None) -> Chec
             return CheckReport(
                 name, stages, "fail", {"issue": "precedence violates creation stages", "at": b}
             )
-    at = at_stage if at_stage is not None else stages[1]
+    t = stages[1]  # no block is created later
     for e in graph.touches:
         if e.src is None:
             continue
         z0 = graph.block(e.src)
         z1 = graph.block(e.dst)
-        t = max(z0.creation_stage, z1.creation_stage, at)
         if not check_touch(z0, z1, e.direction, graph, t):
             return CheckReport(
                 name,

@@ -15,15 +15,21 @@ and the tree dendrite are rebuilt the way they were before they moved to
 integers: each fat edge made from `Fraction` points through the hull
 constructor, then placed vertex by vertex and made again.  Ball polygons are
 made as before they moved to integers: `Fraction` points on the unit circle,
-scaled and shifted, through the hull constructor.
+scaled and shifted, through the hull constructor.  Where one idea had two
+implementations, the one that was removed is kept: the integer distance's
+own edge loop, the Cantor endpoints by interval splitting, the plot point
+from `cantor_coord`, the plotted tree from its own segments, the probe
+balls with their depth loop, and the Hausdorff refinement that freezes a
+piece whose bounds meet.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from planarpi import balls, geom
+from planarpi import balls, cantor, geom
 from planarpi.cantor import BITS, FatCantorLevel, check_bits, leftmost_path, pad_eps
 from planarpi.cesets import SequenceFamily, e_state, stage_function
 from planarpi.continua.fanq import BlockGraph, BlockRecord, _collinear, _edge_segment
@@ -755,3 +761,194 @@ def ball_polygon(ball, k: int = 6) -> ConvexPoly:
         r = r * (Fraction(1) - Fraction(1, 1 << 20))
     cx, cy = ball.center
     return ConvexPoly([(cx + r * ux, cy + r * uy) for ux, uy in unit_circle_points(k)])
+
+
+# -- one implementation per idea: the second implementations it replaced --------
+# Each is kept as it was, as the differential reference for the path that
+# replaced it: the integer distance with its own edge loop, the Cantor
+# endpoints by interval splitting, the plot point from `cantor_coord`, the
+# plotted tree from its own segments with a root-point fallback, the probe
+# balls with their depth loop through point pieces, and the Hausdorff
+# refinement that freezes a piece whose bounds meet.
+
+
+def int_squared_distance(a: ConvexPoly, b: ConvexPoly) -> Fraction:
+    """Exact squared Euclidean min-distance; zero iff the polys intersect."""
+    if geom.polys_intersect(a, b):
+        return Fraction(0)
+    # the nearest pair of points has a vertex of one piece at one end
+    best = None
+    for src, dst in ((a, b), (b, a)):
+        for e0, e1 in geom._edges(dst):
+            for p in src.hverts:
+                n, d = geom._point_segment_sq(p, e0, e1)
+                if best is None or n * best[1] < best[0] * d:
+                    best = n, d
+    return Fraction(*best)
+
+
+def cantor_endpoints(level: int) -> list[Fraction]:
+    """Endpoints of the level-`level` middle-thirds intervals, sorted."""
+    intervals = [(Fraction(0), Fraction(1))]
+    for _ in range(level):
+        nxt = []
+        for lo, hi in intervals:
+            third = (hi - lo) / 3
+            nxt.append((lo, lo + third))
+            nxt.append((hi - third, hi))
+        intervals = nxt
+    pts: set[Fraction] = set()
+    for lo, hi in intervals:
+        pts.add(lo)
+        pts.add(hi)
+    return sorted(pts)
+
+
+def subtree_x_base(tau: str) -> Fraction:
+    """Sum of 2 * 3^-(i+1) over the 1-bits: the left end of tau's subtree."""
+    return 3 * cantor.cantor_coord(tau) - 1
+
+
+def base_plot_point(sigma: str) -> tuple[Fraction, Fraction]:
+    """Planar vertex of a binary string: root (1/2, 1), level k at y = 2^-k."""
+    check_bits(sigma)
+    k = len(sigma)
+    return (Fraction(1, 2 * 3**k) + subtree_x_base(sigma), Fraction(1, 1 << k))
+
+
+def plotted_tree(tree, stage: int, depth: int) -> RegionSnapshot:
+    """Edge set between surviving strings of length <= depth."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    pieces = [
+        geom.segment(base_plot_point(sigma[:-1]), base_plot_point(sigma))
+        for sigma in _tree_edges(tree, stage, depth)
+    ]
+    if not pieces:
+        pieces = [geom.point(*base_plot_point(""))] if tree.survives("", stage) else []
+    return RegionSnapshot(stage, pieces)
+
+
+def _full_tree_edges_near(
+    x_lo: Fraction, x_hi: Fraction, y_lo: Fraction, max_depth: int
+) -> list[tuple[str, ConvexPoly]]:
+    """Full-tree edges whose subtree window can reach [x_lo,x_hi] x [y_lo, 1]."""
+    out = []
+    stack = [""]
+    while stack:
+        tau = stack.pop()
+        if tau:
+            out.append((tau, geom.segment(base_plot_point(tau[:-1]), base_plot_point(tau))))
+        if len(tau) >= max_depth:
+            continue
+        if Fraction(1, 1 << len(tau)) < y_lo:
+            continue  # every deeper edge lies below the window
+        px = base_plot_point(tau)[0]
+        for b in ("1", "0"):
+            child = tau + b
+            base = subtree_x_base(child)
+            lo = min(base, px)
+            hi = max(base + Fraction(1, 3 ** len(child)), px)
+            if lo <= x_hi and hi >= x_lo:
+                stack.append(child)
+    return out
+
+
+def probe_balls(sigma: str):
+    """Negative and positive probe balls of a string."""
+    check_bits(sigma)
+    r_minus = min(Fraction(1, 1 << (len(sigma) + 2)), Fraction(1, 3 ** (len(sigma) + 1)))
+    minus = balls.BallSpec(base_plot_point(sigma), r_minus, kind="open")
+    if not sigma:
+        return minus, None
+    a = base_plot_point(sigma[:-1])
+    b = base_plot_point(sigma)
+    mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+    mid_piece = geom.point(*mid)
+    own = geom.segment(a, b)
+    result = None
+    for k in range(len(sigma), len(sigma) + 40):
+        r = Fraction(1, 1 << k)
+        if mid[1] - r <= 0:
+            continue
+        # edges entirely below y = mid_y - r cannot reach the ball
+        depth = 1
+        while Fraction(1, 1 << (depth - 1)) >= mid[1] - r and depth < k + 60:
+            depth += 1
+        ok = True
+        for tau, edge in _full_tree_edges_near(mid[0] - r, mid[0] + r, mid[1] - r, depth):
+            if edge == own:
+                continue
+            if int_squared_distance(mid_piece, edge) < r * r:
+                ok = False
+                break
+        if ok:
+            result = balls.BallSpec(mid, r, kind="open")
+            break
+    if result is None:
+        raise AssertionError("no admissible positive ball radius found")
+    return minus, result
+
+
+def recover_tree(presentation, stage: int, depth: int) -> tuple[tuple[str, ...], bool]:
+    """(strings, region_empty): the strings whose positive ball meets the
+    stage snapshot, plus the root."""
+    pieces = presentation.snapshot(stage).pieces
+    strings = [format(i, f"0{n}b") for n in range(1, depth + 1) for i in range(1 << n)]
+    probes = [probe_balls(sigma)[1] for sigma in strings]
+    ball_boxes = []
+    for ball in probes:
+        (x, y), r = ball.center, ball.radius
+        ball_boxes.append((x - r, y - r, x + r, y + r))
+    met: set[int] = set()
+    for i, j in overlapping_pairs(ball_boxes, [p.bbox() for p in pieces]):
+        ball = probes[i]
+        centre = geom.point(*ball.center)
+        if i not in met and int_squared_distance(centre, pieces[j]) < ball.radius**2:
+            met.add(i)
+    hits = tuple(strings[i] for i in sorted(met))
+    return ("",) + hits, not met
+
+
+def int_directed_sq_bounds(
+    src: Sequence[ConvexPoly], dst: Sequence[ConvexPoly], tol: Fraction, prec: int
+) -> tuple[Fraction, Fraction]:
+    """Squared-domain enclosure of sup_{x in src} dist(x, dst)."""
+    dd = lcm(*(p._ibox()[4] for p in dst))
+    dst_boxes = [(*(v * (dd // b[4]) for v in b[:4]), dd) for b in (p._ibox() for p in dst)]
+
+    def bounds(piece: ConvexPoly) -> tuple[Fraction, Fraction]:
+        box = piece._ibox()
+        gd = (box[4] * dd) ** 2
+        gaps = [geom._box_gap_sq(box, b) for b in dst_boxes]
+        order = sorted(range(len(dst)), key=gaps.__getitem__)
+        lb = max(geom._min_sq_to_region(v, dst, dst_boxes, order, gaps, gd) for v in piece.hverts)
+        ub: Optional[Fraction] = None
+        for i in order:
+            if ub is not None and gaps[i] * ub.denominator >= ub.numerator * gd:
+                break  # sorted order: nothing later can improve
+            val = geom._max_sq_vertex(piece, dst[i])
+            if ub is None or val < ub:
+                ub = val
+                if ub == lb:
+                    break
+        return lb, ub
+
+    items = [(piece, *bounds(piece)) for piece in src]
+    global_lb = max(lb for _, lb, _ in items)
+    while True:
+        global_hi = max(ub for _, _, ub in items)
+        if sqrt_upper(global_hi, prec) - sqrt_lower(global_lb, prec) <= tol:
+            return global_lb, global_hi
+        # refine the piece holding the largest upper bound
+        idx = max(range(len(items)), key=lambda i: items[i][2])
+        piece, lb, ub = items.pop(idx)
+        if lb == ub:
+            # bounds already tight (e.g. a point piece); freeze it
+            items.append((piece, lb, ub))
+            global_lb = max(global_lb, lb)
+            continue
+        for h in geom._split_piece(piece):
+            hlb, hub = bounds(h)
+            global_lb = max(global_lb, hlb)
+            items.append((h, hlb, min(hub, ub)))

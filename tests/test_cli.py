@@ -351,18 +351,22 @@ def verify_step(name: str, checks: str) -> list[str]:
     [
         (
             ["hausdorff", "--scene-a", "TMP/q2.json", "--scene-b", "TMP/q3.json"],
-            ("planarpi.continua", "planarpi.verify", "planarpi.cesets", "hashlib"),
+            ("planarpi.continua", "planarpi.verify", "planarpi.cesets", "planarpi.cantor", "hashlib"),
         ),
         (
             verify_step("dendrite-d", "connectivity,cut-dichotomy"),
-            ("planarpi.continua.fanq", "planarpi.continua.trees"),
+            ("planarpi.continua.fanq", "planarpi.continua.trees", "planarpi.cantor"),
+        ),
+        (
+            verify_step("dendroid-k", "connectivity,cut-dichotomy"),
+            ("planarpi.continua.fanq", "planarpi.continua.trees", "planarpi.cantor"),
         ),
         (
             verify_step("cantor-fan-q", "nesting,connectivity,touch-chain"),
             ("planarpi.cesets", "planarpi.balls", "planarpi.continua.trees"),
         ),
     ],
-    ids=["hausdorff", "dendrite-d-verify", "fan-verify"],
+    ids=["hausdorff", "dendrite-d-verify", "dendroid-k-verify", "fan-verify"],
 )
 def test_command_loads_only_its_modules(tmp_path, argv, unloaded):
     # a fresh process compiles every module it imports, so a step should
@@ -409,6 +413,16 @@ def test_cli_reaches_function_replaced_on_its_module(
     assert main([a.replace("TMP/report.json", str(after)) for a in argv]) == 0
     assert calls
     assert after.read_bytes() == before.read_bytes()
+
+
+def test_one_natural_number_rule():
+    # the rule lives in the package, so that commands which read no tree
+    # need not load `planarpi.cantor`; the old name still resolves
+    import planarpi.cantor
+    import planarpi.cesets
+
+    assert planarpi.cantor.check_natural is planarpi.check_natural
+    assert planarpi.cesets.check_natural is planarpi.check_natural
 
 
 def test_readme_table_matches_registry():

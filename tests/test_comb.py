@@ -1,8 +1,12 @@
 """The comb tower driven by the scripted limit function."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
+import planarpi.continua.comb as comb
 from planarpi.cesets import FamilyMember, SequenceFamily
+from planarpi.cli import main
 from planarpi.continua.comb import (
     build_dendroid_k,
     comb_center,
@@ -61,3 +65,36 @@ class TestBuildK:
         stub2 = min(p.bbox()[0] for p in r2.pieces)
         stub3 = min(p.bbox()[0] for p in r3.pieces)
         assert stub2 == stub3 == -1
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestFirstChoicesCache:
+    def test_families_compare_by_value(self):
+        rows = json.loads((CONFIGS / "dendroid-k.json").read_text())["families"]
+        a, b = SequenceFamily.from_json(rows), SequenceFamily.from_json(rows)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != SequenceFamily(a.members[:-1])
+        member = FamilyMember("V0", ((0, 1, 3), (1, 2, 4)))
+        assert SequenceFamily([member]) != SequenceFamily([member], normalized=True)
+
+    def test_build_and_probes_share_one_pass(self, tmp_path, monkeypatch):
+        # the CLI parses `families` once for the build and once for the
+        # probes; the two equal families share the cached first choices, so
+        # stage 8 costs one limit_f call per (argument t, stage s <= 8)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = comb.limit_f
+        monkeypatch.setattr(comb, "limit_f", counting)
+        comb._first_choices.cache_clear()
+        argv = ["verify", "--config", str(CONFIGS / "dendroid-k.json"),
+                "--checks", "cut-dichotomy", "--stage-range", "0:8",
+                "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        comb._first_choices.cache_clear()  # drop the entries made through the counter
+        assert len(calls) == len(set(calls)) == 81

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 from planarpi.cesets import EnumerationScript
 from planarpi.continua.dendrite import build_dendrite_d, cut_ball, rising_width, sample_path_d
-from planarpi.continua.examples import basic_dendrite, cantor_fan, harmonic_comb
+from planarpi.continua.examples import basic_dendrite, cantor_endpoints, cantor_fan, harmonic_comb
 from planarpi.balls import subtract_ball
 from planarpi.geom import connectivity_components, segment
 
+import oracles
 from oracles import flood_fill_components
 
 FIG5_SCRIPT = EnumerationScript([(1, 1), (3, 3)])
@@ -55,6 +56,12 @@ class TestCantorFan:
     def test_connected(self):
         for stage in range(3):
             assert len(connectivity_components(cantor_fan(stage))) == 1
+
+    def test_endpoints_match_interval_splitting(self):
+        # the endpoints come from the ternary codes of the level's strings;
+        # the oracle splits each interval in thirds, level by level
+        for level in range(10):
+            assert cantor_endpoints(level) == oracles.cantor_endpoints(level)
 
 
 class TestDendriteD:

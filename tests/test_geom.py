@@ -603,6 +603,14 @@ class TestProbes:
         assert probe_ball_empty(p, ball, 0) == "unknown"
         assert probe_ball_empty(p, ball, 2) == "certified-empty"
 
+    def test_tangent_ball_meets(self):
+        # the closed ball meets a piece at exactly its radius, and the
+        # comparison with r^2 is exact: a tie is neither side
+        p = CoCePresentation([], frame=(-2, -2, 2, 2))
+        assert geom._sq_sign((3, 0, 1), p.snapshot(0).pieces[0], F(1)) == 0
+        assert probe_ball_empty(p, BallSpec((F(3), F(0)), F(1)), 0) == "hit"
+        assert probe_ball_empty(p, BallSpec((F(3), F(0)), F(99, 100)), 0) == "certified-empty"
+
     def test_monotone(self):
         p = self._presentation()
         ball = BallSpec((F(1, 2), F(1, 2)), F(1, 16))

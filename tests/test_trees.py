@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from planarpi.balls import BallSpec, CoCePresentation, Removal, probe_ball_empty
 from planarpi.cantor import TreePresentation, full_tree
 from planarpi.cesets import EnumerationScript
 from planarpi.continua.trees import (
@@ -30,6 +31,7 @@ from planarpi.geom import (
     ConvexPoly,
     connectivity_components,
     point,
+    rect,
     region_covers,
     segment,
     squared_distance,
@@ -351,3 +353,60 @@ def test_dendrite_h_builds_no_hull(monkeypatch):
 
     monkeypatch.setattr(ConvexPoly, "__init__", no_hull)
     assert build_dendrite_h(6, script, tree).pieces
+
+
+# schedules with short strings, the empty one included, pruned at stages 0..7
+SCHEDULES = st.lists(st.tuples(st.text("01", max_size=5), st.integers(0, 7)), max_size=5)
+
+
+class TestMatchesReplacedPaths:
+    """The plot point, the plotted tree, the probe balls and the recovery
+    against the second implementations they replaced (`tests/oracles.py`)."""
+
+    def test_plot_point(self):
+        for sigma in all_strings_upto(8):
+            assert plot_point(sigma) == oracles.base_plot_point(sigma)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SCHEDULES)
+    def test_plotted_tree(self, prune):
+        # the width-0 fat tree against the tree's own segments, which fell
+        # back to a root point when no edge survived
+        tree = TreePresentation(prune)
+        for stage in range(8):
+            for depth in range(1, 6):
+                got = plotted_tree(tree, stage, depth).to_json()
+                assert got == oracles.plotted_tree(tree, stage, depth).to_json()
+
+    def test_probe_balls(self):
+        for sigma in all_strings_upto(6):
+            assert probe_balls(sigma) == oracles.probe_balls(sigma)
+
+    def test_recover_tree_on_config(self):
+        config = json.loads((CONFIGS / "plotted-tree.json").read_text())
+        tree = TreePresentation.from_json(config["P"])
+        pres = PlottedTreePresentation(tree, config["depth"])
+        for stage in range(tree.final_stage + 2):
+            for depth in range(1, config["depth"] + 2):
+                got = recover_tree(pres, stage, depth)
+                assert (got.strings, got.region_empty) == oracles.recover_tree(pres, stage, depth)
+
+    def test_probes_make_no_hull(self, monkeypatch):
+        # the probes measure from the centre as an integer triple, not from
+        # a point piece made through the hull constructor
+        removals = [
+            Removal(stage=1, shape=BallSpec((F(1, 2), F(1, 2)), F(1, 4))),
+            Removal(stage=3, shape=rect(-1, -1, F(-1, 2), F(-1, 2))),
+        ]
+        coce = CoCePresentation(removals, frame=(-2, -2, 2, 2))
+        ball = BallSpec((F(1, 2), F(1, 2)), F(1, 16))
+        plotted = PlottedTreePresentation(TreePresentation([("10", 0)]), 4)
+
+        def no_hull(self, points):
+            raise AssertionError("ConvexPoly.__init__ called")
+
+        monkeypatch.setattr(ConvexPoly, "__init__", no_hull)
+        probe_balls.cache_clear()  # so that every positive ball is sought again
+        assert [probe_ball_empty(coce, ball, s) for s in (0, 2)] == ["unknown", "certified-empty"]
+        assert "11" in recover_tree(plotted, 0, 4).strings
+        assert "10" not in recover_tree(plotted, 1, 4).strings
