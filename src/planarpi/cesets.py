@@ -40,9 +40,6 @@ class EnumerationScript:
                 return s
         return None
 
-    def to_json(self) -> list[list[int]]:
-        return [[s, n] for s, n in self.entries]
-
     @staticmethod
     def from_json(rows) -> "EnumerationScript":
         return EnumerationScript([(s, n) for s, n in rows])
@@ -117,15 +114,6 @@ class SequenceFamily:
                         raise ValueError(
                             f"{mem.name}: element {x} below component index {n}"
                         )
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"name": m.name, "triples": [list(t) for t in m.triples]}
-            for m in self.members
-        ]
 
     @staticmethod
     def from_json(rows, normalized: bool = False) -> "SequenceFamily":

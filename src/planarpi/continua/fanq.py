@@ -2,11 +2,14 @@
 
 Each block carries an affine frame per axis mapping the fat-Cantor ambient
 interval onto the block's box, so its stage-t body is just the affine image
-of the stage-t fat level, triangle-clipped for corners.  A non-injured stage
-climbs into the top margin strip of the active straight block; an injured
-stage first retraces every block newer than the rollback stage p through
-stage-s margin corridors (solid in the stage-s fat level and band-free at
-every later stage), then resumes on the stage-p frame.
+of the stage-t fat level, triangle-clipped for corners.  The snake grows at
+its head: every block of stage s + 1 is entered from the last block made and
+laid on the stage-s fat level.  A non-injured stage climbs into the top
+margin strip of the stage's last straight block; an injured stage first
+retraces every block newer than the rollback stage p through stage-s margin
+corridors (solid in the stage-s fat level and band-free at every later
+stage), then resumes on the stage-p frame.  The destination track reads its
+endpoints from the middle-thirds code `cantor._ternary_code`.
 
 Margin corridors follow one rule: the retraced path runs in the reverse
 direction with the host block on its right, which picks the r-side margin
@@ -22,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .. import check_natural
-from ..cantor import FatCantorLevel, TreePresentation, fat_level, flip_bits
+from ..cantor import FatCantorLevel, TreePresentation, _ternary_code, fat_level, flip_bits
 from ..geom import (
     ConvexPoly,
     RegionSnapshot,
@@ -54,8 +57,7 @@ class AffineFrame:
         return self.offset + self.scale * x
 
     def img_interval(self, lo, hi) -> tuple[Fraction, Fraction]:
-        a, b = self.img(lo), self.img(hi)
-        return (a, b) if a <= b else (b, a)
+        return self.img(lo), self.img(hi)  # every frame's scale is positive
 
 
 def reframe(base: AffineFrame, lo, hi, m: FatCantorLevel) -> AffineFrame:
@@ -184,10 +186,11 @@ class BlockGraph:
 class DestinationTrack:
     """Destination abscissa evolving with a scripted enumeration.
 
-    gamma_min(s) = 1/3 + rho(B_s)/3 and gamma_max(s) adds the exact all-ones
-    tail above the stage-s element, so the track always starts at [1/3, 2/3]
-    and stays inside it.  The entries are the rows (s, element) for the
-    stages s = 1, 2, ..., n in turn.
+    gamma_min(s) = 1/3 + rho(B_s)/3, where rho(B) is the middle-thirds point
+    coded by B's characteristic string, and gamma_max(s) adds the exact
+    all-ones tail above the stage-s element n_s, so the track starts at
+    [1/3, 2/3] and stays inside [1/3, 4/9] after.  The entries are the rows
+    (s, element) for the stages s = 1, 2, ..., n in turn.
     """
 
     def __init__(self, entries: Sequence[tuple[int, int]]):
@@ -208,20 +211,12 @@ class DestinationTrack:
             raise ValueError("step outside the scripted range")
         if step == 0:
             return ONE_THIRD, TWO_THIRDS
-        members = self.elements[:step]
-        n_s = members[-1]
-        rho_min = sum((2 * Frac(1, 3 ** (i + 1)) for i in members), Frac(0))
-        rho_max = sum(
-            (2 * Frac(1, 3 ** (i + 1)) for i in members if i < n_s), Frac(0)
-        ) + Frac(1, 3**n_s)
-        gmin = ONE_THIRD + rho_min / 3
-        gmax = ONE_THIRD + rho_max / 3
-        if not (ONE_THIRD <= gmin <= gmax <= TWO_THIRDS):
-            raise ValueError("destination track left [1/3, 2/3]")
+        members = set(self.elements[:step])
+        n, k = self.elements[step - 1], max(members)
+        bits = "".join("1" if i in members else "0" for i in range(1, k + 1))
+        gmin = Frac(3 ** (k + 1) + _ternary_code(bits), 3 ** (k + 2))
+        gmax = Frac(3**n + _ternary_code(bits[: n - 1]) + 1, 3 ** (n + 1))
         return gmin, gmax
-
-    def to_json(self) -> list[list[int]]:
-        return [[i + 1, n] for i, n in enumerate(self.elements)]
 
 
 def _corridor(d: Direction, m: FatCantorLevel) -> tuple[Fraction, Fraction]:
@@ -232,54 +227,47 @@ def _corridor(d: Direction, m: FatCantorLevel) -> tuple[Fraction, Fraction]:
 
 
 class _Builder:
+    """Grows the snake at its head: each block is entered from the last one
+    made, at the current `stage` and on the fat level `m`, which is stage
+    0's level at stage 0 and the stage-s level at stage s + 1."""
+
     def __init__(self, tree: TreePresentation, track: DestinationTrack):
         self.track = track
         self.graph = BlockGraph(tree)
 
-    def _chain(
-        self,
-        prev: Optional[BlockRecord],
-        created: int,
-        frame_stage: int,
-        kind: str,
-        d_in: Direction,
-        box,
-        d_out: Optional[Direction] = None,
-        **frames,
-    ) -> BlockRecord:
-        """Append the next block of the snake, entered from `prev` (None for
-        the first block) by a touch along d_in."""
+    def _chain(self, kind: str, d_in: Direction, box, d_out: Optional[Direction] = None,
+               **frames) -> None:
+        """Append the next block of the snake, entered from the last block
+        (none for the first) by a touch along d_in."""
+        m, blocks = self.m, self.graph.blocks
+        band_box = box
         if kind == "corner":  # the frame's image of the stage's ambient square
-            m = fat_level(self.graph.tree, frame_stage)
-            fx, fy = frames["fx"], frames["fy"]
-            (x0, x1, y0, y1), d = to_ints(*fx.img_interval(m.l_minus, m.r_plus),
-                                          *fy.img_interval(m.l_minus, m.r_plus))
-        else:
-            (x0, x1, y0, y1), d = to_ints(*box)
-        block = BlockRecord(
-            id=len(self.graph.blocks),
-            creation_stage=created,
+            band_box = (frames["fx"].img_interval(m.l_minus, m.r_plus)
+                        + frames["fy"].img_interval(m.l_minus, m.r_plus))
+        (x0, x1, y0, y1), d = to_ints(*band_box)
+        prev = blocks[-1].id if blocks else None
+        blocks.append(BlockRecord(
+            id=len(blocks),
+            creation_stage=self.stage,
             kind=kind,
             d_in=d_in,
             d_out=d_in if d_out is None else d_out,
-            frame_stage=frame_stage,
+            frame_stage=m.stage,
             box=box,
             band_box=(x0, y0, x1, y1, d),
             **frames,
-        )
-        self.graph.blocks.append(block)
-        self.graph.touches.append(TouchEdge(None if prev is None else prev.id, block.id, d_in))
-        return block
+        ))
+        self.graph.touches.append(TouchEdge(prev, len(blocks) - 1, d_in))
 
-    def _end_box(self, created: int, frame_stage: int, box) -> None:
+    def _end_box(self, box) -> None:
         self.graph.end_boxes.append(
             BlockRecord(
                 id=-1,
-                creation_stage=created,
+                creation_stage=self.stage,
                 kind="end-box",
                 d_in=None,
                 d_out=None,
-                frame_stage=frame_stage,
+                frame_stage=self.m.stage,
                 box=box,
             )
         )
@@ -287,29 +275,30 @@ class _Builder:
     # -- stage 0 ------------------------------------------------------------
 
     def stage_zero(self):
-        m = fat_level(self.graph.tree, 0)
+        self.stage, m = 0, fat_level(self.graph.tree, 0)
+        self.m = m
         gmin, gmax = self.track.gamma(0)
         frame = AffineFrame(Frac(0), Frac(1))
-        box = (gmin, gmax, m.l_minus, m.r_plus)
-        self.active = self._chain(None, 0, 0, "straight", LEFT, box, axis=0, fy=frame)
-        self._end_box(0, 0, (gmin - ONE_THIRD, gmin, m.l_minus, m.r_plus))
-        self.active_frame = frame
+        self._chain("straight", LEFT, (gmin, gmax, m.l_minus, m.r_plus), axis=0, fy=frame)
+        self._end_box((gmin - ONE_THIRD, gmin, m.l_minus, m.r_plus))
+        self.frames = [frame]  # the y-frame of the stage's last straight block
         self.zeta = ONE_THIRD
         self.gammas = [(gmin, gmax)]
 
     # -- retrace ------------------------------------------------------------
 
-    def _straight_return(self, host: BlockRecord, m: FatCantorLevel, s: int, prev):
+    def _straight_return(self, host: BlockRecord):
+        m = self.m
         d = host.d_in.reverse()
         cross = host.fy if host.axis == 0 else host.fx
         lo, hi = _corridor(d, m)
         k = 2 - 2 * host.axis  # the cross axis's slot in the box
         box = host.box[:k] + cross.img_interval(lo, hi) + host.box[k + 2 :]
         frame = {"fy" if host.axis == 0 else "fx": reframe(cross, lo, hi, m)}
-        return self._chain(prev, s + 1, s, "straight", d, box, axis=host.axis, host_id=host.id,
-                           **frame)
+        self._chain("straight", d, box, axis=host.axis, host_id=host.id, **frame)
 
-    def _corner_return(self, host: BlockRecord, m: FatCantorLevel, s: int, prev):
+    def _corner_return(self, host: BlockRecord):
+        m = self.m
         entry_dir = host.d_out.reverse()
         exit_dir = host.d_in.reverse()
         d_vert = entry_dir if entry_dir.axis == 1 else exit_dir
@@ -320,7 +309,7 @@ class _Builder:
         fy_chunk = reframe(host.fy, *y_corr, m)
         chunk_box = host.fx.img_interval(*x_corr) + host.fy.img_interval(*y_corr)
 
-        def leg(prev: BlockRecord, d: Direction, before_chunk: bool) -> BlockRecord:
+        def leg(d: Direction, before_chunk: bool) -> None:
             # a leg spans from the host's low edge to the chunk when it
             # travels up or right into the chunk, or down or left out of it
             k = 2 * d.axis
@@ -328,86 +317,63 @@ class _Builder:
             span = (h0, c0) if before_chunk == (d.sense == 1) else (c1, h1)
             box = chunk_box[:k] + span + chunk_box[k + 2 :]
             frame = {"fy": fy_chunk} if d.axis == 0 else {"fx": fx_chunk}
-            return self._chain(prev, s + 1, s, "straight", d, box, axis=d.axis, host_id=host.id,
-                               **frame)
+            self._chain("straight", d, box, axis=d.axis, host_id=host.id, **frame)
 
-        entry = leg(prev, entry_dir, before_chunk=True)
-        chunk = self._chain(entry, s + 1, s, "corner", entry_dir, chunk_box, d_out=exit_dir,
-                            symbol=host.symbol, fx=fx_chunk, fy=fy_chunk, host_id=host.id)
-        return leg(chunk, exit_dir, before_chunk=False)
+        leg(entry_dir, before_chunk=True)
+        self._chain("corner", entry_dir, chunk_box, d_out=exit_dir, symbol=host.symbol,
+                    fx=fx_chunk, fy=fy_chunk, host_id=host.id)
+        leg(exit_dir, before_chunk=False)
 
     # -- one stage step -------------------------------------------------------
 
-    def step(self, s: int):
-        m = fat_level(self.graph.tree, s)
-        gmin_s, gmax_s = self.gammas[s]
+    def step(self):
+        """Grow the snake from stage s to s + 1 on the stage-s frames."""
+        s = self.stage
+        self.stage, m = s + 1, fat_level(self.graph.tree, s)
+        self.m = m
         gmin_n, gmax_n = self.track.gamma(s + 1)
+        # p: the latest stage whose interval holds the new one; p < s means
+        # stage s + 1 is injured and retraces every block made after stage p
+        p = next(p for p in range(s, -1, -1)
+                 if self.gammas[p][0] <= gmin_n and gmax_n <= self.gammas[p][1])
         self.gammas.append((gmin_n, gmax_n))
-        injured = not (gmin_s <= gmin_n and gmax_n <= gmax_s)
-        y_frame = self.active_frame
+        hosts = [b for b in self.graph.blocks if p < b.creation_stage]
+
+        y_frame, gmin_s = self.frames[s], self.gammas[s][0]
         x_end = (gmin_s - self.zeta, gmin_s)
         endbox_fx = frame_onto(*x_end, m)
+        self._chain("corner", LEFT, x_end + (y_frame.img(m.l_minus), y_frame.img(m.r_star)),
+                    d_out=UP, symbol="ll", fx=endbox_fx, fy=y_frame)
+        self._chain("corner", UP, x_end + (y_frame.img(m.r_star), y_frame.img(m.r_plus)),
+                    d_out=RIGHT, symbol="ul", fx=endbox_fx,
+                    fy=reframe(y_frame, m.r_star, m.r_plus, m))
+        for host in reversed(hosts):
+            if host.kind == "straight":
+                self._straight_return(host)
+            else:
+                self._corner_return(host)
 
-        z0 = self._chain(self.active, s + 1, s, "corner", LEFT,
-                         x_end + (y_frame.img(m.l_minus), y_frame.img(m.r_star)), d_out=UP,
-                         symbol="ll", fx=endbox_fx, fy=y_frame)
-        prev = self._chain(z0, s + 1, s, "corner", UP,
-                           x_end + (y_frame.img(m.r_star), y_frame.img(m.r_plus)), d_out=RIGHT,
-                           symbol="ul", fx=endbox_fx, fy=reframe(y_frame, m.r_star, m.r_plus, m))
-
-        if injured:
-            if gmin_n <= gmax_s:
-                raise ValueError("injured destination intervals must be disjoint")
-            p = None
-            for cand in range(s, -1, -1):
-                g0, g1 = self.gammas[cand]
-                if g0 <= gmin_n and gmax_n <= g1:
-                    p = cand
-                    break
-            assert p is not None  # stage 0 spans [1/3, 2/3]
-            hosts = [b for b in self.graph.blocks if p < b.creation_stage <= s]
-            for host in reversed(hosts):
-                if host.kind == "straight":
-                    prev = self._straight_return(host, m, s, prev)
-                else:
-                    prev = self._corner_return(host, m, s, prev)
-            base_block = next(
-                b
-                for b in reversed(self.graph.blocks)
-                if b.creation_stage == p and b.kind == "straight" and b.axis == 0
-            )
-            base_frame = base_block.fy
-            gmin_host, gmax_host = self.gammas[p]
-        else:
-            base_frame = y_frame
-            gmin_host, gmax_host = gmin_s, gmax_s
-
-        ystar = reframe(base_frame, m.r_star, m.r_plus, m)
-        z2 = self._chain(prev, s + 1, s, "straight", RIGHT,
-                         (gmin_host, gmax_n, base_frame.img(m.r_star), base_frame.img(m.r_plus)),
-                         axis=0, fy=ystar)
-
+        base = self.frames[p]
+        gmin_host, gmax_host = self.gammas[p]
+        ystar = reframe(base, m.r_star, m.r_plus, m)
+        self._chain("straight", RIGHT,
+                    (gmin_host, gmax_n, base.img(m.r_star), base.img(m.r_plus)), axis=0, fy=ystar)
         zeta_star = (gmax_host - gmax_n) / (3**s)
         if zeta_star <= 0:
             raise ValueError("destination max must strictly shrink inside a frame")
         x34 = (gmax_n, gmax_n + zeta_star)
         fx34 = frame_onto(*x34, m)
         ystarstar = reframe(ystar, m.r_star, m.r_plus, m)
-        z3 = self._chain(z2, s + 1, s, "corner", RIGHT,
-                         x34 + (ystar.img(m.l_minus), ystar.img(m.r_star)), d_out=UP,
-                         symbol="lr", fx=fx34, fy=ystar)
-        z4 = self._chain(z3, s + 1, s, "corner", UP,
-                         x34 + (ystar.img(m.r_star), ystar.img(m.r_plus)), d_out=LEFT,
-                         symbol="ur", fx=fx34, fy=ystarstar)
+        self._chain("corner", RIGHT, x34 + (ystar.img(m.l_minus), ystar.img(m.r_star)),
+                    d_out=UP, symbol="lr", fx=fx34, fy=ystar)
+        self._chain("corner", UP, x34 + (ystar.img(m.r_star), ystar.img(m.r_plus)),
+                    d_out=LEFT, symbol="ur", fx=fx34, fy=ystarstar)
         y_band = (ystarstar.img(m.l_minus), ystarstar.img(m.r_plus))
-        self.active = self._chain(z4, s + 1, s, "straight", LEFT, (gmin_n, gmax_n) + y_band,
-                                  axis=0, fy=ystarstar)
-        zeta_ss = (gmin_n - gmin_host) / (3**s)
-        if zeta_ss <= 0:
-            raise ValueError("destination min must strictly grow")
-        self._end_box(s + 1, s, (gmin_n - zeta_ss, gmin_n) + y_band)
-        self.active_frame = ystarstar
-        self.zeta = zeta_ss
+        self._chain("straight", LEFT, (gmin_n, gmax_n) + y_band, axis=0, fy=ystarstar)
+        # positive: B_{s+1} is B_p plus at least one element
+        self.zeta = (gmin_n - gmin_host) / (3**s)
+        self._end_box((gmin_n - self.zeta, gmin_n) + y_band)
+        self.frames.append(ystarstar)
 
 
 def _check_symmetric(tree: TreePresentation, depth: int) -> bool:
@@ -428,8 +394,8 @@ def _replay(stage: int, tree: TreePresentation, track: DestinationTrack) -> Bloc
         raise ValueError("tree presentation must be symmetric")
     builder = _Builder(tree, track)
     builder.stage_zero()
-    for s in range(stage):
-        builder.step(s)
+    for _ in range(stage):
+        builder.step()
     return builder.graph
 
 

@@ -20,7 +20,10 @@ implementations, the one that was removed is kept: the integer distance's
 own edge loop, the Cantor endpoints by interval splitting, the plot point
 from `cantor_coord`, the plotted tree from its own segments, the probe
 balls with their depth loop, and the Hausdorff refinement that freezes a
-piece whose bounds meet.
+piece whose bounds meet.  The fan's snake is grown by the builder it had
+before it grew at its head: each block chained from a threaded predecessor,
+the base frame found by a scan of the blocks, the track's endpoints summed
+as `Fraction`s, and the guards that no input reaches still in place.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from typing import Optional, Sequence
 from planarpi import balls, cantor, geom
 from planarpi.cantor import BITS, FatCantorLevel, check_bits, leftmost_path, pad_eps
 from planarpi.cesets import SequenceFamily, e_state, stage_function
+from planarpi.continua import fanq
 from planarpi.continua.fanq import BlockGraph, BlockRecord, _collinear, _edge_segment
 from planarpi.continua.dendrite import _base_pieces, _rising, rising_width
-from planarpi.continua.regions import Direction
+from planarpi.continua.regions import LEFT, RIGHT, UP, Direction
 from planarpi.continua.trees import _tree_edges, plot_point
 from planarpi.geom import (
     ConvexPoly,
@@ -952,3 +956,243 @@ def int_directed_sq_bounds(
             hlb, hub = bounds(h)
             global_lb = max(global_lb, hlb)
             items.append((h, hlb, min(hub, ub)))
+
+
+# -- the fan builder as it was: threaded predecessors and stage guards ---------
+
+
+class AffineFrame(fanq.AffineFrame):
+    """A frame whose interval image is sorted, as when a frame's scale was
+    not known to be positive."""
+
+    def img_interval(self, lo, hi) -> tuple[Fraction, Fraction]:
+        a, b = self.img(lo), self.img(hi)
+        return (a, b) if a <= b else (b, a)
+
+
+def reframe(base: AffineFrame, lo, hi, m: FatCantorLevel) -> AffineFrame:
+    """`fanq.reframe`, making the frame above."""
+    scale = base.scale * (hi - lo) / (m.r_plus - m.l_minus)
+    return AffineFrame(base.img(lo) - scale * m.l_minus, scale)
+
+
+def frame_onto(x0: Fraction, x1: Fraction, m: FatCantorLevel) -> AffineFrame:
+    return reframe(AffineFrame(Fraction(0), Fraction(1)), x0, x1, m)
+
+
+class DestinationTrack(fanq.DestinationTrack):
+    """The track with its endpoints summed as `Fraction`s and its range
+    guard."""
+
+    def gamma(self, step: int) -> tuple[Fraction, Fraction]:
+        if step < 0 or step > self.final_stage:
+            raise ValueError("step outside the scripted range")
+        if step == 0:
+            return fanq.ONE_THIRD, fanq.TWO_THIRDS
+        members = self.elements[:step]
+        n_s = members[-1]
+        rho_min = sum((2 * Fraction(1, 3 ** (i + 1)) for i in members), Fraction(0))
+        rho_max = sum(
+            (2 * Fraction(1, 3 ** (i + 1)) for i in members if i < n_s), Fraction(0)
+        ) + Fraction(1, 3**n_s)
+        gmin = fanq.ONE_THIRD + rho_min / 3
+        gmax = fanq.ONE_THIRD + rho_max / 3
+        if not (fanq.ONE_THIRD <= gmin <= gmax <= fanq.TWO_THIRDS):
+            raise ValueError("destination track left [1/3, 2/3]")
+        return gmin, gmax
+
+
+class FanBuilder:
+    """`fanq._Builder` before the snake grew at its head."""
+
+    def __init__(self, tree: TreePresentation, track: DestinationTrack):
+        self.track = track
+        self.graph = BlockGraph(tree)
+
+    def _chain(
+        self,
+        prev: Optional[BlockRecord],
+        created: int,
+        frame_stage: int,
+        kind: str,
+        d_in: Direction,
+        box,
+        d_out: Optional[Direction] = None,
+        **frames,
+    ) -> BlockRecord:
+        """Append the next block of the snake, entered from `prev` (None for
+        the first block) by a touch along d_in."""
+        if kind == "corner":  # the frame's image of the stage's ambient square
+            m = cantor.fat_level(self.graph.tree, frame_stage)
+            fx, fy = frames["fx"], frames["fy"]
+            (x0, x1, y0, y1), d = geom.to_ints(*fx.img_interval(m.l_minus, m.r_plus),
+                                               *fy.img_interval(m.l_minus, m.r_plus))
+        else:
+            (x0, x1, y0, y1), d = geom.to_ints(*box)
+        block = BlockRecord(
+            id=len(self.graph.blocks),
+            creation_stage=created,
+            kind=kind,
+            d_in=d_in,
+            d_out=d_in if d_out is None else d_out,
+            frame_stage=frame_stage,
+            box=box,
+            band_box=(x0, y0, x1, y1, d),
+            **frames,
+        )
+        self.graph.blocks.append(block)
+        self.graph.touches.append(fanq.TouchEdge(None if prev is None else prev.id, block.id, d_in))
+        return block
+
+    def _end_box(self, created: int, frame_stage: int, box) -> None:
+        self.graph.end_boxes.append(
+            BlockRecord(
+                id=-1,
+                creation_stage=created,
+                kind="end-box",
+                d_in=None,
+                d_out=None,
+                frame_stage=frame_stage,
+                box=box,
+            )
+        )
+
+    # -- stage 0 ------------------------------------------------------------
+
+    def stage_zero(self):
+        m = cantor.fat_level(self.graph.tree, 0)
+        gmin, gmax = self.track.gamma(0)
+        frame = AffineFrame(Fraction(0), Fraction(1))
+        box = (gmin, gmax, m.l_minus, m.r_plus)
+        self.active = self._chain(None, 0, 0, "straight", LEFT, box, axis=0, fy=frame)
+        self._end_box(0, 0, (gmin - fanq.ONE_THIRD, gmin, m.l_minus, m.r_plus))
+        self.active_frame = frame
+        self.zeta = fanq.ONE_THIRD
+        self.gammas = [(gmin, gmax)]
+
+    # -- retrace ------------------------------------------------------------
+
+    def _straight_return(self, host: BlockRecord, m: FatCantorLevel, s: int, prev):
+        d = host.d_in.reverse()
+        cross = host.fy if host.axis == 0 else host.fx
+        lo, hi = fanq._corridor(d, m)
+        k = 2 - 2 * host.axis  # the cross axis's slot in the box
+        box = host.box[:k] + cross.img_interval(lo, hi) + host.box[k + 2 :]
+        frame = {"fy" if host.axis == 0 else "fx": reframe(cross, lo, hi, m)}
+        return self._chain(prev, s + 1, s, "straight", d, box, axis=host.axis, host_id=host.id,
+                           **frame)
+
+    def _corner_return(self, host: BlockRecord, m: FatCantorLevel, s: int, prev):
+        entry_dir = host.d_out.reverse()
+        exit_dir = host.d_in.reverse()
+        d_vert = entry_dir if entry_dir.axis == 1 else exit_dir
+        d_horiz = entry_dir if entry_dir.axis == 0 else exit_dir
+        x_corr = fanq._corridor(d_vert, m)
+        y_corr = fanq._corridor(d_horiz, m)
+        fx_chunk = reframe(host.fx, *x_corr, m)
+        fy_chunk = reframe(host.fy, *y_corr, m)
+        chunk_box = host.fx.img_interval(*x_corr) + host.fy.img_interval(*y_corr)
+
+        def leg(prev: BlockRecord, d: Direction, before_chunk: bool) -> BlockRecord:
+            # a leg spans from the host's low edge to the chunk when it
+            # travels up or right into the chunk, or down or left out of it
+            k = 2 * d.axis
+            (h0, h1), (c0, c1) = host.box[k : k + 2], chunk_box[k : k + 2]
+            span = (h0, c0) if before_chunk == (d.sense == 1) else (c1, h1)
+            box = chunk_box[:k] + span + chunk_box[k + 2 :]
+            frame = {"fy": fy_chunk} if d.axis == 0 else {"fx": fx_chunk}
+            return self._chain(prev, s + 1, s, "straight", d, box, axis=d.axis, host_id=host.id,
+                               **frame)
+
+        entry = leg(prev, entry_dir, before_chunk=True)
+        chunk = self._chain(entry, s + 1, s, "corner", entry_dir, chunk_box, d_out=exit_dir,
+                            symbol=host.symbol, fx=fx_chunk, fy=fy_chunk, host_id=host.id)
+        return leg(chunk, exit_dir, before_chunk=False)
+
+    # -- one stage step -------------------------------------------------------
+
+    def step(self, s: int):
+        m = cantor.fat_level(self.graph.tree, s)
+        gmin_s, gmax_s = self.gammas[s]
+        gmin_n, gmax_n = self.track.gamma(s + 1)
+        self.gammas.append((gmin_n, gmax_n))
+        injured = not (gmin_s <= gmin_n and gmax_n <= gmax_s)
+        y_frame = self.active_frame
+        x_end = (gmin_s - self.zeta, gmin_s)
+        endbox_fx = frame_onto(*x_end, m)
+
+        z0 = self._chain(self.active, s + 1, s, "corner", LEFT,
+                         x_end + (y_frame.img(m.l_minus), y_frame.img(m.r_star)), d_out=UP,
+                         symbol="ll", fx=endbox_fx, fy=y_frame)
+        prev = self._chain(z0, s + 1, s, "corner", UP,
+                           x_end + (y_frame.img(m.r_star), y_frame.img(m.r_plus)), d_out=RIGHT,
+                           symbol="ul", fx=endbox_fx, fy=reframe(y_frame, m.r_star, m.r_plus, m))
+
+        if injured:
+            if gmin_n <= gmax_s:
+                raise ValueError("injured destination intervals must be disjoint")
+            p = None
+            for cand in range(s, -1, -1):
+                g0, g1 = self.gammas[cand]
+                if g0 <= gmin_n and gmax_n <= g1:
+                    p = cand
+                    break
+            assert p is not None  # stage 0 spans [1/3, 2/3]
+            hosts = [b for b in self.graph.blocks if p < b.creation_stage <= s]
+            for host in reversed(hosts):
+                if host.kind == "straight":
+                    prev = self._straight_return(host, m, s, prev)
+                else:
+                    prev = self._corner_return(host, m, s, prev)
+            base_block = next(
+                b
+                for b in reversed(self.graph.blocks)
+                if b.creation_stage == p and b.kind == "straight" and b.axis == 0
+            )
+            base_frame = base_block.fy
+            gmin_host, gmax_host = self.gammas[p]
+        else:
+            base_frame = y_frame
+            gmin_host, gmax_host = gmin_s, gmax_s
+
+        ystar = reframe(base_frame, m.r_star, m.r_plus, m)
+        z2 = self._chain(prev, s + 1, s, "straight", RIGHT,
+                         (gmin_host, gmax_n, base_frame.img(m.r_star), base_frame.img(m.r_plus)),
+                         axis=0, fy=ystar)
+
+        zeta_star = (gmax_host - gmax_n) / (3**s)
+        if zeta_star <= 0:
+            raise ValueError("destination max must strictly shrink inside a frame")
+        x34 = (gmax_n, gmax_n + zeta_star)
+        fx34 = frame_onto(*x34, m)
+        ystarstar = reframe(ystar, m.r_star, m.r_plus, m)
+        z3 = self._chain(z2, s + 1, s, "corner", RIGHT,
+                         x34 + (ystar.img(m.l_minus), ystar.img(m.r_star)), d_out=UP,
+                         symbol="lr", fx=fx34, fy=ystar)
+        z4 = self._chain(z3, s + 1, s, "corner", UP,
+                         x34 + (ystar.img(m.r_star), ystar.img(m.r_plus)), d_out=LEFT,
+                         symbol="ur", fx=fx34, fy=ystarstar)
+        y_band = (ystarstar.img(m.l_minus), ystarstar.img(m.r_plus))
+        self.active = self._chain(z4, s + 1, s, "straight", LEFT, (gmin_n, gmax_n) + y_band,
+                                  axis=0, fy=ystarstar)
+        zeta_ss = (gmin_n - gmin_host) / (3**s)
+        if zeta_ss <= 0:
+            raise ValueError("destination min must strictly grow")
+        self._end_box(s + 1, s, (gmin_n - zeta_ss, gmin_n) + y_band)
+        self.active_frame = ystarstar
+        self.zeta = zeta_ss
+
+
+def fan_replay(stage: int, tree, track: DestinationTrack) -> BlockGraph:
+    """`fanq._replay` on the builder above; give it the track above."""
+    if stage > track.final_stage:
+        raise ValueError("stage exceeds the scripted destination track")
+    if tree.is_empty(stage + 1):
+        raise ValueError("empty tree presentation")
+    if not fanq._check_symmetric(tree, stage):
+        raise ValueError("tree presentation must be symmetric")
+    builder = FanBuilder(tree, track)
+    builder.stage_zero()
+    for s in range(stage):
+        builder.step(s)
+    return builder.graph

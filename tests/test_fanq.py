@@ -8,9 +8,11 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from planarpi.cantor import TreePresentation, fat_level, full_tree
+from planarpi.cantor import TreePresentation, fat_level, full_tree, symmetrize
 from planarpi.cli import main
 from planarpi.continua import fanq
 from planarpi.continua.fanq import (
@@ -25,8 +27,10 @@ from planarpi.continua.fanq import (
 )
 from planarpi.continua.regions import DOWN, LEFT, RIGHT, UP
 from planarpi.geom import (
+    ConvexPoly,
     RegionSnapshot,
     _split_piece,
+    bboxes_meet,
     connectivity_components,
     convex_intersection,
     rect,
@@ -409,6 +413,34 @@ def _touch_cases(graph, z0, z1, d, t):
             yield z0, z1, d, _OneBodySwapped(graph, z, [*rest, _split_piece(piece)[0]]), t
 
 
+class TestCheckTouchBodyLoop:
+    """The loop over meeting piece pairs: a meeting off the touch line
+    rejects the touch, and a pair whose boxes meet but whose pieces do not
+    is passed over."""
+
+    @staticmethod
+    def touch_with_body(body) -> bool:
+        graph = solid_graph()
+        z0, z1 = graph.blocks[0], graph.blocks[1]  # [5, 11] x [0, 5], then [0, 5] x [0, 5]
+        swapped = _OneBodySwapped(graph, z1, body)
+        got = check_touch(z0, z1, LEFT, swapped, 0)
+        assert got == oracles.check_touch(z0, z1, LEFT, swapped, 0)
+        return got
+
+    def test_overlapping_bodies_fail(self):
+        assert not self.touch_with_body([rect(0, 0, 6, 5)])
+
+    def test_meeting_along_another_edge_fails(self):
+        assert not self.touch_with_body([rect(0, 0, 5, 5), rect(5, -1, 11, 0)])
+
+    def test_pieces_apart_inside_meeting_boxes_pass_over(self):
+        triangle = ConvexPoly([(2, 4), (2, 9), (7, 9)])  # above the line y = x + 2
+        z0_piece = rect(5, 0, 11, 5)  # z0's body
+        assert bboxes_meet(triangle, z0_piece)
+        assert convex_intersection(triangle, z0_piece) is None
+        assert self.touch_with_body([rect(0, 0, 5, 5), triangle])
+
+
 class TestCheckTouchMatchesChartMerge:
     """`check_touch` decides by two `region_covers` calls what the merge of
     Fraction chart parameters in `tests/oracles.py` decided."""
@@ -586,3 +618,90 @@ class TestBodyFractions:
         monkeypatch.setattr(fanq.AffineFrame, "img", counting)
         assert all(corner.body_at(tree, t) for t in (1, 3, 5))
         assert calls == []
+
+
+def _replay_or_error(replay, stage, tree, track):
+    try:
+        return replay(stage, tree, track), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _frames(graph) -> list:
+    return [tuple(None if f is None else (f.offset, f.scale) for f in (b.fx, b.fy))
+            for b in graph.blocks]
+
+
+def _assert_builds_match(stage, tree, rows) -> None:
+    """The builder and `oracles.fan_replay` give one graph, one set of frames
+    and one set of stage bodies, or one error."""
+    graph, error = _replay_or_error(fanq._replay, stage, tree, DestinationTrack(rows))
+    want, want_error = _replay_or_error(oracles.fan_replay, stage, tree,
+                                        oracles.DestinationTrack(rows))
+    assert error == want_error
+    if graph is None:
+        return
+    assert graph.to_json() == want.to_json()
+    assert _frames(graph) == _frames(want)
+    for t in range(stage + 1):
+        got = [p.hverts for p in graph.snapshot(t).pieces]
+        assert got == [p.hverts for p in want.snapshot(t).pieces], t
+
+
+TREES = st.builds(
+    lambda prune, mirror: symmetrize(TreePresentation(prune)) if mirror else TreePresentation(prune),
+    st.lists(st.tuples(st.text("01", min_size=1, max_size=3), st.integers(0, 3)), max_size=3),
+    st.booleans(),
+)
+# lists of elements, and orders of the odd numbers below 2k, which injure at
+# most stages
+TRACKS = st.one_of(
+    st.lists(st.integers(1, 8), unique=True, min_size=2, max_size=5),
+    st.integers(2, 5).flatmap(lambda k: st.permutations(range(1, 2 * k, 2))),
+)
+
+
+class TestBuilderMatchesOracle:
+    """The snake grown at its head equals the builder kept in
+    `tests/oracles.py`, which threaded each block's predecessor, scanned the
+    blocks for the base frame and guarded the track."""
+
+    @pytest.mark.parametrize("make", ALL_TRACKS.values(), ids=ALL_TRACKS.keys())
+    def test_sample_tracks(self, make):
+        tree, track, stage = make()
+        _assert_builds_match(stage, tree, list(enumerate(track.elements, 1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree=TREES, elements=TRACKS, data=st.data())
+    def test_drawn_trees_tracks_and_stages(self, tree, elements, data):
+        stage = data.draw(st.integers(0, len(elements) + 1))  # the last is past the track
+        _assert_builds_match(stage, tree, list(enumerate(elements, 1)))
+
+
+class TestTrackInvariants:
+    """What the builder's removed guards asserted holds on every drawn track."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(elements=st.lists(st.integers(1, 30), unique=True, min_size=1, max_size=12))
+    def test_gamma(self, elements):
+        rows = list(enumerate(elements, 1))
+        track, oracle = DestinationTrack(rows), oracles.DestinationTrack(rows)
+        gammas = [track.gamma(s) for s in range(len(rows) + 1)]
+        assert gammas == [oracle.gamma(s) for s in range(len(rows) + 1)]
+        for s, (g0, g1) in enumerate(gammas):
+            assert F(1, 3) <= g0 < g1 <= (F(2, 3) if s == 0 else F(4, 9))
+        for s, ((g0, g1), (h0, h1)) in enumerate(zip(gammas, gammas[1:])):
+            if not (g0 <= h0 and h1 <= g1):
+                assert g1 < h0  # an injury lies right of the old interval
+            assert all(g[0] < h0 for g in gammas[: s + 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements=TRACKS)
+    def test_frame_scales_are_positive(self, elements):
+        graph, error = _replay_or_error(fanq._replay, len(elements), two_branch_tree(),
+                                        DestinationTrack(list(enumerate(elements, 1))))
+        if graph is None:
+            assert error == "destination max must strictly shrink inside a frame"
+            return
+        for b in graph.blocks:
+            assert all(f.scale > 0 for f in (b.fx, b.fy) if f is not None), b.id

@@ -12,7 +12,8 @@ from planarpi.cantor import TreePresentation
 from planarpi.cesets import EnumerationScript
 from planarpi.cli import CONSTRUCTIONS, main
 from planarpi.continua.dendrite import build_dendrite_d, cut_ball
-from planarpi.continua.fanq import DestinationTrack, q_snapshots
+from planarpi.continua.fanq import DestinationTrack, TouchEdge, q_snapshots
+from planarpi.continua.regions import DOWN, LEFT, RIGHT, UP
 from planarpi.balls import ball_polygon
 from planarpi.geom import (
     RegionSnapshot,
@@ -24,6 +25,7 @@ from planarpi.geom import (
 from planarpi.verify import (
     CheckReport,
     PieceGraph,
+    check_connectivity,
     check_cut_dichotomy,
     check_hausdorff_bound,
     check_nesting,
@@ -164,6 +166,11 @@ class TestCutDichotomy:
         assert len(calls) <= 1000
 
 
+# the touches of the stage-1 snake on `two_branch_tree()` and the track [(1, 4)]
+CHAIN = [(None, 0, "←"), (0, 1, "←"), (1, 2, "↑"), (2, 3, "→"), (3, 4, "→"), (4, 5, "↑"),
+         (5, 6, "←")]
+
+
 class TestTouchChain:
     def test_pass_and_negative_control(self):
         tree = two_branch_tree()
@@ -173,6 +180,43 @@ class TestTouchChain:
         # negative control: drop an edge so a block goes unreached
         graph.touches = graph.touches[:-1]
         assert check_touch_chain(graph).verdict == "fail"
+
+    @pytest.mark.parametrize(
+        "edges, witness",
+        [
+            # (src, dst, direction) rows that replace the chain's touches
+            ([*CHAIN, (0, 5, "←")], {"block": 5, "issue": "two predecessors"}),
+            ([*CHAIN[:-1], (4, 6, "←")], {"block": 4, "issue": "two successors"}),
+            ([*CHAIN[1:], (6, 0, "→")], {"issue": "no first block"}),
+            ([*CHAIN[:3], *CHAIN[4:], (6, 3, "→")],
+             {"issue": "path does not cover blocks", "covered": 3}),
+            ([(None, 1, "←"), (1, 0, "←"), (0, 2, "↑"), *CHAIN[3:]],
+             {"issue": "precedence violates creation stages", "at": 0}),
+            ([CHAIN[0], (0, 1, "→"), *CHAIN[2:]],
+             {"issue": "touch conditions fail", "edge": [0, 1, "→"], "stage": 1}),
+        ],
+        ids=["two-predecessors", "two-successors", "no-first-block", "uncovered",
+             "precedence", "touch-conditions"],
+    )
+    def test_failure_witnesses(self, edges, witness):
+        # the stage-1 snake is the chain None -> 0 -> 1 -> ... -> 6
+        _, graph = q_snapshots(1, two_branch_tree(), DestinationTrack([(1, 4)]))
+        assert [e.to_json() for e in graph.touches] == [list(e) for e in CHAIN]
+        direction = {d.symbol: d for d in (LEFT, RIGHT, UP, DOWN)}
+        graph.touches = [TouchEdge(a, b, direction[d]) for a, b, d in edges]
+        assert check_touch_chain(graph) == CheckReport("touch-chain", (0, 1), "fail", witness)
+
+
+class TestConnectivity:
+    def test_fail_names_the_stage_and_its_components(self):
+        fifths = [rect(F(i, 5), 0, F(i + 1, 5), 1) for i in range(5)]
+        snaps = [
+            RegionSnapshot(3, [rect(0, 0, 1, 1)]),
+            RegionSnapshot(4, fifths[:3]),
+            RegionSnapshot(5, fifths[::2]),
+        ]
+        report = check_connectivity(snaps)
+        assert report == CheckReport("connectivity", (3, 5), "fail", {"stage": 5, "components": 3})
 
 
 class TestHausdorffBound:
