@@ -1,28 +1,17 @@
-"""Balls and the co-c.e. presentations they probe.
+"""Balls with rational centres and radii, and their inscribed polygons.
 
-A ball has a rational centre and radius.  Its inscribed 2^k-gon, k <= 6,
-takes its vertices from a checked-in integer tangent table, so no float
-reaches it.  A `CoCePresentation` replays a schedule of removed balls and
-boxes, and `probe_ball_empty` asks whether a closed ball misses a stage.
+A ball's inscribed 2^k-gon, k <= 6, takes its vertices from a checked-in
+integer tangent table, so no float reaches it.  The dendrite's cut probes
+are these polygons; the plotted tree's probe balls are measured exactly from
+their centres in `continua.trees`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
-from .geom import (
-    FRAME,
-    ConvexPoly,
-    Point,
-    RegionSnapshot,
-    _sq_sign,
-    frac,
-    rect,
-    subtract_poly,
-    to_ints,
-)
+from .geom import ConvexPoly, Point, RegionSnapshot, frac, subtract_poly, to_ints
 from .intgeom import Hom, reduced
 
 
@@ -94,67 +83,3 @@ def ball_polygon(ball: BallSpec, k: int = 6) -> ConvexPoly:
 def subtract_ball(region: RegionSnapshot, ball: BallSpec, k: int = 6) -> RegionSnapshot:
     """Snapshot covering region minus ball (removed polygon is inside the ball)."""
     return subtract_poly(region, ball_polygon(ball, k))
-
-
-# -- co-c.e. presentations ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Removal:
-    stage: int
-    shape: object  # BallSpec or ConvexPoly (axis-aligned box)
-
-
-class CoCePresentation:
-    """Closed set presented by a replayable schedule of removed basic sets.
-
-    The stage-s snapshot depends only on removals with stage < s.  The
-    declared final stage bounds the scripted behaviour; beyond it nothing
-    further is removed.
-    """
-
-    def __init__(self, removals: Sequence[Removal], frame=FRAME, final_stage: Optional[int] = None):
-        self.removals = tuple(sorted(removals, key=lambda r: r.stage))
-        self.frame = tuple(frac(v) for v in frame)
-        if final_stage is None:
-            final_stage = max((r.stage + 1 for r in self.removals), default=0)
-        self.final_stage = final_stage
-        self._cache: dict[int, RegionSnapshot] = {}
-
-    def snapshot(self, stage: int) -> RegionSnapshot:
-        stage = min(stage, self.final_stage)
-        if stage in self._cache:
-            return self._cache[stage]
-        fx0, fy0, fx1, fy1 = self.frame
-        region = RegionSnapshot(stage, [rect(fx0, fy0, fx1, fy1)], self.frame)
-        for r in self.removals:
-            if r.stage < stage:
-                if isinstance(r.shape, BallSpec):
-                    region = subtract_ball(region, r.shape)
-                else:
-                    region = subtract_poly(region, r.shape)
-        region = RegionSnapshot(stage, region.pieces, self.frame)
-        self._cache[stage] = region
-        return region
-
-
-def probe_ball_empty(presentation, ball: BallSpec, stage: int) -> str:
-    """'certified-empty' | 'hit' | 'unknown' against a stage snapshot.
-
-    certified-empty is the c.e. event: the stage snapshot misses the closed
-    ball.  hit additionally requires the intersection to survive to the
-    declared final stage.
-    """
-    if ball.kind != "closed":
-        raise ValueError("probe balls must be closed")
-    (x, y), w = to_ints(*ball.center)
-    r2 = ball.radius * ball.radius
-
-    def disjoint(snapshot: RegionSnapshot) -> bool:
-        return all(_sq_sign((x, y, w), piece, r2) > 0 for piece in snapshot.pieces)
-
-    if disjoint(presentation.snapshot(stage)):
-        return "certified-empty"
-    if not disjoint(presentation.snapshot(presentation.final_stage)):
-        return "hit"
-    return "unknown"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from . import check_natural
 
@@ -86,9 +86,6 @@ class TreePresentation:
 
     def is_empty(self, stage: int) -> bool:
         return not self.survives("", stage)
-
-    def to_json(self) -> dict:
-        return {"prune": [[s, u] for s, u in self.prune]}
 
     @staticmethod
     def from_json(doc: dict) -> "TreePresentation":
@@ -228,105 +225,3 @@ def leftmost_path(tree: TreePresentation, stage: int, depth: int) -> str:
         else:  # cannot happen: coverage closure removes dead ends
             raise AssertionError("dead end in pruned tree")
     return sigma
-
-
-@dataclass(frozen=True)
-class EmbedReport:
-    candidate_index: int
-    embeds: bool
-    failing_string: Optional[str]
-
-    @property
-    def failing_depth(self) -> Optional[int]:
-        return None if self.failing_string is None else len(self.failing_string)
-
-
-def tree_immune_witness(
-    tree: TreePresentation, candidates: Sequence[Iterable[str]], depth: int
-) -> list[EmbedReport]:
-    """Bounded proxy check: does each finite prefix-closed candidate sit inside
-    the fully pruned tree up to the given depth?  (True tree-immunity is not
-    decidable; this reports only the finite fragment.)"""
-    stage = tree.final_stage + 1
-    reports = []
-    for idx, cand in enumerate(candidates):
-        strings = sorted({check_bits(s) for s in cand}, key=lambda s: (len(s), s))
-        for sigma in strings:
-            if sigma and sigma[:-1] not in strings:
-                raise ValueError("candidate tree is not prefix-closed")
-        failing = None
-        for sigma in strings:
-            if len(sigma) > depth:
-                continue
-            if not tree.survives(sigma, stage):
-                failing = sigma
-                break
-        reports.append(
-            EmbedReport(candidate_index=idx, embeds=failing is None, failing_string=failing)
-        )
-    return reports
-
-
-# -- stutter embedding and dyadic coding (dimension-set plumbing) -------------
-
-
-def _as_f(f, n: int) -> int:
-    if callable(f):
-        return int(f(n))
-    return int(f[n])
-
-
-def stutter_embed(alpha_prefix: str, f) -> str:
-    """Image prefix under the block map alpha -> prod_i <alpha(i), alpha[f(i)..f(i+1))>.
-
-    `f` is a strictly increasing map with f(0) = 0, given as a callable or a
-    sequence.  Emits every block the prefix fully determines; raises if no
-    block fits.
-    """
-    check_bits(alpha_prefix)
-    n = len(alpha_prefix)
-    if _as_f(f, 0) != 0:
-        raise ValueError("f(0) must be 0")
-    out = []
-    i = 0
-    while True:
-        try:
-            nxt = _as_f(f, i + 1)
-        except (IndexError, ValueError):
-            break
-        if nxt <= _as_f(f, i):
-            raise ValueError("f must be strictly increasing")
-        if i >= n or nxt > n:
-            break
-        out.append(alpha_prefix[i])
-        out.append(alpha_prefix[_as_f(f, i): nxt])
-        i += 1
-    if i == 0:
-        raise ValueError("prefix too short for any block")
-    return "".join(out)
-
-
-def stutter_block_count(f, n: int) -> int:
-    """k_f(n) = #{s : f(s) < n}."""
-    count = 0
-    s = 0
-    while True:
-        try:
-            v = _as_f(f, s)
-        except (IndexError, ValueError):
-            break
-        if v >= n:
-            break
-        count += 1
-        s += 1
-    return count
-
-
-def dyadic_real(alpha_prefix: str) -> tuple[Fraction, Fraction]:
-    """Interval of all completions of sum alpha(i) 2^-(i+1)."""
-    check_bits(alpha_prefix)
-    low = Fraction(0)
-    for i, c in enumerate(alpha_prefix):
-        if c == "1":
-            low += Fraction(1, 1 << (i + 1))
-    return low, low + Fraction(1, 1 << len(alpha_prefix))

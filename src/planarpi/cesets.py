@@ -31,9 +31,6 @@ class EnumerationScript:
     def members_at(self, stage: int) -> set[int]:
         return {n for s, n in self.entries if s <= stage}
 
-    def members(self) -> set[int]:
-        return {n for _, n in self.entries}
-
     def stage_of(self, n: int) -> Optional[int]:
         for s, m in self.entries:
             if m == n:
@@ -48,27 +45,6 @@ class EnumerationScript:
 def stage_function(script: EnumerationScript, n: int) -> Optional[int]:
     """st(n): least stage at which n appears, or None."""
     return script.stage_of(n)
-
-
-def sigma_reduce(
-    t_star: EnumerationScript, u_star: EnumerationScript
-) -> tuple[EnumerationScript, EnumerationScript]:
-    """Reduction for a pair of scripted c.e. sets.
-
-    An element in both goes to whichever script enumerated it first; a tie at
-    equal stages goes to the first script.  Outputs partition the union.
-    """
-    t_entries = []
-    u_entries = []
-    for s, n in t_star.entries:
-        su = u_star.stage_of(n)
-        if su is None or s <= su:
-            t_entries.append((s, n))
-    t_members = {n for _, n in t_entries}
-    for s, n in u_star.entries:
-        if n not in t_members:
-            u_entries.append((s, n))
-    return EnumerationScript(t_entries), EnumerationScript(u_entries)
 
 
 @dataclass(frozen=True)

@@ -435,11 +435,9 @@ def _collinear(a: ConvexPoly, b: ConvexPoly) -> bool:
 
 
 def check_touch(z0: BlockRecord, z1: BlockRecord, d: Direction, graph: BlockGraph, t: int) -> bool:
-    """Exact test of the three touch conditions at stage-t bodies."""
-    if not any(e.dst == z0.id for e in graph.touches):
-        return False  # (2) z0 not yet reached
-    if any(e.src == z1.id and e.dst == z0.id for e in graph.touches):
-        return False  # (3) reverse touch exists
+    """Exact test of the geometric touch condition (1) at stage-t bodies.
+    `verify.check_touch_chain` settles (2), z0 reached, and (3), no reverse
+    touch, from the whole chain before it calls this."""
     e0 = _edge_segment(z0.box, d)
     e1 = _edge_segment(z1.box, d.reverse())
     if e0.dim() != 1 or e1.dim() != 1 or not _collinear(e0, e1):

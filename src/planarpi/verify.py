@@ -151,8 +151,10 @@ def check_cut_dichotomy(
 
 def check_touch_chain(graph: BlockGraph) -> CheckReport:
     """Pass iff the touch edges form a simple path over all blocks in
-    creation order and each edge meets the touch conditions at the last
-    creation stage."""
+    creation order and each edge meets the geometric touch condition at the
+    last creation stage.  The path settles the other two conditions: every
+    block is reached, and no two blocks touch both ways, as each would be the
+    other's only predecessor and the walk could reach neither."""
     from .continua.fanq import check_touch
 
     name = "touch-chain"

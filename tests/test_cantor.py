@@ -1,4 +1,4 @@
-"""Trees, fat levels, symmetrization, and the stutter embedding."""
+"""Trees, fat levels, symmetrization, and leftmost paths."""
 
 import contextlib
 import json
@@ -13,17 +13,13 @@ from hypothesis import strategies as st
 from planarpi.cantor import (
     TreePresentation,
     cantor_coord,
-    dyadic_real,
     fat_level,
     flip_bits,
     full_tree,
     leftmost_path,
     pad_eps,
     single_path_tree,
-    stutter_block_count,
-    stutter_embed,
     symmetrize,
-    tree_immune_witness,
 )
 from planarpi.continua.regions import normalize_level
 
@@ -267,79 +263,3 @@ class TestLeftmostPath:
         tree = TreePresentation([("0", 0), ("1", 0)])
         with pytest.raises(ValueError):
             leftmost_path(tree, 1, 2)
-
-
-class TestTreeImmuneWitness:
-    def test_root_always_embeds(self):
-        reports = tree_immune_witness(full_tree(), [{""}], depth=4)
-        assert reports[0].embeds
-
-    def test_fully_pruned_candidate_fails(self):
-        # pruning every length-2 string empties the tree via the closure rule,
-        # so the embedding already fails at the root
-        tree = TreePresentation([("00", 0), ("01", 0), ("10", 0), ("11", 0)])
-        candidate = {"", "0", "1", "00", "01", "10", "11"}
-        reports = tree_immune_witness(tree, [candidate], depth=5)
-        assert not reports[0].embeds
-        assert reports[0].failing_depth is not None
-        assert reports[0].failing_depth <= 2
-
-    def test_path_in_full_tree(self):
-        candidate = {"0" * k for k in range(6)}
-        reports = tree_immune_witness(full_tree(), [candidate], depth=5)
-        assert reports[0].embeds
-
-    def test_prefix_closure_required(self):
-        with pytest.raises(ValueError):
-            tree_immune_witness(full_tree(), [{"01"}], depth=3)
-
-
-class TestStutterEmbed:
-    def test_identity_doubles(self):
-        f = list(range(10))
-        assert stutter_embed("0110", f) == "00111100"
-
-    def test_block_count_identity(self):
-        f = list(range(20))
-        for n in range(8):
-            assert stutter_block_count(f, n) == n
-
-    def test_sticking_pair_images_differ_twice(self):
-        # alpha sticks to beta on sigma: the images disagree in >= 2 places
-        # in each direction, so they no longer stick either way
-        sigma = "01"
-        alpha = sigma + "0" + "11111"
-        beta = sigma + "1" + "00000"
-        f = list(range(10))
-        ia = stutter_embed(alpha, f)
-        ib = stutter_embed(beta, f)
-        assert len(ia) == len(ib)
-        a_ahead = sum(1 for x, y in zip(ia, ib) if x == "0" and y == "1")
-        b_ahead = sum(1 for x, y in zip(ia, ib) if x == "1" and y == "0")
-        assert a_ahead >= 2 and b_ahead >= 2
-
-    def test_injective_on_equal_length(self):
-        # block-aligned prefix lengths: every input position is consumed
-        cases = [(list(range(10)), 6), ([0, 2, 5, 7], 5), ([0, 2, 5], 2)]
-        for f, length in cases:
-            images = {}
-            for i in range(1 << length):
-                alpha = format(i, f"0{length}b")
-                img = stutter_embed(alpha, f)
-                assert img not in images, (f, alpha)
-                images[img] = alpha
-
-    def test_too_short_raises(self):
-        with pytest.raises(ValueError):
-            stutter_embed("", [0, 1, 2])
-
-
-class TestDyadicReal:
-    def test_single_one(self):
-        assert dyadic_real("1") == (F(1, 2), F(1))
-
-    def test_empty(self):
-        assert dyadic_real("") == (F(0), F(1))
-
-    def test_zero_one(self):
-        assert dyadic_real("01") == (F(1, 4), F(1, 2))

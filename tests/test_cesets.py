@@ -1,4 +1,4 @@
-"""Scripted enumerations, reduction, e-states, and the limit function.
+"""Scripted enumerations, e-states, and the limit function.
 
 Every set here is a finite script standing in for a c.e. set; the tests
 exercise the finite-stage combinatorics only.
@@ -14,7 +14,6 @@ from planarpi.cesets import (
     SequenceFamily,
     e_state,
     limit_f,
-    sigma_reduce,
     stage_function,
 )
 
@@ -51,46 +50,6 @@ class TestEnumerationScript:
             EnumerationScript([(1, 2)])  # element above stage
         with pytest.raises(ValueError):
             EnumerationScript([(1, 1), (1, 0)])  # two elements in one stage
-
-
-class TestSigmaReduce:
-    def test_disjoint_passthrough(self):
-        t = EnumerationScript([(1, 1), (4, 2)])
-        u = EnumerationScript([(3, 3), (5, 5)])
-        rt, ru = sigma_reduce(t, u)
-        assert rt.entries == t.entries
-        assert ru.entries == u.entries
-
-    def test_first_arrival_wins(self):
-        t = EnumerationScript([(7, 7)])
-        u = EnumerationScript([(9, 7)])
-        rt, ru = sigma_reduce(t, u)
-        assert rt.members() == {7}
-        assert ru.members() == set()
-
-    def test_tie_goes_to_first(self):
-        t = EnumerationScript([(7, 7)])
-        u = EnumerationScript([(7, 7)])
-        rt, ru = sigma_reduce(t, u)
-        assert rt.members() == {7}
-        assert ru.members() == set()
-
-    def test_partition_random(self):
-        rng = random.Random(23)
-        for _ in range(20):
-            def random_script():
-                entries = {}
-                for _k in range(rng.randint(0, 8)):
-                    s = rng.randint(0, 15)
-                    entries[s] = rng.randint(0, s)
-                return EnumerationScript(list(entries.items()))
-
-            t, u = random_script(), random_script()
-            rt, ru = sigma_reduce(t, u)
-            assert rt.members() | ru.members() == t.members() | u.members()
-            assert not (rt.members() & ru.members())
-            assert rt.members() <= t.members()
-            assert ru.members() <= u.members()
 
 
 class TestEState:

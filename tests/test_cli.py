@@ -229,6 +229,33 @@ BAD_INPUTS = [
      {"c.json": json.dumps({**Q_CONFIG, "B": [[2, 2], [1, 4]]})}, build_argv(), "in turn"),
     ("track-stage-repeated",
      {"c.json": json.dumps({**Q_CONFIG, "B": [[1, 4], [1, 2]]})}, build_argv(), "in turn"),
+    # the builders' refusals of well-formed configs
+    ("script-two-elements-in-one-stage",
+     {"c.json": json.dumps({**FIG5_CONFIG, "A": [[1, 1], [1, 0]]})}, build_argv(),
+     "at most one element per stage"),
+    ("script-element-before-its-stage", {"c.json": json.dumps({**FIG5_CONFIG, "A": [[1, 2]]})},
+     build_argv(), "element 2 enumerated before stage 2"),
+    ("track-elements-repeated", {"c.json": json.dumps({**Q_CONFIG, "B": [[1, 4], [2, 4]]})},
+     build_argv(), "elements must be distinct"),
+    ("track-element-zero", {"c.json": json.dumps({**Q_CONFIG, "B": [[1, 0], [2, 2]]})},
+     build_argv(), "elements must be >= 1"),
+    ("stage-beyond-track", {"c.json": json.dumps(Q_CONFIG)}, build_argv("--stage", "3"),
+     "stage exceeds the scripted destination track"),
+    ("fan-tree-not-symmetric", {"c.json": json.dumps({**Q_CONFIG, "P": {"prune": [["01", 0]]}})},
+     build_argv(), "tree presentation must be symmetric"),
+    ("tree-empty", {"c.json": json.dumps(
+        {"construction": "dendrite-h", "A": [[1, 1]], "P": {"prune": [["0", 0], ["1", 0]]},
+         "stage": 2})},
+     build_argv(), "empty tree presentation"),
+    ("plotted-tree-depth-zero", {"c.json": '{"construction": "plotted-tree", "depth": 0}'},
+     build_argv(), "depth must be at least 1"),
+    ("search-bound-below-comb-index", {"c.json": json.dumps(
+        {**json.loads(family_with_triple(0, 0, 1)), "search_bound": 0, "stage": 3})},
+     build_argv(), "search bound must be at least e"),
+    # distinct elements, but the new one is one above the largest earlier
+    # element below it, so the destination max stands still
+    ("track-max-does-not-shrink", {"c.json": json.dumps({**Q_CONFIG, "B": [[1, 1], [2, 2]]})},
+     build_argv(), "destination max must strictly shrink inside a frame"),
     ("prune-stage-not-an-integer",
      {"c.json": '{"construction": "plotted-tree", "P": {"prune": [["1", 0.5]]}}'}, build_argv(),
      "natural number"),

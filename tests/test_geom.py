@@ -12,14 +12,7 @@ from hypothesis import strategies as st
 
 import planarpi.balls as balls
 import planarpi.geom as geom
-from planarpi.balls import (
-    BallSpec,
-    CoCePresentation,
-    Removal,
-    ball_polygon,
-    probe_ball_empty,
-    subtract_ball,
-)
+from planarpi.balls import BallSpec, ball_polygon, subtract_ball
 from planarpi.cli import CONSTRUCTIONS, main
 from planarpi.geom import (
     ConvexPoly,
@@ -216,6 +209,13 @@ class TestSquaredDistance:
         assert polys_intersect(a, b)
         inter = convex_intersection(a, b)
         assert inter.vertices == ((F(1, 2), F(1, 2)),)
+
+    def test_sq_sign_tie(self):
+        # a point at squared distance exactly q from a piece: the comparison
+        # is exact, so a tie is neither side
+        box = rect(-2, -2, 2, 2)
+        assert geom._sq_sign((3, 0, 1), box, F(1)) == 0
+        assert geom._sq_sign((3, 0, 1), box, F(99, 100)) > 0
 
 
 class TestConnectivity:
@@ -575,51 +575,6 @@ class TestHausdorff:
             hi = sqrt_upper(q, 20)
             assert lo * lo <= q <= hi * hi
             assert hi - lo <= F(2, 1 << 20)
-
-
-class TestProbes:
-    def _presentation(self):
-        removals = [
-            Removal(stage=1, shape=BallSpec((F(1, 2), F(1, 2)), F(1, 4))),
-            Removal(stage=3, shape=rect(-1, -1, F(-1, 2), F(-1, 2))),
-        ]
-        return CoCePresentation(removals, frame=(-2, -2, 2, 2))
-
-    def test_outside_frame_certified_empty_at_zero(self):
-        p = self._presentation()
-        ball = BallSpec((F(10), F(10)), F(1, 2))
-        # center far outside the frame: disjoint at every stage
-        assert probe_ball_empty(p, ball, 0) == "certified-empty"
-
-    def test_persistent_piece_hits(self):
-        p = self._presentation()
-        ball = BallSpec((F(3, 2), F(3, 2)), F(1, 8))
-        assert probe_ball_empty(p, ball, 0) == "hit"
-
-    def test_removed_center_becomes_empty(self):
-        p = self._presentation()
-        ball = BallSpec((F(1, 2), F(1, 2)), F(1, 16))
-        # intersects the stage-0 snapshot but does not survive to the final one
-        assert probe_ball_empty(p, ball, 0) == "unknown"
-        assert probe_ball_empty(p, ball, 2) == "certified-empty"
-
-    def test_tangent_ball_meets(self):
-        # the closed ball meets a piece at exactly its radius, and the
-        # comparison with r^2 is exact: a tie is neither side
-        p = CoCePresentation([], frame=(-2, -2, 2, 2))
-        assert geom._sq_sign((3, 0, 1), p.snapshot(0).pieces[0], F(1)) == 0
-        assert probe_ball_empty(p, BallSpec((F(3), F(0)), F(1)), 0) == "hit"
-        assert probe_ball_empty(p, BallSpec((F(3), F(0)), F(99, 100)), 0) == "certified-empty"
-
-    def test_monotone(self):
-        p = self._presentation()
-        ball = BallSpec((F(1, 2), F(1, 2)), F(1, 16))
-        states = [probe_ball_empty(p, ball, s) for s in range(5)]
-        seen_empty = False
-        for st in states:
-            if seen_empty:
-                assert st == "certified-empty"
-            seen_empty = seen_empty or st == "certified-empty"
 
 
 class TestSceneJson:

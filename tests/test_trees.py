@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import oracles
 
-from planarpi.balls import BallSpec, CoCePresentation, Removal, probe_ball_empty
 from planarpi.cantor import TreePresentation, full_tree
 from planarpi.cesets import EnumerationScript
 from planarpi.continua.trees import (
@@ -31,7 +30,6 @@ from planarpi.geom import (
     ConvexPoly,
     connectivity_components,
     point,
-    rect,
     region_covers,
     segment,
     squared_distance,
@@ -394,12 +392,6 @@ class TestMatchesReplacedPaths:
     def test_probes_make_no_hull(self, monkeypatch):
         # the probes measure from the centre as an integer triple, not from
         # a point piece made through the hull constructor
-        removals = [
-            Removal(stage=1, shape=BallSpec((F(1, 2), F(1, 2)), F(1, 4))),
-            Removal(stage=3, shape=rect(-1, -1, F(-1, 2), F(-1, 2))),
-        ]
-        coce = CoCePresentation(removals, frame=(-2, -2, 2, 2))
-        ball = BallSpec((F(1, 2), F(1, 2)), F(1, 16))
         plotted = PlottedTreePresentation(TreePresentation([("10", 0)]), 4)
 
         def no_hull(self, points):
@@ -407,6 +399,5 @@ class TestMatchesReplacedPaths:
 
         monkeypatch.setattr(ConvexPoly, "__init__", no_hull)
         probe_balls.cache_clear()  # so that every positive ball is sought again
-        assert [probe_ball_empty(coce, ball, s) for s in (0, 2)] == ["unknown", "certified-empty"]
         assert "11" in recover_tree(plotted, 0, 4).strings
         assert "10" not in recover_tree(plotted, 1, 4).strings

@@ -179,7 +179,9 @@ class TestTouchChain:
         assert check_touch_chain(graph).verdict == "pass"
         # negative control: drop an edge so a block goes unreached
         graph.touches = graph.touches[:-1]
-        assert check_touch_chain(graph).verdict == "fail"
+        assert check_touch_chain(graph) == CheckReport(
+            "touch-chain", (0, 2), "fail", {"issue": "unreached blocks", "blocks": [26]}
+        )
 
     @pytest.mark.parametrize(
         "edges, witness",
