@@ -161,22 +161,50 @@ class FatCantorLevel:
         return self.r_plus
 
 
+def _coprime(n: int, d: int) -> Fraction:
+    """Fraction(n, d) without its gcd: only for d > 0 and gcd(n, d) == 1."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = n, d
+    return f
+
+
 def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
-    """Level-s intervals J(sigma) = [pi - eps, pi + 3^-(s+1) + eps], eps = 3^-(s+2)."""
+    """Level-s intervals J(sigma) = [pi - eps, pi + 3^-(s+1) + eps], eps = 3^-(s+2).
+
+    Level s is grown from level s - 1: its strings are the children sigma0
+    and sigma1 of level s - 1's strings that survive at stage s.  None is
+    missed, because coverage only grows with the stage and is closed
+    downward, so the parent of a stage-s survivor survives at stage s - 1.
+    A child survives iff its prefix of length min(s, max_prune_len) does
+    (see `TreePresentation.level`).
+    """
     cache = tree._fat_cache
     if s in cache:
         return cache[s]
-    strings = tree.level(s, s)
-    if not strings:
+    depth = min(s, tree.max_prune_len)
+    alive = {_ternary_code(sigma) for sigma in tree.level(depth, s)}
+    if not alive:
         raise ValueError(f"tree level {s} is empty")
+    base, den = 3**s, 3 ** (s + 2)
+    if s == 0:
+        codes = (0,)  # the root
+    else:
+        # a level-(s-1) string with code c has left end (n - 1) / 3^(s+1),
+        # n = 3(3^(s-1) + c), so its children's codes 3c and 3c + 2 are
+        # n - 3^s and n - 3^s + 2
+        drop = 3 ** (s - depth)
+        codes = (
+            c
+            for lo, _ in fat_level(tree, s - 1).intervals
+            for c in (lo._numerator + 1 - base, lo._numerator + 3 - base)
+            if c // drop in alive
+        )
     # with n/3^(s+2) = cantor_coord(sigma), the interval is [n - 1, n + 4]
     # over 3^(s+2); both ends are prime to 3, so already in lowest terms
-    base, den = 3**s, 3 ** (s + 2)
-    intervals = []
-    for sigma in strings:
-        n = 3 * (base + _ternary_code(sigma))
-        intervals.append((Fraction(n - 1, den), Fraction(n + 4, den)))
-    level = FatCantorLevel(stage=s, intervals=tuple(intervals))
+    intervals = tuple(
+        (_coprime(n - 1, den), _coprime(n + 4, den)) for n in (3 * (base + c) for c in codes)
+    )
+    level = FatCantorLevel(stage=s, intervals=intervals)
     cache[s] = level
     return level
 

@@ -96,6 +96,20 @@ def _family_from(config: dict) -> SequenceFamily:
     return _field(config, "families", SequenceFamily.from_json, [])
 
 
+def _search_bound(config: dict, stage: int) -> int:
+    """A dendroid-k config's `search_bound` at `stage`, which must reach the
+    stage's last comb index; null or absent means max(stage, number of families)."""
+    bound = config.get("search_bound")
+    if bound is None:
+        return max(stage, len(_family_from(config).members))
+    if bound < stage:
+        raise ValueError(
+            f"config field 'search_bound': must be at least {stage}, "
+            f"the last comb index at stage {stage}"
+        )
+    return bound
+
+
 def _load_scene(path: str) -> RegionSnapshot:
     doc = _read_json(path, "scene")
     try:
@@ -183,9 +197,7 @@ def _dendroid_k_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
     from .continua.comb import comb_cut_box, comb_width
 
     fam, stage = _family_from(config), snap.stage
-    bound = config.get("search_bound")
-    if bound is None:
-        bound = max(stage, len(fam.members))
+    bound = _search_bound(config, stage)
     return (
         ({"t": t, "u": u}, comb_cut_box(t, u), comb_width(fam, t, u, stage, bound) > 0)
         for t in range(stage + 1)
@@ -222,7 +234,7 @@ CONSTRUCTIONS: dict[str, Construction] = {
     ),
     "dendroid-k": Construction(
         _per_stage(
-            "comb", lambda m, c, s: m.build_dendroid_k(s, _family_from(c), c.get("search_bound"))
+            "comb", lambda m, c, s: m.build_dendroid_k(s, _family_from(c), _search_bound(c, s))
         ),
         GROWING_CHECKS,
         _dendroid_k_probes,

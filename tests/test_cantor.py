@@ -2,6 +2,8 @@
 
 import contextlib
 import json
+import math
+import operator
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from planarpi.cantor import (
     TreePresentation,
+    _coprime,
     cantor_coord,
     fat_level,
     flip_bits,
@@ -63,6 +66,26 @@ class TestCoding:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             cantor_coord("012")
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(-(10**30), 10**30), d=st.integers(1, 10**30), m=st.integers(-99, 99))
+    @example(n=0, d=1, m=1)
+    @example(n=3**14 + 2, d=3**16, m=7)
+    def test_coprime_is_the_fraction(self, n, d, m):
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        fast, slow = _coprime(n, d), F(n, d)
+        assert type(fast) is F
+        assert (fast.numerator, fast.denominator) == (slow.numerator, slow.denominator) == (n, d)
+        assert hash(fast) == hash(slow) and repr(fast) == repr(slow) and str(fast) == str(slow)
+        assert fast == slow and -fast == -slow and abs(fast) == abs(slow)
+        other = F(m, 7)
+        for op in (operator.add, operator.sub, operator.mul, operator.lt, operator.eq):
+            assert op(fast, other) == op(slow, other) and op(other, fast) == op(other, slow)
+        if m:
+            assert fast / other == slow / other
+        if n:
+            assert other / fast == other / slow
 
 
 class TestFatLevels:
@@ -131,6 +154,34 @@ class TestFatLevels:
             assert nxt.min_point() > lvl.l_star
             assert nxt.max_point() < lvl.r_star
 
+    @pytest.mark.parametrize(
+        "make_tree",
+        [full_tree, lambda: TreePresentation([("01", 2), ("110", 4), ("1", 9)])],
+        ids=["full", "pruned"],
+    )
+    def test_no_fraction_made_and_walked_only_to_the_prune_horizon(self, monkeypatch, make_tree):
+        """Every end is made without `Fraction.__new__` and its gcd, and the
+        tree is walked no deeper than its longest pruned string."""
+        made, lengths = [], []
+        new, level = F.__new__, TreePresentation.level
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        def recording_level(self, length, stage):
+            lengths.append(length)
+            return level(self, length, stage)
+
+        tree = make_tree()
+        monkeypatch.setattr(F, "__new__", counting_new)
+        monkeypatch.setattr(TreePresentation, "level", recording_level)
+        levels = [fat_level(tree, s) for s in range(11)]
+        monkeypatch.undo()
+        assert made == []
+        assert lengths and max(lengths) <= tree.max_prune_len
+        assert len(levels[10].intervals) > 1
+
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 CONFIG_PRUNES = [
@@ -186,7 +237,11 @@ class TestMatchesOracle:
                 with pytest.raises(ValueError, match=str(exc)):
                     fat_level(tree, s)
             else:
-                assert as_ints(fat_level(tree, s).intervals) == expected
+                intervals = fat_level(tree, s).intervals
+                assert as_ints(intervals) == expected
+                for end in (v for iv in intervals for v in iv):
+                    assert type(end) is F and end.denominator == 3 ** (s + 2)
+                    assert math.gcd(end.numerator, end.denominator) == 1
 
     @settings(max_examples=5, deadline=None)
     @given(prune=SCHEDULES)

@@ -251,7 +251,7 @@ BAD_INPUTS = [
      build_argv(), "depth must be at least 1"),
     ("search-bound-below-comb-index", {"c.json": json.dumps(
         {**json.loads(family_with_triple(0, 0, 1)), "search_bound": 0, "stage": 3})},
-     build_argv(), "search bound must be at least e"),
+     build_argv(), "config field 'search_bound': must be at least 3, the last comb index"),
     # distinct elements, but the new one is one above the largest earlier
     # element below it, so the destination max stands still
     ("track-max-does-not-shrink", {"c.json": json.dumps({**Q_CONFIG, "B": [[1, 1], [2, 2]]})},
@@ -293,6 +293,14 @@ BAD_INPUTS = [
     ("hausdorff-scene-b-vertex-not-rational",
      {"a.json": scene_with_vertex("1/2"), "b.json": scene_with_vertex("a")}, HAUSDORFF_B_ARGV,
      "malformed scene TMP/b.json: ValueError not a rational 'p/q' string: 'a'"),
+    ("hausdorff-scene-b-piece-outside-frame",
+     {"a.json": scene_with_vertex("1/2"), "b.json": scene_with_vertex("2")}, HAUSDORFF_B_ARGV,
+     "malformed scene TMP/b.json: ValueError piece outside frame"),
+    ("hausdorff-scene-without-pieces", {"s.json": UNIT_SCENE}, HAUSDORFF_ARGV,
+     "undefined distance to empty set"),
+    # the checkers' refusals
+    ("nesting-over-one-stage", {"c.json": (CONFIGS / "cantor-fan-q.json").read_text()},
+     verify_argv("3:3"), "nesting check needs at least two stages"),
     ("render-stage-not-an-integer", {"s.json": HALF_STAGE}, render_argv(), "natural number"),
     ("hausdorff-negative-tol-exp", {"s.json": UNIT_SCENE}, [*HAUSDORFF_ARGV, "--tol-exp", "-1"],
      "--tol-exp"),
