@@ -35,8 +35,12 @@ class TreePresentation:
     """Co-c.e. subtree of the full binary tree, given by a pruning schedule.
 
     An entry (sigma, u) removes all extensions of sigma from truncations at
-    stages strictly greater than u.  Coverage is closed under the rule that a
-    node with both children covered is covered at the same stage.
+    stages strictly greater than u.  The stage-s truncation is read from one
+    set: the strings pruned before stage s, closed under "both children in
+    the set => parent in the set".  A string is removed iff one of its
+    prefixes is in the set.  No member is longer than `max_prune_len`, and
+    the set changes only at the stages u + 1, so every stage from
+    `final_stage` on shares one set.
     """
 
     def __init__(self, prune: Iterable[tuple[str, int]] = ()):
@@ -46,46 +50,37 @@ class TreePresentation:
         self.prune = tuple(sorted(entries, key=lambda e: (e[1], e[0])))
         self.max_prune_len = max((len(s) for s, _ in self.prune), default=0)
         self.final_stage = max((u + 1 for _, u in self.prune), default=0)
-        self._covered_cache: dict[tuple[str, int], bool] = {}
+        self._removed_sets: dict[int, frozenset[str]] = {}  # owned by _removed
         self._fat_cache: dict[int, FatCantorLevel] = {}  # owned by fat_level
 
-    def _covered(self, sigma: str, stage: int) -> bool:
-        key = (sigma, stage)
-        cached = self._covered_cache.get(key)
-        if cached is not None:
-            return cached
-        result = any(
-            u < stage and sigma.startswith(tau) for tau, u in self.prune
-        )
-        if not result and len(sigma) < self.max_prune_len:
-            result = self._covered(sigma + "0", stage) and self._covered(
-                sigma + "1", stage
-            )
-        self._covered_cache[key] = result
-        return result
+    def _removed(self, stage: int) -> frozenset[str]:
+        """The closed set of removed strings at `stage` (see the class docstring)."""
+        stage = min(stage, self.final_stage)
+        if stage not in self._removed_sets:
+            removed = {sigma for sigma, u in self.prune if u < stage}
+            work = list(removed)
+            while work:  # a parent joins when the later of its children is popped
+                parent = work.pop()[:-1]
+                if parent not in removed and {parent + "0", parent + "1"} <= removed:
+                    removed.add(parent)
+                    work.append(parent)
+            self._removed_sets[stage] = frozenset(removed)
+        return self._removed_sets[stage]
 
     def survives(self, sigma: str, stage: int) -> bool:
-        return not self._covered(check_bits(sigma), stage)
+        prefixes = (sigma[:k] for k in range(len(check_bits(sigma)) + 1))
+        return self._removed(stage).isdisjoint(prefixes)
 
     def level(self, length: int, stage: int) -> list[str]:
-        """Surviving strings of the given length, lexicographically sorted.
-
-        Survival is tested only down to length `max_prune_len`: no pruned
-        string is longer, and `_covered` applies no closure at that length or
-        beyond, so a longer string survives iff its prefix of that length does.
-        """
-        depth = min(length, self.max_prune_len)
-        # the root needs its own test only when no level below it is walked
-        work = [""] if depth or not self._covered("", stage) else []
-        for _ in range(depth):
-            work = [
-                sigma + b for sigma in work for b in BITS if not self._covered(sigma + b, stage)
-            ]
-        tails = all_strings(length - depth)
-        return [sigma + tail for sigma in work for tail in tails]
+        """Surviving strings of the given length, lexicographically sorted."""
+        removed = self._removed(stage)
+        work = [] if "" in removed else [""]
+        for _ in range(length):
+            work = [sigma + b for sigma in work for b in BITS if sigma + b not in removed]
+        return work
 
     def is_empty(self, stage: int) -> bool:
-        return not self.survives("", stage)
+        return "" in self._removed(stage)
 
     @staticmethod
     def from_json(doc: dict) -> "TreePresentation":
@@ -173,10 +168,10 @@ def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
 
     Level s is grown from level s - 1: its strings are the children sigma0
     and sigma1 of level s - 1's strings that survive at stage s.  None is
-    missed, because coverage only grows with the stage and is closed
-    downward, so the parent of a stage-s survivor survives at stage s - 1.
-    A child survives iff its prefix of length min(s, max_prune_len) does
-    (see `TreePresentation.level`).
+    missed, because removal only grows with the stage and passes to every
+    extension, so the parent of a stage-s survivor survives at stage s - 1.
+    A child survives iff its prefix of length min(s, max_prune_len) does,
+    because no member of the removed set is longer.
     """
     cache = tree._fat_cache
     if s in cache:
@@ -241,15 +236,12 @@ def symmetrize(tree: TreePresentation) -> TreePresentation:
 
 
 def leftmost_path(tree: TreePresentation, stage: int, depth: int) -> str:
-    """Lexicographically least surviving string of the given length."""
-    if tree.is_empty(stage):
+    """Lexicographically least surviving string of the given length.  A
+    survivor has a surviving child, since the removed set is closed."""
+    removed = tree._removed(stage)
+    if "" in removed:
         raise ValueError("empty tree has no leftmost path")
     sigma = ""
     for _ in range(depth):
-        if tree.survives(sigma + "0", stage):
-            sigma += "0"
-        elif tree.survives(sigma + "1", stage):
-            sigma += "1"
-        else:  # cannot happen: coverage closure removes dead ends
-            raise AssertionError("dead end in pruned tree")
+        sigma += "0" if sigma + "0" not in removed else "1"
     return sigma

@@ -377,12 +377,15 @@ class _Builder:
 
 
 def _check_symmetric(tree: TreePresentation, depth: int) -> bool:
-    for length in range(depth + 1):
-        for stage in range(depth + 2):
-            lvl = tree.level(length, stage)
-            if sorted(flip_bits(s) for s in lvl) != lvl:
-                return False
-    return True
+    """Every level up to `depth` is closed under `flip_bits` at stages 0..depth+1.
+
+    One length per stage decides it: a shorter level is the prefixes of the
+    level at min(depth, max_prune_len), since a survivor has a surviving
+    child, and a longer one is that level times every tail.
+    """
+    length = min(depth, tree.max_prune_len)
+    levels = (tree.level(length, stage) for stage in range(depth + 2))
+    return all(sorted(map(flip_bits, lvl)) == lvl for lvl in levels)
 
 
 def _replay(stage: int, tree: TreePresentation, track: DestinationTrack) -> BlockGraph:

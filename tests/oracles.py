@@ -8,9 +8,12 @@ differences, containment, distances and Hausdorff bounds, all computed on
 `Fraction` vertices), the fan's touch decision by the merge of `Fraction`
 chart parameters it replaced, and the fat Cantor levels by the code they
 replaced: a survival test on every string of every length, and four
-`Fraction`s per interval.  The fan's block bodies and frames are rebuilt as
-they were on `Fraction`s: each level rescaled onto [0, 1] and laid back
-through the box, each frame solved from six coefficients.  The fat trees
+`Fraction`s per interval.  Survival itself is the recursive closure that
+one closed set of removed strings per stage replaced; the leftmost path and
+the fan's symmetry check, a loop over every length at every stage, read it
+too.  The fan's block bodies and frames are rebuilt as they were on
+`Fraction`s: each level rescaled onto [0, 1] and laid back through the box,
+each frame solved from six coefficients.  The fat trees
 and the tree dendrite are rebuilt the way they were before they moved to
 integers: each fat edge made from `Fraction` points through the hull
 constructor, then placed vertex by vertex and made again.  Ball polygons are
@@ -33,7 +36,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from planarpi import balls, cantor, geom
-from planarpi.cantor import BITS, FatCantorLevel, check_bits, leftmost_path, pad_eps
+from planarpi.cantor import BITS, FatCantorLevel, check_bits, pad_eps
 from planarpi.cesets import SequenceFamily, e_state, stage_function
 from planarpi.continua import fanq
 from planarpi.continua.fanq import BlockGraph, BlockRecord, _collinear, _edge_segment
@@ -538,6 +541,53 @@ def brute_force_limit_f(fam: SequenceFamily, e: int, stage: int, bound: int) -> 
     return -best[1]
 
 
+# -- tree survival: the recursive closure -------------------------------------
+# `TreePresentation` as it decided survival before it read one closed set of
+# removed strings per stage, without its memo.  It reads only the schedule
+# and the prune horizon.
+
+
+def survives(tree, sigma: str, stage: int) -> bool:
+    """Not pruned before `stage` by a prefix, and, below the prune horizon,
+    not both children covered."""
+
+    def covered(sigma: str) -> bool:
+        if any(u < stage and sigma.startswith(tau) for tau, u in tree.prune):
+            return True
+        return len(sigma) < tree.max_prune_len and covered(sigma + "0") and covered(sigma + "1")
+
+    return not covered(check_bits(sigma))
+
+
+def is_empty(tree, stage: int) -> bool:
+    return not survives(tree, "", stage)
+
+
+def leftmost_path(tree, stage: int, depth: int) -> str:
+    """Lexicographically least surviving string of the given length."""
+    if is_empty(tree, stage):
+        raise ValueError("empty tree has no leftmost path")
+    sigma = ""
+    for _ in range(depth):
+        if survives(tree, sigma + "0", stage):
+            sigma += "0"
+        elif survives(tree, sigma + "1", stage):
+            sigma += "1"
+        else:  # cannot happen: coverage closure removes dead ends
+            raise AssertionError("dead end in pruned tree")
+    return sigma
+
+
+def check_symmetric(tree, depth: int) -> bool:
+    """`fanq._check_symmetric` as a loop over every length and stage."""
+    for length in range(depth + 1):
+        for stage in range(depth + 2):
+            lvl = level(tree, length, stage)
+            if sorted(cantor.flip_bits(s) for s in lvl) != lvl:
+                return False
+    return True
+
+
 # -- fat Cantor levels: every string tested, four Fractions per interval -------
 
 
@@ -548,11 +598,11 @@ def level(tree, length: int, stage: int) -> list[str]:
         nxt = []
         for sigma in work:
             for b in BITS:
-                if tree.survives(sigma + b, stage):
+                if survives(tree, sigma + b, stage):
                     nxt.append(sigma + b)
         work = nxt
     if length == 0:
-        work = [s for s in work if tree.survives(s, stage)]
+        work = [s for s in work if survives(tree, s, stage)]
     return sorted(work)
 
 
@@ -718,7 +768,7 @@ def placed_fat_tree(tree, w, c, t: int, q, stage: int, depth: int) -> RegionSnap
 
 
 def build_dendrite_h(stage: int, script, tree) -> RegionSnapshot:
-    if tree.is_empty(stage):
+    if is_empty(tree, stage):
         raise ValueError("empty tree presentation")
     depth = max(stage, 1)
     pieces: list[ConvexPoly] = []
@@ -829,7 +879,7 @@ def plotted_tree(tree, stage: int, depth: int) -> RegionSnapshot:
         for sigma in _tree_edges(tree, stage, depth)
     ]
     if not pieces:
-        pieces = [geom.point(*base_plot_point(""))] if tree.survives("", stage) else []
+        pieces = [geom.point(*base_plot_point(""))] if survives(tree, "", stage) else []
     return RegionSnapshot(stage, pieces)
 
 
@@ -1187,9 +1237,9 @@ def fan_replay(stage: int, tree, track: DestinationTrack) -> BlockGraph:
     """`fanq._replay` on the builder above; give it the track above."""
     if stage > track.final_stage:
         raise ValueError("stage exceeds the scripted destination track")
-    if tree.is_empty(stage + 1):
+    if is_empty(tree, stage + 1):
         raise ValueError("empty tree presentation")
-    if not fanq._check_symmetric(tree, stage):
+    if not check_symmetric(tree, stage):
         raise ValueError("tree presentation must be symmetric")
     builder = FanBuilder(tree, track)
     builder.stage_zero()

@@ -189,6 +189,8 @@ CONFIG_PRUNES = [
     for path in sorted(CONFIGS.glob("*.json"))
     if "P" in json.loads(path.read_text())
 ]
+# one string so long that its 2^30 cousins must never be enumerated
+LONG_PRUNE = [("0" * 30, 0)]
 # schedules as criterion 3 draws them: up to 8 strings of length 1..8, each
 # pruned after a stage in 0..10
 SCHEDULES = st.lists(
@@ -213,17 +215,48 @@ def as_ints(intervals):
     return [(lo.numerator, lo.denominator, hi.numerator, hi.denominator) for lo, hi in intervals]
 
 
+def probe_strings(prune) -> list[str]:
+    """Every string up to length 8, and each prefix of a pruned string with
+    its two children."""
+    out = {format(i, f"0{n}b") if n else "" for n in range(9) for i in range(1 << n)}
+    for sigma, _ in prune:
+        out.update(sigma[:k] + tail for k in range(len(sigma) + 1) for tail in ("", "0", "1"))
+    return sorted(out)
+
+
 class TestMatchesOracle:
-    """`level`, `fat_level` and `normalize_level` equal the code they replaced,
-    each side on its own fresh tree."""
+    """`level`, `survives`, `is_empty`, `leftmost_path`, `fat_level` and
+    `normalize_level` equal the code they replaced, each side on its own
+    fresh tree; survival is the recursive closure kept in `tests/oracles.py`."""
 
     @settings(max_examples=12, deadline=None)
     @given(prune=SCHEDULES, stage=st.integers(0, 14))
     @with_config_prunes(stage=14)
+    @example(prune=LONG_PRUNE, stage=1)
     def test_level(self, prune, stage):
         tree, old = TreePresentation(prune), TreePresentation(prune)
         for length in range(15):
             assert tree.level(length, stage) == oracles.level(old, length, stage)
+
+    @settings(max_examples=12, deadline=None)
+    @given(prune=SCHEDULES)
+    @with_config_prunes()
+    @example(prune=LONG_PRUNE)
+    def test_survival_readers_at_every_stage(self, prune):
+        tree, old = TreePresentation(prune), TreePresentation(prune)
+        strings = probe_strings(prune)
+        for stage in range(tree.final_stage + 2):
+            assert tree.is_empty(stage) == oracles.is_empty(old, stage)
+            for sigma in strings:
+                assert tree.survives(sigma, stage) == oracles.survives(old, sigma, stage), sigma
+            for depth in range(15):
+                try:
+                    expected = oracles.leftmost_path(old, stage, depth)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        leftmost_path(tree, stage, depth)
+                else:
+                    assert leftmost_path(tree, stage, depth) == expected
 
     @settings(max_examples=4, deadline=None)
     @given(prune=SCHEDULES, order=st.permutations(range(15)))
@@ -260,10 +293,22 @@ class TestMatchesOracle:
     @given(prune=SCHEDULES)
     @with_config_prunes()
     def test_fat_levels_test_survival_only_to_the_prune_horizon(self, prune):
+        """Fat levels 0..12 build one removed set per stage up to
+        `final_stage` at most, and no set holds a string past the horizon."""
         tree = TreePresentation(prune)
-        with contextlib.suppress(ValueError):  # an empty level is walked all the same
-            fat_level(tree, 12)
-        assert max(len(sigma) for sigma, _ in tree._covered_cache) <= tree.max_prune_len
+        for s in range(13):
+            with contextlib.suppress(ValueError):  # an empty level is walked all the same
+                fat_level(tree, s)
+        assert len(tree._removed_sets) <= tree.final_stage + 1
+        members = [sigma for removed in tree._removed_sets.values() for sigma in removed]
+        assert all(len(sigma) <= tree.max_prune_len for sigma in members)
+
+    def test_a_long_prune_keeps_its_removed_set_small(self):
+        """No level below a long pruned string is enumerated."""
+        tree = TreePresentation(LONG_PRUNE)
+        levels = [fat_level(tree, s) for s in range(13)]
+        assert len(levels[12].intervals) == 2**12
+        assert all(len(removed) <= 31 for removed in tree._removed_sets.values())
 
 
 class TestSymmetrize:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
@@ -336,6 +337,38 @@ class TestSnapshots:
             assert ok, (b.stage, witness)
         rep = check_touch_chain(graph)
         assert rep.verdict == "pass", rep.witness
+
+
+def drawn_symmetry_trees(rng: random.Random, count: int):
+    """Mirrored schedules, some with one more entry that may break the mirror
+    at any length and stage, and plain schedules."""
+    def draw(entries):
+        return [("".join(rng.choice("01") for _ in range(rng.randint(0, 6))), rng.randint(0, 7))
+                for _ in range(entries)]
+
+    for k in range(count):
+        prune = draw(rng.randint(0, 4))
+        if k % 3 < 2:
+            prune = list(symmetrize(TreePresentation(prune)).prune)
+        if k % 3 == 1:
+            prune += draw(1)
+        yield TreePresentation(prune)
+
+
+class TestSymmetryCheck:
+    """`_check_symmetric` reads one length per stage; the loop over every
+    length and stage kept in `tests/oracles.py` gives the same verdict."""
+
+    def test_matches_every_length_loop(self):
+        verdicts = Counter()
+        rng = random.Random(18)
+        for tree in drawn_symmetry_trees(rng, 150):
+            depth = rng.randint(0, 8)
+            verdict = fanq._check_symmetric(tree, depth)
+            assert verdict == oracles.check_symmetric(TreePresentation(tree.prune), depth), (
+                tree.prune, depth)
+            verdicts[verdict] += 1
+        assert min(verdicts[True], verdicts[False]) >= 30, verdicts
 
 
 def solid_graph():

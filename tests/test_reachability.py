@@ -31,6 +31,7 @@ UNREACHED: dict[str, set[str]] = {
         "cantor:FatCantorLevel.max_point",
         "cantor:FatCantorLevel.min_point",
         "cantor:FatCantorLevel.r",
+        "cantor:TreePresentation.survives",
         "cantor:full_tree",
         "continua.regions:normalize_level",
         "continua.regions:v_region",
