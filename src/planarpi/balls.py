@@ -1,7 +1,7 @@
 """Balls with rational centres and radii, and their inscribed polygons.
 
-A ball's inscribed 2^k-gon, k <= 6, takes its vertices from a checked-in
-integer tangent table, so no float reaches it.  The dendrite's cut probes
+A ball's inscribed 64-gon takes its vertices from a checked-in integer
+tangent table, so no float reaches it.  The dendrite's cut probes
 are these polygons; the plotted tree's probe balls are measured exactly from
 their centres in `continua.trees`.
 """
@@ -46,26 +46,22 @@ _TAN_TABLE = (
 )
 
 
-def _unit_circle_points(k: int) -> list[Hom]:
-    """2^k rational points on the unit circle, counterclockwise from (1, 0)
-    and roughly evenly spaced, k <= 6, as homogeneous ints (X, Y, W).
+def _unit_circle_points() -> list[Hom]:
+    """64 rational points on the unit circle, counterclockwise from (1, 0)
+    and roughly evenly spaced, as homogeneous ints (X, Y, W).
 
     Tangent-half-angle parametrization keeps every vertex exactly on the
     circle, so the polygon they span is inscribed in the disk: with
     t = T / 2^16 the point is ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)).
     """
-    if not 0 <= k <= 6:
-        raise ValueError(f"ball polygons have 1 to 64 vertices, got 2^{k}")
-    pts: list[Hom] = []
-    for j in range(0, 64, 1 << (6 - k)):
-        t = _TAN_TABLE[j]
-        pts.append((-1, 0, 1) if t is None else ((1 << 32) - t * t, t << 17, (1 << 32) + t * t))
-    return pts
+    return [
+        (-1, 0, 1) if t is None else ((1 << 32) - t * t, t << 17, (1 << 32) + t * t)
+        for t in _TAN_TABLE
+    ]
 
 
-def ball_polygon(ball: BallSpec, k: int = 6) -> ConvexPoly:
-    """Inscribed 2^k-gon, k <= 6, with rational vertices on (or within) the
-    circle.
+def ball_polygon(ball: BallSpec) -> ConvexPoly:
+    """Inscribed 64-gon with rational vertices on (or within) the circle.
 
     For open balls the radius is shrunk by 2^-20 so the polygon is a subset
     of the open ball as well.  The vertices are distinct and counterclockwise
@@ -76,10 +72,10 @@ def ball_polygon(ball: BallSpec, k: int = 6) -> ConvexPoly:
         r = r * (Fraction(1) - Fraction(1, 1 << 20))
     (cx, cy, r), d = to_ints(*ball.center, r)
     return ConvexPoly._convex(
-        [reduced(cx * w + r * x, cy * w + r * y, d * w) for x, y, w in _unit_circle_points(k)]
+        [reduced(cx * w + r * x, cy * w + r * y, d * w) for x, y, w in _unit_circle_points()]
     )
 
 
-def subtract_ball(region: RegionSnapshot, ball: BallSpec, k: int = 6) -> RegionSnapshot:
+def subtract_ball(region: RegionSnapshot, ball: BallSpec) -> RegionSnapshot:
     """Snapshot covering region minus ball (removed polygon is inside the ball)."""
-    return subtract_poly(region, ball_polygon(ball, k))
+    return subtract_poly(region, ball_polygon(ball))

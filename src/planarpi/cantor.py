@@ -207,32 +207,21 @@ def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
 def symmetrize(tree: TreePresentation) -> TreePresentation:
     """Union with the bit-flipped tree: fat levels become x -> 1-x symmetric.
 
-    Idempotent on already symmetric presentations; a string is pruned once
-    both it and its mirror are pruned i.e. at the max of the two stages.
+    A string is removed from both trees at stage s iff it extends a member a
+    of the stage-s removed set and the mirror of a member b, that is iff a
+    and flip(b) are comparable and it extends the longer of the two.  Each
+    such string is pruned from the first stage at which it appears.
     """
-    max_len = tree.max_prune_len
-    horizon = tree.final_stage + 1
-    entries = []
-    for length in range(max_len + 1):
-        for sigma in all_strings(length):
-            flipped = flip_bits(sigma)
-            stage = None
-            for s in range(horizon + 1):
-                if not tree.survives(sigma, s) and not tree.survives(flipped, s):
-                    stage = s - 1
-                    break
-            if stage is None:
-                continue
-            # skip if the parent is already scheduled at the same or earlier stage
-            entries.append((sigma, stage))
-    minimal = []
-    for sigma, stage in entries:
-        dominated = any(
-            sigma != tau and sigma.startswith(tau) and u <= stage for tau, u in entries
-        )
-        if not dominated:
-            minimal.append((sigma, stage))
-    return TreePresentation(minimal)
+    first: dict[str, int] = {}
+    for s in range(1, tree.final_stage + 1):
+        removed = tree._removed(s)
+        mirrors = [flip_bits(b) for b in removed]
+        for a in removed:
+            for b in mirrors:
+                short, long = sorted((a, b), key=len)
+                if long.startswith(short):
+                    first.setdefault(long, s - 1)
+    return TreePresentation(first.items())
 
 
 def leftmost_path(tree: TreePresentation, stage: int, depth: int) -> str:

@@ -31,12 +31,6 @@ class EnumerationScript:
     def members_at(self, stage: int) -> set[int]:
         return {n for s, n in self.entries if s <= stage}
 
-    def stage_of(self, n: int) -> Optional[int]:
-        for s, m in self.entries:
-            if m == n:
-                return s
-        return None
-
     @staticmethod
     def from_json(rows) -> "EnumerationScript":
         return EnumerationScript([(s, n) for s, n in rows])
@@ -44,7 +38,7 @@ class EnumerationScript:
 
 def stage_function(script: EnumerationScript, n: int) -> Optional[int]:
     """st(n): least stage at which n appears, or None."""
-    return script.stage_of(n)
+    return next((s for s, m in script.entries if m == n), None)
 
 
 @dataclass(frozen=True)

@@ -600,38 +600,6 @@ def _box_gap_sq(a, b) -> int:
     return dx * dx + dy * dy
 
 
-def _min_sq_to_region(
-    p: Hom, pieces: Sequence[ConvexPoly], boxes, order, gaps, gd: int
-) -> Fraction:
-    """Squared distance from p to the union of pieces.  `order` lists piece
-    indices by `gaps`: each gap over `gd` bounds from below the squared
-    distance from p to its piece."""
-    pbox = (p[0], p[1], p[0], p[1], p[2])
-    n, m = None, 1  # the best (numerator, denominator) so far
-    for i in order:
-        if n is not None:
-            if gaps[i] * m >= n * gd:
-                break  # sorted order: nothing later can improve
-            if _box_gap_sq(pbox, boxes[i]) * m >= n * (p[2] * boxes[i][4]) ** 2:
-                continue
-        dn, dm = _point_sq(p, pieces[i])
-        if n is None or dn * m < n * dm:
-            n, m = dn, dm
-            if n == 0:
-                break
-    return Fraction(n, m)
-
-
-def _max_sq_vertex(piece: ConvexPoly, other: ConvexPoly) -> Fraction:
-    # max over x in piece of dist(x, other) is attained at a vertex
-    n, m = 0, 1
-    for v in piece.hverts:
-        dn, dm = _point_sq(v, other)
-        if dn * m > n * dm:
-            n, m = dn, dm
-    return Fraction(n, m)
-
-
 def _split_piece(piece: ConvexPoly) -> list[ConvexPoly]:
     """The piece cut in two across the middle of its longer box side."""
     x0, y0, x1, y1, d = piece._ibox()
@@ -651,25 +619,39 @@ def _directed_sq_bounds(
     dst_boxes = [(*(v * (dd // b[4]) for v in b[:4]), dd) for b in (p._ibox() for p in dst)]
 
     def bounds(piece: ConvexPoly) -> tuple[Fraction, Fraction]:
-        # the gap between the boxes bounds from below the distance from any
-        # point of piece to a target, so targets are visited nearest first
-        # and farther ones prune away
+        # one pass over the targets, nearest box first.  near[k] is the
+        # least distance from vertex k to a target, and lb the largest
+        # near[k]; ub is the least over targets of the largest vertex
+        # distance, since the farthest point of piece from a convex target
+        # is a vertex.  Distances are (numerator, denominator) pairs, and
+        # (1, 0) is infinity.  A box gap bounds from below the distance from
+        # any point of piece to its target, so once a gap reaches ub, which
+        # is at least every near[k], no later target lowers either bound
         box = piece._ibox()
         gd = (box[4] * dd) ** 2
         gaps = [_box_gap_sq(box, b) for b in dst_boxes]
-        order = sorted(range(len(dst)), key=gaps.__getitem__)
-        lb = max(_min_sq_to_region(v, dst, dst_boxes, order, gaps, gd) for v in piece.hverts)
-        # min over targets of the vertex-max distance
-        ub: Optional[Fraction] = None
-        for i in order:
-            if ub is not None and gaps[i] * ub.denominator >= ub.numerator * gd:
-                break  # sorted order: nothing later can improve
-            val = _max_sq_vertex(piece, dst[i])
-            if ub is None or val < ub:
-                ub = val
-                if ub == lb:
-                    break
-        return lb, ub
+        verts = [(v, (v[0], v[1], v[0], v[1], v[2]), (v[2] * dd) ** 2) for v in piece.hverts]
+        near = [(1, 0)] * len(verts)
+        un, um = 1, 0
+        for i in sorted(range(len(dst)), key=gaps.__getitem__):
+            if gaps[i] * um >= un * gd:
+                break
+            target, tbox = dst[i], dst_boxes[i]
+            mn, mm = 0, 1  # the largest vertex distance to target so far
+            for k, (v, vbox, vd) in enumerate(verts):
+                nn, nm = near[k]
+                # once the target cannot lower ub, skip a vertex whose
+                # point-box gap shows it cannot lower near[k] either
+                if mn * um >= un * mm and _box_gap_sq(vbox, tbox) * nm >= nn * vd:
+                    continue
+                dn, dm = _point_sq(v, target)
+                if dn * nm < nn * dm:
+                    near[k] = dn, dm
+                if dn * mm > mn * dm:
+                    mn, mm = dn, dm
+            if mn * um < un * mm:
+                un, um = mn, mm
+        return max(Fraction(*nk) for nk in near), Fraction(un, um)
 
     items = [(piece, *bounds(piece)) for piece in src]
     global_lb = max(lb for _, lb, _ in items)

@@ -11,7 +11,8 @@ replaced: a survival test on every string of every length, and four
 `Fraction`s per interval.  Survival itself is the recursive closure that
 one closed set of removed strings per stage replaced; the leftmost path and
 the fan's symmetry check, a loop over every length at every stage, read it
-too.  The fan's block bodies and frames are rebuilt as they were on
+too.  Symmetrization tests every string up to the prune horizon and its
+mirror at every stage.  The fan's block bodies and frames are rebuilt as they were on
 `Fraction`s: each level rescaled onto [0, 1] and laid back through the box,
 each frame solved from six coefficients.  The fat trees
 and the tree dendrite are rebuilt the way they were before they moved to
@@ -23,7 +24,8 @@ implementations, the one that was removed is kept: the integer distance's
 own edge loop, the Cantor endpoints by interval splitting, the plot point
 from `cantor_coord`, the plotted tree from its own segments, the probe
 balls with their depth loop, and the Hausdorff refinement that freezes a
-piece whose bounds meet.  The fan's snake is grown by the builder it had
+piece whose bounds meet and bounds each piece by two separate nearest-first
+searches.  The fan's snake is grown by the builder it had
 before it grew at its head: each block chained from a threaded predecessor,
 the base frame found by a scan of the blocks, the track's endpoints summed
 as `Fraction`s, and the guards that no input reaches still in place.
@@ -588,6 +590,34 @@ def check_symmetric(tree, depth: int) -> bool:
     return True
 
 
+def symmetrize(tree) -> cantor.TreePresentation:
+    """`cantor.symmetrize` as a test of every string up to `max_prune_len`
+    and its mirror at every stage up to `final_stage + 1`."""
+    max_len = tree.max_prune_len
+    horizon = tree.final_stage + 1
+    entries = []
+    for length in range(max_len + 1):
+        for sigma in cantor.all_strings(length):
+            flipped = cantor.flip_bits(sigma)
+            stage = None
+            for s in range(horizon + 1):
+                if not tree.survives(sigma, s) and not tree.survives(flipped, s):
+                    stage = s - 1
+                    break
+            if stage is None:
+                continue
+            # skip if the parent is already scheduled at the same or earlier stage
+            entries.append((sigma, stage))
+    minimal = []
+    for sigma, stage in entries:
+        dominated = any(
+            sigma != tau and sigma.startswith(tau) and u <= stage for tau, u in entries
+        )
+        if not dominated:
+            minimal.append((sigma, stage))
+    return cantor.TreePresentation(minimal)
+
+
 # -- fat Cantor levels: every string tested, four Fractions per interval -------
 
 
@@ -823,7 +853,8 @@ def ball_polygon(ball, k: int = 6) -> ConvexPoly:
 # endpoints by interval splitting, the plot point from `cantor_coord`, the
 # plotted tree from its own segments with a root-point fallback, the probe
 # balls with their depth loop through point pieces, and the Hausdorff
-# refinement that freezes a piece whose bounds meet.
+# refinement that freezes a piece whose bounds meet, with its lower and upper
+# bounds from two separate nearest-first searches on integer distances.
 
 
 def int_squared_distance(a: ConvexPoly, b: ConvexPoly) -> Fraction:
@@ -964,6 +995,38 @@ def recover_tree(presentation, stage: int, depth: int) -> tuple[tuple[str, ...],
     return ("",) + hits, not met
 
 
+def _int_min_sq_to_region(
+    p, pieces: Sequence[ConvexPoly], boxes, order, gaps, gd: int
+) -> Fraction:
+    """Squared distance from p to the union of pieces.  `order` lists piece
+    indices by `gaps`: each gap over `gd` bounds from below the squared
+    distance from p to its piece."""
+    pbox = (p[0], p[1], p[0], p[1], p[2])
+    n, m = None, 1  # the best (numerator, denominator) so far
+    for i in order:
+        if n is not None:
+            if gaps[i] * m >= n * gd:
+                break  # sorted order: nothing later can improve
+            if geom._box_gap_sq(pbox, boxes[i]) * m >= n * (p[2] * boxes[i][4]) ** 2:
+                continue
+        dn, dm = geom._point_sq(p, pieces[i])
+        if n is None or dn * m < n * dm:
+            n, m = dn, dm
+            if n == 0:
+                break
+    return Fraction(n, m)
+
+
+def _int_max_sq_vertex(piece: ConvexPoly, other: ConvexPoly) -> Fraction:
+    # max over x in piece of dist(x, other) is attained at a vertex
+    n, m = 0, 1
+    for v in piece.hverts:
+        dn, dm = geom._point_sq(v, other)
+        if dn * m > n * dm:
+            n, m = dn, dm
+    return Fraction(n, m)
+
+
 def int_directed_sq_bounds(
     src: Sequence[ConvexPoly], dst: Sequence[ConvexPoly], tol: Fraction, prec: int
 ) -> tuple[Fraction, Fraction]:
@@ -976,12 +1039,12 @@ def int_directed_sq_bounds(
         gd = (box[4] * dd) ** 2
         gaps = [geom._box_gap_sq(box, b) for b in dst_boxes]
         order = sorted(range(len(dst)), key=gaps.__getitem__)
-        lb = max(geom._min_sq_to_region(v, dst, dst_boxes, order, gaps, gd) for v in piece.hverts)
+        lb = max(_int_min_sq_to_region(v, dst, dst_boxes, order, gaps, gd) for v in piece.hverts)
         ub: Optional[Fraction] = None
         for i in order:
             if ub is not None and gaps[i] * ub.denominator >= ub.numerator * gd:
                 break  # sorted order: nothing later can improve
-            val = geom._max_sq_vertex(piece, dst[i])
+            val = _int_max_sq_vertex(piece, dst[i])
             if ub is None or val < ub:
                 ub = val
                 if ub == lb:

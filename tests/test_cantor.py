@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from planarpi import cantor
 from planarpi.cantor import (
     TreePresentation,
     _coprime,
@@ -335,6 +336,31 @@ class TestSymmetrize:
         again = symmetrize(base)
         for s in range(8):
             assert fat_level(again, s).intervals == fat_level(base, s).intervals
+
+    @settings(max_examples=20, deadline=None)
+    @given(prune=SCHEDULES)
+    @with_config_prunes()
+    def test_survival_matches_oracle(self, prune):
+        """The same survivors as the old schedule, which tested every string
+        and its mirror, at every length up to two past the prune horizon and
+        every stage up to two past the last."""
+        tree = TreePresentation(prune)
+        sym, old = symmetrize(tree), oracles.symmetrize(TreePresentation(prune))
+        for length in range(tree.max_prune_len + 3):
+            for stage in range(tree.final_stage + 3):
+                assert sym.level(length, stage) == old.level(length, stage), (length, stage)
+
+    def test_a_long_prune_lists_no_strings(self, monkeypatch):
+        """Only pairs of removed strings are read, never the 2^30 strings up
+        to a long pruned one."""
+
+        def no_listing(length):
+            raise AssertionError("all_strings called")
+
+        monkeypatch.setattr(cantor, "all_strings", no_listing)
+        assert symmetrize(TreePresentation(LONG_PRUNE)).prune == ()
+        both = TreePresentation(LONG_PRUNE + [("1" * 30, 2)])
+        assert symmetrize(both).prune == (("0" * 30, 2), ("1" * 30, 2))
 
 
 class TestLeftmostPath:

@@ -318,7 +318,7 @@ class TestSubtraction:
 
     def test_removed_polygon_inside_ball(self):
         ball = BallSpec((0, 0), F(1, 2), kind="closed")
-        poly = ball_polygon(ball, k=5)
+        poly = ball_polygon(ball)
         for x, y in poly.vertices:
             assert x * x + y * y <= F(1, 4)
 
@@ -361,20 +361,14 @@ BALLS = st.builds(
 
 class TestBallPolygon:
     def test_table_reproduces_tangent_formula(self):
-        for k in range(7):
-            pts = [(F(x, w), F(y, w)) for x, y, w in balls._unit_circle_points(k)]
-            assert pts == _tangent_circle_points(1 << k)
-            assert all(x * x + y * y == 1 for x, y in pts)
-
-    def test_more_than_64_vertices_raise(self):
-        with pytest.raises(ValueError):
-            ball_polygon(BallSpec((0, 0), 1), k=7)
+        pts = [(F(x, w), F(y, w)) for x, y, w in balls._unit_circle_points()]
+        assert pts == _tangent_circle_points(64)
+        assert all(x * x + y * y == 1 for x, y in pts)
 
     @settings(max_examples=100, deadline=None)
     @given(BALLS)
     def test_matches_fraction_path(self, ball):
-        for k in range(7):
-            assert ball_polygon(ball, k).hverts == oracles.ball_polygon(ball, k).hverts, k
+        assert ball_polygon(ball).hverts == oracles.ball_polygon(ball).hverts
 
     def test_dendrite_d_probes_run_no_hull(self, monkeypatch, tmp_path):
         # the cut-dichotomy probes are ball polygons, made with no hull
@@ -447,6 +441,22 @@ class TestKernelWork:
         monkeypatch.setattr(geom, "_directed_sq_bounds", bounds)
         monkeypatch.setattr(geom, "squared_distance", no_distance)
         assert hausdorff_enclosure(snaps[0], snaps[1], 12) == want
+
+    def test_fan_hausdorff_distance_count(self, monkeypatch):
+        # one nearest-first pass per source piece makes 1,162 distances on
+        # fan 2 against 3; the two separate searches it replaced made 1,622
+        config = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
+        snaps, _ = CONSTRUCTIONS["cantor-fan-q"].snapshots(config, 2, 3)
+        calls = []
+        real = geom._point_sq
+
+        def counting(p, piece):
+            calls.append(p)
+            return real(p, piece)
+
+        monkeypatch.setattr(geom, "_point_sq", counting)
+        hausdorff_enclosure(snaps[0], snaps[1], 12)
+        assert 0 < len(calls) <= 1622
 
 
 class TestContainment:

@@ -293,15 +293,36 @@ POINT_PIECES = PT.map(lambda p: point(*p))
 SCENES = st.sampled_from((POINT_PIECES, SEGMENTS, st.one_of(POINT_PIECES, SEGMENTS))).flatmap(
     lambda pieces: st.lists(pieces, min_size=1, max_size=4)
 )
+FLAT_BOXES = st.tuples(PT, PT).filter(lambda pq: pq[0][0] != pq[1][0] and pq[0][1] != pq[1][1])
+
+
+@st.composite
+def nested_box_scenes(draw):
+    """A union of 2-D boxes and a union of boxes drawn inside them, some
+    shifted to stick out, in either order: a piece whose lower and upper
+    bounds are equal is common."""
+    outer, inner = [], []
+    for (x0, y0), (x1, y1) in draw(st.lists(FLAT_BOXES, min_size=1, max_size=3)):
+        outer.append(rect(x0, y0, x1, y1))
+        a, b, c, e = (F(k, 4) for k in draw(st.lists(st.integers(0, 4), min_size=4, max_size=4)))
+        dx, dy = draw(st.sampled_from(((0, 0), (0, 0), (F(1, 8), 0), (F(-1, 3), F(1, 9)))))
+        inner.append(
+            rect(x0 + (x1 - x0) * a + dx, y0 + (y1 - y0) * c + dy,
+                 x0 + (x1 - x0) * b + dx, y0 + (y1 - y0) * e + dy)
+        )
+    return (inner, outer) if draw(st.booleans()) else (outer, inner)
 
 
 @settings(max_examples=150, deadline=None)
-@given(SCENES, SCENES, st.sampled_from((2, 6, 12, 20)))
-def test_hausdorff_bounds_match_freezing_refinement(src, dst, tol_exp):
+@given(st.one_of(st.tuples(SCENES, SCENES), nested_box_scenes()), st.sampled_from((2, 6, 12, 20)))
+def test_hausdorff_bounds_match_freezing_refinement(scene, tol_exp):
     # at the tolerance and precision `hausdorff_enclosure` uses, a piece
     # whose bounds meet never holds the largest upper bound while the width
     # test fails, so the refinement that froze such pieces gives the same
-    # bounds; point pieces have meeting bounds from the start
+    # bounds; point pieces have meeting bounds from the start, and nested
+    # boxes often do
+    src, dst = scene
     half, prec = F(1, 1 << (tol_exp + 1)), tol_exp + 4
     got = geom._directed_sq_bounds(src, dst, half, prec)
     assert got == oracles.int_directed_sq_bounds(src, dst, half, prec)
+    assert got == oracles.directed_sq_bounds(src, dst, half, prec)
