@@ -8,30 +8,26 @@ their centres in `continua.trees`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Record
 from .geom import ConvexPoly, Point, RegionSnapshot, frac, subtract_poly, to_ints
 from .intgeom import Hom, reduced
 
 
-@dataclass(frozen=True)
-class BallSpec:
+class BallSpec(Record):
     """Euclidean ball with rational center/radius; kind 'open' or 'closed'."""
 
-    center: Point
-    radius: Fraction
-    kind: str = "closed"
+    __slots__ = _fields = ("center", "radius", "kind")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "center", (frac(self.center[0]), frac(self.center[1]))
-        )
-        object.__setattr__(self, "radius", frac(self.radius))
+    def __init__(self, center: Point, radius: Fraction, kind: str = "closed"):
+        self.center = (frac(center[0]), frac(center[1]))
+        self.radius = frac(radius)
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
-        if self.kind not in ("open", "closed"):
+        if kind not in ("open", "closed"):
             raise ValueError("ball kind must be open or closed")
+        self.kind = kind
 
 
 # round(tan(pi * j / 64) * 2^16) for j = 0..63; at j = 32 the tangent is

@@ -8,11 +8,10 @@ gone", so it never has dead ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from . import check_natural
+from . import Record, check_natural
 
 BITS = ("0", "1")
 
@@ -118,12 +117,14 @@ def pad_eps(s: int) -> Fraction:
     return Fraction(1, 3 ** (s + 2))
 
 
-@dataclass(frozen=True)
-class FatCantorLevel:
+class FatCantorLevel(Record):
     """Stage-s fat approximation: one padded interval per surviving string."""
 
-    stage: int
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = _fields = ("stage", "intervals")
+
+    def __init__(self, stage: int, intervals: tuple[tuple[Fraction, Fraction], ...]):
+        self.stage = stage
+        self.intervals = intervals
 
     @property
     def l_minus(self) -> Fraction:

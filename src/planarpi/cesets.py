@@ -6,11 +6,9 @@ tests exercise the finite-stage combinatorics the limit arguments rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from . import check_natural
+from . import Record, check_natural
 
 
 class EnumerationScript:
@@ -41,42 +39,36 @@ def stage_function(script: EnumerationScript, n: int) -> Optional[int]:
     return next((s for s, m in script.entries if m == n), None)
 
 
-@dataclass(frozen=True)
-class FamilyMember:
-    name: str
-    triples: tuple[tuple[int, int, int], ...]  # (component n, stage, element)
+class FamilyMember(Record):
+    _fields = ("name", "triples")
+    __slots__ = (*_fields, "_index")
 
-    def __post_init__(self):
-        for triple in self.triples:
+    def __init__(self, name: str, triples: tuple[tuple[int, int, int], ...]):
+        index: dict[tuple[int, int], int] = {}  # (component, element) -> earliest stage
+        for triple in triples:  # (component n, stage, element)
             for value, what in zip(triple, ("component", "stage", "element")):
-                check_natural(value, f"{self.name}: {what}")
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, int], int]:
-        """(component, element) -> earliest enumeration stage."""
-        index: dict[tuple[int, int], int] = {}
-        for (m, s, x) in self.triples:
-            key = (m, x)
-            if key not in index or s < index[key]:
-                index[key] = s
-        return index
+                check_natural(value, f"{name}: {what}")
+            m, s, x = triple
+            if s < index.get((m, x), s + 1):
+                index[m, x] = s
+        self.name = name
+        self.triples = triples
+        self._index = index
 
     def contains_at(self, n: int, x: int, stage: int) -> bool:
         s = self._index.get((n, x))
         return s is not None and s <= stage
 
 
-@dataclass(frozen=True)
-class SequenceFamily:
+class SequenceFamily(Record):
     """Finite list of scripted uniformly-enumerable sequences V_i.  Families
     compare and hash by value, so equal ones share cached work."""
 
-    members: Sequence[FamilyMember]
-    normalized: bool = False
+    __slots__ = _fields = ("members", "normalized")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        object.__setattr__(self, "normalized", bool(self.normalized))
+    def __init__(self, members: Sequence[FamilyMember], normalized: bool = False):
+        self.members = tuple(members)
+        self.normalized = bool(normalized)
         if self.normalized:
             for mem in self.members:
                 for (n, _, x) in mem.triples:

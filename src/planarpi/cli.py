@@ -12,10 +12,9 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from . import __version__, check_natural
+from . import Record, __version__, check_natural
 from .geom import ConvexPoly, RegionSnapshot, frac_str, hausdorff_enclosure
 
 if TYPE_CHECKING:
@@ -26,15 +25,18 @@ if TYPE_CHECKING:
 
 def _atomic_write(path: str, data: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".planarpi-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".planarpi-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # -- inputs: each bad one raises a one-line ValueError, which main() reports ----
@@ -136,8 +138,7 @@ Snapshots = tuple[list[RegionSnapshot], Optional["BlockGraph"]]
 Probe = tuple[dict, ConvexPoly, bool]  # (witness label, removed shape, expected cut)
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(Record):
     """What the CLI knows about one construction.
 
     `snapshots(config, lo, hi)` replays it once and returns the snapshots of
@@ -148,9 +149,17 @@ class Construction:
     the modules of its own construction.
     """
 
-    snapshots: Callable[[dict, int, int], Snapshots]
-    checks: tuple[str, ...] = ()
-    cut_probes: Optional[Callable[[dict, RegionSnapshot], Iterable[Probe]]] = None
+    __slots__ = _fields = ("snapshots", "checks", "cut_probes")
+
+    def __init__(
+        self,
+        snapshots: Callable[[dict, int, int], Snapshots],
+        checks: tuple[str, ...] = (),
+        cut_probes: Optional[Callable[[dict, RegionSnapshot], Iterable[Probe]]] = None,
+    ):
+        self.snapshots = snapshots
+        self.checks = checks
+        self.cut_probes = cut_probes
 
 
 def _per_stage(module: str, build: Callable[..., RegionSnapshot]):

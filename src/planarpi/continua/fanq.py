@@ -20,11 +20,10 @@ equality at worst on the clipping diagonals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .. import check_natural
+from .. import Record, check_natural
 from ..cantor import FatCantorLevel, TreePresentation, _ternary_code, fat_level, flip_bits
 from ..geom import (
     ConvexPoly,
@@ -46,12 +45,14 @@ ONE_THIRD = Frac(1, 3)
 TWO_THIRDS = Frac(2, 3)
 
 
-@dataclass(frozen=True)
-class AffineFrame:
+class AffineFrame(Record):
     """value = offset + scale * x, for x on the fat-Cantor ambient line."""
 
-    offset: Fraction
-    scale: Fraction
+    __slots__ = _fields = ("offset", "scale")
+
+    def __init__(self, offset: Fraction, scale: Fraction):
+        self.offset = offset
+        self.scale = scale
 
     def img(self, x: Fraction) -> Fraction:
         return self.offset + self.scale * x
@@ -71,27 +72,48 @@ def frame_onto(x0: Fraction, x1: Fraction, m: FatCantorLevel) -> AffineFrame:
     return reframe(AffineFrame(Frac(0), Frac(1)), x0, x1, m)
 
 
-@dataclass
-class BlockRecord:
-    """One block of the snake with its box, frames, and chain directions."""
+class BlockRecord(Record):
+    """One block of the snake with its box, frames, and chain directions.
 
-    id: int
-    creation_stage: int
-    kind: str  # 'straight' | 'corner' | 'end-box'
-    d_in: Optional[Direction]
-    d_out: Optional[Direction]
-    frame_stage: int
-    box: tuple[Fraction, Fraction, Fraction, Fraction]  # x0, x1, y0, y1
-    axis: Optional[int] = None  # straight blocks: travel axis
-    symbol: Optional[str] = None  # corner blocks
-    fx: Optional[AffineFrame] = None
-    fy: Optional[AffineFrame] = None
-    host_id: Optional[int] = None
-    # the integer box (x0, y0, x1, y1, d) the bands are laid through: a
-    # straight block's box, a corner's frame box; set once by `_Builder._chain`
-    band_box: Optional[tuple[int, int, int, int, int]] = field(
-        default=None, repr=False, compare=False
-    )
+    `band_box` is the integer box (x0, y0, x1, y1, d) the bands are laid
+    through: a straight block's box, a corner's frame box.  `_Builder._chain`
+    derives it from the other fields, so equality leaves it out.
+    """
+
+    _fields = ("id", "creation_stage", "kind", "d_in", "d_out", "frame_stage", "box",
+               "axis", "symbol", "fx", "fy", "host_id")
+    __slots__ = (*_fields, "band_box")
+    __hash__ = None
+
+    def __init__(
+        self,
+        id: int,
+        creation_stage: int,
+        kind: str,  # 'straight' | 'corner' | 'end-box'
+        d_in: Optional[Direction],
+        d_out: Optional[Direction],
+        frame_stage: int,
+        box: tuple[Fraction, Fraction, Fraction, Fraction],  # x0, x1, y0, y1
+        axis: Optional[int] = None,  # straight blocks: travel axis
+        symbol: Optional[str] = None,  # corner blocks
+        fx: Optional[AffineFrame] = None,
+        fy: Optional[AffineFrame] = None,
+        host_id: Optional[int] = None,
+        band_box: Optional[tuple[int, int, int, int, int]] = None,
+    ):
+        self.id = id
+        self.creation_stage = creation_stage
+        self.kind = kind
+        self.d_in = d_in
+        self.d_out = d_out
+        self.frame_stage = frame_stage
+        self.box = box
+        self.axis = axis
+        self.symbol = symbol
+        self.fx = fx
+        self.fy = fy
+        self.host_id = host_id
+        self.band_box = band_box
 
     def body_at(self, tree: TreePresentation, t: int) -> list[ConvexPoly]:
         if t < self.creation_stage:
@@ -126,26 +148,39 @@ class BlockRecord:
         }
 
 
-@dataclass
-class TouchEdge:
-    src: Optional[int]  # None for the declared first touch
-    dst: int
-    direction: Direction
+class TouchEdge(Record):
+    __slots__ = _fields = ("src", "dst", "direction")
+    __hash__ = None
+
+    def __init__(self, src: Optional[int], dst: int, direction: Direction):
+        self.src = src  # None for the declared first touch
+        self.dst = dst
+        self.direction = direction
 
     def to_json(self) -> list:
         return [self.src, self.dst, self.direction.symbol]
 
 
-@dataclass
-class BlockGraph:
+class BlockGraph(Record):
     """The fan machine's state: its tree, its blocks, its touches, one end box
     per stage, and the stage-t body of each block, built once on first use."""
 
-    tree: TreePresentation
-    blocks: list[BlockRecord] = field(default_factory=list)  # block id == list index
-    touches: list[TouchEdge] = field(default_factory=list)
-    end_boxes: list[BlockRecord] = field(default_factory=list)  # one per stage
-    _bodies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("tree", "blocks", "touches", "end_boxes")
+    __slots__ = (*_fields, "_bodies")
+    __hash__ = None
+
+    def __init__(
+        self,
+        tree: TreePresentation,
+        blocks: Optional[list[BlockRecord]] = None,  # block id == list index
+        touches: Optional[list[TouchEdge]] = None,
+        end_boxes: Optional[list[BlockRecord]] = None,  # one per stage
+    ):
+        self.tree = tree
+        self.blocks = [] if blocks is None else blocks
+        self.touches = [] if touches is None else touches
+        self.end_boxes = [] if end_boxes is None else end_boxes
+        self._bodies = {}
 
     def block(self, bid: int) -> BlockRecord:
         if not 0 <= bid < len(self.blocks):

@@ -8,20 +8,22 @@ as integer ends over one span, and `banded` lays them through an integer box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .. import Record
 from ..cantor import fat_level
 from ..geom import ConvexPoly, _clip, box_piece, frac, to_ints
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Record):
     """Axis bit (0 horizontal / 1 vertical) and sense bit (0 negative / 1 positive)."""
 
-    axis: int
-    sense: int
+    __slots__ = _fields = ("axis", "sense")
+
+    def __init__(self, axis: int, sense: int):
+        self.axis = axis
+        self.sense = sense
 
     def reverse(self) -> "Direction":
         return Direction(self.axis, 1 - self.sense)

@@ -7,11 +7,11 @@ information about the plotted set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from .. import Record
 from ..cantor import TreePresentation, _ternary_code, check_bits, leftmost_path
 from ..cesets import EnumerationScript, stage_function
 from ..balls import BallSpec
@@ -130,10 +130,12 @@ class PlottedTreePresentation:
         return self._cache[stage]
 
 
-@dataclass(frozen=True)
-class RecoveredTree:
-    strings: tuple[str, ...]
-    region_empty: bool
+class RecoveredTree(Record):
+    __slots__ = _fields = ("strings", "region_empty")
+
+    def __init__(self, strings: tuple[str, ...], region_empty: bool):
+        self.strings = strings
+        self.region_empty = region_empty
 
 
 def recover_tree(presentation, stage: int, depth: int) -> RecoveredTree:

@@ -22,11 +22,11 @@ bound.  Distances are never emitted as scalars, only as rational enclosures.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
+from . import Record
 from .intgeom import (
     Hom,
     UnionFind,
@@ -557,12 +557,14 @@ def subtract_poly(region: RegionSnapshot, poly: ConvexPoly) -> RegionSnapshot:
 # -- certified Hausdorff distance -------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistanceEnclosure:
+class DistanceEnclosure(Record):
     """Rational interval certified to contain a Euclidean Hausdorff distance."""
 
-    low: Fraction
-    high: Fraction
+    __slots__ = _fields = ("low", "high")
+
+    def __init__(self, low: Fraction, high: Fraction):
+        self.low = low
+        self.high = high
 
     def width(self) -> Fraction:
         return self.high - self.low

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from . import Record
 from .geom import (
     ConvexPoly,
     RegionSnapshot,
@@ -25,16 +25,22 @@ if TYPE_CHECKING:
     from .continua.fanq import BlockGraph
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    check_name: str
-    stage_range: tuple[int, int]
-    verdict: str  # 'pass' | 'fail' | 'inconclusive'
-    witness: Optional[dict] = None
+class CheckReport(Record):
+    __slots__ = _fields = ("check_name", "stage_range", "verdict", "witness")
 
-    def __post_init__(self):
-        if self.verdict == "fail" and self.witness is None:
+    def __init__(
+        self,
+        check_name: str,
+        stage_range: tuple[int, int],
+        verdict: str,  # 'pass' | 'fail' | 'inconclusive'
+        witness: Optional[dict] = None,
+    ):
+        if verdict == "fail" and witness is None:
             raise ValueError("failing report requires a witness")
+        self.check_name = check_name
+        self.stage_range = stage_range
+        self.verdict = verdict
+        self.witness = witness
 
     def to_json(self) -> dict:
         return {

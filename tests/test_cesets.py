@@ -72,6 +72,11 @@ class TestEState:
             for a, b in zip(states, states[1:]):
                 assert all(x <= yv for x, yv in zip(a, b))
 
+    def test_element_enumerated_twice_counts_from_its_first_stage(self):
+        for triples in (((0, 5, 3), (0, 2, 3)), ((0, 2, 3), (0, 5, 3))):
+            member = FamilyMember("V0", triples)
+            assert [member.contains_at(0, 3, s) for s in range(1, 4)] == [False, True, True]
+
     def test_missing_members_read_empty(self):
         fam = tail_family(5)
         assert e_state(fam, 3, 3, 5) == (1, 0, 0, 0)

@@ -304,6 +304,16 @@ BAD_INPUTS = [
     ("render-stage-not-an-integer", {"s.json": HALF_STAGE}, render_argv(), "natural number"),
     ("hausdorff-negative-tol-exp", {"s.json": UNIT_SCENE}, [*HAUSDORFF_ARGV, "--tol-exp", "-1"],
      "--tol-exp"),
+    # outputs that cannot be written; verify's exit 1 would read as a failed check
+    ("build-out-in-missing-dir", {"c.json": GOOD},
+     ["build", "--config", "c.json", "--out", "missing/out.json"],
+     "cannot write TMP/missing/out.json: No such file or directory"),
+    ("verify-out-in-missing-dir", {"c.json": GOOD},
+     ["verify", "--config", "c.json", "--checks", "connectivity", "--stage-range", "0:1",
+      "--out", "missing/out.json"],
+     "cannot write TMP/missing/out.json: No such file or directory"),
+    ("render-out-is-a-dir", {"s.json": UNIT_SCENE, "d.json/x.json": "{}"},
+     ["render", "--scene", "s.json", "--out", "d.json"], "cannot write TMP/d.json: Is a directory"),
 ]
 
 
@@ -312,6 +322,7 @@ BAD_INPUTS = [
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, argv, fragment):
     for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
     assert main(argv) == 2
@@ -319,6 +330,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, argv, fragment
     assert err.startswith("error: ") and fragment.replace("TMP/", f"{tmp_path}/") in err
     assert err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
+    assert not list(tmp_path.glob(".planarpi-*"))  # no temp file is left
 
 
 class TestRender:
@@ -360,9 +372,10 @@ class TestHausdorffCommand:
 
 
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
-    """`python args` in a new interpreter that imports the `planarpi` under test."""
+    """`python args` in a new interpreter that imports the `planarpi` under
+    test and, as the benchmark's steps do, writes no bytecode."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
@@ -379,6 +392,13 @@ print(json.dumps([code, sorted(sys.modules)]))
 def verify_step(name: str, checks: str) -> list[str]:
     return ["verify", "--config", str(CONFIGS / f"{name}.json"), "--checks", checks,
             "--stage-range", "0:3", "--out", "TMP/report.json"]
+
+
+def fan_scenes(tmp: Path) -> None:
+    """TMP/q2.json and TMP/q3.json: the fan at stages 2 and 3."""
+    for stage in (2, 3):
+        assert main(["build", "--config", str(CONFIGS / "cantor-fan-q.json"),
+                     "--stage", str(stage), "--out", str(tmp / f"q{stage}.json")]) == 0
 
 
 @pytest.mark.parametrize(
@@ -406,15 +426,48 @@ def verify_step(name: str, checks: str) -> list[str]:
 def test_command_loads_only_its_modules(tmp_path, argv, unloaded):
     # a fresh process compiles every module it imports, so a step should
     # import only what its command and construction run
-    for stage in (2, 3):
-        out = tmp_path / f"q{stage}.json"
-        assert main(["build", "--config", str(CONFIGS / "cantor-fan-q.json"),
-                     "--stage", str(stage), "--out", str(out)]) == 0
+    fan_scenes(tmp_path)
     argv = [a.replace("TMP/", f"{tmp_path}/") for a in argv]
     proc = fresh_python("-c", LOADED_MODULES, *argv)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
     loaded = [m for m in modules if m.startswith(unloaded)]
+    assert loaded == []
+
+
+# runs `python -m planarpi.cli ARGS` and prints, as its last stdout line, the
+# exit code and which of `dataclasses` and `inspect` were loaded
+RECORD_IMPORTS = """
+import json, runpy, sys
+try:
+    runpy.run_module("planarpi.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
+"""
+
+# every command: build and verify with every offered check, on the config
+# named after each construction, render, and the fan's hausdorff
+EVERY_COMMAND = [
+    *(["build", "--config", str(CONFIGS / f"{name}.json"), "--stage", "3",
+       "--out", "TMP/scene.json"] for name in CONSTRUCTIONS),
+    *(verify_step(name, ",".join(c.checks)) for name, c in CONSTRUCTIONS.items() if c.checks),
+    ["render", "--scene", "TMP/q3.json", "--out", "TMP/q3.svg"],
+    ["hausdorff", "--scene-a", "TMP/q2.json", "--scene-b", "TMP/q3.json"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", EVERY_COMMAND, ids=[f"{argv[0]}-{Path(argv[2]).stem}" for argv in EVERY_COMMAND]
+)
+def test_no_command_imports_dataclasses(tmp_path, argv):
+    # `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, ~8 ms of a
+    # fresh process; the package's records derive from `planarpi.Record`
+    fan_scenes(tmp_path)
+    argv = [a.replace("TMP/", f"{tmp_path}/") for a in argv]
+    proc = fresh_python("-c", RECORD_IMPORTS, *argv)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
     assert loaded == []
 
 

@@ -37,6 +37,7 @@ UNREACHED: dict[str, set[str]] = {
         "continua.regions:v_region",
         "continua.trees:PlottedTreePresentation.__init__",
         "continua.trees:PlottedTreePresentation.snapshot",
+        "continua.trees:RecoveredTree.__init__",
         "continua.trees:probe_balls",
         "continua.trees:recover_tree",
         "geom:DistanceEnclosure.width",
@@ -59,9 +60,11 @@ UNREACHED: dict[str, set[str]] = {
         "geom:subtract_poly",
     },
     "runs when the CLI module is imported, before any command": {
+        "cli:Construction.__init__",
         "cli:_per_stage",
     },
     "dunders for tests and debugging": {
+        "__init__:Record.__repr__",
         "geom:ConvexPoly.__eq__",
         "geom:ConvexPoly.__repr__",
         "geom:DistanceEnclosure.__repr__",
