@@ -62,13 +62,15 @@ class FamilyMember(Record):
 
 class SequenceFamily(Record):
     """Finite list of scripted uniformly-enumerable sequences V_i.  Families
-    compare and hash by value, so equal ones share cached work."""
+    compare by value; each keeps its own memo of first choices."""
 
-    __slots__ = _fields = ("members", "normalized")
+    _fields = ("members", "normalized")
+    __slots__ = (*_fields, "_first_choices")
 
     def __init__(self, members: Sequence[FamilyMember], normalized: bool = False):
         self.members = tuple(members)
         self.normalized = bool(normalized)
+        self._first_choices: dict[tuple, dict[int, int]] = {}  # owned by comb._first_choices
         if self.normalized:
             for mem in self.members:
                 for (n, _, x) in mem.triples:
@@ -78,12 +80,10 @@ class SequenceFamily(Record):
                         )
 
     @staticmethod
-    def from_json(rows, normalized: bool = False) -> "SequenceFamily":
-        members = [
-            FamilyMember(r["name"], tuple((n, s, x) for n, s, x in r["triples"]))
-            for r in rows
-        ]
-        return SequenceFamily(members, normalized=normalized)
+    def from_json(rows) -> "SequenceFamily":
+        return SequenceFamily(
+            FamilyMember(r["name"], tuple((n, s, x) for n, s, x in r["triples"])) for r in rows
+        )
 
 
 def e_state(fam: SequenceFamily, e: int, y: int, stage: int) -> tuple[int, ...]:

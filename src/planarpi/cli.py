@@ -7,11 +7,12 @@ atomically.  Bad input exits 2 with one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
-import importlib
+import errno
 import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from . import Record, __version__, check_natural
@@ -19,24 +20,29 @@ from .geom import ConvexPoly, RegionSnapshot, frac_str, hausdorff_enclosure
 
 if TYPE_CHECKING:
     from .cantor import TreePresentation
-    from .cesets import EnumerationScript, SequenceFamily
+    from .cesets import EnumerationScript
     from .continua.fanq import BlockGraph
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+@contextmanager
+def _output(path: str):
+    """A handle on a temporary file beside `path`, made before the block's
+    work so that an `--out` that cannot be written fails first.  The file
+    replaces `path` when the block ends and is removed if it raises; the
+    block does no other I/O, so every OSError is the output's."""
+    tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".planarpi-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        if os.path.isdir(path):  # else only the final rename would find it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".planarpi-")
+        with os.fdopen(fd, "w") as handle:
+            yield handle
+        os.replace(tmp, path)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # -- inputs: each bad one raises a one-line ValueError, which main() reports ----
@@ -92,19 +98,12 @@ def _script_from(config: dict) -> EnumerationScript:
     return _field(config, "A", EnumerationScript.from_json, [])
 
 
-def _family_from(config: dict) -> SequenceFamily:
-    from .cesets import SequenceFamily
-
-    return _field(config, "families", SequenceFamily.from_json, [])
-
-
-def _search_bound(config: dict, stage: int) -> int:
-    """A dendroid-k config's `search_bound` at `stage`, which must reach the
-    stage's last comb index; null or absent means max(stage, number of families)."""
+def _search_bound(config: dict, lo: int, hi: int) -> Optional[int]:
+    """A dendroid-k config's `search_bound`, which must reach the last comb
+    index of each stage lo..hi; null or absent leaves the builder's default."""
     bound = config.get("search_bound")
-    if bound is None:
-        return max(stage, len(_family_from(config).members))
-    if bound < stage:
+    if bound is not None and bound < hi:
+        stage = max(lo, bound + 1)  # the first stage it does not reach
         raise ValueError(
             f"config field 'search_bound': must be at least {stage}, "
             f"the last comb index at stage {stage}"
@@ -134,84 +133,83 @@ def _config_hash(config: dict) -> str:
 
 # -- the construction table ----------------------------------------------------
 
-Snapshots = tuple[list[RegionSnapshot], Optional["BlockGraph"]]
 Probe = tuple[dict, ConvexPoly, bool]  # (witness label, removed shape, expected cut)
+Replay = tuple[list[RegionSnapshot], Optional["BlockGraph"], Iterable[Probe]]
 
 
 class Construction(Record):
     """What the CLI knows about one construction.
 
-    `snapshots(config, lo, hi)` replays it once and returns the snapshots of
-    stages lo..hi, plus the block graph for the fan machine.  `checks` names
-    the checks offered on it, and `cut_probes(config, snap)` yields the
-    probes of cut-dichotomy at the snapshot's stage.  Entries import their
-    builders when called, never when the table is made, so a run loads only
-    the modules of its own construction.
+    `replay(config, lo, hi)` parses the config's inputs once and returns,
+    from those same objects, the snapshots of stages lo..hi, the block graph
+    of the fan machine (else None) and a lazy iterable of the probes of
+    cut-dichotomy at stage hi.  `checks` names the checks offered on it.
+    Replays import their builders when called, never when the table is
+    made, so a run loads only the modules of its own construction.
     """
 
-    __slots__ = _fields = ("snapshots", "checks", "cut_probes")
+    __slots__ = _fields = ("replay", "checks")
 
-    def __init__(
-        self,
-        snapshots: Callable[[dict, int, int], Snapshots],
-        checks: tuple[str, ...] = (),
-        cut_probes: Optional[Callable[[dict, RegionSnapshot], Iterable[Probe]]] = None,
-    ):
-        self.snapshots = snapshots
+    def __init__(self, replay: Callable[[dict, int, int], Replay], checks: tuple[str, ...] = ()):
+        self.replay = replay
         self.checks = checks
-        self.cut_probes = cut_probes
 
 
-def _per_stage(module: str, build: Callable[..., RegionSnapshot]):
-    """snapshots() of a builder that makes one stage per call:
-    `build(mod, config, stage)`, where `mod` is `planarpi.continua.<module>`."""
+def _example(config: dict, lo: int, hi: int) -> Replay:
+    """The replay of a fixed example, such as `examples.basic_dendrite` for
+    `basic-dendrite`; it reads no input."""
+    from .continua import examples
 
-    def snapshots(config: dict, lo: int, hi: int) -> Snapshots:
-        mod = importlib.import_module(f"{__package__}.continua.{module}")
-        return [build(mod, config, s) for s in range(lo, hi + 1)], None
-
-    return snapshots
+    build = getattr(examples, config["construction"].replace("-", "_"))
+    return [build(s) for s in range(lo, hi + 1)], None, ()
 
 
-def _fan_snapshots(config: dict, lo: int, hi: int) -> Snapshots:
+def _plotted_tree(config: dict, lo: int, hi: int) -> Replay:
+    from .continua.trees import plotted_tree
+
+    tree = _tree_from(config)
+    snaps = [plotted_tree(tree, s, config.get("depth", max(s, 1))) for s in range(lo, hi + 1)]
+    return snaps, None, ()
+
+
+def _dendrite_d(config: dict, lo: int, hi: int) -> Replay:
+    from .balls import ball_polygon
+    from .continua.dendrite import build_dendrite_d, cut_ball, rising_width
+
+    script = _script_from(config)
+    probes = (
+        ({"t": t}, ball_polygon(cut_ball(t)), rising_width(script, t) > 0) for t in range(hi + 1)
+    )
+    return [build_dendrite_d(s, script) for s in range(lo, hi + 1)], None, probes
+
+
+def _dendrite_h(config: dict, lo: int, hi: int) -> Replay:
+    from .continua.dendrite import rising_width
+    from .continua.trees import build_dendrite_h, h_cut_box
+
+    script, tree = _script_from(config), _tree_from(config)
+    probes = (({"t": t}, h_cut_box(t, hi), rising_width(script, t) > 0) for t in range(hi + 1))
+    return [build_dendrite_h(s, script, tree) for s in range(lo, hi + 1)], None, probes
+
+
+def _dendroid_k(config: dict, lo: int, hi: int) -> Replay:
+    from .cesets import SequenceFamily
+    from .continua.comb import build_dendroid_k, comb_cut_box, comb_width
+
+    fam = _field(config, "families", SequenceFamily.from_json, [])
+    bound = _search_bound(config, lo, hi)
+    probes = (
+        ({"t": t, "u": u}, comb_cut_box(t, u), comb_width(fam, t, u, hi, bound) > 0)
+        for t in range(hi + 1) for u in range(hi + 1)
+    )
+    return [build_dendroid_k(s, fam, bound) for s in range(lo, hi + 1)], None, probes
+
+
+def _fan(config: dict, lo: int, hi: int) -> Replay:
     from .continua.fanq import DestinationTrack, q_snapshots
 
     tree, track = _tree_from(config), _field(config, "B", DestinationTrack, [])
-    return q_snapshots(hi, tree, track, lo)
-
-
-def _dendrite_d_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
-    from .balls import ball_polygon
-    from .continua.dendrite import cut_ball, rising_width
-
-    script = _script_from(config)
-    return (
-        ({"t": t}, ball_polygon(cut_ball(t)), rising_width(script, t) > 0)
-        for t in range(snap.stage + 1)
-    )
-
-
-def _dendrite_h_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
-    from .continua.dendrite import rising_width
-    from .continua.trees import h_cut_box
-
-    script, depth = _script_from(config), max(snap.stage, 1)
-    return (
-        ({"t": t}, h_cut_box(t, depth), rising_width(script, t) > 0)
-        for t in range(snap.stage + 1)
-    )
-
-
-def _dendroid_k_probes(config: dict, snap: RegionSnapshot) -> Iterable[Probe]:
-    from .continua.comb import comb_cut_box, comb_width
-
-    fam, stage = _family_from(config), snap.stage
-    bound = _search_bound(config, stage)
-    return (
-        ({"t": t, "u": u}, comb_cut_box(t, u), comb_width(fam, t, u, stage, bound) > 0)
-        for t in range(stage + 1)
-        for u in range(stage + 1)
-    )
+    return (*q_snapshots(hi, tree, track, lo), ())
 
 
 CHECK_NAMES = ("nesting", "connectivity", "cut-dichotomy", "touch-chain")
@@ -221,34 +219,14 @@ SPANNING_CHECKS = ("nesting", "connectivity")  # the checks that read every stag
 GROWING_CHECKS = ("connectivity", "cut-dichotomy")
 
 CONSTRUCTIONS: dict[str, Construction] = {
-    "basic-dendrite": Construction(_per_stage("examples", lambda m, c, s: m.basic_dendrite(s))),
-    "harmonic-comb": Construction(_per_stage("examples", lambda m, c, s: m.harmonic_comb(s))),
-    "cantor-fan": Construction(_per_stage("examples", lambda m, c, s: m.cantor_fan(s))),
-    "plotted-tree": Construction(
-        _per_stage(
-            "trees", lambda m, c, s: m.plotted_tree(_tree_from(c), s, c.get("depth", max(s, 1)))
-        )
-    ),
-    "dendrite-d": Construction(
-        _per_stage("dendrite", lambda m, c, s: m.build_dendrite_d(s, _script_from(c))),
-        GROWING_CHECKS,
-        _dendrite_d_probes,
-    ),
-    "dendrite-h": Construction(
-        _per_stage(
-            "trees", lambda m, c, s: m.build_dendrite_h(s, _script_from(c), _tree_from(c))
-        ),
-        GROWING_CHECKS,
-        _dendrite_h_probes,
-    ),
-    "dendroid-k": Construction(
-        _per_stage(
-            "comb", lambda m, c, s: m.build_dendroid_k(s, _family_from(c), _search_bound(c, s))
-        ),
-        GROWING_CHECKS,
-        _dendroid_k_probes,
-    ),
-    "cantor-fan-q": Construction(_fan_snapshots, ("nesting", "connectivity", "touch-chain")),
+    "basic-dendrite": Construction(_example),
+    "harmonic-comb": Construction(_example),
+    "cantor-fan": Construction(_example),
+    "plotted-tree": Construction(_plotted_tree),
+    "dendrite-d": Construction(_dendrite_d, GROWING_CHECKS),
+    "dendrite-h": Construction(_dendrite_h, GROWING_CHECKS),
+    "dendroid-k": Construction(_dendroid_k, GROWING_CHECKS),
+    "cantor-fan-q": Construction(_fan, ("nesting", "connectivity", "touch-chain")),
 }
 
 
@@ -261,7 +239,7 @@ def _construction(config: dict) -> Construction:
 
 def build_scene(config: dict, stage: int) -> dict:
     """Scene JSON (plus block metadata for the fan machine)."""
-    (region,), graph = _construction(config).snapshots(config, stage, stage)
+    (region,), graph, _ = _construction(config).replay(config, stage, stage)
     doc = region.to_json()
     doc["meta"] = {"tool": f"planarpi {__version__}", "config_sha256": _config_hash(config)}
     if graph is not None:
@@ -274,21 +252,12 @@ def _run_checks(config: dict, checks: list[str], lo: int, hi: int):
     builds stages lo..hi when a check reads them all, else only stage hi."""
     from .verify import check_connectivity, check_cut_dichotomy, check_nesting, check_touch_chain
 
-    construction, kind = _construction(config), config["construction"]
-    for check in checks:
-        if check not in CHECK_NAMES:
-            raise ValueError(f"unknown check name: {check}")
-        if check not in construction.checks:
-            raise ValueError(f"{check} not supported for {kind}")
     first = lo if any(check in SPANNING_CHECKS for check in checks) else hi
-    snaps, graph = construction.snapshots(config, first, hi)
-    last = snaps[-1]
+    snaps, graph, probes = _construction(config).replay(config, first, hi)
     run = {
         "nesting": lambda: check_nesting(snaps),
         "connectivity": lambda: check_connectivity(snaps),
-        "cut-dichotomy": lambda: check_cut_dichotomy(
-            kind, last, construction.cut_probes(config, last)
-        ),
+        "cut-dichotomy": lambda: check_cut_dichotomy(config["construction"], snaps[-1], probes),
         "touch-chain": lambda: check_touch_chain(graph),
     }
     return [run[check]() for check in checks]
@@ -296,9 +265,10 @@ def _run_checks(config: dict, checks: list[str], lo: int, hi: int):
 
 def cmd_build(args) -> int:
     config = _load_config(args.config)
-    stage = args.stage if args.stage is not None else config.get("stage", 0)
-    doc = build_scene(config, check_natural(stage, "stage"))
-    _atomic_write(args.out, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    stage = check_natural(config.get("stage", 0) if args.stage is None else args.stage, "stage")
+    with _output(args.out) as out:
+        doc = build_scene(config, stage)
+        out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return 0
 
 
@@ -307,8 +277,15 @@ def cmd_verify(args) -> int:
 
     config = _load_config(args.config)
     lo, hi = _stage_range(args.stage_range)
-    reports = _run_checks(config, args.checks.split(","), lo, hi)
-    _atomic_write(args.out, reports_to_json(reports) + "\n")
+    checks, kind = args.checks.split(","), config["construction"]
+    for check in checks:
+        if check not in CHECK_NAMES:
+            raise ValueError(f"unknown check name: {check}")
+        if check not in CONSTRUCTIONS[kind].checks:
+            raise ValueError(f"{check} not supported for {kind}")
+    with _output(args.out) as out:
+        reports = _run_checks(config, checks, lo, hi)
+        out.write(reports_to_json(reports) + "\n")
     for report in reports:
         print(f"{report.check_name}: {report.verdict}")
     return exit_code(reports)
@@ -320,7 +297,8 @@ def cmd_render(args) -> int:
     from .svg import render_svg
 
     region = _load_scene(args.scene)
-    _atomic_write(args.out, render_svg(region, args.width))
+    with _output(args.out) as out:
+        out.write(render_svg(region, args.width))
     return 0
 
 

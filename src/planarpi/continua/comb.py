@@ -8,7 +8,6 @@ width decaying in the stage of first selection.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from ..cesets import SequenceFamily, limit_f
 from ..geom import ConvexPoly, RegionSnapshot, rect, segment
@@ -22,25 +21,30 @@ def comb_center(t: int, u: int) -> Fraction:
     return Frac(1, 1 << (2 * t + 1)) + Frac(1, 1 << (2 * t + u + 1))
 
 
-@lru_cache(maxsize=64)
-def _first_choices(fam: SequenceFamily, t: int, stage: int, search_bound: int) -> dict[int, int]:
-    """u -> the least s <= stage with f_s(t) = u, for each u so chosen.  The
-    family is keyed by value, so each u of equal families reuses one pass."""
-    first: dict[int, int] = {}
-    for s in range(stage + 1):
-        first.setdefault(limit_f(fam, t, s, search_bound), s)
-    return first
+def _first_choices(fam: SequenceFamily, t: int, stage: int, bound: int | None) -> dict[int, int]:
+    """u -> the least s <= stage with f_s(t) = u, for each u so chosen,
+    memoized on the family.  A None search bound means max(stage, number
+    of families)."""
+    if bound is None:
+        bound = max(stage, len(fam.members))
+    memo = fam._first_choices
+    if (t, stage, bound) not in memo:
+        first: dict[int, int] = {}
+        for s in range(stage + 1):
+            first.setdefault(limit_f(fam, t, s, bound), s)
+        memo[t, stage, bound] = first
+    return memo[t, stage, bound]
 
 
-def rising_scale(fam: SequenceFamily, t: int, u: int, stage: int, search_bound: int) -> Fraction:
+def rising_scale(fam: SequenceFamily, t: int, u: int, stage: int, bound: int | None) -> Fraction:
     """v(t,u) = 2^-s for the least s <= stage with f_s(t) = u, else 0."""
-    s = _first_choices(fam, t, stage, search_bound).get(u)
+    s = _first_choices(fam, t, stage, bound).get(u)
     return Frac(0) if s is None else Frac(1, 1 << s)
 
 
-def comb_width(fam: SequenceFamily, t: int, u: int, stage: int, search_bound: int) -> Fraction:
+def comb_width(fam: SequenceFamily, t: int, u: int, stage: int, bound: int | None) -> Fraction:
     """v*(t,u) = v(t,u) * 2^-(2t+u+3)."""
-    return rising_scale(fam, t, u, stage, search_bound) * Frac(1, 1 << (2 * t + u + 3))
+    return rising_scale(fam, t, u, stage, bound) * Frac(1, 1 << (2 * t + u + 3))
 
 
 def comb_cut_box(t: int, u: int) -> ConvexPoly:
@@ -59,8 +63,6 @@ def build_dendroid_k(
     The connecting base is truncated at 2^-(2*stage+2): the stage-bounded
     stand-in for the accumulation of the remaining combs at 0.
     """
-    if search_bound is None:
-        search_bound = max(stage, len(fam.members))
     pieces: list[ConvexPoly] = []
     for t in range(stage + 1):
         left = Frac(1, 1 << (2 * t + 1))

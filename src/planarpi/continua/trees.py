@@ -241,7 +241,7 @@ def build_dendrite_h(
     """
     if tree.is_empty(stage):
         raise ValueError("empty tree presentation")
-    depth = max(stage, 1)
+    depth = _h_depth(stage)
     full = _tree_edges(tree, stage, depth), tree.level(depth, stage)
     pieces: list[ConvexPoly] = []
     gaps = []
@@ -263,13 +263,18 @@ def build_dendrite_h(
     return RegionSnapshot(stage, pieces)
 
 
-def h_cut_box(t: int, depth: int) -> ConvexPoly:
-    """Closed strip covering the top slice of the t-th placed tree.
+def _h_depth(stage: int) -> int:
+    """The depth to which the tree dendrite truncates its trees at `stage`."""
+    return max(stage, 1)
+
+
+def h_cut_box(t: int, stage: int) -> ConvexPoly:
+    """Closed strip covering the top slice of the t-th placed tree at `stage`.
 
     Removing it severs a single fat path (copies only rejoin at the cap) but
     not a branching tree (crossings below the slice reconnect the copies).
     """
     x_lo = 3 * Frac(1, 1 << (t + 2))
     x_hi = 5 * Frac(1, 1 << (t + 2))
-    y_tip = (2 - Frac(1, 1 << depth)) / (1 << (t + 1))
+    y_tip = (2 - Frac(1, 1 << _h_depth(stage))) / (1 << (t + 1))
     return rect(x_lo, y_tip, x_hi, 2)

@@ -333,6 +333,44 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, argv, fragment
     assert not list(tmp_path.glob(".planarpi-*"))  # no temp file is left
 
 
+@pytest.mark.parametrize("name", ["dendrite-d", "dendrite-h", "dendroid-k"])
+def test_verify_parses_each_input_once(tmp_path, monkeypatch, name):
+    # one replay parses the config's inputs, and its snapshots and cut
+    # probes at every stage read those same objects
+    from planarpi.cantor import TreePresentation
+    from planarpi.cesets import EnumerationScript, SequenceFamily
+
+    parsed = []
+    for cls in (EnumerationScript, TreePresentation, SequenceFamily):
+        def counting(doc, cls=cls, real=cls.from_json):
+            parsed.append(cls.__name__)
+            return real(doc)
+
+        monkeypatch.setattr(cls, "from_json", staticmethod(counting))
+    argv = ["verify", "--config", str(CONFIGS / f"{name}.json"), "--checks",
+            "connectivity,cut-dichotomy", "--stage-range", "0:4", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert parsed and len(parsed) == len(set(parsed))
+
+
+@pytest.mark.parametrize(
+    "command,out",
+    [("verify", "missing/r.json"), ("verify", "d.json"), ("build", "missing/r.json")],
+)
+def test_unwritable_out_fails_before_the_replay(tmp_path, monkeypatch, capsys, command, out):
+    def no_replay(*args):
+        raise AssertionError("replay entered")
+
+    monkeypatch.setattr(CONSTRUCTIONS["dendrite-d"], "replay", no_replay)
+    (tmp_path / "d.json").mkdir()
+    argv = [command, "--config", str(CONFIGS / "dendrite-d.json"), "--out", str(tmp_path / out)]
+    if command == "verify":
+        argv += ["--checks", "connectivity", "--stage-range", "0:6"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / out}: ")
+    assert not list(tmp_path.glob(".planarpi-*"))
+
+
 class TestRender:
     def test_basic_dendrite_svg_counts(self, tmp_path):
         cfg = write_config(tmp_path, {"construction": "basic-dendrite", "stage": 4})

@@ -80,21 +80,42 @@ class TestFirstChoicesCache:
         assert SequenceFamily([member]) != SequenceFamily([member], normalized=True)
 
     def test_build_and_probes_share_one_pass(self, tmp_path, monkeypatch):
-        # the CLI parses `families` once for the build and once for the
-        # probes; the two equal families share the cached first choices, so
-        # stage 8 costs one limit_f call per (argument t, stage s <= 8)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        real = comb.limit_f
-        monkeypatch.setattr(comb, "limit_f", counting)
-        comb._first_choices.cache_clear()
+        # the CLI parses `families` once, and the build and the probes share
+        # that family's first choices, so stage 8 costs one limit_f call per
+        # (argument t, stage s <= 8)
+        calls = count_limit_f(monkeypatch)
         argv = ["verify", "--config", str(CONFIGS / "dendroid-k.json"),
                 "--checks", "cut-dichotomy", "--stage-range", "0:8",
                 "--out", str(tmp_path / "report.json")]
         assert main(argv) == 0
-        comb._first_choices.cache_clear()  # drop the entries made through the counter
         assert len(calls) == len(set(calls)) == 81
+
+    def test_equal_families_keep_separate_memos(self, monkeypatch):
+        calls = count_limit_f(monkeypatch)
+        a, b = figure_family(), figure_family()
+        assert a == b
+        assert rising_scale(a, 1, 2, 4, 10) == rising_scale(b, 1, 2, 4, 10) == F(1, 4)
+        assert len(calls) == 2 * 5  # stages 0..4, for each family
+        assert a._first_choices is not b._first_choices
+
+    def test_build_and_widths_share_one_family_memo(self, monkeypatch):
+        calls = count_limit_f(monkeypatch)
+        fam, stage = figure_family(), 3
+        build_dendroid_k(stage, fam)
+        for t in range(stage + 1):
+            for u in range(stage + 1):
+                comb_width(fam, t, u, stage, None)  # the builder's default bound
+        assert len(calls) == len(set(calls)) == (stage + 1) ** 2  # once per (t, s)
+
+
+def count_limit_f(monkeypatch) -> list:
+    """The argument tuples of every `limit_f` call that comb makes from now on."""
+    calls = []
+    real = comb.limit_f
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(comb, "limit_f", counting)
+    return calls

@@ -418,7 +418,7 @@ class TestKernelWork:
 
     def test_fan_hausdorff_makes_no_point_piece(self, monkeypatch):
         config = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
-        snaps, _ = CONSTRUCTIONS["cantor-fan-q"].snapshots(config, 2, 3)
+        snaps, _, _ = CONSTRUCTIONS["cantor-fan-q"].replay(config, 2, 3)
         want = hausdorff_enclosure(snaps[0], snaps[1], 12)
         real_convex, real_bounds = ConvexPoly._convex, geom._directed_sq_bounds
         bounding = []  # the containment test may make point remainders; the bounds not
@@ -446,7 +446,7 @@ class TestKernelWork:
         # one nearest-first pass per source piece makes 1,162 distances on
         # fan 2 against 3; the two separate searches it replaced made 1,622
         config = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
-        snaps, _ = CONSTRUCTIONS["cantor-fan-q"].snapshots(config, 2, 3)
+        snaps, _, _ = CONSTRUCTIONS["cantor-fan-q"].replay(config, 2, 3)
         calls = []
         real = geom._point_sq
 
@@ -499,7 +499,7 @@ def fan_directed():
     """Fan stages 1..3 and squared bounds of both directed distances of the
     pairs (1, 2) and (2, 3) at tol_exp 12, each computed in full."""
     config = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
-    snaps = {s.stage: s for s in CONSTRUCTIONS["cantor-fan-q"].snapshots(config, 1, 3)[0]}
+    snaps = {s.stage: s for s in CONSTRUCTIONS["cantor-fan-q"].replay(config, 1, 3)[0]}
     half, prec = F(1, 1 << 13), 16
     directed = {
         (s, t): geom._directed_sq_bounds(snaps[s].pieces, snaps[t].pieces, half, prec)
@@ -564,7 +564,7 @@ class TestHausdorff:
 
     def test_no_skip_when_not_nested(self):
         config = json.loads((CONFIGS / "dendrite-h.json").read_text())
-        a, b = CONSTRUCTIONS["dendrite-h"].snapshots(config, 1, 2)[0]
+        a, b = CONSTRUCTIONS["dendrite-h"].replay(config, 1, 2)[0]
         assert not region_covers(a.pieces, b.pieces)[0]
         assert not region_covers(b.pieces, a.pieces)[0]
         half, prec = F(1, 1 << 13), 16

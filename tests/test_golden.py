@@ -176,7 +176,7 @@ def test_hausdorff_stdout(tmp_path, capsys, name, stage_a, stage_b):
 
 def test_reversed_fan_nesting_witness_bytes():
     config = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
-    snaps = CONSTRUCTIONS["cantor-fan-q"].snapshots(config, 0, 6)[0]
+    snaps = CONSTRUCTIONS["cantor-fan-q"].replay(config, 0, 6)[0]
     digests = []
     for t in range(6):
         report = check_nesting([snaps[t + 1], snaps[t]])

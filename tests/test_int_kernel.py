@@ -237,7 +237,7 @@ def config_snapshots():
     snaps = {}
     for path in sorted(CONFIGS.glob("*.json")):
         config = json.loads(path.read_text())
-        snaps[path.stem] = CONSTRUCTIONS[config["construction"]].snapshots(config, 0, 6)[0]
+        snaps[path.stem] = CONSTRUCTIONS[config["construction"]].replay(config, 0, 6)[0]
     return snaps
 
 

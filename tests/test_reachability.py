@@ -61,9 +61,9 @@ UNREACHED: dict[str, set[str]] = {
     },
     "runs when the CLI module is imported, before any command": {
         "cli:Construction.__init__",
-        "cli:_per_stage",
     },
     "dunders for tests and debugging": {
+        "__init__:Record.__hash__",
         "__init__:Record.__repr__",
         "geom:ConvexPoly.__eq__",
         "geom:ConvexPoly.__repr__",

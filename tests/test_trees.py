@@ -260,10 +260,9 @@ class TestDendriteH:
 
     def test_cut_dichotomy(self):
         stage = 3
-        depth = max(stage, 1)
         region = build_dendrite_h(stage, self.SCRIPT, full_tree())
         for t in range(stage + 1):
-            cut = subtract_poly(region, h_cut_box(t, depth))
+            cut = subtract_poly(region, h_cut_box(t, stage))
             expected = 2 if t in (1, 3) else 1
             assert len(connectivity_components(cut)) == expected, t
 

@@ -38,8 +38,7 @@ from planarpi.verify import (
 def cut_report(config: dict, stage: int) -> CheckReport:
     """cut-dichotomy at one stage, through the construction table."""
     construction = CONSTRUCTIONS[config["construction"]]
-    (snap,), _ = construction.snapshots(config, stage, stage)
-    probes = construction.cut_probes(config, snap)
+    (snap,), _, probes = construction.replay(config, stage, stage)
     return check_cut_dichotomy(config["construction"], snap, probes)
 
 
@@ -49,9 +48,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def config_snapshot_probes(name: str, stage: int):
     """The sample config's snapshot at one stage and its cut probes."""
     config = json.loads((CONFIGS / f"{name}.json").read_text())
-    construction = CONSTRUCTIONS[name]
-    (snap,), _ = construction.snapshots(config, stage, stage)
-    return snap, list(construction.cut_probes(config, snap))
+    (snap,), _, probes = CONSTRUCTIONS[name].replay(config, stage, stage)
+    return snap, list(probes)
 
 
 def full_pass_cut_report(builder: str, snap: RegionSnapshot, probes) -> CheckReport:
@@ -281,7 +279,7 @@ def test_fan_nesting_makes_no_convex_difference(monkeypatch):
     # every stage-(s+1) piece of the fan lies in one stage-s piece, so
     # containment accepts each by its vertices
     config = json.loads((CONFIGS / "cantor-fan-q.json").read_text())
-    snaps, _ = CONSTRUCTIONS["cantor-fan-q"].snapshots(config, 0, 6)
+    snaps, _, _ = CONSTRUCTIONS["cantor-fan-q"].replay(config, 0, 6)
 
     def no_difference(a, b):
         raise AssertionError("convex_difference called")
