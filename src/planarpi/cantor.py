@@ -136,7 +136,14 @@ class FatCantorLevel(Record):
 
     @property
     def l_star(self) -> Fraction:
-        return self.l_minus + pad_eps(self.stage) / 2
+        """l_minus + pad_eps(stage) / 2, built from integers.
+
+        The first left end is (n0 - 1) / 3^(s+2) with n0 = 3(3^s + c) (see
+        `fat_level`), so this is (2 n0 - 1) / (2 * 3^(s+2)).  Its numerator
+        is odd, and 2 mod 3 because 3 divides n0, so it is in lowest terms.
+        """
+        lo = self.intervals[0][0]
+        return _coprime(2 * lo._numerator + 1, 2 * lo._denominator)
 
     @property
     def l(self) -> Fraction:
@@ -144,7 +151,14 @@ class FatCantorLevel(Record):
 
     @property
     def r_star(self) -> Fraction:
-        return self.r_plus - pad_eps(self.stage) / 2
+        """r_plus - pad_eps(stage) / 2, built from integers.
+
+        The last right end is (nk + 4) / 3^(s+2), so this is
+        (2 nk + 7) / (2 * 3^(s+2)).  Its numerator is odd, and 1 mod 3
+        because 3 divides nk, so it is in lowest terms.
+        """
+        hi = self.intervals[-1][1]
+        return _coprime(2 * hi._numerator - 1, 2 * hi._denominator)
 
     @property
     def r(self) -> Fraction:
@@ -172,8 +186,12 @@ def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
     missed, because removal only grows with the stage and passes to every
     extension, so the parent of a stage-s survivor survives at stage s - 1.
     A child survives iff its prefix of length min(s, max_prune_len) does,
-    because no member of the removed set is longer.
+    because no member of the removed set is longer.  Past that horizon, both
+    children of a parent share the prefix, so survival is tested once per
+    parent.  The level is grown in one pass over level s - 1's left ends,
+    which makes each surviving child's two ends from integers.
     """
+    check_natural(s, "fat level stage")
     cache = tree._fat_cache
     if s in cache:
         return cache[s]
@@ -181,26 +199,53 @@ def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
     alive = {_ternary_code(sigma) for sigma in tree.level(depth, s)}
     if not alive:
         raise ValueError(f"tree level {s} is empty")
-    base, den = 3**s, 3 ** (s + 2)
-    if s == 0:
-        codes = (0,)  # the root
-    else:
-        # a level-(s-1) string with code c has left end (n - 1) / 3^(s+1),
-        # n = 3(3^(s-1) + c), so its children's codes 3c and 3c + 2 are
-        # n - 3^s and n - 3^s + 2
-        drop = 3 ** (s - depth)
-        codes = (
-            c
-            for lo, _ in fat_level(tree, s - 1).intervals
-            for c in (lo._numerator + 1 - base, lo._numerator + 3 - base)
-            if c // drop in alive
-        )
     # with n/3^(s+2) = cantor_coord(sigma), the interval is [n - 1, n + 4]
     # over 3^(s+2); both ends are prime to 3, so already in lowest terms
-    intervals = tuple(
-        (_coprime(n - 1, den), _coprime(n + 4, den)) for n in (3 * (base + c) for c in codes)
-    )
-    level = FatCantorLevel(stage=s, intervals=intervals)
+    if s == 0:
+        intervals = [(_coprime(2, 9), _coprime(7, 9))]  # the root: n = 3
+    else:
+        # a level-(s-1) string with code c has left end p / 3^(s+1),
+        # p = 3(3^(s-1) + c) - 1, so its children's codes 3c and 3c + 2 are
+        # p + 1 - 3^s and p + 3 - 3^s, and their left ends over 3^(s+2) are
+        # 3p + 2 and 3p + 8; each end is made as `_coprime` makes it
+        base, den, new, F = 3**s, 3 ** (s + 2), object.__new__, Fraction
+        intervals = []
+        put = intervals.append
+        parents = fat_level(tree, s - 1).intervals
+        if depth < s:
+            # both children share the parent's length-depth prefix
+            drop = 3 ** (s - depth)
+            for lo, _ in parents:
+                p = lo._numerator
+                if (p + 1 - base) // drop in alive:
+                    n = 3 * p + 2
+                    a = new(F)
+                    a._numerator, a._denominator = n, den
+                    b = new(F)
+                    b._numerator, b._denominator = n + 5, den
+                    put((a, b))
+                    a = new(F)
+                    a._numerator, a._denominator = n + 6, den
+                    b = new(F)
+                    b._numerator, b._denominator = n + 11, den
+                    put((a, b))
+        else:
+            for lo, _ in parents:
+                p = lo._numerator
+                c, n = p + 1 - base, 3 * p + 2
+                if c in alive:
+                    a = new(F)
+                    a._numerator, a._denominator = n, den
+                    b = new(F)
+                    b._numerator, b._denominator = n + 5, den
+                    put((a, b))
+                if c + 2 in alive:
+                    a = new(F)
+                    a._numerator, a._denominator = n + 6, den
+                    b = new(F)
+                    b._numerator, b._denominator = n + 11, den
+                    put((a, b))
+    level = FatCantorLevel(stage=s, intervals=tuple(intervals))
     cache[s] = level
     return level
 

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -116,6 +117,42 @@ class TestFatLevels:
         with pytest.raises(ValueError):
             fat_level(tree, 1)
 
+    @pytest.mark.parametrize("stage", [-1, -7, True, False, 1.0, "2", None])
+    def test_stage_must_be_natural(self, stage):
+        """One error naming the stage: a negative stage must not recurse
+        downwards, and a cached level must not answer for a bool or a float."""
+        tree = full_tree()
+        fat_level(tree, 1)
+        message = f"fat level stage must be a natural number, got {stage!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fat_level(tree, stage)
+
+    def test_inner_markers_are_made_from_integers(self, monkeypatch):
+        """`l_star` and `r_star` are the ends moved half a pad inwards, made
+        in lowest terms with no `Fraction.__new__` call."""
+        levels = []
+        for prune in criterion_3_schedules(seed=7, count=60):
+            tree = TreePresentation(prune)
+            with contextlib.suppress(ValueError):  # a later level is empty too
+                levels.extend(fat_level(tree, s) for s in range(13))
+        made = []
+        new = F.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting_new)
+        markers = [(lvl.l_star, lvl.r_star) for lvl in levels]
+        monkeypatch.undo()
+        assert made == [] and len(levels) > 300
+        for lvl, (l_star, r_star) in zip(levels, markers):
+            assert l_star == lvl.l_minus + pad_eps(lvl.stage) / 2
+            assert r_star == lvl.r_plus - pad_eps(lvl.stage) / 2
+            for end in (l_star, r_star):
+                assert type(end) is F and end.denominator == 2 * 3 ** (lvl.stage + 2)
+                assert math.gcd(end.numerator, end.denominator) == 1
+
     def test_nesting_and_disjointness_random(self):
         rng = random.Random(2024)
         for _ in range(12):
@@ -177,11 +214,11 @@ class TestFatLevels:
         tree = make_tree()
         monkeypatch.setattr(F, "__new__", counting_new)
         monkeypatch.setattr(TreePresentation, "level", recording_level)
-        levels = [fat_level(tree, s) for s in range(11)]
+        levels = [fat_level(tree, s) for s in range(13)]
         monkeypatch.undo()
         assert made == []
         assert lengths and max(lengths) <= tree.max_prune_len
-        assert len(levels[10].intervals) > 1
+        assert len(levels[12].intervals) > 1
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -197,6 +234,22 @@ LONG_PRUNE = [("0" * 30, 0)]
 SCHEDULES = st.lists(
     st.tuples(st.text("01", min_size=1, max_size=8), st.integers(0, 10)), max_size=8
 )
+
+
+def criterion_3_schedules(seed: int, count: int) -> list[list[tuple[str, int]]]:
+    """`count` schedules drawn with a seeded `random.Random` as criterion 3
+    draws them: up to 8 strings of length 1..8, each pruned after a stage
+    in 0..10.  Unlike criterion 3, schedules of empty trees are kept."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        prune = []
+        for _ in range(rng.randint(0, 8)):
+            length = rng.randint(1, 8)
+            sigma = "".join(rng.choice("01") for _ in range(length))
+            prune.append((sigma, rng.randint(0, 10)))
+        out.append(prune)
+    return out
 
 
 def with_config_prunes(**fixed):
@@ -276,6 +329,30 @@ class TestMatchesOracle:
                 for end in (v for iv in intervals for v in iv):
                     assert type(end) is F and end.denominator == 3 ** (s + 2)
                     assert math.gcd(end.numerator, end.denominator) == 1
+
+    def test_fat_levels_0_to_12_of_200_drawn_schedules(self):
+        """Levels 0..12, built ascending on one tree and descending on
+        another, have the oracle's integer ends or raise its message."""
+        for prune in criterion_3_schedules(seed=2026, count=200):
+            old = TreePresentation(prune)
+            expected = {}
+            for s in range(13):
+                try:
+                    expected[s] = as_ints(oracles.fat_level(old, s).intervals)
+                except ValueError as exc:
+                    expected[s] = str(exc)
+            for order in (range(13), range(12, -1, -1)):
+                tree = TreePresentation(prune)
+                for s in order:
+                    try:
+                        intervals = fat_level(tree, s).intervals
+                    except ValueError as exc:
+                        assert str(exc) == expected[s], (prune, s)
+                        continue
+                    assert as_ints(intervals) == expected[s], (prune, s)
+                    for end in (v for iv in intervals for v in iv):
+                        assert type(end) is F and end.denominator == 3 ** (s + 2)
+                        assert math.gcd(end.numerator, end.denominator) == 1
 
     @settings(max_examples=5, deadline=None)
     @given(prune=SCHEDULES)

@@ -33,6 +33,7 @@ UNREACHED: dict[str, set[str]] = {
         "cantor:FatCantorLevel.r",
         "cantor:TreePresentation.survives",
         "cantor:full_tree",
+        "cantor:pad_eps",
         "continua.regions:normalize_level",
         "continua.regions:v_region",
         "continua.trees:PlottedTreePresentation.__init__",
