@@ -131,7 +131,7 @@ class TestFatLevels:
         """`l_star` and `r_star` are the ends moved half a pad inwards, made
         in lowest terms with no `Fraction.__new__` call."""
         levels = []
-        for prune in criterion_3_schedules(seed=7, count=60):
+        for prune in criterion_3_schedules(seed=7, count=20):
             tree = TreePresentation(prune)
             with contextlib.suppress(ValueError):  # a later level is empty too
                 levels.extend(fat_level(tree, s) for s in range(13))
@@ -145,7 +145,7 @@ class TestFatLevels:
         monkeypatch.setattr(F, "__new__", counting_new)
         markers = [(lvl.l_star, lvl.r_star) for lvl in levels]
         monkeypatch.undo()
-        assert made == [] and len(levels) > 300
+        assert made == [] and len(levels) > 250
         for lvl, (l_star, r_star) in zip(levels, markers):
             assert l_star == lvl.l_minus + pad_eps(lvl.stage) / 2
             assert r_star == lvl.r_plus - pad_eps(lvl.stage) / 2
@@ -330,10 +330,10 @@ class TestMatchesOracle:
                     assert type(end) is F and end.denominator == 3 ** (s + 2)
                     assert math.gcd(end.numerator, end.denominator) == 1
 
-    def test_fat_levels_0_to_12_of_200_drawn_schedules(self):
+    def test_fat_levels_0_to_12_of_40_drawn_schedules(self):
         """Levels 0..12, built ascending on one tree and descending on
         another, have the oracle's integer ends or raise its message."""
-        for prune in criterion_3_schedules(seed=2026, count=200):
+        for prune in criterion_3_schedules(seed=2026, count=40):
             old = TreePresentation(prune)
             expected = {}
             for s in range(13):
@@ -349,10 +349,12 @@ class TestMatchesOracle:
                     except ValueError as exc:
                         assert str(exc) == expected[s], (prune, s)
                         continue
-                    assert as_ints(intervals) == expected[s], (prune, s)
-                    for end in (v for iv in intervals for v in iv):
-                        assert type(end) is F and end.denominator == 3 ** (s + 2)
-                        assert math.gcd(end.numerator, end.denominator) == 1
+                    ends = as_ints(intervals)
+                    assert ends == expected[s], (prune, s)
+                    assert {type(end) for iv in intervals for end in iv} == {F}
+                    # over a power of 3, lowest terms means a numerator prime to 3
+                    den = 3 ** (s + 2)
+                    assert all(d0 == d1 == den and n0 % 3 and n1 % 3 for n0, d0, n1, d1 in ends)
 
     @settings(max_examples=5, deadline=None)
     @given(prune=SCHEDULES)
