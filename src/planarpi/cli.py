@@ -50,11 +50,11 @@ def _output(path: str):
 
 def _read_json(path: str, what: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
         raise ValueError(f"{what} {path} is not JSON: {exc}") from None
 
 
@@ -114,8 +114,8 @@ def _search_bound(config: dict, lo: int, hi: int) -> Optional[int]:
 def _load_scene(path: str) -> RegionSnapshot:
     doc = _read_json(path, "scene")
     try:
+        check_natural(doc["stage"], "stage")  # before the snapshot's int() of it
         scene = RegionSnapshot.from_json(doc)
-        check_natural(doc["stage"], "stage")
         x0, y0, x1, y1 = scene.frame
         if not (x0 < x1 and y0 < y1):
             raise ValueError("needs a frame with x0 < x1 and y0 < y1")

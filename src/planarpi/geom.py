@@ -274,7 +274,7 @@ class RegionSnapshot:
     order, compared as integers over the snapshot's common denominator.
     """
 
-    __slots__ = ("stage", "pieces", "frame")
+    __slots__ = ("stage", "pieces", "frame", "_graph")
 
     def __init__(self, stage: int, pieces: Iterable[ConvexPoly], frame=FRAME) -> None:
         self.stage = int(stage)
@@ -293,6 +293,13 @@ class RegionSnapshot:
             return (len(h), *[c * f for x, y, _ in h for c in (x, y)])
 
         self.pieces: tuple[ConvexPoly, ...] = tuple(sorted(uniq, key=key))
+        self._graph: Optional[PieceGraph] = None  # filled by the first graph() call
+
+    def graph(self) -> "PieceGraph":
+        """The pieces' exact intersection graph, built on first use."""
+        if self._graph is None:
+            self._graph = PieceGraph(self.pieces)
+        return self._graph
 
     def is_empty(self) -> bool:
         return not self.pieces
@@ -324,17 +331,66 @@ class RegionSnapshot:
         return RegionSnapshot(doc["stage"], pieces, frame)
 
 
+class PieceGraph:
+    """The exact intersection graph of a snapshot's pieces, the one place
+    where box pairs become intersection edges.  `RegionSnapshot.graph()`
+    builds it once, and connectivity and every cut probe read it."""
+
+    __slots__ = ("pieces", "neighbours")
+
+    def __init__(self, pieces: Sequence[ConvexPoly]) -> None:
+        self.pieces = pieces
+        self.neighbours: list[list[int]] = [[] for _ in pieces]
+        for i, j in piece_pairs(pieces):
+            if polys_intersect(pieces[i], pieces[j]):
+                self.neighbours[i].append(j)
+                self.neighbours[j].append(i)
+
+    def components(self, shape: Optional[ConvexPoly] = None) -> list[list[int]]:
+        """The components of the pieces, or of the pieces minus a shape, as
+        sorted lists of nodes in sorted order.  Node i < len(pieces) is piece
+        i, and later nodes are the fragments of the cut pieces, those whose
+        bbox meets the shape; a cut piece is no node.  A fragment of piece i
+        lies in it, so it can only meet the neighbours of i, their fragments
+        and its siblings: only those pairs are tested again."""
+        nodes = list(self.pieces)
+        fragments: dict[int, range] = {}  # cut piece -> its fragment nodes
+        for i, piece in enumerate(self.pieces):
+            if shape is not None and bboxes_meet(piece, shape):
+                rest = subtract_piece(piece, shape)
+                fragments[i] = range(len(nodes), len(nodes) + len(rest))
+                nodes.extend(rest)
+        part = UnionFind(len(nodes))
+
+        def join(u: int, v: int) -> None:
+            if part.find(u) != part.find(v) and polys_intersect(nodes[u], nodes[v]):
+                part.union(u, v)
+
+        for i in range(len(self.pieces)):
+            if i not in fragments:
+                for j in self.neighbours[i]:
+                    if j > i and j not in fragments:
+                        part.union(i, j)
+        for i, frags in fragments.items():
+            for a, u in enumerate(frags):
+                for v in frags[a + 1:]:
+                    join(u, v)
+                for j in self.neighbours[i]:
+                    if j not in fragments:
+                        join(u, j)
+                    elif j > i:
+                        for v in fragments[j]:
+                            join(u, v)
+        groups: dict[int, list[int]] = {}
+        for u in range(len(nodes)):
+            if u not in fragments:
+                groups.setdefault(part.find(u), []).append(u)
+        return sorted(groups.values())
+
+
 def connectivity_components(region: RegionSnapshot) -> list[list[int]]:
     """Partition of piece indices: chains of pairwise-intersecting closed pieces."""
-    pieces = region.pieces
-    part = UnionFind(len(pieces))
-    for i, j in piece_pairs(pieces):
-        if part.find(i) != part.find(j) and polys_intersect(pieces[i], pieces[j]):
-            part.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(pieces)):
-        groups.setdefault(part.find(i), []).append(i)
-    return sorted(groups.values())
+    return region.graph().components()
 
 
 # -- convex clipping / difference ------------------------------------------
@@ -511,13 +567,8 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
     return True, None
 
 
-def region_contains(big: RegionSnapshot, small: RegionSnapshot) -> bool:
-    ok, _ = region_covers(big.pieces, small.pieces)
-    return ok
-
-
 def regions_equal(a: RegionSnapshot, b: RegionSnapshot) -> bool:
-    return region_contains(a, b) and region_contains(b, a)
+    return region_covers(a.pieces, b.pieces)[0] and region_covers(b.pieces, a.pieces)[0]
 
 
 def subtract_piece(piece: ConvexPoly, poly: ConvexPoly) -> list[ConvexPoly]:

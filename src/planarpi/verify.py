@@ -9,16 +9,11 @@ from . import Record
 from .geom import (
     ConvexPoly,
     RegionSnapshot,
-    UnionFind,
-    bboxes_meet,
     connectivity_components,
     frac,
     frac_str,
     hausdorff_enclosure,
-    piece_pairs,
-    polys_intersect,
     region_covers,
-    subtract_piece,
 )
 
 if TYPE_CHECKING:
@@ -88,57 +83,6 @@ def check_connectivity(snapshots: Sequence[RegionSnapshot]) -> CheckReport:
     return CheckReport(check_name="connectivity", stage_range=(lo, hi), verdict="pass")
 
 
-class PieceGraph:
-    """The intersection graph of a snapshot's pieces, built once, for
-    counting the components left after removing one shape at a time.
-
-    `components_without(shape)` equals
-    `len(connectivity_components(subtract_poly(region, shape)))`.  Only the
-    pieces whose bbox meets the shape are cut.  A fragment of piece i lies
-    in piece i, so it can only meet the neighbours of i, their fragments and
-    its sibling fragments; those are the only pairs tested again.
-    """
-
-    def __init__(self, region: RegionSnapshot) -> None:
-        self.pieces = region.pieces
-        self.neighbours: list[list[int]] = [[] for _ in self.pieces]
-        for i, j in piece_pairs(self.pieces):
-            if polys_intersect(self.pieces[i], self.pieces[j]):
-                self.neighbours[i].append(j)
-                self.neighbours[j].append(i)
-
-    def components_without(self, shape: ConvexPoly) -> int:
-        nodes = list(self.pieces)  # node i < n is piece i, later ones fragments
-        fragments: dict[int, range] = {}  # cut piece -> its fragment nodes
-        for i, piece in enumerate(self.pieces):
-            if bboxes_meet(piece, shape):
-                rest = subtract_piece(piece, shape)
-                fragments[i] = range(len(nodes), len(nodes) + len(rest))
-                nodes.extend(rest)
-        part = UnionFind(len(nodes))
-
-        def join(u: int, v: int) -> None:
-            if part.find(u) != part.find(v) and polys_intersect(nodes[u], nodes[v]):
-                part.union(u, v)
-
-        for i in range(len(self.pieces)):
-            if i not in fragments:
-                for j in self.neighbours[i]:
-                    if j > i and j not in fragments:
-                        part.union(i, j)
-        for i, frags in fragments.items():
-            for a, u in enumerate(frags):
-                for v in frags[a + 1:]:
-                    join(u, v)
-                for j in self.neighbours[i]:
-                    if j not in fragments:
-                        join(u, j)
-                    elif j > i:
-                        for v in fragments[j]:
-                            join(u, v)
-        return len({part.find(u) for u in range(len(nodes)) if u not in fragments})
-
-
 def check_cut_dichotomy(
     builder: str, snap: RegionSnapshot, probes: Iterable[tuple[dict, ConvexPoly, bool]]
 ) -> CheckReport:
@@ -146,9 +90,9 @@ def check_cut_dichotomy(
     when the probe expects a cut.  A probe is (witness label, shape, expected)."""
     name = f"cut-dichotomy-{builder}"
     stages = (snap.stage, snap.stage)
-    graph = PieceGraph(snap)
+    graph = snap.graph()
     for label, shape, expected in probes:
-        observed = graph.components_without(shape) > 1
+        observed = len(graph.components(shape)) > 1
         if expected != observed:
             witness = {**label, "expected_cut": expected, "observed_cut": observed}
             return CheckReport(name, stages, "fail", witness)

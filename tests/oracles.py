@@ -2,6 +2,7 @@
 
 These deliberately avoid the code paths they check: connectivity is
 re-derived by rasterized flood fill with its own separating-axis cell test,
+and by the union-find over box pairs that the shared piece graph replaced,
 the limit function by exhaustive state comparison, the integer kernel of
 `planarpi.geom` by the `Fraction` kernel it replaced (clips, intersections,
 differences, containment, distances and Hausdorff bounds, all computed on
@@ -55,7 +56,7 @@ from planarpi.geom import (
     sqrt_lower,
     sqrt_upper,
 )
-from planarpi.intgeom import orient
+from planarpi.intgeom import UnionFind, orient
 
 Point = tuple[Fraction, Fraction]
 
@@ -168,6 +169,22 @@ def flood_fill_components(region: RegionSnapshot, pitch_exp: int) -> int:
                         seen.add(nxt)
                         stack.append(nxt)
     return components
+
+
+def connectivity_components(region: RegionSnapshot) -> list[list[int]]:
+    """Partition of piece indices: chains of pairwise-intersecting closed
+    pieces, by the union-find over box pairs that the snapshot's shared
+    `geom.PieceGraph` replaced; it skips the exact test of a pair already
+    joined, and keeps no edge."""
+    pieces = region.pieces
+    part = UnionFind(len(pieces))
+    for i, j in piece_pairs(pieces):
+        if part.find(i) != part.find(j) and geom.polys_intersect(pieces[i], pieces[j]):
+            part.union(i, j)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(pieces)):
+        groups.setdefault(part.find(i), []).append(i)
+    return sorted(groups.values())
 
 
 def raster_covers(cover, target, pitch_exp: int) -> bool:

@@ -170,6 +170,12 @@ def scene_with_vertex(x) -> str:
 
 ZERO_DENOMINATOR_VERTEX = scene_with_vertex("1/0")
 HALF_STAGE = json.dumps({"stage": 1.5, "pieces": [], "frame": [["0", "0"], ["1", "1"]]})
+# JSON reads Infinity, and 1e400 overflows to it
+INFINITE_STAGE = HALF_STAGE.replace("1.5", "Infinity")
+OVERFLOWING_STAGE = HALF_STAGE.replace("1.5", "1e400")
+# deeper than the interpreter's stack, and a file that is not UTF-8
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+NOT_UTF8 = b"\xff\xfe{}"
 
 
 HAUSDORFF_ARGV = ["hausdorff", "--scene-a", "s.json", "--scene-b", "s.json"]
@@ -206,6 +212,10 @@ BAD_INPUTS = [
      build_argv(), "natural number"),
     ("missing-config", {}, build_argv(), "cannot read config"),
     ("malformed-json", {"c.json": "{"}, build_argv(), "not JSON"),
+    ("config-nested-too-deep", {"c.json": DEEP_JSON}, build_argv(),
+     "config TMP/c.json is not JSON: maximum recursion depth exceeded"),
+    ("config-not-utf8", {"c.json": NOT_UTF8}, build_argv(),
+     "config TMP/c.json is not JSON: 'utf-8' codec can't decode"),
     ("non-object-config", {"c.json": "[1, 2]"}, build_argv(), "JSON object"),
     ("unknown-construction", {"c.json": '{"construction": "nope"}'}, build_argv(),
      "unknown construction"),
@@ -302,6 +312,14 @@ BAD_INPUTS = [
     ("nesting-over-one-stage", {"c.json": (CONFIGS / "cantor-fan-q.json").read_text()},
      verify_argv("3:3"), "nesting check needs at least two stages"),
     ("render-stage-not-an-integer", {"s.json": HALF_STAGE}, render_argv(), "natural number"),
+    ("render-stage-infinite", {"s.json": INFINITE_STAGE}, render_argv(),
+     "malformed scene TMP/s.json: ValueError stage must be a natural number, got inf"),
+    ("hausdorff-stage-overflows", {"s.json": OVERFLOWING_STAGE}, HAUSDORFF_ARGV,
+     "malformed scene TMP/s.json: ValueError stage must be a natural number, got inf"),
+    ("render-scene-nested-too-deep", {"s.json": DEEP_JSON}, render_argv(),
+     "scene TMP/s.json is not JSON: maximum recursion depth exceeded"),
+    ("hausdorff-scene-not-utf8", {"s.json": NOT_UTF8}, HAUSDORFF_ARGV,
+     "scene TMP/s.json is not JSON: 'utf-8' codec can't decode"),
     ("hausdorff-negative-tol-exp", {"s.json": UNIT_SCENE}, [*HAUSDORFF_ARGV, "--tol-exp", "-1"],
      "--tol-exp"),
     # outputs that cannot be written; verify's exit 1 would read as a failed check
@@ -323,7 +341,7 @@ BAD_INPUTS = [
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, files, argv, fragment):
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -36,8 +36,6 @@ from planarpi.geom import (
     subtract_poly,
 )
 
-from planarpi.verify import PieceGraph
-
 import oracles
 from oracles import boxes_overlap, flood_fill_components, raster_covers, sat_intersect
 
@@ -280,16 +278,29 @@ class TestPieceGraph:
     @given(st.lists(BOX_PIECES, min_size=1, max_size=10), CUT_SHAPES)
     def test_matches_full_pass(self, pieces, shape):
         region = RegionSnapshot(0, pieces)
-        full = len(connectivity_components(subtract_poly(region, shape)))
-        assert PieceGraph(region).components_without(shape) == full
+        full = len(oracles.connectivity_components(subtract_poly(region, shape)))
+        assert len(region.graph().components(shape)) == full
 
     def test_joins_fragments(self):
         # a hole splits each square into fragments that still meet each other
         # and the neighbour's fragments: one component, not ten
         region = RegionSnapshot(0, [rect(0, 0, 1, 1), rect(1, 0, 2, 1)])
         hole = rect(F(3, 4), F(1, 4), F(5, 4), F(3, 4))
-        assert PieceGraph(region).components_without(hole) == 1
-        assert PieceGraph(region).components_without(rect(F(3, 4), -1, F(5, 4), 2)) == 2
+        assert len(region.graph().components(hole)) == 1
+        assert len(region.graph().components(rect(F(3, 4), -1, F(5, 4), 2))) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(BOX_PIECES, PIECES), min_size=1, max_size=10))
+    def test_components_match_union_find_oracle(self, pieces):
+        region = RegionSnapshot(0, pieces)
+        assert region.graph().components() == oracles.connectivity_components(region)
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.json")))
+    def test_config_components_match_union_find_oracle(self, name):
+        config = json.loads((CONFIGS / f"{name}.json").read_text())
+        snaps, _, _ = CONSTRUCTIONS[config["construction"]].replay(config, 0, 6)
+        for snap in snaps:
+            assert snap.graph().components() == oracles.connectivity_components(snap)
 
 
 class TestSubtraction:

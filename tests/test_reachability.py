@@ -88,7 +88,6 @@ UNREACHED: dict[str, set[str]] = {
         "continua.trees:fat_tree",
         "continua.trees:placed_fat_tree",
         "geom:ConvexPoly.contains_point",
-        "geom:region_contains",
         "geom:regions_equal",
     },
 }

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import planarpi.geom as geom
-import planarpi.verify as verify
 from planarpi.cantor import TreePresentation
 from planarpi.cesets import EnumerationScript
 from planarpi.cli import CONSTRUCTIONS, main
@@ -17,14 +16,12 @@ from planarpi.continua.regions import DOWN, LEFT, RIGHT, UP
 from planarpi.balls import ball_polygon
 from planarpi.geom import (
     RegionSnapshot,
-    connectivity_components,
     rect,
     segment,
     subtract_poly,
 )
 from planarpi.verify import (
     CheckReport,
-    PieceGraph,
     check_connectivity,
     check_cut_dichotomy,
     check_hausdorff_bound,
@@ -33,6 +30,8 @@ from planarpi.verify import (
     exit_code,
     reports_to_json,
 )
+
+import oracles
 
 
 def cut_report(config: dict, stage: int) -> CheckReport:
@@ -53,10 +52,11 @@ def config_snapshot_probes(name: str, stage: int):
 
 
 def full_pass_cut_report(builder: str, snap: RegionSnapshot, probes) -> CheckReport:
-    """cut-dichotomy by one full subtract-and-count pass per probe."""
+    """cut-dichotomy by one full subtract-and-count pass per probe, counted
+    by the union-find oracle."""
     stages = (snap.stage, snap.stage)
     for label, shape, expected in probes:
-        observed = len(connectivity_components(subtract_poly(snap, shape))) > 1
+        observed = len(oracles.connectivity_components(subtract_poly(snap, shape))) > 1
         if expected != observed:
             witness = {**label, "expected_cut": expected, "observed_cut": observed}
             return CheckReport(f"cut-dichotomy-{builder}", stages, "fail", witness)
@@ -130,10 +130,10 @@ class TestCutDichotomy:
     )
     def test_piece_graph_counts_match_full_pass(self, name, stage):
         snap, probes = config_snapshot_probes(name, stage)
-        graph = PieceGraph(snap)
+        graph = snap.graph()
         for _, shape, _ in probes:
-            full = len(connectivity_components(subtract_poly(snap, shape)))
-            assert graph.components_without(shape) == full
+            full = len(oracles.connectivity_components(subtract_poly(snap, shape)))
+            assert len(graph.components(shape)) == full
 
     def test_some_sample_probes_expect_a_cut(self):
         for name, stage in (("dendrite-d", 8), ("dendroid-k", 8)):
@@ -156,12 +156,25 @@ class TestCutDichotomy:
         # one full pass per probe would make 12,357 tests here
         calls = []
         real = geom.polys_intersect
-        for module in (geom, verify):
-            monkeypatch.setattr(module, "polys_intersect", lambda a, b: calls.append(1) or real(a, b))
+        monkeypatch.setattr(geom, "polys_intersect", lambda a, b: calls.append(1) or real(a, b))
         argv = ["verify", "--config", str(CONFIGS / "dendroid-k.json"), "--checks",
                 "cut-dichotomy", "--stage-range", "0:8", "--out", str(tmp_path / "r.json")]
         assert main(argv) == 0
         assert len(calls) <= 1000
+
+    def test_connectivity_and_cuts_share_one_graph_per_stage(self, tmp_path, monkeypatch):
+        # connectivity reads stages 0..6 and cut-dichotomy stage 6 again:
+        # each snapshot builds its intersection graph once
+        built = []
+        real = geom.PieceGraph.__init__
+        monkeypatch.setattr(
+            geom.PieceGraph, "__init__", lambda self, pieces: built.append(1) or real(self, pieces)
+        )
+        argv = ["verify", "--config", str(CONFIGS / "dendrite-h.json"), "--checks",
+                "connectivity,cut-dichotomy", "--stage-range", "0:6",
+                "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        assert len(built) == 7
 
 
 # the touches of the stage-1 snake on `two_branch_tree()` and the track [(1, 4)]
