@@ -8,6 +8,7 @@ gone", so it never has dead ends.
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 from typing import Iterable
 
@@ -188,66 +189,99 @@ def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
     A child survives iff its prefix of length min(s, max_prune_len) does,
     because no member of the removed set is longer.  Past that horizon, both
     children of a parent share the prefix, so survival is tested once per
-    parent.  The level is grown in one pass over level s - 1's left ends,
-    which makes each surviving child's two ends from integers.
+    parent.  From stage max(final_stage, max_prune_len) + 1 on, the tree has
+    settled: the removed set is stage s - 1's and decides survival at the
+    same length, so every parent survives.  There both children of every
+    parent are grown with no survivor listed and no test, and `is_empty`
+    alone decides whether the level is empty.  The level is grown in one
+    pass over level s - 1's left ends, which makes each surviving child's
+    two ends from integers.
+
+    The outermost call that grows a level pauses the cyclic garbage
+    collector from after its cache lookup until the level is made, and
+    restores the caller's state on every exit, so a collector the caller
+    turned off stays off.  A collection during the pause could free
+    nothing: growth makes only ints, strings, `Fraction`s holding ints,
+    tuples, lists and sets of these, the tree's cached removed sets and one
+    `FatCantorLevel` per stage, and none of them can be in a reference
+    cycle.  They stay tracked, so later collections see them as usual; the
+    pause only spares re-traversing the new intervals as they age through
+    the generations.  The pause is process-wide; planarpi starts no threads.
     """
     check_natural(s, "fat level stage")
     cache = tree._fat_cache
     if s in cache:
         return cache[s]
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        level = FatCantorLevel(stage=s, intervals=_grow(tree, s))
+    finally:
+        if paused:
+            gc.enable()
+    cache[s] = level
+    return level
+
+
+def _grow(tree: TreePresentation, s: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The intervals of `fat_level(tree, s)`, grown as its docstring says."""
     depth = min(s, tree.max_prune_len)
-    alive = {_ternary_code(sigma) for sigma in tree.level(depth, s)}
-    if not alive:
+    if s > max(tree.final_stage, tree.max_prune_len):  # settled
+        alive, empty = None, tree.is_empty(s)
+    else:
+        alive = {_ternary_code(sigma) for sigma in tree.level(depth, s)}
+        empty = not alive
+    if empty:  # before the recursion, so that the error names stage s
         raise ValueError(f"tree level {s} is empty")
     # with n/3^(s+2) = cantor_coord(sigma), the interval is [n - 1, n + 4]
     # over 3^(s+2); both ends are prime to 3, so already in lowest terms
     if s == 0:
-        intervals = [(_coprime(2, 9), _coprime(7, 9))]  # the root: n = 3
-    else:
-        # a level-(s-1) string with code c has left end p / 3^(s+1),
-        # p = 3(3^(s-1) + c) - 1, so its children's codes 3c and 3c + 2 are
-        # p + 1 - 3^s and p + 3 - 3^s, and their left ends over 3^(s+2) are
-        # 3p + 2 and 3p + 8; each end is made as `_coprime` makes it
-        base, den, new, F = 3**s, 3 ** (s + 2), object.__new__, Fraction
-        intervals = []
-        put = intervals.append
-        parents = fat_level(tree, s - 1).intervals
-        if depth < s:
-            # both children share the parent's length-depth prefix
-            drop = 3 ** (s - depth)
-            for lo, _ in parents:
-                p = lo._numerator
-                if (p + 1 - base) // drop in alive:
-                    n = 3 * p + 2
-                    a = new(F)
-                    a._numerator, a._denominator = n, den
-                    b = new(F)
-                    b._numerator, b._denominator = n + 5, den
-                    put((a, b))
-                    a = new(F)
-                    a._numerator, a._denominator = n + 6, den
-                    b = new(F)
-                    b._numerator, b._denominator = n + 11, den
-                    put((a, b))
+        return ((_coprime(2, 9), _coprime(7, 9)),)  # the root: n = 3
+    # a level-(s-1) string with code c has left end p / 3^(s+1),
+    # p = 3(3^(s-1) + c) - 1, so its children's codes 3c and 3c + 2 are
+    # p + 1 - 3^s and p + 3 - 3^s, and their left ends over 3^(s+2) are
+    # 3p + 2 and 3p + 8; each end is made as `_coprime` makes it
+    base, den, new, F = 3**s, 3 ** (s + 2), object.__new__, Fraction
+    intervals = []
+    put = intervals.append
+    parents = fat_level(tree, s - 1).intervals
+    if depth < s:
+        # both children share the parent's length-depth prefix
+        if alive is None:
+            kept = parents
         else:
-            for lo, _ in parents:
-                p = lo._numerator
-                c, n = p + 1 - base, 3 * p + 2
-                if c in alive:
-                    a = new(F)
-                    a._numerator, a._denominator = n, den
-                    b = new(F)
-                    b._numerator, b._denominator = n + 5, den
-                    put((a, b))
-                if c + 2 in alive:
-                    a = new(F)
-                    a._numerator, a._denominator = n + 6, den
-                    b = new(F)
-                    b._numerator, b._denominator = n + 11, den
-                    put((a, b))
-    level = FatCantorLevel(stage=s, intervals=tuple(intervals))
-    cache[s] = level
-    return level
+            drop = 3 ** (s - depth)
+            kept = [iv for iv in parents if (iv[0]._numerator + 1 - base) // drop in alive]
+        for lo, _ in kept:
+            n = 3 * lo._numerator + 2
+            a = new(F)
+            a._numerator, a._denominator = n, den
+            b = new(F)
+            b._numerator, b._denominator = n + 5, den
+            put((a, b))
+            a = new(F)
+            a._numerator, a._denominator = n + 6, den
+            b = new(F)
+            b._numerator, b._denominator = n + 11, den
+            put((a, b))
+    else:
+        for lo, _ in parents:
+            p = lo._numerator
+            c, n = p + 1 - base, 3 * p + 2
+            if c in alive:
+                a = new(F)
+                a._numerator, a._denominator = n, den
+                b = new(F)
+                b._numerator, b._denominator = n + 5, den
+                put((a, b))
+            if c + 2 in alive:
+                a = new(F)
+                a._numerator, a._denominator = n + 6, den
+                b = new(F)
+                b._numerator, b._denominator = n + 11, den
+                put((a, b))
+    return tuple(intervals)
 
 
 def symmetrize(tree: TreePresentation) -> TreePresentation:

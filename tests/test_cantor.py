@@ -1,6 +1,7 @@
 """Trees, fat levels, symmetrization, and leftmost paths."""
 
 import contextlib
+import gc
 import json
 import math
 import operator
@@ -199,8 +200,9 @@ class TestFatLevels:
     )
     def test_no_fraction_made_and_walked_only_to_the_prune_horizon(self, monkeypatch, make_tree):
         """Every end is made without `Fraction.__new__` and its gcd, and the
-        tree is walked no deeper than its longest pruned string."""
-        made, lengths = [], []
+        tree is walked no deeper than its longest pruned string, and only at
+        the stages before it has settled."""
+        made, lengths, stages = [], [], []
         new, level = F.__new__, TreePresentation.level
 
         def counting_new(cls, *args, **kwargs):
@@ -209,6 +211,7 @@ class TestFatLevels:
 
         def recording_level(self, length, stage):
             lengths.append(length)
+            stages.append(stage)
             return level(self, length, stage)
 
         tree = make_tree()
@@ -218,7 +221,114 @@ class TestFatLevels:
         monkeypatch.undo()
         assert made == []
         assert lengths and max(lengths) <= tree.max_prune_len
+        assert stages == list(range(max(tree.final_stage, tree.max_prune_len) + 1))
         assert len(levels[12].intervals) > 1
+
+
+class RecordingGC:
+    """Stands in for the `gc` module in `cantor`: a collector switch that
+    records every change."""
+
+    def __init__(self, enabled: bool):
+        self.enabled, self.switches = enabled, []
+
+    def isenabled(self) -> bool:
+        return self.enabled
+
+    def disable(self) -> None:
+        self.switches.append("disable")
+        self.enabled = False
+
+    def enable(self) -> None:
+        self.switches.append("enable")
+        self.enabled = True
+
+
+class TestCollectorPause:
+    """`fat_level` grows with the cyclic collector off and leaves the
+    caller's collector state as it found it, on every path."""
+
+    PRUNE = [("01", 2), ("110", 4), ("1", 9)]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("order", [range(13), range(12, -1, -1)], ids=["up", "down"])
+    def test_paused_while_growing_and_restored(self, monkeypatch, enabled, order):
+        """Each outermost call that grows pauses once, nested and cached
+        calls switch nothing, and survivors are listed with it off."""
+        switch = RecordingGC(enabled)
+        seen = []
+        level = TreePresentation.level
+
+        def recording_level(self, length, stage):
+            seen.append(switch.enabled)
+            return level(self, length, stage)
+
+        monkeypatch.setattr(cantor, "gc", switch)
+        monkeypatch.setattr(TreePresentation, "level", recording_level)
+        tree = TreePresentation(self.PRUNE)
+        grown = 0
+        for s in order:
+            grown += s not in tree._fat_cache
+            fat_level(tree, s)
+            assert switch.enabled is enabled
+        assert grown == (13 if order[0] == 0 else 1)
+        assert switch.switches == (["disable", "enable"] * grown if enabled else [])
+        assert seen and not any(seen)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_restored_after_an_empty_level(self, monkeypatch, enabled):
+        switch = RecordingGC(enabled)
+        monkeypatch.setattr(cantor, "gc", switch)
+        tree = TreePresentation([("0", 0), ("1", 0)])
+        for s in (1, 3):  # unsettled, then settled
+            with pytest.raises(ValueError, match=f"tree level {s} is empty"):
+                fat_level(tree, s)
+            assert switch.enabled is enabled
+        assert switch.switches == (["disable", "enable"] * 2 if enabled else [])
+
+    @pytest.mark.parametrize("stage", [-1, 1.0, True])
+    def test_a_bad_stage_raises_before_any_pause(self, monkeypatch, stage):
+        switch = RecordingGC(True)
+        monkeypatch.setattr(cantor, "gc", switch)
+        with pytest.raises(ValueError, match="fat level stage must be a natural number"):
+            fat_level(full_tree(), stage)
+        assert switch.switches == [] and switch.enabled
+
+    def test_the_real_collector_is_restored(self):
+        assert gc.isenabled()
+        fat_level(full_tree(), 6)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            fat_level(full_tree(), 6)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_no_collection_starts_while_growing(self):
+        """Levels 0..12 of the full tree make ~25,000 tracked objects, and no
+        collection starts inside `fat_level`."""
+        inside, collections = [False], []
+
+        def counting(phase, info):
+            if phase == "start" and inside[0]:
+                collections.append(info["generation"])
+
+        def entered(tree, s):
+            inside[0] = True
+            try:
+                return fat_level(tree, s)
+            finally:
+                inside[0] = False
+
+        gc.callbacks.append(counting)
+        try:
+            tree = full_tree()
+            levels = [entered(tree, s) for s in range(13)]
+        finally:
+            gc.callbacks.remove(counting)
+        assert len(levels[12].intervals) == 2**12
+        assert collections == []
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
