@@ -91,13 +91,6 @@ def full_tree() -> TreePresentation:
     return TreePresentation()
 
 
-def single_path_tree(path_bit: str = "0", depth: int = 16, stage: int = 0) -> TreePresentation:
-    """Tree whose only surviving branch repeats path_bit, pruned by `stage`."""
-    other = "1" if path_bit == "0" else "0"
-    entries = [(path_bit * k + other, stage) for k in range(depth)]
-    return TreePresentation(entries)
-
-
 # -- the middle-thirds coding -------------------------------------------------
 
 
@@ -282,26 +275,6 @@ def _grow(tree: TreePresentation, s: int) -> tuple[tuple[Fraction, Fraction], ..
                 b._numerator, b._denominator = n + 11, den
                 put((a, b))
     return tuple(intervals)
-
-
-def symmetrize(tree: TreePresentation) -> TreePresentation:
-    """Union with the bit-flipped tree: fat levels become x -> 1-x symmetric.
-
-    A string is removed from both trees at stage s iff it extends a member a
-    of the stage-s removed set and the mirror of a member b, that is iff a
-    and flip(b) are comparable and it extends the longer of the two.  Each
-    such string is pruned from the first stage at which it appears.
-    """
-    first: dict[str, int] = {}
-    for s in range(1, tree.final_stage + 1):
-        removed = tree._removed(s)
-        mirrors = [flip_bits(b) for b in removed]
-        for a in removed:
-            for b in mirrors:
-                short, long = sorted((a, b), key=len)
-                if long.startswith(short):
-                    first.setdefault(long, s - 1)
-    return TreePresentation(first.items())
 
 
 def leftmost_path(tree: TreePresentation, stage: int, depth: int) -> str:

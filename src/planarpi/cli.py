@@ -58,9 +58,22 @@ def _read_json(path: str, what: str):
         raise ValueError(f"{what} {path} is not JSON: {exc}") from None
 
 
+def _is_natural(text: str) -> bool:
+    """The one rule for a natural number on the command line, as `frac` reads
+    scene numbers: ASCII digits only, so no sign, `_`, space or other script."""
+    return text.isascii() and text.isdecimal()
+
+
+def _natural(text: str) -> int:
+    """The argparse type of `--stage`, `--tol-exp` and `--width`."""
+    if not _is_natural(text):
+        raise argparse.ArgumentTypeError(f"must be a natural number, got {text!r}")
+    return int(text)
+
+
 def _stage_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+    if not (_is_natural(lo) and _is_natural(hi) and int(lo) <= int(hi)):
         raise ValueError(f"--stage-range must be LO:HI with 0 <= LO <= HI, got {text!r}")
     return int(lo), int(hi)
 
@@ -303,15 +316,22 @@ def cmd_render(args) -> int:
 
 
 def cmd_hausdorff(args) -> int:
-    check_natural(args.tol_exp, "--tol-exp")
     a, b = _load_scene(args.scene_a), _load_scene(args.scene_b)
     enc = hausdorff_enclosure(a, b, args.tol_exp)
     print(f"{frac_str(enc.low)} {frac_str(enc.high)}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argparse with its usage errors raised as the one-line ValueError that
+    main() reports, in place of a usage line and an exit."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="planarpi",
         description="Build and verify exact finite-stage snapshots of planar co-c.e. continua",
     )
@@ -319,7 +339,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_build = sub.add_parser("build", help="write a Scene JSON for a construction")
     p_build.add_argument("--config", required=True)
-    p_build.add_argument("--stage", type=int, default=None)
+    p_build.add_argument("--stage", type=_natural, default=None)
     p_build.add_argument("--out", required=True)
     p_build.set_defaults(func=cmd_build)
 
@@ -333,17 +353,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_render = sub.add_parser("render", help="render a Scene JSON to SVG")
     p_render.add_argument("--scene", required=True)
     p_render.add_argument("--out", required=True)
-    p_render.add_argument("--width", type=int, default=640)
+    p_render.add_argument("--width", type=_natural, default=640)
     p_render.set_defaults(func=cmd_render)
 
     p_h = sub.add_parser("hausdorff", help="certified Hausdorff distance enclosure")
     p_h.add_argument("--scene-a", required=True)
     p_h.add_argument("--scene-b", required=True)
-    p_h.add_argument("--tol-exp", type=int, default=12)
+    p_h.add_argument("--tol-exp", type=_natural, default=12)
     p_h.set_defaults(func=cmd_hausdorff)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

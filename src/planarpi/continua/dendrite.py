@@ -63,54 +63,3 @@ def build_dendrite_d(stage: int, script: EnumerationScript) -> RegionSnapshot:
     pieces.extend(_base_pieces(gaps))
     return RegionSnapshot(stage, pieces)
 
-
-def _interval_index(x: Fraction) -> int:
-    """Index t with 2^-(t+1) < x <= 2^-t for x in (0, 1]."""
-    t = 0
-    while x <= Frac(1, 1 << (t + 1)):
-        t += 1
-    return t
-
-
-def sample_path_d(
-    x: Fraction, stage: int, script: EnumerationScript
-) -> tuple[Fraction, Fraction]:
-    """Evaluate the monotone parametrizing curve of the dendrite at x in [-1,1].
-
-    The interval [2^-(2t+1), 2^-2t] carries rising t (up the right leg, across
-    the cap, down the left leg, in decreasing x); the interval in between
-    carries the base between consecutive risings.
-    """
-    x = Fraction(x)
-    if x < -1 or x > 1:
-        raise ValueError("parameter out of [-1, 1]")
-    if x <= 0:
-        return (x, Frac(0))
-
-    def w(t: int) -> Fraction:
-        return rising_width(script, t)
-
-    i = _interval_index(x)
-    lo = Frac(1, 1 << (i + 1))
-    width = lo  # interval [lo, 2lo]
-    if i % 2 == 0:
-        t = i // 2
-        xr = Frac(1, 1 << t)
-        third = width / 3
-        b0 = lo + third  # top of I^2 (left leg)
-        b1 = lo + 2 * third  # top of I^1 (cap)
-        hi = 2 * lo
-        if x >= b1:  # I^0: right leg, bottom at x=hi, top at x=b1
-            s = (hi - x) / third
-            return (xr + w(t), s * xr)
-        if x >= b0:  # I^1: cap, right at x=b1 -> left at x=b0
-            s = (b1 - x) / third
-            return (xr - w(t) + (1 - s) * 2 * w(t), xr)
-        # I^2: left leg, top at x=b0, bottom at x=lo
-        s = (x - lo) / third
-        return (xr - w(t), s * xr)
-    t = (i - 1) // 2
-    right = Frac(1, 1 << t) - w(t)
-    left = Frac(1, 1 << (t + 1)) + w(t + 1)
-    s = (x - lo) / width
-    return (left + s * (right - left), Frac(0))

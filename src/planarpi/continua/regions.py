@@ -59,18 +59,6 @@ def _delta_plane(i: int, j: int, box) -> tuple[int, int, int]:
     return sx * r * d, sy * q * d, -(q * r + sx * r * ax + sy * q * ay)
 
 
-def delta_cube(i: int, j: int, a, b, q, r) -> ConvexPoly:
-    """Triangle on [a,a+q]x[b,b+r] omitting the corner (a+(1-i)q, b+(1-j)r):
-    the box clipped by `_delta_plane`.
-
-    A degenerate box (q = 0 or r = 0) has no corner to omit and stays whole.
-    """
-    a, b, q, r = frac(a), frac(b), frac(q), frac(r)
-    (x0, y0, x1, y1), d = to_ints(a, b, a + q, b + r)
-    box = (x0, y0, x1, y1, d)
-    return _clip(box_piece(*box), _delta_plane(i, j, box))
-
-
 def banded(symbol: str, box, ends: Sequence[int], span: int) -> list[ConvexPoly]:
     """Bands ends[2k]/span .. ends[2k+1]/span of the integer box
     (x0, y0, x1, y1, d): across it for '-', along it for '|'.

@@ -197,34 +197,9 @@ def _fat_pieces(
     return pieces
 
 
-def fat_tree(
-    tree: TreePresentation, w: Fraction, stage: int, depth: int
-) -> RegionSnapshot:
-    """Edge set of the width-w fat approximation, truncated at the given depth."""
-    edges = _tree_edges(tree, stage, depth)
-    leaves = tree.level(depth, stage)
-    return RegionSnapshot(stage, _fat_pieces(edges, leaves, Fraction(w), depth))
-
-
 def _placement(c: Fraction, t: int, q: Fraction):
     """The affine map x -> c + q * (x - 1/2), y -> (2 - y) / 2^(t+1)."""
     return q, c - q / 2, Frac(-1, 1 << (t + 1)), Frac(1, 1 << t)
-
-
-def placed_fat_tree(
-    tree: TreePresentation,
-    w: Fraction,
-    c: Fraction,
-    t: int,
-    q: Fraction,
-    stage: int,
-    depth: int,
-) -> RegionSnapshot:
-    """Fat tree mapped into [c-q/2, c+q/2] x [2^-(t+1), 2^-t] (root at the bottom)."""
-    edges = _tree_edges(tree, stage, depth)
-    leaves = tree.level(depth, stage)
-    place = _placement(Fraction(c), t, Fraction(q))
-    return RegionSnapshot(stage, _fat_pieces(edges, leaves, Fraction(w), depth, place))
 
 
 # -- the tree dendrite --------------------------------------------------------

@@ -141,10 +141,6 @@ class ConvexPoly:
         x0, y0, x1, y1, d = self._ibox()
         return Fraction(x0, d), Fraction(y0, d), Fraction(x1, d), Fraction(y1, d)
 
-    def contains_point(self, p) -> bool:
-        (x, y), w = to_ints(*p)
-        return _inside(self, (x, y, w))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ConvexPoly) and self.hverts == other.hverts
 
@@ -565,10 +561,6 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
         else:
             return False, t
     return True, None
-
-
-def regions_equal(a: RegionSnapshot, b: RegionSnapshot) -> bool:
-    return region_covers(a.pieces, b.pieces)[0] and region_covers(b.pieces, a.pieces)[0]
 
 
 def subtract_piece(piece: ConvexPoly, poly: ConvexPoly) -> list[ConvexPoly]:

@@ -114,8 +114,8 @@ def _sat_axes(poly: ConvexPoly) -> list[tuple[Fraction, Fraction]]:
 def sat_intersect(a: ConvexPoly, b: ConvexPoly) -> bool:
     """Reference closed-set intersection test for convex pieces: the
     separating axis theorem over both pieces' edge normals and directions,
-    with its own point containment, kept apart from `geom.polys_intersect`
-    and `ConvexPoly.contains_point`, which clip by halfplanes."""
+    with its own point containment, kept apart from `geom.polys_intersect`,
+    which clips by halfplanes."""
     if a.dim() == 0:
         return _contains_point(b, a.vertices[0])
     if b.dim() == 0:
@@ -608,7 +608,8 @@ def check_symmetric(tree, depth: int) -> bool:
 
 
 def symmetrize(tree) -> cantor.TreePresentation:
-    """`cantor.symmetrize` as a test of every string up to `max_prune_len`
+    """The union of a tree with its bit-flipped mirror, whose fat levels are
+    symmetric under x -> 1-x: a test of every string up to `max_prune_len`
     and its mirror at every stage up to `final_stage + 1`."""
     max_len = tree.max_prune_len
     horizon = tree.final_stage + 1

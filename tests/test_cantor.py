@@ -24,8 +24,6 @@ from planarpi.cantor import (
     full_tree,
     leftmost_path,
     pad_eps,
-    single_path_tree,
-    symmetrize,
 )
 from planarpi.continua.regions import normalize_level
 
@@ -502,6 +500,9 @@ class TestMatchesOracle:
 
 
 class TestSymmetrize:
+    """`oracles.symmetrize`, which the fan tests draw their symmetric trees
+    from, makes mirror-symmetric trees and keeps symmetric ones as they are."""
+
     def _is_symmetric(self, tree, depth=8):
         for length in range(depth):
             for stage in range(depth):
@@ -509,47 +510,23 @@ class TestSymmetrize:
                 assert sorted(flip_bits(s) for s in lvl) == lvl
 
     def test_full_tree_unchanged(self):
-        sym = symmetrize(full_tree())
+        sym = oracles.symmetrize(full_tree())
         for s in range(5):
             assert fat_level(sym, s).intervals == fat_level(full_tree(), s).intervals
 
     def test_single_path_becomes_mirror_pair(self):
-        sym = symmetrize(single_path_tree("0", depth=10))
+        single_path = TreePresentation([("0" * k + "1", 0) for k in range(10)])
+        sym = oracles.symmetrize(single_path)
         self._is_symmetric(sym)
         for s in range(9):
             lvl = fat_level(sym, s)
             assert lvl.min_point() + lvl.max_point() == 1
 
     def test_idempotent_on_symmetric(self):
-        base = symmetrize(single_path_tree("0", depth=8))
-        again = symmetrize(base)
+        base = oracles.symmetrize(TreePresentation([("0" * k + "1", 0) for k in range(8)]))
+        again = oracles.symmetrize(base)
         for s in range(8):
             assert fat_level(again, s).intervals == fat_level(base, s).intervals
-
-    @settings(max_examples=20, deadline=None)
-    @given(prune=SCHEDULES)
-    @with_config_prunes()
-    def test_survival_matches_oracle(self, prune):
-        """The same survivors as the old schedule, which tested every string
-        and its mirror, at every length up to two past the prune horizon and
-        every stage up to two past the last."""
-        tree = TreePresentation(prune)
-        sym, old = symmetrize(tree), oracles.symmetrize(TreePresentation(prune))
-        for length in range(tree.max_prune_len + 3):
-            for stage in range(tree.final_stage + 3):
-                assert sym.level(length, stage) == old.level(length, stage), (length, stage)
-
-    def test_a_long_prune_lists_no_strings(self, monkeypatch):
-        """Only pairs of removed strings are read, never the 2^30 strings up
-        to a long pruned one."""
-
-        def no_listing(length):
-            raise AssertionError("all_strings called")
-
-        monkeypatch.setattr(cantor, "all_strings", no_listing)
-        assert symmetrize(TreePresentation(LONG_PRUNE)).prune == ()
-        both = TreePresentation(LONG_PRUNE + [("1" * 30, 2)])
-        assert symmetrize(both).prune == (("0" * 30, 2), ("1" * 30, 2))
 
 
 class TestLeftmostPath:

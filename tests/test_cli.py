@@ -208,6 +208,16 @@ BAD_INPUTS = [
     ("stage-range-reversed", {"c.json": GOOD}, verify_argv("4:2"), "LO <= HI"),
     ("stage-range-not-numbers", {"c.json": GOOD}, verify_argv("a:b"), "LO:HI"),
     ("negative-stage", {"c.json": GOOD}, build_argv("--stage", "-3"), "natural number"),
+    # a stage, tolerance or width is ASCII digits alone, as a scene number is
+    ("stage-not-a-number", {"c.json": GOOD}, build_argv("--stage", "abc"), "natural number"),
+    ("stage-with-underscore", {"c.json": GOOD}, build_argv("--stage", "1_0"), "natural number"),
+    ("stage-with-plus-sign", {"c.json": GOOD}, build_argv("--stage", "+3"), "natural number"),
+    ("stage-in-arabic-indic-digits", {"c.json": GOOD}, build_argv("--stage", "\u0663"),
+     "natural number"),
+    ("stage-range-in-arabic-indic-digits", {"c.json": GOOD}, verify_argv("\u0660:\u0663"),
+     "LO:HI"),
+    ("build-without-out", {"c.json": GOOD}, ["build", "--config", "c.json"],
+     "the following arguments are required: --out"),
     ("config-stage-not-a-number", {"c.json": json.dumps({**FIG5_CONFIG, "stage": "4"})},
      build_argv(), "natural number"),
     ("missing-config", {}, build_argv(), "cannot read config"),
@@ -322,6 +332,8 @@ BAD_INPUTS = [
      "scene TMP/s.json is not JSON: 'utf-8' codec can't decode"),
     ("hausdorff-negative-tol-exp", {"s.json": UNIT_SCENE}, [*HAUSDORFF_ARGV, "--tol-exp", "-1"],
      "--tol-exp"),
+    ("hausdorff-tol-exp-in-arabic-indic-digits", {"s.json": UNIT_SCENE},
+     [*HAUSDORFF_ARGV, "--tol-exp", " \u0663"], "--tol-exp"),
     # outputs that cannot be written; verify's exit 1 would read as a failed check
     ("build-out-in-missing-dir", {"c.json": GOOD},
      ["build", "--config", "c.json", "--out", "missing/out.json"],

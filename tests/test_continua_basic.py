@@ -1,10 +1,9 @@
-"""Reference continua and the gated dendrite with its parametrizing curve."""
+"""Reference continua and the gated dendrite."""
 
-import random
 from fractions import Fraction as F
 
 from planarpi.cesets import EnumerationScript
-from planarpi.continua.dendrite import build_dendrite_d, cut_ball, rising_width, sample_path_d
+from planarpi.continua.dendrite import build_dendrite_d, cut_ball, rising_width
 from planarpi.continua.examples import basic_dendrite, cantor_endpoints, cantor_fan, harmonic_comb
 from planarpi.balls import subtract_ball
 from planarpi.geom import connectivity_components, segment
@@ -106,33 +105,3 @@ class TestDendriteD:
         cut = subtract_ball(region, ball)
         assert len(connectivity_components(cut)) == 2
 
-
-class TestSamplePath:
-    def test_base_is_identity(self):
-        assert sample_path_d(F(-1, 2), 4, FIG5_SCRIPT) == (F(-1, 2), F(0))
-
-    def test_boundary_junctions(self):
-        # x = 2^-(2t+1) is the junction between rising t and the base piece
-        for t in range(3):
-            x = F(1, 1 << (2 * t + 1))
-            px, py = sample_path_d(x, 6, FIG5_SCRIPT)
-            w = rising_width(FIG5_SCRIPT, t)
-            assert (px, py) == (F(1, 1 << t) - w, F(0))
-
-    def test_monotone_first_coordinate(self):
-        rng = random.Random(9)
-        xs = sorted(F(rng.randint(-64, 64), 64) for _ in range(80))
-        pts = [sample_path_d(x, 6, FIG5_SCRIPT) for x in xs]
-        for (a, _), (b, _) in zip(pts, pts[1:]):
-            assert a <= b
-
-    def test_image_in_snapshot(self):
-        region = build_dendrite_d(8, FIG5_SCRIPT)
-        rng = random.Random(31)
-        for _ in range(60):
-            x = F(rng.randint(-256, 256), 256)
-            p = sample_path_d(x, 8, FIG5_SCRIPT)
-            # risings with index <= 8 are settled; points over deeper
-            # risings may fall outside the truncation
-            if p[0] >= F(1, 256) or p[1] == 0:
-                assert any(piece.contains_point(p) for piece in region.pieces), (x, p)

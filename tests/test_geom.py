@@ -28,7 +28,6 @@ from planarpi.geom import (
     polys_intersect,
     rect,
     region_covers,
-    regions_equal,
     segment,
     sqrt_lower,
     sqrt_upper,
@@ -130,7 +129,8 @@ class TestHalfplaneKernel:
         a, b = pair
         inter = convex_intersection(a, b)
         if inter is not None:
-            assert all(a.contains_point(v) and b.contains_point(v) for v in inter.vertices)
+            assert all(oracles.contains_point(a, v) and oracles.contains_point(b, v)
+                       for v in inter.vertices)
 
     def test_cases_by_dimension(self):
         square = rect(0, 0, 2, 2)
@@ -308,7 +308,8 @@ class TestSubtraction:
         region = RegionSnapshot(0, [rect(0, 0, 1, 1)])
         ball = BallSpec((F(-1), F(-1)), F(1, 4))
         out = subtract_ball(region, ball)
-        assert regions_equal(out, region)
+        assert region_covers(out.pieces, region.pieces)[0]
+        assert region_covers(region.pieces, out.pieces)[0]
 
     def test_covering_ball_removes_everything(self):
         region = RegionSnapshot(0, [rect(0, 0, F(1, 8), F(1, 8))])
@@ -325,7 +326,7 @@ class TestSubtraction:
             p = (F(rng.randint(0, 64), 64), F(rng.randint(0, 64), 64))
             d2 = (p[0] - F(1, 2)) ** 2 + (p[1] - F(1, 2)) ** 2
             if d2 > F(1, 16):
-                assert any(piece.contains_point(p) for piece in out.pieces)
+                assert any(oracles.contains_point(piece, p) for piece in out.pieces)
 
     def test_removed_polygon_inside_ball(self):
         ball = BallSpec((0, 0), F(1, 2), kind="closed")

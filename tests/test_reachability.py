@@ -3,11 +3,12 @@ here with the reason it is not.
 
 The test runs `cli.main` in-process under a profile hook that records each
 code object entered: `build --stage 3` and `render` on every config, `verify`
-with every check the construction offers over stages 0:3, and `hausdorff`
-between the fan's stages 2 and 3.  It compares the qualified names reached
-with every module-level function and class method that `ast` finds in the
-package.  A function that no command reaches fails the test unless it is
-listed, and so does a listed function that a command reaches.
+with every check the construction offers over stages 0:3, `hausdorff`
+between stages 2 and 3 of the fan and of dendrite-d, and a `build` that
+lacks `--out`.  It compares the qualified names reached with every
+module-level function and class method that `ast` finds in the package.  A
+function that no command reaches fails the test unless it is listed, and so
+does a listed function that a command reaches.
 """
 
 import ast
@@ -71,24 +72,8 @@ UNREACHED: dict[str, set[str]] = {
         "geom:DistanceEnclosure.__repr__",
         "geom:RegionSnapshot.__repr__",
     },
-    "Hausdorff refinement, which fan 2-to-3 at the default --tol-exp does not need": {
-        "geom:_split_piece",
-    },
     "the stage-bounded view of a script, for outer snapshots (ROADMAP item 5)": {
         "cesets:EnumerationScript.members_at",
-    },
-    "the dendrite's parametrization, a candidate check (ROADMAP item 10(a))": {
-        "continua.dendrite:_interval_index",
-        "continua.dendrite:sample_path_d",
-    },
-    "read only by unit tests and tests/oracles.py": {
-        "cantor:single_path_tree",
-        "cantor:symmetrize",
-        "continua.regions:delta_cube",
-        "continua.trees:fat_tree",
-        "continua.trees:placed_fat_tree",
-        "geom:ConvexPoly.contains_point",
-        "geom:regions_equal",
     },
 }
 
@@ -152,11 +137,15 @@ def run_every_command(tmp: Path) -> None:
                           "--stage-range", "0:3", "--out", str(tmp / f"{name}-report.json")])
         for argv in argvs:
             assert main(argv) == 0, argv
-    fan = tmp / "cantor-fan-q-2.json"
-    assert main(["build", "--config", str(CONFIGS / "cantor-fan-q.json"), "--stage", "2",
-                 "--out", str(fan)]) == 0
-    assert main(["hausdorff", "--scene-a", str(fan), "--scene-b",
-                 str(tmp / "cantor-fan-q-3.json")]) == 0
+    # the fan's distance is met at a vertex; dendrite-d's needs refinement
+    for name in ("cantor-fan-q", "dendrite-d"):
+        scene = tmp / f"{name}-2.json"
+        assert main(["build", "--config", str(CONFIGS / f"{name}.json"), "--stage", "2",
+                     "--out", str(scene)]) == 0
+        assert main(["hausdorff", "--scene-a", str(scene), "--scene-b",
+                     str(tmp / f"{name}-3.json")]) == 0
+    # a usage error, which argparse reports through the CLI's one-line path
+    assert main(["build", "--config", str(CONFIGS / "dendrite-d.json")]) == 2
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects have no co_qualname")

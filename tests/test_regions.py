@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 
 import oracles
 from planarpi.cantor import TreePresentation, full_tree
-from planarpi.continua.regions import CORNER_DELTAS, delta_cube, normalize_level, v_region
-from planarpi.geom import ConvexPoly, clip_halfplane, rect, region_covers
+from planarpi.continua.regions import CORNER_DELTAS, _delta_plane, normalize_level, v_region
+from planarpi.geom import ConvexPoly, _clip, clip_halfplane, rect, region_covers
 
 UNIT = st.fractions(0, 1, max_denominator=30)
 COORD = st.fractions(-3, 3, max_denominator=30)
 SIDE = st.one_of(st.just(F(0)), st.fractions(0, 3, max_denominator=30))
 INTERVALS = st.lists(st.tuples(UNIT, UNIT).map(sorted), max_size=5)
+
+
+def delta_cube(i, j, a, b, q, r) -> ConvexPoly:
+    """The triangle delta_ij of the box [a,a+q]x[b,b+r], as `banded` cuts a
+    corner's bands: the box clipped by `_delta_plane`."""
+    box = rect(a, b, F(a) + q, F(b) + r)
+    return _clip(box, _delta_plane(i, j, box._ibox()))
 
 
 class TestDeltaCube:

@@ -18,9 +18,7 @@ from planarpi.cesets import EnumerationScript
 from planarpi.continua.trees import (
     PlottedTreePresentation,
     build_dendrite_h,
-    fat_tree,
     h_cut_box,
-    placed_fat_tree,
     plot_point,
     plotted_tree,
     probe_balls,
@@ -182,7 +180,7 @@ class TestRecoverTree:
             depth = rng.randint(1, 5)
             stage = rng.randint(0, tree.final_stage)
             w, snap_depth = rng.choice([F(0), F(1, 8), F(1, 4), F(1, 2)]), rng.randint(1, 6)
-            pres = SimpleNamespace(snapshot=lambda s: fat_tree(tree, w, s, snap_depth))
+            pres = SimpleNamespace(snapshot=lambda s: oracles.fat_tree(tree, w, s, snap_depth))
             pieces = pres.snapshot(stage).pieces
             hits = []
             for sigma in all_strings_upto(depth)[1:]:
@@ -196,8 +194,11 @@ class TestRecoverTree:
 
 
 class TestFatTree:
+    """The fat and placed trees of `tests/oracles.py`, whose pieces and
+    placement the oracle tree dendrite is built from."""
+
     def test_zero_width_collapses(self):
-        flat = fat_tree(full_tree(), F(0), 0, 3)
+        flat = oracles.fat_tree(full_tree(), F(0), 0, 3)
         plain = plotted_tree(full_tree(), 0, 3)
         ok, _ = region_covers(plain.pieces, flat.pieces)
         assert ok
@@ -206,19 +207,19 @@ class TestFatTree:
 
     def test_placed_bounding_box(self):
         w, c, t, q = F(1, 2), F(1, 4), 2, F(1, 16)
-        region = placed_fat_tree(full_tree(), w, c, t, q, 0, 4)
+        region = oracles.placed_fat_tree(full_tree(), w, c, t, q, 0, 4)
         for piece in region.pieces:
             x0, y0, x1, y1 = piece.bbox()
             assert x0 >= c - q / 2 and x1 <= c + q / 2
             assert y0 >= F(1, 1 << (t + 1)) and y1 <= F(1, 1 << t)
 
     def test_root_maps_to_bottom_center(self):
-        region = placed_fat_tree(full_tree(), F(0), F(1, 4), 2, F(1, 16), 0, 2)
+        region = oracles.placed_fat_tree(full_tree(), F(0), F(1, 4), 2, F(1, 16), 0, 2)
         target = (F(1, 4), F(1, 8))
-        assert any(p.contains_point(target) for p in region.pieces)
+        assert any(oracles.contains_point(p, target) for p in region.pieces)
 
     def test_fat_tree_connected_full(self):
-        region = fat_tree(full_tree(), F(1, 2), 0, 4)
+        region = oracles.fat_tree(full_tree(), F(1, 2), 0, 4)
         assert len(connectivity_components(region)) == 1
 
 
@@ -280,7 +281,6 @@ SCHEDULES = st.lists(
 SCRIPTS = st.dictionaries(st.integers(0, 10), st.integers(0, 10), max_size=6).map(
     lambda rows: [(s, n % (s + 1)) for s, n in sorted(rows.items())]
 )
-WIDTHS = st.one_of(st.just(F(0)), st.fractions(0, F(1, 2), max_denominator=12))
 
 
 def with_examples(examples):
@@ -295,30 +295,8 @@ def with_examples(examples):
 
 
 class TestFatTreesMatchOracle:
-    """`fat_tree`, `placed_fat_tree` and `build_dendrite_h` give the pieces of
-    the `Fraction` code they replaced, each side on its own fresh tree."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        prune=SCHEDULES,
-        w=WIDTHS,
-        c=st.fractions(-1, 1, max_denominator=15),
-        t=st.integers(0, 6),
-        q=st.fractions(F(1, 15), 1, max_denominator=15),
-        stage=st.integers(0, 10),
-        depth=st.integers(1, 6),
-    )
-    @with_examples(
-        dict(prune=prune, w=w, c=F(2, 7), t=3, q=F(1, 9), stage=4, depth=5)
-        for prune in CONFIG_PRUNES
-        for w in (F(0), F(1, 3))
-    )
-    def test_fat_and_placed_fat_tree(self, prune, w, c, t, q, stage, depth):
-        tree, old = TreePresentation(prune), TreePresentation(prune)
-        got = fat_tree(tree, w, stage, depth)
-        assert got.pieces == oracles.fat_tree(old, w, stage, depth).pieces
-        got = placed_fat_tree(tree, w, c, t, q, stage, depth)
-        assert got.pieces == oracles.placed_fat_tree(old, w, c, t, q, stage, depth).pieces
+    """`build_dendrite_h` gives the pieces of the `Fraction` code it replaced,
+    each side on its own fresh tree."""
 
     @settings(max_examples=4, deadline=None)
     @given(prune=SCHEDULES, script=SCRIPTS)
