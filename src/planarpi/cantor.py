@@ -14,9 +14,6 @@ from typing import Iterable
 
 from . import Record, check_natural
 
-BITS = ("0", "1")
-
-
 def check_bits(sigma: str) -> str:
     if not isinstance(sigma, str) or sigma.strip("01"):
         raise ValueError(f"not a binary string: {sigma!r}")
@@ -41,6 +38,12 @@ class TreePresentation:
     prefixes is in the set.  No member is longer than `max_prune_len`, and
     the set changes only at the stages u + 1, so every stage from
     `final_stage` on shares one set.
+
+    The set holds each string sigma as its key 3^|sigma| + code(sigma) (see
+    `_key`), so survival is decided on ints: the root is 1, the children of
+    k are 3k and 3k + 2, and the length-d prefix of a length-n key is
+    k // 3^(n - d).  Keys ascend in the lexicographic order of the strings
+    of one length.
     """
 
     def __init__(self, prune: Iterable[tuple[str, int]] = ()):
@@ -50,40 +53,57 @@ class TreePresentation:
         self.prune = tuple(sorted(entries, key=lambda e: (e[1], e[0])))
         self.max_prune_len = max((len(s) for s, _ in self.prune), default=0)
         self.final_stage = max((u + 1 for _, u in self.prune), default=0)
-        self._removed_sets: dict[int, frozenset[str]] = {}  # owned by _removed
+        self._removed_sets: dict[int, frozenset[int]] = {}  # owned by _removed
         self._fat_cache: dict[int, FatCantorLevel] = {}  # owned by fat_level
 
-    def _removed(self, stage: int) -> frozenset[str]:
-        """The closed set of removed strings at `stage` (see the class docstring)."""
+    def _removed(self, stage: int) -> frozenset[int]:
+        """The closed set of removed keys at `stage` (see the class docstring)."""
         stage = min(stage, self.final_stage)
         if stage not in self._removed_sets:
-            removed = {sigma for sigma, u in self.prune if u < stage}
+            removed = {_key(sigma) for sigma, u in self.prune if u < stage}
             work = list(removed)
             while work:  # a parent joins when the later of its children is popped
-                parent = work.pop()[:-1]
-                if parent not in removed and {parent + "0", parent + "1"} <= removed:
+                parent = work.pop() // 3
+                if parent not in removed and 3 * parent in removed and 3 * parent + 2 in removed:
                     removed.add(parent)
                     work.append(parent)
             self._removed_sets[stage] = frozenset(removed)
         return self._removed_sets[stage]
 
     def survives(self, sigma: str, stage: int) -> bool:
-        prefixes = (sigma[:k] for k in range(len(check_bits(sigma)) + 1))
-        return self._removed(stage).isdisjoint(prefixes)
+        removed, key = self._removed(stage), _key(check_bits(sigma))
+        while key and key not in removed:  # the prefixes, down to the root 1
+            key //= 3
+        return not key
+
+    def _level_keys(self, length: int, stage: int) -> list[int]:
+        """Keys of the surviving strings of the given length, ascending."""
+        removed = self._removed(stage)
+        work = [] if 1 in removed else [1]
+        for _ in range(length):
+            work = [c for k in work for c in (3 * k, 3 * k + 2) if c not in removed]
+        return work
 
     def level(self, length: int, stage: int) -> list[str]:
         """Surviving strings of the given length, lexicographically sorted."""
         removed = self._removed(stage)
-        work = [] if "" in removed else [""]
+        work = [] if 1 in removed else [("", 1)]
         for _ in range(length):
-            work = [sigma + b for sigma in work for b in BITS if sigma + b not in removed]
-        return work
+            work = [
+                (sigma + b, c)
+                for sigma, k in work
+                for b, c in (("0", 3 * k), ("1", 3 * k + 2))
+                if c not in removed
+            ]
+        return [sigma for sigma, _ in work]
 
     def is_empty(self, stage: int) -> bool:
-        return "" in self._removed(stage)
+        return 1 in self._removed(stage)
 
     @staticmethod
     def from_json(doc: dict) -> "TreePresentation":
+        if not isinstance(doc, dict):
+            raise ValueError("must be a JSON object with a 'prune' list")
         return TreePresentation([(s, u) for s, u in doc.get("prune", [])])
 
 
@@ -99,12 +119,15 @@ def _ternary_code(sigma: str) -> int:
     return int("0" + sigma.replace("1", "2"), 3)
 
 
+def _key(sigma: str) -> int:
+    """3^|sigma| + `_ternary_code(sigma)`: the code under a leading digit 1."""
+    return int("1" + sigma.replace("1", "2"), 3)
+
+
 def cantor_coord(sigma: str) -> Fraction:
     """Left endpoint (un-padded) of sigma's middle-thirds level interval."""
-    check_bits(sigma)
     # 1/3 + sum of 2 * 3^-(i+2) over the 1-bits
-    k = len(sigma)
-    return Fraction(3**k + _ternary_code(sigma), 3 ** (k + 1))
+    return Fraction(_key(check_bits(sigma)), 3 ** (len(sigma) + 1))
 
 
 def pad_eps(s: int) -> Fraction:
@@ -132,9 +155,10 @@ class FatCantorLevel(Record):
     def l_star(self) -> Fraction:
         """l_minus + pad_eps(stage) / 2, built from integers.
 
-        The first left end is (n0 - 1) / 3^(s+2) with n0 = 3(3^s + c) (see
-        `fat_level`), so this is (2 n0 - 1) / (2 * 3^(s+2)).  Its numerator
-        is odd, and 2 mod 3 because 3 divides n0, so it is in lowest terms.
+        The first left end is (n0 - 1) / 3^(s+2) with n0 = 3k for the first
+        surviving key k (see `_grow`), so this is (2 n0 - 1) / (2 * 3^(s+2)).
+        Its numerator is odd, and 2 mod 3 because 3 divides n0, so it is in
+        lowest terms.
         """
         lo = self.intervals[0][0]
         return _coprime(2 * lo._numerator + 1, 2 * lo._denominator)
@@ -194,8 +218,8 @@ def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
     collector from after its cache lookup until the level is made, and
     restores the caller's state on every exit, so a collector the caller
     turned off stays off.  A collection during the pause could free
-    nothing: growth makes only ints, strings, `Fraction`s holding ints,
-    tuples, lists and sets of these, the tree's cached removed sets and one
+    nothing: growth makes only ints, `Fraction`s holding ints, tuples,
+    lists and sets of these, the tree's cached removed sets of keys and one
     `FatCantorLevel` per stage, and none of them can be in a reference
     cycle.  They stay tracked, so later collections see them as usual; the
     pause only spares re-traversing the new intervals as they age through
@@ -223,19 +247,19 @@ def _grow(tree: TreePresentation, s: int) -> tuple[tuple[Fraction, Fraction], ..
     if s > max(tree.final_stage, tree.max_prune_len):  # settled
         alive, empty = None, tree.is_empty(s)
     else:
-        alive = {_ternary_code(sigma) for sigma in tree.level(depth, s)}
+        alive = set(tree._level_keys(depth, s))
         empty = not alive
     if empty:  # before the recursion, so that the error names stage s
         raise ValueError(f"tree level {s} is empty")
-    # with n/3^(s+2) = cantor_coord(sigma), the interval is [n - 1, n + 4]
-    # over 3^(s+2); both ends are prime to 3, so already in lowest terms
+    # sigma's interval is [3k - 1, 3k + 4] over 3^(s+2), k = `_key(sigma)`;
+    # both ends are prime to 3, so already in lowest terms
     if s == 0:
-        return ((_coprime(2, 9), _coprime(7, 9)),)  # the root: n = 3
-    # a level-(s-1) string with code c has left end p / 3^(s+1),
-    # p = 3(3^(s-1) + c) - 1, so its children's codes 3c and 3c + 2 are
-    # p + 1 - 3^s and p + 3 - 3^s, and their left ends over 3^(s+2) are
-    # 3p + 2 and 3p + 8; each end is made as `_coprime` makes it
-    base, den, new, F = 3**s, 3 ** (s + 2), object.__new__, Fraction
+        return ((_coprime(2, 9), _coprime(7, 9)),)  # the root: k = 1
+    # a level-(s-1) string with key k has left end p / 3^(s+1), p = 3k - 1,
+    # so its children's keys 3k and 3k + 2 are p + 1 and p + 3, and their
+    # left ends over 3^(s+2) are 3p + 2 and 3p + 8; each end is made as
+    # `_coprime` makes it
+    den, new, F = 3 ** (s + 2), object.__new__, Fraction
     intervals = []
     put = intervals.append
     parents = fat_level(tree, s - 1).intervals
@@ -245,7 +269,7 @@ def _grow(tree: TreePresentation, s: int) -> tuple[tuple[Fraction, Fraction], ..
             kept = parents
         else:
             drop = 3 ** (s - depth)
-            kept = [iv for iv in parents if (iv[0]._numerator + 1 - base) // drop in alive]
+            kept = [iv for iv in parents if (iv[0]._numerator + 1) // drop in alive]
         for lo, _ in kept:
             n = 3 * lo._numerator + 2
             a = new(F)
@@ -261,14 +285,14 @@ def _grow(tree: TreePresentation, s: int) -> tuple[tuple[Fraction, Fraction], ..
     else:
         for lo, _ in parents:
             p = lo._numerator
-            c, n = p + 1 - base, 3 * p + 2
-            if c in alive:
+            n = 3 * p + 2
+            if p + 1 in alive:
                 a = new(F)
                 a._numerator, a._denominator = n, den
                 b = new(F)
                 b._numerator, b._denominator = n + 5, den
                 put((a, b))
-            if c + 2 in alive:
+            if p + 3 in alive:
                 a = new(F)
                 a._numerator, a._denominator = n + 6, den
                 b = new(F)
@@ -281,9 +305,12 @@ def leftmost_path(tree: TreePresentation, stage: int, depth: int) -> str:
     """Lexicographically least surviving string of the given length.  A
     survivor has a surviving child, since the removed set is closed."""
     removed = tree._removed(stage)
-    if "" in removed:
+    if 1 in removed:
         raise ValueError("empty tree has no leftmost path")
-    sigma = ""
+    sigma, key = "", 1
     for _ in range(depth):
-        sigma += "0" if sigma + "0" not in removed else "1"
+        if 3 * key not in removed:
+            sigma, key = sigma + "0", 3 * key
+        else:
+            sigma, key = sigma + "1", 3 * key + 2
     return sigma

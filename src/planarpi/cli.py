@@ -95,7 +95,9 @@ def _load_config(path: str) -> dict:
 def _field(config: dict, key: str, parse, default):
     try:
         return parse(config.get(key, default))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"config field {key!r}: missing key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"config field {key!r}: {exc}") from None
 
 

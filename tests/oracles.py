@@ -39,7 +39,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from planarpi import balls, cantor, geom
-from planarpi.cantor import BITS, FatCantorLevel, check_bits, pad_eps
+from planarpi.cantor import FatCantorLevel, check_bits, pad_eps
 from planarpi.cesets import SequenceFamily, e_state, stage_function
 from planarpi.continua import fanq
 from planarpi.continua.fanq import BlockGraph, BlockRecord, _collinear, _edge_segment
@@ -645,7 +645,7 @@ def level(tree, length: int, stage: int) -> list[str]:
     for _ in range(length):
         nxt = []
         for sigma in work:
-            for b in BITS:
+            for b in "01":
                 if survives(tree, sigma + b, stage):
                     nxt.append(sigma + b)
         work = nxt

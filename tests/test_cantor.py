@@ -201,25 +201,45 @@ class TestFatLevels:
         tree is walked no deeper than its longest pruned string, and only at
         the stages before it has settled."""
         made, lengths, stages = [], [], []
-        new, level = F.__new__, TreePresentation.level
+        new, level_keys = F.__new__, TreePresentation._level_keys
 
         def counting_new(cls, *args, **kwargs):
             made.append(args)
             return new(cls, *args, **kwargs)
 
-        def recording_level(self, length, stage):
+        def recording_level_keys(self, length, stage):
             lengths.append(length)
             stages.append(stage)
-            return level(self, length, stage)
+            return level_keys(self, length, stage)
 
         tree = make_tree()
         monkeypatch.setattr(F, "__new__", counting_new)
-        monkeypatch.setattr(TreePresentation, "level", recording_level)
+        monkeypatch.setattr(TreePresentation, "_level_keys", recording_level_keys)
         levels = [fat_level(tree, s) for s in range(13)]
         monkeypatch.undo()
         assert made == []
         assert lengths and max(lengths) <= tree.max_prune_len
         assert stages == list(range(max(tree.final_stage, tree.max_prune_len) + 1))
+        assert len(levels[12].intervals) > 1
+
+    def test_growth_lists_no_string(self, monkeypatch):
+        """Survival is decided on keys: growing levels 0..12 of a pruned
+        tree reads no `level` and codes no string with `_ternary_code`."""
+        calls = []
+
+        def recording(name, function):
+            def recorded(*args):
+                calls.append(name)
+                return function(*args)
+
+            return recorded
+
+        tree = TreePresentation([("01", 2), ("110", 4), ("1", 9)])
+        monkeypatch.setattr(TreePresentation, "level", recording("level", TreePresentation.level))
+        monkeypatch.setattr(cantor, "_ternary_code", recording("code", cantor._ternary_code))
+        levels = [fat_level(tree, s) for s in range(13)]
+        monkeypatch.undo()
+        assert calls == []
         assert len(levels[12].intervals) > 1
 
 
@@ -255,14 +275,14 @@ class TestCollectorPause:
         calls switch nothing, and survivors are listed with it off."""
         switch = RecordingGC(enabled)
         seen = []
-        level = TreePresentation.level
+        level_keys = TreePresentation._level_keys
 
-        def recording_level(self, length, stage):
+        def recording_level_keys(self, length, stage):
             seen.append(switch.enabled)
-            return level(self, length, stage)
+            return level_keys(self, length, stage)
 
         monkeypatch.setattr(cantor, "gc", switch)
-        monkeypatch.setattr(TreePresentation, "level", recording_level)
+        monkeypatch.setattr(TreePresentation, "_level_keys", recording_level_keys)
         tree = TreePresentation(self.PRUNE)
         grown = 0
         for s in order:
@@ -343,6 +363,22 @@ SCHEDULES = st.lists(
     st.tuples(st.text("01", min_size=1, max_size=8), st.integers(0, 10)), max_size=8
 )
 
+# up to 4 strings of length 0..8, each pruned after a stage in 0..10
+ROOTED_SCHEDULES = st.lists(st.tuples(st.text("01", max_size=8), st.integers(0, 10)), max_size=4)
+
+
+@st.composite
+def climbing_schedules(draw):
+    """Both children of a drawn string tau, and the sibling of every
+    nonempty prefix of tau, each pruned after its own stage in 0..10, so
+    the closure climbs pair by pair to the root, which is removed exactly
+    from the stage after the last of them; then a drawn schedule, whose
+    strings may be empty."""
+    tau = draw(st.text("01", max_size=6))
+    siblings = [tau[: k - 1] + "10"[int(tau[k - 1])] for k in range(1, len(tau) + 1)]
+    climb = [(sigma, draw(st.integers(0, 10))) for sigma in [tau + "0", tau + "1", *siblings]]
+    return climb + draw(ROOTED_SCHEDULES)
+
 
 def criterion_3_schedules(seed: int, count: int) -> list[list[tuple[str, int]]]:
     """`count` schedules drawn with a seeded `random.Random` as criterion 3
@@ -386,6 +422,14 @@ def probe_strings(prune) -> list[str]:
     return sorted(out)
 
 
+def key_length(key: int) -> int:
+    """The length n of the string whose key is 3^n + code, code < 3^n."""
+    n = 0
+    while 3 ** (n + 1) <= key:
+        n += 1
+    return n
+
+
 class TestMatchesOracle:
     """`level`, `survives`, `is_empty`, `leftmost_path`, `fat_level` and
     `normalize_level` equal the code they replaced, each side on its own
@@ -400,10 +444,12 @@ class TestMatchesOracle:
         for length in range(15):
             assert tree.level(length, stage) == oracles.level(old, length, stage)
 
-    @settings(max_examples=12, deadline=None)
-    @given(prune=SCHEDULES)
+    @settings(max_examples=40, deadline=None)
+    @given(prune=st.one_of(SCHEDULES, ROOTED_SCHEDULES, climbing_schedules(), st.just([])))
     @with_config_prunes()
     @example(prune=LONG_PRUNE)
+    @example(prune=[("00", 1), ("01", 6), ("1", 3)])
+    @example(prune=[("10", 4), ("0", 9), ("11", 2), ("", 7)])
     def test_survival_readers_at_every_stage(self, prune):
         tree, old = TreePresentation(prune), TreePresentation(prune)
         strings = probe_strings(prune)
@@ -488,8 +534,8 @@ class TestMatchesOracle:
             with contextlib.suppress(ValueError):  # an empty level is walked all the same
                 fat_level(tree, s)
         assert len(tree._removed_sets) <= tree.final_stage + 1
-        members = [sigma for removed in tree._removed_sets.values() for sigma in removed]
-        assert all(len(sigma) <= tree.max_prune_len for sigma in members)
+        members = [key for removed in tree._removed_sets.values() for key in removed]
+        assert all(key_length(key) <= tree.max_prune_len for key in members)
 
     def test_a_long_prune_keeps_its_removed_set_small(self):
         """No level below a long pruned string is enumerated."""

@@ -235,6 +235,11 @@ BAD_INPUTS = [
      build_argv(), "'P'"),
     ("config-depth-null", {"c.json": '{"construction": "plotted-tree", "depth": null}'},
      build_argv(), "'depth'"),
+    ("config-tree-null", {"c.json": '{"construction": "plotted-tree", "P": null}'},
+     build_argv(), "config field 'P': must be a JSON object with a 'prune' list"),
+    ("family-without-triples",
+     {"c.json": '{"construction": "dendroid-k", "families": [{"name": "a"}]}'}, build_argv(),
+     "config field 'families': missing key 'triples'"),
     ("family-component-not-a-number", {"c.json": family_with_triple("a", 2, 2)}, build_argv(),
      "natural number"),
     ("family-stage-not-an-integer", {"c.json": family_with_triple(0, 2.5, 2)}, build_argv(),
