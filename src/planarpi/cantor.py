@@ -8,7 +8,6 @@ gone", so it never has dead ends.
 
 from __future__ import annotations
 
-import gc
 from fractions import Fraction
 from typing import Iterable
 
@@ -135,65 +134,59 @@ def pad_eps(s: int) -> Fraction:
 
 
 class FatCantorLevel(Record):
-    """Stage-s fat approximation: one padded interval per surviving string."""
+    """Stage-s fat approximation: one padded interval per surviving string.
 
-    __slots__ = _fields = ("stage", "intervals")
+    The interval of a string is [n, n + 5] / 3^(s+2) for an integer n, its
+    left numerator, so the level is held as `lefts`, those numerators in
+    order.  It is built from `lefts`, or from `intervals`, a sequence of
+    (left, right) pairs that must each be of that form.
+    """
 
-    def __init__(self, stage: int, intervals: tuple[tuple[Fraction, Fraction], ...]):
-        self.stage = stage
-        self.intervals = intervals
+    __slots__ = ("stage", "lefts", "_intervals")
+    _fields = ("stage", "lefts")
+
+    def __init__(self, stage: int, intervals: Iterable[tuple[Fraction, Fraction]] | None = None,
+                 *, lefts: tuple[int, ...] | None = None):
+        if lefts is None:
+            den = 3 ** (check_natural(stage, "fat level stage") + 2)
+            lefts = []
+            for iv in intervals:
+                try:
+                    lo, hi = (Fraction(v) * den for v in iv)
+                    ok = lo.denominator == 1 and hi == lo + 5
+                except (TypeError, ValueError):
+                    ok = False
+                if not ok:
+                    raise ValueError(f"{iv!r} is not a stage-{stage} fat interval")
+                lefts.append(lo.numerator)
+            lefts = tuple(lefts)
+        self.stage, self.lefts, self._intervals = stage, lefts, None
+
+    @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The intervals as `Fraction` pairs, made on the first read."""
+        if self._intervals is None:
+            den = 3 ** (self.stage + 2)
+            self._intervals = tuple((Fraction(n, den), Fraction(n + 5, den)) for n in self.lefts)
+        return self._intervals
 
     @property
     def l_minus(self) -> Fraction:
-        return self.intervals[0][0]
+        return Fraction(self.lefts[0], 3 ** (self.stage + 2))
 
     @property
     def r_plus(self) -> Fraction:
-        return self.intervals[-1][1]
+        return Fraction(self.lefts[-1] + 5, 3 ** (self.stage + 2))
 
     @property
     def l_star(self) -> Fraction:
-        """l_minus + pad_eps(stage) / 2, built from integers.
-
-        The first left end is (n0 - 1) / 3^(s+2) with n0 = 3k for the first
-        surviving key k (see `_grow`), so this is (2 n0 - 1) / (2 * 3^(s+2)).
-        Its numerator is odd, and 2 mod 3 because 3 divides n0, so it is in
-        lowest terms.
-        """
-        lo = self.intervals[0][0]
-        return _coprime(2 * lo._numerator + 1, 2 * lo._denominator)
-
-    @property
-    def l(self) -> Fraction:
-        return self.l_minus + pad_eps(self.stage)
+        """l_minus + pad_eps(stage) / 2."""
+        return Fraction(2 * self.lefts[0] + 1, 2 * 3 ** (self.stage + 2))
 
     @property
     def r_star(self) -> Fraction:
-        """r_plus - pad_eps(stage) / 2, built from integers.
-
-        The last right end is (nk + 4) / 3^(s+2), so this is
-        (2 nk + 7) / (2 * 3^(s+2)).  Its numerator is odd, and 1 mod 3
-        because 3 divides nk, so it is in lowest terms.
-        """
-        hi = self.intervals[-1][1]
-        return _coprime(2 * hi._numerator - 1, 2 * hi._denominator)
-
-    @property
-    def r(self) -> Fraction:
-        return self.r_plus - pad_eps(self.stage)
-
-    def min_point(self) -> Fraction:
-        return self.l_minus
-
-    def max_point(self) -> Fraction:
-        return self.r_plus
-
-
-def _coprime(n: int, d: int) -> Fraction:
-    """Fraction(n, d) without its gcd: only for d > 0 and gcd(n, d) == 1."""
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = n, d
-    return f
+        """r_plus - pad_eps(stage) / 2."""
+        return Fraction(2 * self.lefts[-1] + 9, 2 * 3 ** (self.stage + 2))
 
 
 def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
@@ -210,39 +203,17 @@ def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
     settled: the removed set is stage s - 1's and decides survival at the
     same length, so every parent survives.  There both children of every
     parent are grown with no survivor listed and no test, and `is_empty`
-    alone decides whether the level is empty.  The level is grown in one
-    pass over level s - 1's left ends, which makes each surviving child's
-    two ends from integers.
-
-    The outermost call that grows a level pauses the cyclic garbage
-    collector from after its cache lookup until the level is made, and
-    restores the caller's state on every exit, so a collector the caller
-    turned off stays off.  A collection during the pause could free
-    nothing: growth makes only ints, `Fraction`s holding ints, tuples,
-    lists and sets of these, the tree's cached removed sets of keys and one
-    `FatCantorLevel` per stage, and none of them can be in a reference
-    cycle.  They stay tracked, so later collections see them as usual; the
-    pause only spares re-traversing the new intervals as they age through
-    the generations.  The pause is process-wide; planarpi starts no threads.
+    alone decides whether the level is empty.
     """
     check_natural(s, "fat level stage")
     cache = tree._fat_cache
-    if s in cache:
-        return cache[s]
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
-    try:
-        level = FatCantorLevel(stage=s, intervals=_grow(tree, s))
-    finally:
-        if paused:
-            gc.enable()
-    cache[s] = level
-    return level
+    if s not in cache:
+        cache[s] = FatCantorLevel(s, lefts=_grow(tree, s))
+    return cache[s]
 
 
-def _grow(tree: TreePresentation, s: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The intervals of `fat_level(tree, s)`, grown as its docstring says."""
+def _grow(tree: TreePresentation, s: int) -> tuple[int, ...]:
+    """The left numerators of `fat_level(tree, s)`, grown as its docstring says."""
     depth = min(s, tree.max_prune_len)
     if s > max(tree.final_stage, tree.max_prune_len):  # settled
         alive, empty = None, tree.is_empty(s)
@@ -251,54 +222,20 @@ def _grow(tree: TreePresentation, s: int) -> tuple[tuple[Fraction, Fraction], ..
         empty = not alive
     if empty:  # before the recursion, so that the error names stage s
         raise ValueError(f"tree level {s} is empty")
-    # sigma's interval is [3k - 1, 3k + 4] over 3^(s+2), k = `_key(sigma)`;
-    # both ends are prime to 3, so already in lowest terms
+    # sigma's left numerator over 3^(s+2) is 3k - 1, k = `_key(sigma)`
     if s == 0:
-        return ((_coprime(2, 9), _coprime(7, 9)),)  # the root: k = 1
-    # a level-(s-1) string with key k has left end p / 3^(s+1), p = 3k - 1,
-    # so its children's keys 3k and 3k + 2 are p + 1 and p + 3, and their
-    # left ends over 3^(s+2) are 3p + 2 and 3p + 8; each end is made as
-    # `_coprime` makes it
-    den, new, F = 3 ** (s + 2), object.__new__, Fraction
-    intervals = []
-    put = intervals.append
-    parents = fat_level(tree, s - 1).intervals
-    if depth < s:
-        # both children share the parent's length-depth prefix
-        if alive is None:
-            kept = parents
-        else:
-            drop = 3 ** (s - depth)
-            kept = [iv for iv in parents if (iv[0]._numerator + 1) // drop in alive]
-        for lo, _ in kept:
-            n = 3 * lo._numerator + 2
-            a = new(F)
-            a._numerator, a._denominator = n, den
-            b = new(F)
-            b._numerator, b._denominator = n + 5, den
-            put((a, b))
-            a = new(F)
-            a._numerator, a._denominator = n + 6, den
-            b = new(F)
-            b._numerator, b._denominator = n + 11, den
-            put((a, b))
-    else:
-        for lo, _ in parents:
-            p = lo._numerator
-            n = 3 * p + 2
-            if p + 1 in alive:
-                a = new(F)
-                a._numerator, a._denominator = n, den
-                b = new(F)
-                b._numerator, b._denominator = n + 5, den
-                put((a, b))
-            if p + 3 in alive:
-                a = new(F)
-                a._numerator, a._denominator = n + 6, den
-                b = new(F)
-                b._numerator, b._denominator = n + 11, den
-                put((a, b))
-    return tuple(intervals)
+        return (2,)  # the root: k = 1
+    # so a parent with left numerator p has the children keys p + 1 and
+    # p + 3, and their left numerators n are 3p + 2 and 3p + 8: a child's
+    # key is (n + 1) // 3
+    parents = fat_level(tree, s - 1).lefts
+    if depth == s:
+        return tuple(n for p in parents for n in (3 * p + 2, 3 * p + 8) if (n + 1) // 3 in alive)
+    # both children share the parent's length-depth prefix
+    if alive is not None:
+        drop = 3 ** (s - depth)
+        parents = [p for p in parents if (p + 1) // drop in alive]
+    return tuple(n for p in parents for n in (3 * p + 2, 3 * p + 8))
 
 
 def leftmost_path(tree: TreePresentation, stage: int, depth: int) -> str:

@@ -111,13 +111,13 @@ def level_ends(tree, s: int, t: int) -> tuple[list[int], int]:
     on [0, 1], two per interval, and span."""
     if t < s:
         raise ValueError("normalization needs t >= s")
-    frame = fat_level(tree, s)
-    # every stage-s endpoint has denominator exactly 3^(s+2): bring the
-    # frame's numerators over 3^(t+2) to subtract them from the stage-t ones
+    frame = fat_level(tree, s).lefts
+    # a stage-s interval is [n, n + 5] over 3^(s+2): bring the frame's ends
+    # over 3^(t+2) to subtract them from the stage-t ones
     k = 3 ** (t - s)
-    l0 = frame.l_minus.numerator * k
-    ends = [v.numerator - l0 for iv in fat_level(tree, t).intervals for v in iv]
-    return ends, frame.r_plus.numerator * k - l0
+    l0 = frame[0] * k
+    ends = [v for n in fat_level(tree, t).lefts for v in (n - l0, n + 5 - l0)]
+    return ends, (frame[-1] + 5) * k - l0
 
 
 def normalize_level(tree, s: int, t: int) -> list[tuple[Fraction, Fraction]]:

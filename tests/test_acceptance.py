@@ -140,8 +140,8 @@ def test_criterion_3_fat_cantor_invariants():
                 assert plo <= lo and hi <= phi
         for s in range(13):
             for t in range(s, 13):
-                assert levels[t].min_point() >= levels[s].l - pad_eps(t)
-                assert levels[t].max_point() <= levels[s].r + pad_eps(t)
+                assert levels[t].l_minus >= levels[s].l_minus + pad_eps(s) - pad_eps(t)
+                assert levels[t].r_plus <= levels[s].r_plus - pad_eps(s) + pad_eps(t)
     assert time.monotonic() - started < 10.0
 
 

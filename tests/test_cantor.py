@@ -4,7 +4,6 @@ import contextlib
 import gc
 import json
 import math
-import operator
 import random
 import re
 from fractions import Fraction as F
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 from planarpi import cantor
 from planarpi.cantor import (
     TreePresentation,
-    _coprime,
     cantor_coord,
     fat_level,
     flip_bits,
@@ -25,7 +23,7 @@ from planarpi.cantor import (
     leftmost_path,
     pad_eps,
 )
-from planarpi.continua.regions import normalize_level
+from planarpi.continua.regions import level_ends, normalize_level
 
 import oracles
 
@@ -68,26 +66,6 @@ class TestCoding:
         with pytest.raises(ValueError):
             cantor_coord("012")
 
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(-(10**30), 10**30), d=st.integers(1, 10**30), m=st.integers(-99, 99))
-    @example(n=0, d=1, m=1)
-    @example(n=3**14 + 2, d=3**16, m=7)
-    def test_coprime_is_the_fraction(self, n, d, m):
-        g = math.gcd(n, d)
-        n, d = n // g, d // g
-        fast, slow = _coprime(n, d), F(n, d)
-        assert type(fast) is F
-        assert (fast.numerator, fast.denominator) == (slow.numerator, slow.denominator) == (n, d)
-        assert hash(fast) == hash(slow) and repr(fast) == repr(slow) and str(fast) == str(slow)
-        assert fast == slow and -fast == -slow and abs(fast) == abs(slow)
-        other = F(m, 7)
-        for op in (operator.add, operator.sub, operator.mul, operator.lt, operator.eq):
-            assert op(fast, other) == op(slow, other) and op(other, fast) == op(other, slow)
-        if m:
-            assert fast / other == slow / other
-        if n:
-            assert other / fast == other / slow
-
 
 class TestFatLevels:
     def test_full_tree_level_zero(self):
@@ -107,9 +85,7 @@ class TestFatLevels:
         lvl = fat_level(full_tree(), 2)
         eps = pad_eps(2)
         assert lvl.l_star == lvl.l_minus + eps / 2
-        assert lvl.l == lvl.l_minus + eps
         assert lvl.r_star == lvl.r_plus - eps / 2
-        assert lvl.r == lvl.r_plus - eps
 
     def test_empty_level_raises(self):
         tree = TreePresentation([("0", 0), ("1", 0)])
@@ -126,25 +102,16 @@ class TestFatLevels:
         with pytest.raises(ValueError, match=re.escape(message)):
             fat_level(tree, stage)
 
-    def test_inner_markers_are_made_from_integers(self, monkeypatch):
+    def test_inner_markers_are_made_from_integers(self):
         """`l_star` and `r_star` are the ends moved half a pad inwards, made
-        in lowest terms with no `Fraction.__new__` call."""
+        in lowest terms."""
         levels = []
         for prune in criterion_3_schedules(seed=7, count=20):
             tree = TreePresentation(prune)
             with contextlib.suppress(ValueError):  # a later level is empty too
                 levels.extend(fat_level(tree, s) for s in range(13))
-        made = []
-        new = F.__new__
-
-        def counting_new(cls, *args, **kwargs):
-            made.append(args)
-            return new(cls, *args, **kwargs)
-
-        monkeypatch.setattr(F, "__new__", counting_new)
         markers = [(lvl.l_star, lvl.r_star) for lvl in levels]
-        monkeypatch.undo()
-        assert made == [] and len(levels) > 250
+        assert len(levels) > 250
         for lvl, (l_star, r_star) in zip(levels, markers):
             assert l_star == lvl.l_minus + pad_eps(lvl.stage) / 2
             assert r_star == lvl.r_plus - pad_eps(lvl.stage) / 2
@@ -179,8 +146,8 @@ class TestFatLevels:
                 lvl_s = fat_level(tree, s)
                 for t in range(s, 10):
                     lvl_t = fat_level(tree, t)
-                    assert lvl_t.min_point() >= lvl_s.l - pad_eps(t)
-                    assert lvl_t.max_point() <= lvl_s.r + pad_eps(t)
+                    assert lvl_t.l_minus >= lvl_s.l_minus + pad_eps(s) - pad_eps(t)
+                    assert lvl_t.r_plus <= lvl_s.r_plus - pad_eps(s) + pad_eps(t)
 
     def test_margins_solid_and_band_free(self):
         # [l-, l*] is inside the level-s set and misses every later level
@@ -188,8 +155,8 @@ class TestFatLevels:
         for s in range(6):
             lvl = fat_level(tree, s)
             nxt = fat_level(tree, s + 1)
-            assert nxt.min_point() > lvl.l_star
-            assert nxt.max_point() < lvl.r_star
+            assert nxt.l_minus > lvl.l_star
+            assert nxt.r_plus < lvl.r_star
 
     @pytest.mark.parametrize(
         "make_tree",
@@ -197,9 +164,10 @@ class TestFatLevels:
         ids=["full", "pruned"],
     )
     def test_no_fraction_made_and_walked_only_to_the_prune_horizon(self, monkeypatch, make_tree):
-        """Every end is made without `Fraction.__new__` and its gcd, and the
-        tree is walked no deeper than its longest pruned string, and only at
-        the stages before it has settled."""
+        """Growing levels 0..12 and reading them as integer ends in every
+        frame, with `level_ends(tree, s, t)` for s <= t <= 12, make no
+        `Fraction`, and the tree is walked no deeper than its longest pruned
+        string, and only at the stages before it has settled."""
         made, lengths, stages = [], [], []
         new, level_keys = F.__new__, TreePresentation._level_keys
 
@@ -216,8 +184,9 @@ class TestFatLevels:
         monkeypatch.setattr(F, "__new__", counting_new)
         monkeypatch.setattr(TreePresentation, "_level_keys", recording_level_keys)
         levels = [fat_level(tree, s) for s in range(13)]
+        ends = [level_ends(tree, s, t) for s in range(13) for t in range(s, 13)]
         monkeypatch.undo()
-        assert made == []
+        assert made == [] and len(ends) == 91
         assert lengths and max(lengths) <= tree.max_prune_len
         assert stages == list(range(max(tree.final_stage, tree.max_prune_len) + 1))
         assert len(levels[12].intervals) > 1
@@ -243,74 +212,9 @@ class TestFatLevels:
         assert len(levels[12].intervals) > 1
 
 
-class RecordingGC:
-    """Stands in for the `gc` module in `cantor`: a collector switch that
-    records every change."""
-
-    def __init__(self, enabled: bool):
-        self.enabled, self.switches = enabled, []
-
-    def isenabled(self) -> bool:
-        return self.enabled
-
-    def disable(self) -> None:
-        self.switches.append("disable")
-        self.enabled = False
-
-    def enable(self) -> None:
-        self.switches.append("enable")
-        self.enabled = True
-
-
 class TestCollectorPause:
-    """`fat_level` grows with the cyclic collector off and leaves the
-    caller's collector state as it found it, on every path."""
-
-    PRUNE = [("01", 2), ("110", 4), ("1", 9)]
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    @pytest.mark.parametrize("order", [range(13), range(12, -1, -1)], ids=["up", "down"])
-    def test_paused_while_growing_and_restored(self, monkeypatch, enabled, order):
-        """Each outermost call that grows pauses once, nested and cached
-        calls switch nothing, and survivors are listed with it off."""
-        switch = RecordingGC(enabled)
-        seen = []
-        level_keys = TreePresentation._level_keys
-
-        def recording_level_keys(self, length, stage):
-            seen.append(switch.enabled)
-            return level_keys(self, length, stage)
-
-        monkeypatch.setattr(cantor, "gc", switch)
-        monkeypatch.setattr(TreePresentation, "_level_keys", recording_level_keys)
-        tree = TreePresentation(self.PRUNE)
-        grown = 0
-        for s in order:
-            grown += s not in tree._fat_cache
-            fat_level(tree, s)
-            assert switch.enabled is enabled
-        assert grown == (13 if order[0] == 0 else 1)
-        assert switch.switches == (["disable", "enable"] * grown if enabled else [])
-        assert seen and not any(seen)
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-    def test_restored_after_an_empty_level(self, monkeypatch, enabled):
-        switch = RecordingGC(enabled)
-        monkeypatch.setattr(cantor, "gc", switch)
-        tree = TreePresentation([("0", 0), ("1", 0)])
-        for s in (1, 3):  # unsettled, then settled
-            with pytest.raises(ValueError, match=f"tree level {s} is empty"):
-                fat_level(tree, s)
-            assert switch.enabled is enabled
-        assert switch.switches == (["disable", "enable"] * 2 if enabled else [])
-
-    @pytest.mark.parametrize("stage", [-1, 1.0, True])
-    def test_a_bad_stage_raises_before_any_pause(self, monkeypatch, stage):
-        switch = RecordingGC(True)
-        monkeypatch.setattr(cantor, "gc", switch)
-        with pytest.raises(ValueError, match="fat level stage must be a natural number"):
-            fat_level(full_tree(), stage)
-        assert switch.switches == [] and switch.enabled
+    """`fat_level` leaves the caller's collector state as it found it, and
+    no collection starts while it grows."""
 
     def test_the_real_collector_is_restored(self):
         assert gc.isenabled()
@@ -324,8 +228,8 @@ class TestCollectorPause:
             gc.enable()
 
     def test_no_collection_starts_while_growing(self):
-        """Levels 0..12 of the full tree make ~25,000 tracked objects, and no
-        collection starts inside `fat_level`."""
+        """Levels 0..12 of the full tree start no collection inside
+        `fat_level`."""
         inside, collections = [False], []
 
         def counting(phase, info):
@@ -566,7 +470,7 @@ class TestSymmetrize:
         self._is_symmetric(sym)
         for s in range(9):
             lvl = fat_level(sym, s)
-            assert lvl.min_point() + lvl.max_point() == 1
+            assert lvl.l_minus + lvl.r_plus == 1
 
     def test_idempotent_on_symmetric(self):
         base = oracles.symmetrize(TreePresentation([("0" * k + "1", 0) for k in range(8)]))

@@ -28,10 +28,7 @@ PACKAGE = Path(planarpi.__file__).resolve().parent
 UNREACHED: dict[str, set[str]] = {
     "the acceptance criteria call it (tests/test_acceptance.py)": {
         "balls:subtract_ball",
-        "cantor:FatCantorLevel.l",
-        "cantor:FatCantorLevel.max_point",
-        "cantor:FatCantorLevel.min_point",
-        "cantor:FatCantorLevel.r",
+        "cantor:FatCantorLevel.intervals",
         "cantor:TreePresentation.survives",
         "cantor:full_tree",
         "cantor:pad_eps",

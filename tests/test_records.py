@@ -16,7 +16,34 @@ def test_fat_level_rebuilt_positionally_is_equal():
     level = fat_level(full_tree(), 3)
     again = FatCantorLevel(level.stage, level.intervals)
     assert again == level and hash(again) == hash(level)
-    assert FatCantorLevel(level.stage + 1, level.intervals) != level
+    assert FatCantorLevel(level.stage, intervals=level.intervals) == level
+    with pytest.raises(ValueError):
+        FatCantorLevel(level.stage + 1, level.intervals)
+    assert fat_level(full_tree(), 4) != level
+
+
+@pytest.mark.parametrize(
+    "interval",
+    [(F(2, 27), F(7, 27)), (F(2, 9), F(8, 9)), (F(1, 18), F(11, 18)), (F(2, 9), None), ("x", "y"), (F(2, 9),)],
+    ids=["other-stage", "wide", "half-numerator", "none", "not-a-number", "not-a-pair"],
+)
+def test_fat_level_refuses_an_interval_of_another_form(interval):
+    with pytest.raises(ValueError):
+        FatCantorLevel(0, [interval])
+
+
+def test_fat_level_shifted_by_one_builds():
+    """The shape of a level whose first interval is moved left by 1."""
+    level = fat_level(full_tree(), 2)
+    (lo, hi), *rest = level.intervals
+    shifted = FatCantorLevel(level.stage, ((lo - 1, hi - 1), *rest))
+    assert shifted.intervals == ((lo - 1, hi - 1), *rest)
+    assert shifted.lefts[0] == level.lefts[0] - 3**4 and shifted != level
+
+
+def test_fat_level_intervals_are_made_once():
+    lvl = fat_level(full_tree(), 5)
+    assert lvl.intervals is lvl.intervals
 
 
 def test_records_of_different_classes_differ():
