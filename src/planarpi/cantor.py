@@ -1,9 +1,9 @@
-"""Binary strings, co-c.e. trees as pruning schedules, and fat Cantor levels.
+"""Co-c.e. trees as pruning schedules, tree nodes as keys, and fat Cantor levels.
 
 Trees are presented the way a co-c.e. set is enumerated: a finite schedule
-of pruned strings.  The stage-s truncation removes extensions of strings
-pruned at stages < s and is closed under "both children gone => parent
-gone", so it never has dead ends.
+of pruned binary strings.  The stage-s truncation removes extensions of
+strings pruned at stages < s and is closed under "both children gone =>
+parent gone", so it never has dead ends.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ def check_bits(sigma: str) -> str:
     return sigma
 
 
-def flip_bits(sigma: str) -> str:
-    return "".join("1" if c == "0" else "0" for c in sigma)
-
-
-def all_strings(length: int) -> list[str]:
-    return [format(i, f"0{length}b") if length else "" for i in range(1 << length)]
-
-
 class TreePresentation:
     """Co-c.e. subtree of the full binary tree, given by a pruning schedule.
 
@@ -38,11 +30,12 @@ class TreePresentation:
     the set changes only at the stages u + 1, so every stage from
     `final_stage` on shares one set.
 
-    The set holds each string sigma as its key 3^|sigma| + code(sigma) (see
-    `_key`), so survival is decided on ints: the root is 1, the children of
-    k are 3k and 3k + 2, and the length-d prefix of a length-n key is
-    k // 3^(n - d).  Keys ascend in the lexicographic order of the strings
-    of one length.
+    A tree node is its key 3^|sigma| + code(sigma) (see `_key`), and the
+    set holds keys, so survival is decided on ints: the root is 1, the
+    children of k are 3k and 3k + 2, and the length-d prefix of a length-n
+    key is k // 3^(n - d).  Keys ascend in the lexicographic order of the
+    strings of one length.  Strings are read only at the input: the schedule
+    is keyed once, here.
     """
 
     def __init__(self, prune: Iterable[tuple[str, int]] = ()):
@@ -52,6 +45,7 @@ class TreePresentation:
         self.prune = tuple(sorted(entries, key=lambda e: (e[1], e[0])))
         self.max_prune_len = max((len(s) for s, _ in self.prune), default=0)
         self.final_stage = max((u + 1 for _, u in self.prune), default=0)
+        self._prune_keys = tuple((_key(sigma), u) for sigma, u in self.prune)
         self._removed_sets: dict[int, frozenset[int]] = {}  # owned by _removed
         self._fat_cache: dict[int, FatCantorLevel] = {}  # owned by fat_level
 
@@ -59,7 +53,7 @@ class TreePresentation:
         """The closed set of removed keys at `stage` (see the class docstring)."""
         stage = min(stage, self.final_stage)
         if stage not in self._removed_sets:
-            removed = {_key(sigma) for sigma, u in self.prune if u < stage}
+            removed = {key for key, u in self._prune_keys if u < stage}
             work = list(removed)
             while work:  # a parent joins when the later of its children is popped
                 parent = work.pop() // 3
@@ -75,26 +69,14 @@ class TreePresentation:
             key //= 3
         return not key
 
-    def _level_keys(self, length: int, stage: int) -> list[int]:
-        """Keys of the surviving strings of the given length, ascending."""
+    def level(self, length: int, stage: int) -> list[int]:
+        """Keys of the surviving strings of the given length, ascending,
+        which is the lexicographic order of the strings."""
         removed = self._removed(stage)
         work = [] if 1 in removed else [1]
         for _ in range(length):
             work = [c for k in work for c in (3 * k, 3 * k + 2) if c not in removed]
         return work
-
-    def level(self, length: int, stage: int) -> list[str]:
-        """Surviving strings of the given length, lexicographically sorted."""
-        removed = self._removed(stage)
-        work = [] if 1 in removed else [("", 1)]
-        for _ in range(length):
-            work = [
-                (sigma + b, c)
-                for sigma, k in work
-                for b, c in (("0", 3 * k), ("1", 3 * k + 2))
-                if c not in removed
-            ]
-        return [sigma for sigma, _ in work]
 
     def is_empty(self, stage: int) -> bool:
         return 1 in self._removed(stage)
@@ -113,14 +95,16 @@ def full_tree() -> TreePresentation:
 # -- the middle-thirds coding -------------------------------------------------
 
 
-def _ternary_code(sigma: str) -> int:
-    """The bits read as ternary digits 0 and 2, in one integer."""
-    return int("0" + sigma.replace("1", "2"), 3)
-
-
 def _key(sigma: str) -> int:
-    """3^|sigma| + `_ternary_code(sigma)`: the code under a leading digit 1."""
-    return int("1" + sigma.replace("1", "2"), 3)
+    """3^|sigma| + code(sigma), code(sigma) the bits read as ternary digits
+    0 and 2: the code under a leading digit 1.  It is read 4,000 digits at
+    a time, below CPython's limit on converting a str to an int."""
+    digits = "1" + sigma.replace("1", "2")
+    key = int(digits[:4000], 3)
+    for i in range(4000, len(digits), 4000):
+        chunk = digits[i : i + 4000]
+        key = key * 3 ** len(chunk) + int(chunk, 3)
+    return key
 
 
 def cantor_coord(sigma: str) -> Fraction:
@@ -218,7 +202,7 @@ def _grow(tree: TreePresentation, s: int) -> tuple[int, ...]:
     if s > max(tree.final_stage, tree.max_prune_len):  # settled
         alive, empty = None, tree.is_empty(s)
     else:
-        alive = set(tree._level_keys(depth, s))
+        alive = set(tree.level(depth, s))
         empty = not alive
     if empty:  # before the recursion, so that the error names stage s
         raise ValueError(f"tree level {s} is empty")
@@ -238,16 +222,13 @@ def _grow(tree: TreePresentation, s: int) -> tuple[int, ...]:
     return tuple(n for p in parents for n in (3 * p + 2, 3 * p + 8))
 
 
-def leftmost_path(tree: TreePresentation, stage: int, depth: int) -> str:
-    """Lexicographically least surviving string of the given length.  A
-    survivor has a surviving child, since the removed set is closed."""
+def leftmost_path(tree: TreePresentation, stage: int, depth: int) -> int:
+    """Key of the lexicographically least surviving string of the given
+    length.  A survivor has a surviving child: the removed set is closed."""
     removed = tree._removed(stage)
     if 1 in removed:
         raise ValueError("empty tree has no leftmost path")
-    sigma, key = "", 1
+    key = 1
     for _ in range(depth):
-        if 3 * key not in removed:
-            sigma, key = sigma + "0", 3 * key
-        else:
-            sigma, key = sigma + "1", 3 * key + 2
-    return sigma
+        key = 3 * key if 3 * key not in removed else 3 * key + 2
+    return key

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..cantor import _ternary_code, all_strings
 from ..geom import RegionSnapshot, segment
 
 Frac = Fraction
@@ -29,9 +28,11 @@ def harmonic_comb(stage: int) -> RegionSnapshot:
 
 
 def cantor_endpoints(level: int) -> list[Fraction]:
-    """Endpoints of the level-`level` middle-thirds intervals, sorted: sigma's
-    interval is [c / 3^level, (c + 1) / 3^level], c = `_ternary_code(sigma)`."""
-    codes = [_ternary_code(sigma) for sigma in all_strings(level)]
+    """Endpoints of the level-`level` middle-thirds intervals, sorted: each is
+    [c / 3^level, (c + 1) / 3^level], c with `level` ternary digits 0 and 2."""
+    codes = [0]
+    for _ in range(level):
+        codes = [3 * c + d for c in codes for d in (0, 2)]
     return sorted({Frac(c + e, 3**level) for c in codes for e in (0, 1)})
 
 

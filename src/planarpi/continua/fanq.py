@@ -9,7 +9,7 @@ margin strip of the stage's last straight block; an injured stage first
 retraces every block newer than the rollback stage p through stage-s margin
 corridors (solid in the stage-s fat level and band-free at every later
 stage), then resumes on the stage-p frame.  The destination track reads its
-endpoints from the middle-thirds code `cantor._ternary_code`.
+endpoints from the middle-thirds code of the enumerated set.
 
 Margin corridors follow one rule: the retraced path runs in the reverse
 direction with the host block on its right, which picks the r-side margin
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .. import Record, check_natural
-from ..cantor import FatCantorLevel, TreePresentation, _ternary_code, fat_level, flip_bits
+from ..cantor import FatCantorLevel, TreePresentation, fat_level
 from ..geom import (
     ConvexPoly,
     RegionSnapshot,
@@ -246,11 +246,12 @@ class DestinationTrack:
             raise ValueError("step outside the scripted range")
         if step == 0:
             return ONE_THIRD, TWO_THIRDS
-        members = set(self.elements[:step])
-        n, k = self.elements[step - 1], max(members)
-        bits = "".join("1" if i in members else "0" for i in range(1, k + 1))
-        gmin = Frac(3 ** (k + 1) + _ternary_code(bits), 3 ** (k + 2))
-        gmax = Frac(3**n + _ternary_code(bits[: n - 1]) + 1, 3 ** (n + 1))
+        members = self.elements[:step]
+        n, k = members[-1], max(members)
+        # the members i <= j as the ternary digits 2 of a j-digit code
+        cmin, cmax = (sum(2 * 3 ** (j - i) for i in members if i <= j) for j in (k, n - 1))
+        gmin = Frac(3 ** (k + 1) + cmin, 3 ** (k + 2))
+        gmax = Frac(3**n + cmax + 1, 3 ** (n + 1))
         return gmin, gmax
 
 
@@ -412,15 +413,17 @@ class _Builder:
 
 
 def _check_symmetric(tree: TreePresentation, depth: int) -> bool:
-    """Every level up to `depth` is closed under `flip_bits` at stages 0..depth+1.
+    """Every level up to `depth` is closed under flipping every bit at
+    stages 0..depth+1: the mirror of a length-n key k is 3^(n+1) - 1 - k.
 
     One length per stage decides it: a shorter level is the prefixes of the
     level at min(depth, max_prune_len), since a survivor has a surviving
     child, and a longer one is that level times every tail.
     """
     length = min(depth, tree.max_prune_len)
+    mirror = 3 ** (length + 1) - 1
     levels = (tree.level(length, stage) for stage in range(depth + 2))
-    return all(sorted(map(flip_bits, lvl)) == lvl for lvl in levels)
+    return all([mirror - k for k in reversed(lvl)] == lvl for lvl in levels)
 
 
 def _replay(stage: int, tree: TreePresentation, track: DestinationTrack) -> BlockGraph:

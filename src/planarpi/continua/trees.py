@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .. import Record
-from ..cantor import TreePresentation, _ternary_code, check_bits, leftmost_path
+from ..cantor import TreePresentation, _key, check_bits, leftmost_path
 from ..cesets import EnumerationScript, stage_function
 from ..balls import BallSpec
 from ..geom import (
@@ -34,19 +34,22 @@ def plot_point(sigma: str) -> tuple[Fraction, Fraction]:
     """Planar vertex of a binary string: root (1/2, 1), level k at y = 2^-k.
 
     Its x is the middle of sigma's level-k middle-thirds interval
-    [c / 3^k, (c + 1) / 3^k], c = `_ternary_code(sigma)`.
+    [c / 3^k, (c + 1) / 3^k], c = `_key(sigma)` - 3^k.
     """
     check_bits(sigma)
     k = len(sigma)
-    return (Frac(1 + 2 * _ternary_code(sigma), 2 * 3**k), Frac(1, 1 << k))
+    return (Frac(1 + 2 * (_key(sigma) - 3**k), 2 * 3**k), Frac(1, 1 << k))
 
 
-def _tree_edges(tree: TreePresentation, stage: int, depth: int) -> list[str]:
-    """Surviving strings of length 1..depth (each names the edge to its parent)."""
-    out = []
-    for length in range(1, depth + 1):
-        out.extend(tree.level(length, stage))
-    return out
+def _tree_edges(tree: TreePresentation, stage: int, depth: int) -> list[list[int]]:
+    """The ascending keys of the surviving strings of each length 1..depth,
+    depth >= 1; a key k names the edge to its parent k // 3.  One walk reads
+    the deepest list, and each shorter one is the parents of the next, since
+    a survivor has a surviving child."""
+    levels = [tree.level(depth, stage)]
+    while len(levels) < depth:
+        levels.append(list(dict.fromkeys(k // 3 for k in levels[-1])))
+    return levels[::-1]
 
 
 def plotted_tree(tree: TreePresentation, stage: int, depth: int) -> RegionSnapshot:
@@ -55,7 +58,7 @@ def plotted_tree(tree: TreePresentation, stage: int, depth: int) -> RegionSnapsh
     lone point."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    return RegionSnapshot(stage, _fat_pieces(_tree_edges(tree, stage, depth), (), Frac(0), depth))
+    return RegionSnapshot(stage, _fat_pieces(_tree_edges(tree, stage, depth), Frac(0), depth))
 
 
 def _full_tree_edges_near(
@@ -64,7 +67,7 @@ def _full_tree_edges_near(
     """Full-tree edges whose subtree window can reach [x_lo,x_hi] x [y_lo, 1].
 
     The subtree below tau spans x in [c / 3^len, (c + 1) / 3^len],
-    c = `_ternary_code(tau)`, and y in (0, 2^-(len-1)], so whole branches
+    c = `_key(tau)` - 3^len, and y in (0, 2^-(len-1)], so whole branches
     prune away exactly; the walk ends once the levels drop below y_lo > 0.
     """
     out = []
@@ -78,7 +81,8 @@ def _full_tree_edges_near(
         px = plot_point(tau)[0]
         for b in ("1", "0"):
             child = tau + b
-            c, den = _ternary_code(child), 3 ** len(child)
+            den = 3 ** len(child)
+            c = _key(child) - den
             lo, hi = min(Frac(c, den), px), max(Frac(c + 1, den), px)
             if lo <= x_hi and hi >= x_lo:
                 stack.append(child)
@@ -162,38 +166,41 @@ def recover_tree(presentation, stage: int, depth: int) -> RecoveredTree:
 
 
 def _fat_pieces(
-    edges: Sequence[str], leaves: Sequence[str], w: Fraction, depth: int, affine=(1, 0, 1, 0)
+    edges: Sequence[Sequence[int]], w: Fraction, depth: int, affine=(1, 0, 1, 0)
 ) -> list[ConvexPoly]:
     """Two shifted copies per edge plus a cap joining the copies at each leaf,
     mapped by (x, y) -> (ax*x + bx, ay*y + by) for affine = (ax, bx, ay, by).
+    `edges[n - 1]` holds the keys of the length-n edge ends for n = 1..depth,
+    as `_tree_edges` gives them, and the leaves are the length-depth ends.
 
-    The copy of vertex sigma shifted by sign * w * 3^-len(sigma) is
-    (X / (2 * 3^depth * den(w)), Y / 2^depth) for integers X and Y, and the
-    map is composed onto them, so each vertex is one integer triple over one
-    denominator.  The caps are the stage-bounded stand-in for the closure of
-    the infinite fat tree; with w = 0 everything collapses onto the plotted
-    edges.
+    The copy of the length-n vertex with key k (code k - 3^n), shifted by
+    sign * w * 3^-n, is (X / (2 * 3^depth * den(w)), Y / 2^depth) for
+    integers X and Y, and the map is composed onto them, so each vertex is
+    one integer triple over one denominator.  The caps are the
+    stage-bounded stand-in for the closure of the infinite fat tree; with
+    w = 0 everything collapses onto the plotted edges.
     """
     ax, bx, ay, by = affine
     wn, wd = w.numerator, w.denominator
     (a, b, g, e), m = to_ints(Frac(ax, 2 * 3**depth * wd), bx, Frac(ay, 1 << depth), by)
-    copies: dict[tuple[str, int], tuple[int, int, int]] = {}
+    copies: dict[tuple[int, int], tuple[int, int, int]] = {}
 
-    def copy(sigma: str, sign: int) -> tuple[int, int, int]:
-        if (sigma, sign) not in copies:
-            k = depth - len(sigma)
-            x = ((1 + 2 * _ternary_code(sigma)) * wd + 2 * sign * wn) * 3**k
-            copies[sigma, sign] = (a * x + b, g * (1 << k) + e, m)
-        return copies[sigma, sign]
+    def copy(key: int, n: int, sign: int) -> tuple[int, int, int]:
+        if (key, sign) not in copies:
+            k = depth - n
+            x = ((1 + 2 * (key - 3**n)) * wd + 2 * sign * wn) * 3**k
+            copies[key, sign] = (a * x + b, g * (1 << k) + e, m)
+        return copies[key, sign]
 
     signs = (-1, 1) if wn else (1,)  # with w = 0 the two copies coincide
     pieces = [
-        ConvexPoly._convex([copy(sigma[:-1], sign), copy(sigma, sign)])
-        for sigma in edges
+        ConvexPoly._convex([copy(key // 3, n - 1, sign), copy(key, n, sign)])
+        for n, keys in enumerate(edges, 1)
+        for key in keys
         for sign in signs
     ]
     if wn:
-        pieces.extend(ConvexPoly._convex([copy(sigma, -1), copy(sigma, 1)]) for sigma in leaves)
+        pieces.extend(ConvexPoly._convex([copy(k, depth, s) for s in signs]) for k in edges[-1])
     return pieces
 
 
@@ -217,7 +224,7 @@ def build_dendrite_h(
     if tree.is_empty(stage):
         raise ValueError("empty tree presentation")
     depth = _h_depth(stage)
-    full = _tree_edges(tree, stage, depth), tree.level(depth, stage)
+    full = _tree_edges(tree, stage, depth)
     pieces: list[ConvexPoly] = []
     gaps = []
     for t in range(stage + 1):
@@ -228,12 +235,12 @@ def build_dendrite_h(
         gaps.append((x - w, x + w))
         st = stage_function(script, t)
         if st is None:
-            edges, leaves = full
+            edges = full
         else:
             path = leftmost_path(tree, st, depth)
-            edges, leaves = [path[: k + 1] for k in range(depth)], [path]
+            edges = [[path // 3 ** (depth - n)] for n in range(1, depth + 1)]
         place = _placement(x, t, Frac(1, 1 << (t + 2)))
-        pieces.extend(_fat_pieces(edges, leaves, w * (1 << (t + 2)), depth, place))
+        pieces.extend(_fat_pieces(edges, w * (1 << (t + 2)), depth, place))
     pieces.extend(_base_pieces(gaps))
     return RegionSnapshot(stage, pieces)
 

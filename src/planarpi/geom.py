@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -700,19 +702,23 @@ def _directed_sq_bounds(
 
     items = [(piece, *bounds(piece)) for piece in src]
     global_lb = max(lb for _, lb, _ in items)
+    # a heap of (-ub, order made, piece): its top is the earliest made of
+    # the pieces with the largest upper bound
+    heap = [(-ub, i, piece) for i, (piece, _, ub) in enumerate(items)]
+    heapify(heap)
+    made = count(len(heap))
     while True:
-        global_hi = max(ub for _, _, ub in items)
+        global_hi = -heap[0][0]
         if sqrt_upper(global_hi, prec) - sqrt_lower(global_lb, prec) <= tol:
             return global_lb, global_hi
-        # refine the piece holding the largest upper bound
-        idx = max(range(len(items)), key=lambda i: items[i][2])
-        # its lb < ub: an item with lb = ub = global_hi <= global_lb would
-        # have met the width test above, so a point piece is never split
-        piece, lb, ub = items.pop(idx)
+        # refine the top piece.  Its lb < ub: a piece with lb = ub =
+        # global_hi <= global_lb would have met the width test above, so a
+        # point piece is never split
+        neg_ub, _, piece = heappop(heap)
         for h in _split_piece(piece):
             hlb, hub = bounds(h)
             global_lb = max(global_lb, hlb)
-            items.append((h, hlb, min(hub, ub)))
+            heappush(heap, (max(-hub, neg_ub), next(made), h))
 
 
 def hausdorff_enclosure(

@@ -26,7 +26,10 @@ own edge loop, the Cantor endpoints by interval splitting, the plot point
 from `cantor_coord`, the plotted tree from its own segments, the probe
 balls with their depth loop, and the Hausdorff refinement that freezes a
 piece whose bounds meet and bounds each piece by two separate nearest-first
-searches.  The fan's snake is grown by the builder it had
+searches.  Tree nodes are binary strings here, as they were before `src/`
+named them by integer keys: the string level walk, the edges of each
+length, the bit flip and the ternary code are kept, and `key_string` turns
+a key back into its string.  The fan's snake is grown by the builder it had
 before it grew at its head: each block chained from a threaded predecessor,
 the base frame found by a scan of the blocks, the track's endpoints summed
 as `Fraction`s, and the guards that no input reaches still in place.
@@ -45,7 +48,7 @@ from planarpi.continua import fanq
 from planarpi.continua.fanq import BlockGraph, BlockRecord, _collinear, _edge_segment
 from planarpi.continua.dendrite import _base_pieces, _rising, rising_width
 from planarpi.continua.regions import LEFT, RIGHT, UP, Direction
-from planarpi.continua.trees import _tree_edges, plot_point
+from planarpi.continua.trees import plot_point
 from planarpi.geom import (
     ConvexPoly,
     RegionSnapshot,
@@ -560,6 +563,40 @@ def brute_force_limit_f(fam: SequenceFamily, e: int, stage: int, bound: int) -> 
     return -best[1]
 
 
+# -- binary strings: tree nodes as they were named before they became keys -----
+
+
+def flip_bits(sigma: str) -> str:
+    return "".join("1" if c == "0" else "0" for c in sigma)
+
+
+def all_strings(length: int) -> list[str]:
+    return [format(i, f"0{length}b") if length else "" for i in range(1 << length)]
+
+
+def ternary_code(sigma: str) -> int:
+    """The bits read as ternary digits 0 and 2, in one integer."""
+    return int("0" + sigma.replace("1", "2"), 3)
+
+
+def key_string(key: int) -> str:
+    """The string whose key (`cantor._key`) is `key`: the ternary digits
+    under the leading digit 1, a digit 2 read as the bit 1."""
+    bits = []
+    while key > 1:
+        key, digit = divmod(key, 3)
+        assert digit != 1, "a key has no ternary digit 1"
+        bits.append("01"[digit // 2])
+    assert key == 1, "a key leads with the ternary digit 1"
+    return "".join(reversed(bits))
+
+
+def _tree_edges(tree, stage: int, depth: int) -> list[str]:
+    """Surviving strings of length 1..depth, each naming the edge to its
+    parent, one `level` walk per length."""
+    return [sigma for length in range(1, depth + 1) for sigma in level(tree, length, stage)]
+
+
 # -- tree survival: the recursive closure -------------------------------------
 # `TreePresentation` as it decided survival before it read one closed set of
 # removed strings per stage, without its memo.  It reads only the schedule
@@ -602,7 +639,7 @@ def check_symmetric(tree, depth: int) -> bool:
     for length in range(depth + 1):
         for stage in range(depth + 2):
             lvl = level(tree, length, stage)
-            if sorted(cantor.flip_bits(s) for s in lvl) != lvl:
+            if sorted(flip_bits(s) for s in lvl) != lvl:
                 return False
     return True
 
@@ -615,8 +652,8 @@ def symmetrize(tree) -> cantor.TreePresentation:
     horizon = tree.final_stage + 1
     entries = []
     for length in range(max_len + 1):
-        for sigma in cantor.all_strings(length):
-            flipped = cantor.flip_bits(sigma)
+        for sigma in all_strings(length):
+            flipped = flip_bits(sigma)
             stage = None
             for s in range(horizon + 1):
                 if not tree.survives(sigma, s) and not tree.survives(flipped, s):
@@ -658,7 +695,7 @@ def cantor_coord(sigma: str) -> Fraction:
     """Left endpoint (un-padded) of sigma's middle-thirds level interval."""
     check_bits(sigma)
     k = len(sigma)
-    return Fraction(3**k + int("0" + sigma.replace("1", "2"), 3), 3 ** (k + 1))
+    return Fraction(3**k + ternary_code(sigma), 3 ** (k + 1))
 
 
 def fat_level(tree, s: int) -> FatCantorLevel:
@@ -799,7 +836,7 @@ def _fat_edge_pieces(edges, leaves, w: Fraction) -> list[ConvexPoly]:
 
 def fat_tree(tree, w, stage: int, depth: int) -> RegionSnapshot:
     edges = _tree_edges(tree, stage, depth)
-    return RegionSnapshot(stage, _fat_edge_pieces(edges, tree.level(depth, stage), Fraction(w)))
+    return RegionSnapshot(stage, _fat_edge_pieces(edges, level(tree, depth, stage), Fraction(w)))
 
 
 def _place(p: Point, c: Fraction, t: int, q: Fraction) -> Point:
@@ -830,7 +867,7 @@ def build_dendrite_h(stage: int, script, tree) -> RegionSnapshot:
         gaps.append((x - w, x + w))
         st = stage_function(script, t)
         if st is None:
-            edges, leaves = _tree_edges(tree, stage, depth), tree.level(depth, stage)
+            edges, leaves = _tree_edges(tree, stage, depth), level(tree, depth, stage)
         else:
             path = leftmost_path(tree, st, depth)
             edges, leaves = [path[: k + 1] for k in range(len(path))], [path] if path else []

@@ -16,14 +16,16 @@ from hypothesis import strategies as st
 from planarpi import cantor
 from planarpi.cantor import (
     TreePresentation,
+    _key,
     cantor_coord,
     fat_level,
-    flip_bits,
     full_tree,
     leftmost_path,
     pad_eps,
 )
+from planarpi.continua.fanq import _check_symmetric
 from planarpi.continua.regions import level_ends, normalize_level
+from planarpi.continua.trees import _tree_edges
 
 import oracles
 
@@ -169,20 +171,20 @@ class TestFatLevels:
         `Fraction`, and the tree is walked no deeper than its longest pruned
         string, and only at the stages before it has settled."""
         made, lengths, stages = [], [], []
-        new, level_keys = F.__new__, TreePresentation._level_keys
+        new, level = F.__new__, TreePresentation.level
 
         def counting_new(cls, *args, **kwargs):
             made.append(args)
             return new(cls, *args, **kwargs)
 
-        def recording_level_keys(self, length, stage):
+        def recording_level(self, length, stage):
             lengths.append(length)
             stages.append(stage)
-            return level_keys(self, length, stage)
+            return level(self, length, stage)
 
         tree = make_tree()
         monkeypatch.setattr(F, "__new__", counting_new)
-        monkeypatch.setattr(TreePresentation, "_level_keys", recording_level_keys)
+        monkeypatch.setattr(TreePresentation, "level", recording_level)
         levels = [fat_level(tree, s) for s in range(13)]
         ends = [level_ends(tree, s, t) for s in range(13) for t in range(s, 13)]
         monkeypatch.undo()
@@ -192,23 +194,28 @@ class TestFatLevels:
         assert len(levels[12].intervals) > 1
 
     def test_growth_lists_no_string(self, monkeypatch):
-        """Survival is decided on keys: growing levels 0..12 of a pruned
-        tree reads no `level` and codes no string with `_ternary_code`."""
-        calls = []
+        """Survival is decided on keys: the schedule's strings are keyed when
+        the tree is made, and growing levels 0..12 of a pruned tree codes no
+        string with `_key` and walks levels that hold only ints."""
+        coded, walked = [], []
+        key, level = cantor._key, TreePresentation.level
 
-        def recording(name, function):
-            def recorded(*args):
-                calls.append(name)
-                return function(*args)
+        def recording_key(sigma):
+            coded.append(sigma)
+            return key(sigma)
 
-            return recorded
+        def recording_level(self, length, stage):
+            keys = level(self, length, stage)
+            walked.extend(keys)
+            return keys
 
         tree = TreePresentation([("01", 2), ("110", 4), ("1", 9)])
-        monkeypatch.setattr(TreePresentation, "level", recording("level", TreePresentation.level))
-        monkeypatch.setattr(cantor, "_ternary_code", recording("code", cantor._ternary_code))
+        monkeypatch.setattr(cantor, "_key", recording_key)
+        monkeypatch.setattr(TreePresentation, "level", recording_level)
         levels = [fat_level(tree, s) for s in range(13)]
         monkeypatch.undo()
-        assert calls == []
+        assert coded == []
+        assert walked and {type(k) for k in walked} == {int}
         assert len(levels[12].intervals) > 1
 
 
@@ -346,7 +353,9 @@ class TestMatchesOracle:
     def test_level(self, prune, stage):
         tree, old = TreePresentation(prune), TreePresentation(prune)
         for length in range(15):
-            assert tree.level(length, stage) == oracles.level(old, length, stage)
+            got = tree.level(length, stage)
+            assert all(type(k) is int for k in got)
+            assert [oracles.key_string(k) for k in got] == oracles.level(old, length, stage)
 
     @settings(max_examples=40, deadline=None)
     @given(prune=st.one_of(SCHEDULES, ROOTED_SCHEDULES, climbing_schedules(), st.just([])))
@@ -368,7 +377,7 @@ class TestMatchesOracle:
                     with pytest.raises(ValueError, match=str(exc)):
                         leftmost_path(tree, stage, depth)
                 else:
-                    assert leftmost_path(tree, stage, depth) == expected
+                    assert oracles.key_string(leftmost_path(tree, stage, depth)) == expected
 
     @settings(max_examples=4, deadline=None)
     @given(prune=SCHEDULES, order=st.permutations(range(15)))
@@ -456,8 +465,8 @@ class TestSymmetrize:
     def _is_symmetric(self, tree, depth=8):
         for length in range(depth):
             for stage in range(depth):
-                lvl = tree.level(length, stage)
-                assert sorted(flip_bits(s) for s in lvl) == lvl
+                lvl = [oracles.key_string(k) for k in tree.level(length, stage)]
+                assert sorted(oracles.flip_bits(s) for s in lvl) == lvl
 
     def test_full_tree_unchanged(self):
         sym = oracles.symmetrize(full_tree())
@@ -480,16 +489,18 @@ class TestSymmetrize:
 
 
 class TestLeftmostPath:
+    """The path is a key: 3^depth plus the bits read as ternary digits 0 and 2."""
+
     def test_full_tree(self):
-        assert leftmost_path(full_tree(), 1, 3) == "000"
+        assert leftmost_path(full_tree(), 1, 3) == 27  # "000"
 
     def test_prune_forces_right(self):
         tree = TreePresentation([("0", 1)])
-        assert leftmost_path(tree, 2, 2) == "10"
+        assert leftmost_path(tree, 2, 2) == 9 + 6  # "10"
 
     def test_stage_zero_sees_nothing(self):
         tree = TreePresentation([("0", 1)])
-        assert leftmost_path(tree, 0, 4) == "0000"
+        assert leftmost_path(tree, 0, 4) == 81  # "0000"
 
     def test_monotone_in_stage(self):
         rng = random.Random(17)
@@ -505,3 +516,70 @@ class TestLeftmostPath:
         tree = TreePresentation([("0", 0), ("1", 0)])
         with pytest.raises(ValueError):
             leftmost_path(tree, 1, 2)
+
+
+def strings(keys):
+    return [oracles.key_string(k) for k in keys]
+
+
+class TestKeysMatchStrings:
+    """The readers that walk keys against the string oracles of
+    `tests/oracles.py`, the keys turned into strings here: `level`,
+    `leftmost_path`, the fan's `_check_symmetric` and the tree dendrite's
+    `_tree_edges`, each side on its own fresh tree.  Schedules prune the
+    empty string and strings longer than any length read, and stages run
+    past `final_stage`."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(prune=st.lists(st.tuples(st.text("01", max_size=7), st.integers(0, 5)), max_size=6))
+    @example(prune=[("", 2)])
+    @example(prune=[("", 0), ("0110", 1)])
+    @example(prune=[("0110101", 1), ("1", 3), ("0", 4)])
+    @example(prune=[("00", 1), ("11", 1), ("010", 2), ("101", 2), ("0110111", 0)])
+    def test_keys_name_the_oracle_strings(self, prune):
+        tree, old = TreePresentation(prune), TreePresentation(prune)
+        sym = oracles.symmetrize(TreePresentation(prune))
+        for depth in range(6):
+            assert _check_symmetric(tree, depth) == oracles.check_symmetric(old, depth)
+            assert _check_symmetric(TreePresentation(sym.prune), depth)
+            assert oracles.check_symmetric(sym, depth)
+        for stage in range(tree.final_stage + 3):
+            levels = [oracles.level(old, n, stage) for n in range(6)]
+            assert [strings(tree.level(n, stage)) for n in range(6)] == levels
+            for depth in range(1, 6):
+                edges = _tree_edges(tree, stage, depth)
+                assert [strings(keys) for keys in edges] == levels[1 : depth + 1]
+                flat = [k for keys in edges for k in keys]
+                assert strings(flat) == oracles._tree_edges(old, stage, depth)
+            for depth in range(6):
+                try:
+                    expected = oracles.leftmost_path(old, stage, depth)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        leftmost_path(tree, stage, depth)
+                else:
+                    assert oracles.key_string(leftmost_path(tree, stage, depth)) == expected
+
+
+class TestLongPrune:
+    """A pruned string of 5,000 bits or more, past CPython's limit of 4,300
+    digits on converting a str to an int in one go, is keyed all the same."""
+
+    def test_key_is_the_digit_by_digit_sum(self):
+        rng = random.Random(4300)
+        for sigma in ("0" * 5000, "1" * 5000, "".join(rng.choice("01") for _ in range(9001))):
+            key = 1
+            for bit in sigma:
+                key = 3 * key + 2 * int(bit)
+            assert _key(sigma) == key
+
+    def test_readers(self):
+        long = "0" * 5000
+        tree = TreePresentation([(long, 0), ("1", 2)])
+        assert not tree.is_empty(1) and not tree.is_empty(9)
+        assert tree.level(2, 2) == [9, 11, 15, 17]  # 00 01 10 11
+        assert tree.level(2, 3) == [9, 11]
+        assert tree.survives(long, 0) and not tree.survives(long, 1)
+        assert not tree.survives(long + "1", 1) and tree.survives(long[:-1] + "1", 1)
+        assert fat_level(tree, 3).lefts == fat_level(TreePresentation([("1", 2)]), 3).lefts
+        assert leftmost_path(tree, 1, 3) == 27

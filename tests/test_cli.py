@@ -86,6 +86,22 @@ class TestBuild:
         cfg = write_config(tmp_path, bad)
         assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"construction": "plotted-tree", "stage": 2, "depth": 4,
+             "P": {"prune": [["0" * 5000, 0], ["1", 0]]}},
+            {"construction": "cantor-fan-q", "stage": 2, "B": [[1, 4], [2, 2]],
+             "P": {"prune": [["0" * 5000, 0], ["1" * 5000, 0]]}},
+        ],
+        ids=["plotted-tree", "cantor-fan-q"],
+    )
+    def test_a_prune_past_the_int_digit_limit_builds(self, tmp_path, config):
+        # CPython converts a str of at most 4,300 digits to an int in one go
+        cfg = write_config(tmp_path, config)
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 0
+        assert json.loads((tmp_path / "x.json").read_text())["pieces"]
+
 
 class TestVerifyCommand:
     def test_q_checks_pass(self, tmp_path):

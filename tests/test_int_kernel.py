@@ -14,7 +14,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -313,8 +313,20 @@ def nested_box_scenes(draw):
     return (inner, outer) if draw(st.booleans()) else (outer, inner)
 
 
+# source boxes whose directed distance 2/9 to the targets is reached along
+# the whole segment x = 2/9, equidistant from two targets: along it a
+# piece's upper bound exceeds the truth by about the piece's width, so the
+# refinement splits many pieces there
+RIDGE = (
+    [rect(F(1, 8), -1, F(9, 16), F(-1, 2)), rect(F(-5, 36), F(3, 4), 0, 1),
+     rect(F(1, 9), F(25, 36), F(1, 2), F(5, 6))],
+    [rect(0, -1, F(7, 4), F(-1, 3)), rect(F(-5, 9), 0, 0, 1), rect(F(4, 9), F(4, 9), 2, 1)],
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.tuples(SCENES, SCENES), nested_box_scenes()), st.sampled_from((2, 6, 12, 20)))
+@example(RIDGE, 10)
 def test_hausdorff_bounds_match_freezing_refinement(scene, tol_exp):
     # at the tolerance and precision `hausdorff_enclosure` uses, a piece
     # whose bounds meet never holds the largest upper bound while the width
@@ -326,3 +338,18 @@ def test_hausdorff_bounds_match_freezing_refinement(scene, tol_exp):
     got = geom._directed_sq_bounds(src, dst, half, prec)
     assert got == oracles.int_directed_sq_bounds(src, dst, half, prec)
     assert got == oracles.directed_sq_bounds(src, dst, half, prec)
+
+
+def test_hausdorff_refinement_on_a_ridge(monkeypatch):
+    """At `tol_exp` 12 the ridge takes 1,535 splits to these bounds; pinned
+    without the oracles, whose refinement is quadratic in the splits."""
+    splits, split = [], geom._split_piece
+
+    def counting(piece):
+        splits.append(piece)
+        return split(piece)
+
+    monkeypatch.setattr(geom, "_split_piece", counting)
+    got = geom._directed_sq_bounds(*RIDGE, F(1, 1 << 13), 16)
+    assert len(splits) == 1535
+    assert got == (F(67092481, 1358954496), F(7458361, 150994944))
