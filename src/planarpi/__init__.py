@@ -10,6 +10,17 @@ def check_natural(value, what: str) -> int:
     return value
 
 
+def check_pairs(rows, what: str) -> list:
+    """The one rule for lists of pairs read from input: a list whose every
+    entry is a list of two."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{what} must be a list of pairs, got {rows!r}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 2:
+            raise ValueError(f"{what} entry {i} must be a pair, got {row!r}")
+    return rows
+
+
 class Record:
     """Base of the package's value classes.
 

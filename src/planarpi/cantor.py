@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from . import Record, check_natural
+from . import Record, check_natural, check_pairs
 
 def check_bits(sigma: str) -> str:
     if not isinstance(sigma, str) or sigma.strip("01"):
@@ -85,7 +85,7 @@ class TreePresentation:
     def from_json(doc: dict) -> "TreePresentation":
         if not isinstance(doc, dict):
             raise ValueError("must be a JSON object with a 'prune' list")
-        return TreePresentation([(s, u) for s, u in doc.get("prune", [])])
+        return TreePresentation(check_pairs(doc.get("prune", []), "prune"))
 
 
 def full_tree() -> TreePresentation:
@@ -135,14 +135,15 @@ class FatCantorLevel(Record):
             den = 3 ** (check_natural(stage, "fat level stage") + 2)
             lefts = []
             for iv in intervals:
-                try:
-                    lo, hi = (Fraction(v) * den for v in iv)
-                    ok = lo.denominator == 1 and hi == lo + 5
+                try:  # each end v times den, or None where that is no int
+                    lo, hi = (f.numerator * (den // f.denominator) if den % f.denominator == 0
+                              else None for f in map(Fraction, iv))
+                    ok = lo is not None and hi == lo + 5
                 except (TypeError, ValueError):
                     ok = False
                 if not ok:
                     raise ValueError(f"{iv!r} is not a stage-{stage} fat interval")
-                lefts.append(lo.numerator)
+                lefts.append(lo)
             lefts = tuple(lefts)
         self.stage, self.lefts, self._intervals = stage, lefts, None
 
@@ -176,18 +177,16 @@ class FatCantorLevel(Record):
 def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
     """Level-s intervals J(sigma) = [pi - eps, pi + 3^-(s+1) + eps], eps = 3^-(s+2).
 
-    Level s is grown from level s - 1: its strings are the children sigma0
-    and sigma1 of level s - 1's strings that survive at stage s.  None is
-    missed, because removal only grows with the stage and passes to every
-    extension, so the parent of a stage-s survivor survives at stage s - 1.
-    A child survives iff its prefix of length min(s, max_prune_len) does,
-    because no member of the removed set is longer.  Past that horizon, both
-    children of a parent share the prefix, so survival is tested once per
+    sigma's left numerator over 3^(s+2) is 3k - 1, k = `_key(sigma)`.  Up to
+    the horizon, s <= max_prune_len, the level's strings are the keys of
+    `tree.level(s, s)`.  Past it, they are the children of level s - 1's
+    strings that survive at stage s: removal only grows with the stage and
+    passes to every extension, so the parent of a stage-s survivor survives
+    at stage s - 1.  Both children share their prefix of length
+    max_prune_len, which alone decides survival, so it is tested once per
     parent.  From stage max(final_stage, max_prune_len) + 1 on, the tree has
-    settled: the removed set is stage s - 1's and decides survival at the
-    same length, so every parent survives.  There both children of every
-    parent are grown with no survivor listed and no test, and `is_empty`
-    alone decides whether the level is empty.
+    settled: stage s - 1's removed set is stage s's, so every parent
+    survives, and `is_empty` alone decides whether the level is empty.
     """
     check_natural(s, "fat level stage")
     cache = tree._fat_cache
@@ -197,29 +196,25 @@ def fat_level(tree: TreePresentation, s: int) -> FatCantorLevel:
 
 
 def _grow(tree: TreePresentation, s: int) -> tuple[int, ...]:
-    """The left numerators of `fat_level(tree, s)`, grown as its docstring says."""
+    """The left numerators of `fat_level(tree, s)`, made as its docstring says."""
     depth = min(s, tree.max_prune_len)
     if s > max(tree.final_stage, tree.max_prune_len):  # settled
-        alive, empty = None, tree.is_empty(s)
+        keys, empty = None, tree.is_empty(s)
     else:
-        alive = set(tree.level(depth, s))
-        empty = not alive
+        keys = tree.level(depth, s)
+        empty = not keys
     if empty:  # before the recursion, so that the error names stage s
         raise ValueError(f"tree level {s} is empty")
-    # sigma's left numerator over 3^(s+2) is 3k - 1, k = `_key(sigma)`
-    if s == 0:
-        return (2,)  # the root: k = 1
-    # so a parent with left numerator p has the children keys p + 1 and
-    # p + 3, and their left numerators n are 3p + 2 and 3p + 8: a child's
-    # key is (n + 1) // 3
-    parents = fat_level(tree, s - 1).lefts
     if depth == s:
-        return tuple(n for p in parents for n in (3 * p + 2, 3 * p + 8) if (n + 1) // 3 in alive)
-    # both children share the parent's length-depth prefix
-    if alive is not None:
-        drop = 3 ** (s - depth)
+        return tuple([3 * k - 1 for k in keys])
+    parents = fat_level(tree, s - 1).lefts
+    if keys is not None:  # p's key is (p + 1) // 3, its length-depth prefix (p + 1) // drop
+        alive, drop = set(keys), 3 ** (s - depth)
         parents = [p for p in parents if (p + 1) // drop in alive]
-    return tuple(n for p in parents for n in (3 * p + 2, 3 * p + 8))
+    low = [3 * p + 2 for p in parents]  # the left children; the right are 6 on
+    lefts = low * 2
+    lefts[::2], lefts[1::2] = low, [n + 6 for n in low]
+    return tuple(lefts)
 
 
 def leftmost_path(tree: TreePresentation, stage: int, depth: int) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from . import Record, check_natural
+from . import Record, check_natural, check_pairs
 
 
 class EnumerationScript:
@@ -31,7 +31,7 @@ class EnumerationScript:
 
     @staticmethod
     def from_json(rows) -> "EnumerationScript":
-        return EnumerationScript([(s, n) for s, n in rows])
+        return EnumerationScript(check_pairs(rows, "script"))
 
 
 def stage_function(script: EnumerationScript, n: int) -> Optional[int]:

@@ -223,7 +223,7 @@ def _dendroid_k(config: dict, lo: int, hi: int) -> Replay:
 def _fan(config: dict, lo: int, hi: int) -> Replay:
     from .continua.fanq import DestinationTrack, q_snapshots
 
-    tree, track = _tree_from(config), _field(config, "B", DestinationTrack, [])
+    tree, track = _tree_from(config), _field(config, "B", DestinationTrack.from_json, [])
     return (*q_snapshots(hi, tree, track, lo), ())
 
 

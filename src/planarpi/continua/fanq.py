@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .. import Record, check_natural
+from .. import Record, check_natural, check_pairs
 from ..cantor import FatCantorLevel, TreePresentation, fat_level
 from ..geom import (
     ConvexPoly,
@@ -240,6 +240,10 @@ class DestinationTrack:
             raise ValueError("elements must be >= 1 (0 is the implicit tail index)")
         self.elements = elements
         self.final_stage = len(elements)
+
+    @staticmethod
+    def from_json(rows) -> "DestinationTrack":
+        return DestinationTrack(check_pairs(rows, "track"))
 
     def gamma(self, step: int) -> tuple[Fraction, Fraction]:
         if step < 0 or step > self.final_stage:

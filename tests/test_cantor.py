@@ -458,6 +458,43 @@ class TestMatchesOracle:
         assert all(len(removed) <= 31 for removed in tree._removed_sets.values())
 
 
+class TestFatLevelsMatchSurvivingKeys:
+    """A stage-s fat level's left numerators are 3k - 1 for the keys k of
+    the stage-s survivors of length s, whichever branch of `_grow` makes
+    them and in whatever order the levels are asked for."""
+
+    # a prune of "0" after stage 10 is past its horizon from stage 2 and
+    # settles from stage 12; a prune of "" has the horizon 0; a long string
+    # keeps every stage up to 16 below the horizon
+    FIXED = [[], [("0", 10)], [("", 3)], [("0" * 20, 2)], [("00", 1), ("01", 6), ("1", 3)]]
+
+    @staticmethod
+    def branch(tree, s):
+        if s <= tree.max_prune_len:
+            return "below the horizon"
+        return "settled" if s > tree.final_stage else "past the horizon"
+
+    def test_levels_0_to_16_are_the_surviving_keys(self):
+        rng = random.Random(31)
+        taken = set()
+        for prune in self.FIXED + criterion_3_schedules(seed=31, count=20):
+            survivors = TreePresentation(prune)
+            expected = [tuple(3 * k - 1 for k in survivors.level(s, s)) for s in range(17)]
+            shuffled = rng.sample(range(17), 17)
+            for order in (range(17), range(16, -1, -1), shuffled):
+                tree = TreePresentation(prune)
+                for s in order:
+                    taken.add(self.branch(tree, s))
+                    if not expected[s]:
+                        with pytest.raises(ValueError, match=f"^tree level {s} is empty$"):
+                            fat_level(tree, s)
+                        continue
+                    lefts = fat_level(tree, s).lefts
+                    assert type(lefts) is tuple and all(type(n) is int for n in lefts)
+                    assert lefts == expected[s], (prune, s)
+        assert taken == {"below the horizon", "past the horizon", "settled"}
+
+
 class TestSymmetrize:
     """`oracles.symmetrize`, which the fan tests draw their symmetric trees
     from, makes mirror-symmetric trees and keeps symmetric ones as they are."""

@@ -300,6 +300,28 @@ BAD_INPUTS = [
     ("prune-stage-not-an-integer",
      {"c.json": '{"construction": "plotted-tree", "P": {"prune": [["1", 0.5]]}}'}, build_argv(),
      "natural number"),
+    # an entry of `A`, `B` or `P.prune` that is not a pair is named by its
+    # index, whatever it would unpack to
+    ("prune-entry-a-string",
+     {"c.json": '{"construction": "plotted-tree", "P": {"prune": ["01"]}}'}, build_argv(),
+     "config field 'P': prune entry 0 must be a pair, got '01'"),
+    ("prune-entry-an-object",
+     {"c.json": '{"construction": "plotted-tree", "P": {"prune": [["1", 2], {"01": 3}]}}'},
+     build_argv(), "config field 'P': prune entry 1 must be a pair, got {'01': 3}"),
+    ("prune-an-object",
+     {"c.json": '{"construction": "plotted-tree", "P": {"prune": {"01": 3}}}'}, build_argv(),
+     "config field 'P': prune must be a list of pairs, got {'01': 3}"),
+    ("script-entry-a-string", {"c.json": json.dumps({**FIG5_CONFIG, "A": ["13"]})}, build_argv(),
+     "config field 'A': script entry 0 must be a pair, got '13'"),
+    ("script-entry-one-element", {"c.json": json.dumps({**FIG5_CONFIG, "A": [[1, 1], [1]]})},
+     build_argv(), "config field 'A': script entry 1 must be a pair, got [1]"),
+    ("track-entry-three-elements",
+     {"c.json": json.dumps({**Q_CONFIG, "B": [[1, 4], [2, 2, 0]]})}, build_argv(),
+     "config field 'B': track entry 1 must be a pair, got [2, 2, 0]"),
+    ("track-entry-null", {"c.json": json.dumps({**Q_CONFIG, "B": [None]})}, build_argv(),
+     "config field 'B': track entry 0 must be a pair, got None"),
+    ("track-a-string", {"c.json": json.dumps({**Q_CONFIG, "B": "14"})}, build_argv(),
+     "config field 'B': track must be a list of pairs, got '14'"),
     ("prune-string-not-a-string",
      {"c.json": '{"construction": "plotted-tree", "P": {"prune": [[["1"], 0]]}, "stage": 3}'},
      build_argv(), "not a binary string"),

@@ -24,8 +24,10 @@ def test_fat_level_rebuilt_positionally_is_equal():
 
 @pytest.mark.parametrize(
     "interval",
-    [(F(2, 27), F(7, 27)), (F(2, 9), F(8, 9)), (F(1, 18), F(11, 18)), (F(2, 9), None), ("x", "y"), (F(2, 9),)],
-    ids=["other-stage", "wide", "half-numerator", "none", "not-a-number", "not-a-pair"],
+    [(F(2, 27), F(7, 27)), (F(2, 9), F(8, 9)), (F(1, 18), F(11, 18)), (F(2, 9), None), ("x", "y"), (F(2, 9),),
+     (F(1, 2), F(1))],
+    # 1/2 is 4/9 rounded down, and 4/9 + 5/9 is 1
+    ids=["other-stage", "wide", "half-numerator", "none", "not-a-number", "not-a-pair", "half-end"],
 )
 def test_fat_level_refuses_an_interval_of_another_form(interval):
     with pytest.raises(ValueError):
