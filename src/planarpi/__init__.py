@@ -10,14 +10,15 @@ def check_natural(value, what: str) -> int:
     return value
 
 
-def check_pairs(rows, what: str) -> list:
-    """The one rule for lists of pairs read from input: a list whose every
-    entry is a list of two."""
+def check_rows(rows, what: str, width: int) -> list:
+    """The one rule for lists of pairs or triples read from input: a list
+    whose every entry is a list of `width` (2 or 3)."""
+    row_name = "pair" if width == 2 else "triple"
     if not isinstance(rows, list):
-        raise ValueError(f"{what} must be a list of pairs, got {rows!r}")
+        raise ValueError(f"{what} must be a list of {row_name}s, got {rows!r}")
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 2:
-            raise ValueError(f"{what} entry {i} must be a pair, got {row!r}")
+        if not isinstance(row, list) or len(row) != width:
+            raise ValueError(f"{what} entry {i} must be a {row_name}, got {row!r}")
     return rows
 
 

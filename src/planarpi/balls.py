@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import Record
-from .geom import ConvexPoly, Point, RegionSnapshot, frac, subtract_poly, to_ints
+from .geom import ConvexPoly, Point, frac, to_ints
 from .intgeom import Hom, reduced
 
 
@@ -70,8 +70,3 @@ def ball_polygon(ball: BallSpec) -> ConvexPoly:
     return ConvexPoly._convex(
         [reduced(cx * w + r * x, cy * w + r * y, d * w) for x, y, w in _unit_circle_points()]
     )
-
-
-def subtract_ball(region: RegionSnapshot, ball: BallSpec) -> RegionSnapshot:
-    """Snapshot covering region minus ball (removed polygon is inside the ball)."""
-    return subtract_poly(region, ball_polygon(ball))

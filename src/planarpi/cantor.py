@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from . import Record, check_natural, check_pairs
+from . import Record, check_natural, check_rows
 
 def check_bits(sigma: str) -> str:
     if not isinstance(sigma, str) or sigma.strip("01"):
@@ -85,7 +85,7 @@ class TreePresentation:
     def from_json(doc: dict) -> "TreePresentation":
         if not isinstance(doc, dict):
             raise ValueError("must be a JSON object with a 'prune' list")
-        return TreePresentation(check_pairs(doc.get("prune", []), "prune"))
+        return TreePresentation(check_rows(doc.get("prune", []), "prune", 2))
 
 
 def full_tree() -> TreePresentation:

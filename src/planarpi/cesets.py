@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from . import Record, check_natural, check_pairs
+from . import Record, check_natural, check_rows
 
 
 class EnumerationScript:
@@ -31,7 +31,7 @@ class EnumerationScript:
 
     @staticmethod
     def from_json(rows) -> "EnumerationScript":
-        return EnumerationScript(check_pairs(rows, "script"))
+        return EnumerationScript(check_rows(rows, "script", 2))
 
 
 def stage_function(script: EnumerationScript, n: int) -> Optional[int]:
@@ -64,26 +64,25 @@ class SequenceFamily(Record):
     """Finite list of scripted uniformly-enumerable sequences V_i.  Families
     compare by value; each keeps its own memo of first choices."""
 
-    _fields = ("members", "normalized")
+    _fields = ("members",)
     __slots__ = (*_fields, "_first_choices")
 
-    def __init__(self, members: Sequence[FamilyMember], normalized: bool = False):
+    def __init__(self, members: Sequence[FamilyMember]):
         self.members = tuple(members)
-        self.normalized = bool(normalized)
         self._first_choices: dict[tuple, dict[int, int]] = {}  # owned by comb._first_choices
-        if self.normalized:
-            for mem in self.members:
-                for (n, _, x) in mem.triples:
-                    if x < n:
-                        raise ValueError(
-                            f"{mem.name}: element {x} below component index {n}"
-                        )
 
     @staticmethod
     def from_json(rows) -> "SequenceFamily":
-        return SequenceFamily(
-            FamilyMember(r["name"], tuple((n, s, x) for n, s, x in r["triples"])) for r in rows
-        )
+        if not isinstance(rows, list):
+            raise ValueError(f"family must be a list of members, got {rows!r}")
+        members = []
+        for i, r in enumerate(rows):
+            if not isinstance(r, dict):
+                raise ValueError(f"family member {i} must be an object, got {r!r}")
+            name = r["name"]
+            triples = check_rows(r["triples"], f"{name}: triples", 3)
+            members.append(FamilyMember(name, tuple(map(tuple, triples))))
+        return SequenceFamily(members)
 
 
 def e_state(fam: SequenceFamily, e: int, y: int, stage: int) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .. import Record, check_natural, check_pairs
+from .. import Record, check_natural, check_rows
 from ..cantor import FatCantorLevel, TreePresentation, fat_level
 from ..geom import (
     ConvexPoly,
@@ -243,7 +243,7 @@ class DestinationTrack:
 
     @staticmethod
     def from_json(rows) -> "DestinationTrack":
-        return DestinationTrack(check_pairs(rows, "track"))
+        return DestinationTrack(check_rows(rows, "track", 2))
 
     def gamma(self, step: int) -> tuple[Fraction, Fraction]:
         if step < 0 or step > self.final_stage:

@@ -18,7 +18,7 @@ from ..balls import BallSpec
 from ..geom import (
     ConvexPoly,
     RegionSnapshot,
-    _sq_sign,
+    _point_sq,
     overlapping_pairs,
     rect,
     segment,
@@ -94,9 +94,9 @@ def probe_balls(sigma: str) -> tuple[BallSpec, Optional[BallSpec]]:
     """Negative and positive probe balls of a string.
 
     The negative ball sits on the vertex with radius 2^-(len+2).  The positive
-    ball sits on the midpoint of the parent edge, with the largest radius of
-    the form 2^-k whose open ball meets no other edge of the full plotted
-    tree (checked exactly against every edge that could reach it).
+    ball sits on the midpoint of the parent edge, with the largest radius
+    2^-k, k >= len, whose square is at most the exact squared distance from
+    the midpoint to every other edge of the full plotted tree.
     """
     check_bits(sigma)
     # radius min(2^-(len+2), 3^-(len+1)): the dyadic radius alone lets
@@ -109,29 +109,16 @@ def probe_balls(sigma: str) -> tuple[BallSpec, Optional[BallSpec]]:
     b = plot_point(sigma)
     mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
     (x, y), w = to_ints(*mid)
-    for k in range(len(sigma), len(sigma) + 40):
-        # mid_y - r >= 3 * 2^-(len+1) - 2^-len > 0, so the walk below ends
-        r = Frac(1, 1 << k)
-        near = _full_tree_edges_near(mid[0] - r, mid[0] + r, mid[1] - r)
-        if not any(tau != sigma and _sq_sign((x, y, w), e, r * r) < 0 for tau, e in near):
+    r = Frac(1, 1 << len(sigma))
+    # mid_y - r >= 3 * 2^-(len+1) - 2^-len > 0, so the walk ends; the windows
+    # of smaller radii nest in this one, so one walk serves every radius
+    near = _full_tree_edges_near(mid[0] - r, mid[0] + r, mid[1] - r)
+    gap = min(Frac(*_point_sq((x, y, w), e)) for tau, e in near if tau != sigma)
+    for _ in range(40):
+        if r * r <= gap:
             return minus, BallSpec(mid, r, kind="open")
+        r /= 2
     raise AssertionError("no admissible positive ball radius found")
-
-
-class PlottedTreePresentation:
-    """Stage-indexed plotted-tree snapshots, shaped like a co-c.e. presentation."""
-
-    def __init__(self, tree: TreePresentation, depth: int):
-        self.tree = tree
-        self.depth = depth
-        self.final_stage = tree.final_stage
-        self._cache: dict[int, RegionSnapshot] = {}
-
-    def snapshot(self, stage: int) -> RegionSnapshot:
-        stage = min(stage, self.final_stage)
-        if stage not in self._cache:
-            self._cache[stage] = plotted_tree(self.tree, stage, self.depth)
-        return self._cache[stage]
 
 
 class RecoveredTree(Record):
@@ -142,21 +129,20 @@ class RecoveredTree(Record):
         self.region_empty = region_empty
 
 
-def recover_tree(presentation, stage: int, depth: int) -> RecoveredTree:
-    """Strings whose positive ball meets the stage snapshot, plus the root."""
-    pieces = presentation.snapshot(stage).pieces
+def recover_tree(snapshot: RegionSnapshot, depth: int) -> RecoveredTree:
+    """Strings whose positive ball meets the snapshot, plus the root."""
+    pieces = snapshot.pieces
     strings = [format(i, f"0{n}b") for n in range(1, depth + 1) for i in range(1 << n)]
     balls = [probe_balls(sigma)[1] for sigma in strings]
     # a piece whose box misses the ball's closed box is farther than the radius
     ball_boxes, centres = [], []  # each centre as a homogeneous int triple
     for ball in balls:
-        (x, y), r = ball.center, ball.radius
-        ball_boxes.append((x - r, y - r, x + r, y + r))
-        (xn, yn), w = to_ints(x, y)
-        centres.append((xn, yn, w))
+        (x, y, r), d = to_ints(*ball.center, ball.radius)
+        ball_boxes.append((x - r, y - r, x + r, y + r, d))
+        centres.append((x, y, d))
     met: set[int] = set()
-    for i, j in overlapping_pairs(ball_boxes, [p.bbox() for p in pieces]):
-        if i not in met and _sq_sign(centres[i], pieces[j], balls[i].radius ** 2) < 0:
+    for i, j in overlapping_pairs(ball_boxes, [p._ibox() for p in pieces]):
+        if i not in met and Frac(*_point_sq(centres[i], pieces[j])) < balls[i].radius ** 2:
             met.add(i)
     hits = tuple(strings[i] for i in sorted(met))
     return RecoveredTree(strings=("",) + hits, region_empty=not met)

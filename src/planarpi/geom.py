@@ -181,10 +181,6 @@ def segment(a, b) -> ConvexPoly:
     return ConvexPoly._convex([(ax, ay, d), (bx, by, d)])
 
 
-def point(x, y) -> ConvexPoly:
-    return ConvexPoly([(x, y)])
-
-
 # -- boxes -------------------------------------------------------------------
 
 
@@ -246,12 +242,6 @@ def _point_sq(p: Hom, piece: ConvexPoly) -> tuple[int, int]:
         if best is None or n * best[1] < best[0] * d:
             best = n, d
     return best
-
-
-def _sq_sign(p: Hom, piece: ConvexPoly, q: Fraction) -> int:
-    """The sign of (the squared distance from p to the closed piece) - q."""
-    n, m = _point_sq(p, piece)
-    return (n * q.denominator > q.numerator * m) - (n * q.denominator < q.numerator * m)
 
 
 def squared_distance(a: ConvexPoly, b: ConvexPoly) -> Fraction:
@@ -610,9 +600,6 @@ class DistanceEnclosure(Record):
     def __init__(self, low: Fraction, high: Fraction):
         self.low = low
         self.high = high
-
-    def width(self) -> Fraction:
-        return self.high - self.low
 
     def __repr__(self) -> str:
         return f"[{frac_str(self.low)}, {frac_str(self.high)}]"

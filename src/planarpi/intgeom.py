@@ -55,13 +55,13 @@ def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
 def overlapping_pairs(boxes, others=None) -> list[tuple[int, int]]:
     """Index pairs of closed boxes that meet, by sweep and prune along x.
 
-    A box is (x0, y0, x1, y1), or (x0, y0, x1, y1, d) with d > 0 for
-    [x0/d, x1/d] x [y0/d, y1/d].  Without `others`: the pairs (i, j), i < j,
-    of boxes that meet.  With `others`: the pairs (i, j) where boxes[i]
-    meets others[j].  Boxes that only touch meet.
+    A box is five ints (x0, y0, x1, y1, d), d > 0, for [x0/d, x1/d] x
+    [y0/d, y1/d], as `ConvexPoly._ibox` gives it.  Without `others`: the
+    pairs (i, j), i < j, of boxes that meet.  With `others`: the pairs
+    (i, j) where boxes[i] meets others[j].  Boxes that only touch meet.
     """
     cross = others is not None
-    sides = [[b if len(b) > 4 else (*b, 1) for b in side] for side in (boxes, others)[: 1 + cross]]
+    sides = (boxes, others)[: 1 + cross]
     d = lcm(*(b[4] for side in sides for b in side))
     order = sorted(
         (b[0] * (d // b[4]), s, i) for s, side in enumerate(sides) for i, b in enumerate(side)

@@ -48,11 +48,3 @@ def render_svg(region: RegionSnapshot, width_px: int = 640) -> str:
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def count_elements(svg: str) -> dict[str, int]:
-    return {
-        "path": svg.count("<path "),
-        "line": svg.count("<line "),
-        "circle": svg.count("<circle "),
-    }

@@ -38,6 +38,7 @@ as `Fraction`s, and the guards that no input reaches still in place.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence
 
@@ -333,7 +334,7 @@ def region_covers(cover: Sequence[ConvexPoly], target: Sequence[ConvexPoly]):
     """
     # a cover piece whose bbox misses the target's misses every remainder
     near: list[list[int]] = [[] for _ in target]
-    for i, j in overlapping_pairs([c.bbox() for c in cover], [t.bbox() for t in target]):
+    for i, j in piece_pairs(cover, target):
         near[j].append(i)
     for t, idx in zip(target, near):
         near_cover = [cover[i] for i in sorted(idx)]
@@ -944,11 +945,15 @@ def cantor_endpoints(level: int) -> list[Fraction]:
     return sorted(pts)
 
 
+# this and base_plot_point are memoized: the probe-ball oracle walks the
+# tree again for each radius it tries
+@lru_cache(maxsize=None)
 def subtree_x_base(tau: str) -> Fraction:
     """Sum of 2 * 3^-(i+1) over the 1-bits: the left end of tau's subtree."""
     return 3 * cantor.cantor_coord(tau) - 1
 
 
+@lru_cache(maxsize=None)
 def base_plot_point(sigma: str) -> tuple[Fraction, Fraction]:
     """Planar vertex of a binary string: root (1/2, 1), level k at y = 2^-k."""
     check_bits(sigma)
@@ -965,7 +970,7 @@ def plotted_tree(tree, stage: int, depth: int) -> RegionSnapshot:
         for sigma in _tree_edges(tree, stage, depth)
     ]
     if not pieces:
-        pieces = [geom.point(*base_plot_point(""))] if survives(tree, "", stage) else []
+        pieces = [ConvexPoly([base_plot_point("")])] if survives(tree, "", stage) else []
     return RegionSnapshot(stage, pieces)
 
 
@@ -1004,7 +1009,7 @@ def probe_balls(sigma: str):
     a = base_plot_point(sigma[:-1])
     b = base_plot_point(sigma)
     mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-    mid_piece = geom.point(*mid)
+    mid_piece = ConvexPoly([mid])
     own = geom.segment(a, b)
     result = None
     for k in range(len(sigma), len(sigma) + 40):
@@ -1030,20 +1035,20 @@ def probe_balls(sigma: str):
     return minus, result
 
 
-def recover_tree(presentation, stage: int, depth: int) -> tuple[tuple[str, ...], bool]:
+def recover_tree(snapshot: RegionSnapshot, depth: int) -> tuple[tuple[str, ...], bool]:
     """(strings, region_empty): the strings whose positive ball meets the
-    stage snapshot, plus the root."""
-    pieces = presentation.snapshot(stage).pieces
+    snapshot, plus the root."""
+    pieces = snapshot.pieces
     strings = [format(i, f"0{n}b") for n in range(1, depth + 1) for i in range(1 << n)]
     probes = [probe_balls(sigma)[1] for sigma in strings]
     ball_boxes = []
     for ball in probes:
-        (x, y), r = ball.center, ball.radius
-        ball_boxes.append((x - r, y - r, x + r, y + r))
+        (x, y, r), d = geom.to_ints(*ball.center, ball.radius)
+        ball_boxes.append((x - r, y - r, x + r, y + r, d))
     met: set[int] = set()
-    for i, j in overlapping_pairs(ball_boxes, [p.bbox() for p in pieces]):
+    for i, j in overlapping_pairs(ball_boxes, [p._ibox() for p in pieces]):
         ball = probes[i]
-        centre = geom.point(*ball.center)
+        centre = ConvexPoly([ball.center])
         if i not in met and int_squared_distance(centre, pieces[j]) < ball.radius**2:
             met.add(i)
     hits = tuple(strings[i] for i in sorted(met))

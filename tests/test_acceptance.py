@@ -19,31 +19,31 @@ from planarpi.continua.examples import basic_dendrite, cantor_fan, harmonic_comb
 from planarpi.continua.fanq import DestinationTrack, q_snapshots
 from planarpi.continua.regions import normalize_level, v_region
 from planarpi.continua.trees import (
-    PlottedTreePresentation,
     build_dendrite_h,
     plotted_tree,
     probe_balls,
     recover_tree,
 )
-from planarpi.balls import subtract_ball
+from planarpi.balls import ball_polygon
 from planarpi.geom import (
+    ConvexPoly,
     RegionSnapshot,
     clip_halfplane,
     connectivity_components,
     hausdorff_enclosure,
-    point,
     rect,
     region_covers,
     segment,
     subtract_poly,
 )
-from planarpi.svg import count_elements, render_svg
+from planarpi.svg import render_svg
 from planarpi.verify import (
     check_hausdorff_bound,
     check_nesting,
     check_touch_chain,
 )
 
+from helpers import count_elements
 from oracles import brute_force_limit_f
 
 
@@ -69,7 +69,7 @@ def test_criterion_1_dendrite_cut_dichotomy():
     snapshot = build_dendrite_d(10, script)
     assert len(connectivity_components(snapshot)) == 1
     for t in range(11):
-        cut = subtract_ball(snapshot, cut_ball(t))
+        cut = subtract_poly(snapshot, ball_polygon(cut_ball(t)))
         components = len(connectivity_components(cut))
         if t in (1, 3, 5):
             assert components == 2, t
@@ -95,8 +95,7 @@ def test_criterion_2_probe_ball_round_trip():
             continue
         done += 1
         stage = tree.final_stage
-        presentation = PlottedTreePresentation(tree, depth=depth)
-        recovered = recover_tree(presentation, stage, depth)
+        recovered = recover_tree(plotted_tree(tree, stage, depth), depth)
         expected = sorted(
             (s for s in all_strings_upto(depth) if tree.survives(s, stage)),
             key=lambda s: (len(s), s),
@@ -273,11 +272,11 @@ def test_criterion_7_hausdorff_enclosures():
     seg_a = RegionSnapshot(0, [segment((0, 0), (1, 0))])
     seg_b = RegionSnapshot(0, [segment((0, 1), (1, 1))])
     enc = hausdorff_enclosure(seg_a, seg_b, 12)
-    assert enc.low <= 1 <= enc.high and enc.width() <= F(1, 1 << 12)
-    pt = RegionSnapshot(0, [point(0, 0)])
+    assert enc.low <= 1 <= enc.high and enc.high - enc.low <= F(1, 1 << 12)
+    pt = RegionSnapshot(0, [ConvexPoly([(0, 0)])])
     square = RegionSnapshot(0, [rect(0, 0, 1, 1)])
     enc = hausdorff_enclosure(pt, square, 12)
-    assert enc.low**2 <= 2 <= enc.high**2 and enc.width() <= F(1, 1 << 12)
+    assert enc.low**2 <= 2 <= enc.high**2 and enc.high - enc.low <= F(1, 1 << 12)
     script = EnumerationScript([(1, 1), (3, 3), (5, 5)])
     snap = build_dendrite_d(8, script)
     assert hausdorff_enclosure(snap, snap, 12).low == 0

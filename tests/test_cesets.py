@@ -27,8 +27,9 @@ def tail_family(bound: int, stage: int = 0, names=("V0",)) -> SequenceFamily:
         triples = [
             (n, stage, x) for n in range(bound + 1) for x in range(n, bound + 1)
         ]
+        assert all(x >= n for n, _, x in triples)
         members.append(FamilyMember(name, tuple(triples)))
-    return SequenceFamily(members, normalized=True)
+    return SequenceFamily(members)
 
 
 class TestEnumerationScript:

@@ -11,7 +11,8 @@ import pytest
 
 import planarpi
 from planarpi.cli import CHECK_NAMES, CONSTRUCTIONS, main
-from planarpi.svg import count_elements
+
+from helpers import count_elements
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # the directory that holds the `planarpi` under test, for fresh interpreters
@@ -212,9 +213,12 @@ def build_argv(*extra: str) -> list[str]:
     return ["build", "--config", "c.json", *extra, "--out", "out.json"]
 
 
-def family_with_triple(*triple) -> str:
-    families = [{"name": "V0", "triples": [list(triple)]}]
+def family_config(families) -> str:
     return json.dumps({"construction": "dendroid-k", "families": families})
+
+
+def family_with_triple(*triple) -> str:
+    return family_config([{"name": "V0", "triples": [list(triple)]}])
 
 
 # (case id, files to write, argv with file names relative to the test dir,
@@ -322,6 +326,23 @@ BAD_INPUTS = [
      "config field 'B': track entry 0 must be a pair, got None"),
     ("track-a-string", {"c.json": json.dumps({**Q_CONFIG, "B": "14"})}, build_argv(),
      "config field 'B': track must be a list of pairs, got '14'"),
+    # so is a `families` member that is not an object, and a member's entry
+    # that is not a triple
+    ("family-triple-a-string", {"c.json": family_config([{"name": "V0", "triples": ["123"]}])},
+     build_argv(), "config field 'families': V0: triples entry 0 must be a triple, got '123'"),
+    ("family-triple-two-elements",
+     {"c.json": family_config([{"name": "V0", "triples": [[0, 1, 2], [1, 2]]}])}, build_argv(),
+     "config field 'families': V0: triples entry 1 must be a triple, got [1, 2]"),
+    ("family-triple-four-elements",
+     {"c.json": family_config([{"name": "V0", "triples": [[1, 2, 3, 4]]}])}, build_argv(),
+     "config field 'families': V0: triples entry 0 must be a triple, got [1, 2, 3, 4]"),
+    ("family-triples-a-number", {"c.json": family_config([{"name": "V0", "triples": 5}])},
+     build_argv(), "config field 'families': V0: triples must be a list of triples, got 5"),
+    ("family-member-a-string",
+     {"c.json": family_config([{"name": "V0", "triples": []}, "ab"])}, build_argv(),
+     "config field 'families': family member 1 must be an object, got 'ab'"),
+    ("families-an-object", {"c.json": family_config({"V0": [[0, 1, 2]]})}, build_argv(),
+     "config field 'families': family must be a list of members, got {'V0': [[0, 1, 2]]}"),
     ("prune-string-not-a-string",
      {"c.json": '{"construction": "plotted-tree", "P": {"prune": [[["1"], 0]]}, "stage": 3}'},
      build_argv(), "not a binary string"),

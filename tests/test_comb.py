@@ -76,8 +76,6 @@ class TestFirstChoicesCache:
         a, b = SequenceFamily.from_json(rows), SequenceFamily.from_json(rows)
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != SequenceFamily(a.members[:-1])
-        member = FamilyMember("V0", ((0, 1, 3), (1, 2, 4)))
-        assert SequenceFamily([member]) != SequenceFamily([member], normalized=True)
 
     def test_build_and_probes_share_one_pass(self, tmp_path, monkeypatch):
         # the CLI parses `families` once, and the build and the probes share

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 from planarpi.cesets import EnumerationScript
 from planarpi.continua.dendrite import build_dendrite_d, cut_ball, rising_width
 from planarpi.continua.examples import basic_dendrite, cantor_endpoints, cantor_fan, harmonic_comb
-from planarpi.balls import subtract_ball
-from planarpi.geom import connectivity_components, segment
+from planarpi.balls import ball_polygon
+from planarpi.geom import connectivity_components, segment, subtract_poly
 
 import oracles
 from oracles import flood_fill_components
@@ -87,7 +87,7 @@ class TestDendriteD:
     def test_cut_dichotomy_small(self):
         region = build_dendrite_d(4, FIG5_SCRIPT)
         for t in range(5):
-            cut = subtract_ball(region, cut_ball(t))
+            cut = subtract_poly(region, ball_polygon(cut_ball(t)))
             expected = 2 if rising_width(FIG5_SCRIPT, t) > 0 else 1
             assert len(connectivity_components(cut)) == expected, t
 
@@ -102,6 +102,6 @@ class TestDendriteD:
 
         region = build_dendrite_d(4, FIG5_SCRIPT)
         ball = BallSpec((F(1, 2), F(1, 2)), F(1, 16), kind="closed")
-        cut = subtract_ball(region, ball)
+        cut = subtract_poly(region, ball_polygon(ball))
         assert len(connectivity_components(cut)) == 2
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import planarpi.balls as balls
 import planarpi.geom as geom
-from planarpi.balls import BallSpec, ball_polygon, subtract_ball
+from planarpi.balls import BallSpec, ball_polygon
 from planarpi.cli import CONSTRUCTIONS, main
 from planarpi.geom import (
     ConvexPoly,
@@ -24,7 +24,6 @@ from planarpi.geom import (
     convex_intersection,
     hausdorff_enclosure,
     overlapping_pairs,
-    point,
     polys_intersect,
     rect,
     region_covers,
@@ -43,6 +42,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def _interval(pair):
     return min(pair), max(pair)
+
+
+def int_box(box):
+    """A `Fraction` box (x0, y0, x1, y1) as the integer box (x0, y0, x1, y1, d)
+    over its own least common denominator, 1, 2 or 4 for a `BOX`."""
+    coords, d = geom.to_ints(*box)
+    return (*coords, d)
 
 
 # closed boxes on a coarse dyadic grid, so zero-width boxes, point boxes and
@@ -71,7 +77,7 @@ SEGMENTS = st.tuples(PT, PT).filter(lambda ab: ab[0] != ab[1]).map(lambda ab: se
 AXIS_SEGMENTS = st.tuples(PT, COORD, st.booleans()).filter(lambda v: v[1] != v[0][v[2]]).map(
     lambda v: segment(v[0], (v[1], v[0][1]) if v[2] == 0 else (v[0][0], v[1]))
 )
-PIECES = st.one_of(PT.map(lambda p: point(*p)), SEGMENTS, AXIS_SEGMENTS, POLYGONS)
+PIECES = st.one_of(PT.map(lambda p: ConvexPoly([p])), SEGMENTS, AXIS_SEGMENTS, POLYGONS)
 
 
 def _along(p, d, k):
@@ -134,16 +140,18 @@ class TestHalfplaneKernel:
 
     def test_cases_by_dimension(self):
         square = rect(0, 0, 2, 2)
-        assert convex_intersection(square, point(2, 1)) == point(2, 1)
-        assert convex_intersection(point(3, 1), square) is None
+        assert convex_intersection(square, ConvexPoly([(2, 1)])) == ConvexPoly([(2, 1)])
+        assert convex_intersection(ConvexPoly([(3, 1)]), square) is None
         assert convex_intersection(segment((-1, 1), (3, 1)), square) == segment((0, 1), (2, 1))
         assert convex_intersection(segment((0, 0), (2, 0)), segment((1, 0), (3, 0))) == segment(
             (1, 0), (2, 0)
         )
-        assert convex_intersection(segment((0, 0), (1, 0)), segment((1, 0), (3, 0))) == point(1, 0)
+        touch = convex_intersection(segment((0, 0), (1, 0)), segment((1, 0), (3, 0)))
+        assert touch == ConvexPoly([(1, 0)])
         assert convex_intersection(segment((0, 0), (1, 0)), segment((0, 1), (1, 1))) is None
-        assert convex_intersection(point(1, 0), point(1, 0)) == point(1, 0)
-        assert convex_intersection(point(1, 0), point(1, F(1, 4))) is None
+        p = ConvexPoly([(1, 0)])
+        assert convex_intersection(p, p) == p
+        assert convex_intersection(ConvexPoly([(1, 0)]), ConvexPoly([(1, F(1, 4))])) is None
 
 
 class TestKernelLaws:
@@ -177,7 +185,7 @@ class TestKernelLaws:
 
 class TestSquaredDistance:
     def test_point_pair(self):
-        assert squared_distance(point(0, 0), point(3, 4)) == 25
+        assert squared_distance(ConvexPoly([(0, 0)]), ConvexPoly([(3, 4)])) == 25
 
     def test_identity_segment(self):
         seg = segment((0, 0), (1, 0))
@@ -186,7 +194,7 @@ class TestSquaredDistance:
     def test_point_to_segment_projection(self):
         # hand projection: foot at (1/2, 0), distance 3/4
         seg = segment((0, 0), (1, 0))
-        assert squared_distance(seg, point(F(1, 2), F(3, 4))) == F(9, 16)
+        assert squared_distance(seg, ConvexPoly([(F(1, 2), F(3, 4))])) == F(9, 16)
 
     def test_zero_iff_intersects(self):
         a = rect(0, 0, 1, 1)
@@ -208,12 +216,12 @@ class TestSquaredDistance:
         inter = convex_intersection(a, b)
         assert inter.vertices == ((F(1, 2), F(1, 2)),)
 
-    def test_sq_sign_tie(self):
+    def test_point_sq_tie(self):
         # a point at squared distance exactly q from a piece: the comparison
         # is exact, so a tie is neither side
         box = rect(-2, -2, 2, 2)
-        assert geom._sq_sign((3, 0, 1), box, F(1)) == 0
-        assert geom._sq_sign((3, 0, 1), box, F(99, 100)) > 0
+        assert F(*geom._point_sq((3, 0, 1), box)) == F(1)
+        assert F(*geom._point_sq((3, 0, 1), box)) > F(99, 100)
 
 
 class TestConnectivity:
@@ -251,7 +259,7 @@ class TestBroadPhase:
             for j in range(i + 1, len(boxes))
             if boxes_overlap(boxes[i], boxes[j])
         }
-        pairs = overlapping_pairs(boxes)
+        pairs = overlapping_pairs([int_box(b) for b in boxes])
         assert len(pairs) == len(expected)
         assert set(pairs) == expected
 
@@ -264,13 +272,13 @@ class TestBroadPhase:
             for j in range(len(others))
             if boxes_overlap(boxes[i], others[j])
         }
-        pairs = overlapping_pairs(boxes, others)
+        pairs = overlapping_pairs([int_box(b) for b in boxes], [int_box(b) for b in others])
         assert len(pairs) == len(expected)
         assert set(pairs) == expected
 
     def test_touching_boxes_meet(self):
         boxes = [(F(0), F(0), F(1), F(1)), (F(1), F(1), F(2), F(2)), (F(2), F(0), F(2), F(1))]
-        assert sorted(overlapping_pairs(boxes)) == [(0, 1), (1, 2)]
+        assert sorted(overlapping_pairs([int_box(b) for b in boxes])) == [(0, 1), (1, 2)]
 
 
 class TestPieceGraph:
@@ -307,20 +315,20 @@ class TestSubtraction:
     def test_disjoint_ball_is_noop(self):
         region = RegionSnapshot(0, [rect(0, 0, 1, 1)])
         ball = BallSpec((F(-1), F(-1)), F(1, 4))
-        out = subtract_ball(region, ball)
+        out = subtract_poly(region, ball_polygon(ball))
         assert region_covers(out.pieces, region.pieces)[0]
         assert region_covers(region.pieces, out.pieces)[0]
 
     def test_covering_ball_removes_everything(self):
         region = RegionSnapshot(0, [rect(0, 0, F(1, 8), F(1, 8))])
         ball = BallSpec((F(1, 16), F(1, 16)), F(1), kind="closed")
-        assert subtract_ball(region, ball).is_empty()
+        assert subtract_poly(region, ball_polygon(ball)).is_empty()
 
     def test_result_covers_exact_difference(self):
         # sampled rational points outside the ball stay covered
         region = RegionSnapshot(0, [rect(0, 0, 1, 1)])
         ball = BallSpec((F(1, 2), F(1, 2)), F(1, 4))
-        out = subtract_ball(region, ball)
+        out = subtract_poly(region, ball_polygon(ball))
         rng = random.Random(11)
         for _ in range(200):
             p = (F(rng.randint(0, 64), 64), F(rng.randint(0, 64), 64))
@@ -532,15 +540,15 @@ class TestHausdorff:
         b = RegionSnapshot(0, [segment((0, 1), (1, 1))])
         enc = hausdorff_enclosure(a, b, 12)
         assert enc.low <= 1 <= enc.high
-        assert enc.width() <= F(1, 1 << 12)
+        assert enc.high - enc.low <= F(1, 1 << 12)
 
     def test_point_vs_unit_square(self):
-        a = RegionSnapshot(0, [point(0, 0)])
+        a = RegionSnapshot(0, [ConvexPoly([(0, 0)])])
         b = RegionSnapshot(0, [rect(0, 0, 1, 1)])
         enc = hausdorff_enclosure(a, b, 12)
         # true value sqrt(2): enclosure must contain it
         assert enc.low * enc.low <= 2 <= enc.high * enc.high
-        assert enc.width() <= F(1, 1 << 12)
+        assert enc.high - enc.low <= F(1, 1 << 12)
 
     def test_symmetry_overlap(self):
         rng = random.Random(3)
@@ -587,7 +595,7 @@ class TestHausdorff:
 
     def test_empty_raises(self):
         a = RegionSnapshot(0, [])
-        b = RegionSnapshot(0, [point(0, 0)])
+        b = RegionSnapshot(0, [ConvexPoly([(0, 0)])])
         with pytest.raises(ValueError):
             hausdorff_enclosure(a, b, 4)
 
@@ -611,5 +619,5 @@ class TestSceneJson:
         assert back.frame == region.frame
 
     def test_lowest_terms_strings(self):
-        doc = RegionSnapshot(0, [point(F(2, 4), F(0))]).to_json()
+        doc = RegionSnapshot(0, [ConvexPoly([(F(2, 4), F(0))])]).to_json()
         assert doc["pieces"][0]["verts"][0] == ["1/2", "0/1"]

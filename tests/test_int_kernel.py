@@ -26,7 +26,6 @@ from planarpi.geom import (
     convex_difference,
     convex_intersection,
     piece_pairs,
-    point,
     polys_intersect,
     rect,
     region_covers,
@@ -46,7 +45,7 @@ STEP = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
 POLYGONS = st.lists(PT, min_size=3, max_size=5).map(ConvexPoly)
 SEGMENTS = st.tuples(PT, PT).filter(lambda ab: ab[0] != ab[1]).map(lambda ab: segment(*ab))
 BOXES = st.tuples(PT, PT).map(lambda pq: rect(pq[0][0], pq[0][1], pq[1][0], pq[1][1]))
-PIECES = st.one_of(PT.map(lambda p: point(*p)), SEGMENTS, BOXES, POLYGONS)
+PIECES = st.one_of(PT.map(lambda p: ConvexPoly([p])), SEGMENTS, BOXES, POLYGONS)
 
 
 def _along(p, d, unit, k):
@@ -97,7 +96,7 @@ def crossing_pairs(draw):
     ext = draw(st.sampled_from((0, F(1, 2), 2)))
     a = (p[0] - ext * (q[0] - p[0]), p[1] - ext * (q[1] - p[1]))
     b = (q[0] + ext * (q[0] - p[0]), q[1] + ext * (q[1] - p[1]))
-    other = point(*p) if p == q or draw(st.booleans()) else segment(a, b)
+    other = ConvexPoly([p]) if p == q or draw(st.booleans()) else segment(a, b)
     return (poly, other) if draw(st.booleans()) else (other, poly)
 
 
@@ -155,7 +154,7 @@ class TestDrawnPieces:
         _assert_pair_matches(b, a)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(PAIRS, st.tuples(PT.map(lambda p: point(*p)), PIECES)))
+    @given(st.one_of(PAIRS, st.tuples(PT.map(lambda p: ConvexPoly([p])), PIECES)))
     def test_distance_matches_edge_loop(self, pair):
         # the least point-to-piece distance from either piece's vertices,
         # against the distance's own edge loop that it replaced
@@ -220,7 +219,7 @@ class TestCoversBothWays:
     def test_target_poking_out_of_the_cover(self, cover, plane, p, alone):
         inside = clip_halfplane(cover[0], *plane)
         assume(inside is not None)
-        target = point(*p) if alone else ConvexPoly([*inside.vertices, p])
+        target = ConvexPoly([p]) if alone else ConvexPoly([*inside.vertices, p])
         assume(not _in_one_piece(cover, target))
         assert region_covers(cover, [target]) == oracles.region_covers(cover, [target])
 
@@ -289,7 +288,7 @@ def test_config_hausdorff_bounds_match_oracle(config_snapshots, name, s):
         assert got == oracles.directed_sq_bounds(src, dst, half, prec)
 
 
-POINT_PIECES = PT.map(lambda p: point(*p))
+POINT_PIECES = PT.map(lambda p: ConvexPoly([p]))
 SCENES = st.sampled_from((POINT_PIECES, SEGMENTS, st.one_of(POINT_PIECES, SEGMENTS))).flatmap(
     lambda pieces: st.lists(pieces, min_size=1, max_size=4)
 )

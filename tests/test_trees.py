@@ -5,7 +5,6 @@ import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +15,6 @@ import oracles
 from planarpi.cantor import TreePresentation, full_tree
 from planarpi.cesets import EnumerationScript
 from planarpi.continua.trees import (
-    PlottedTreePresentation,
     build_dendrite_h,
     h_cut_box,
     plot_point,
@@ -26,8 +24,8 @@ from planarpi.continua.trees import (
 )
 from planarpi.geom import (
     ConvexPoly,
+    RegionSnapshot,
     connectivity_components,
-    point,
     region_covers,
     segment,
     squared_distance,
@@ -91,7 +89,7 @@ class TestProbeBalls:
 
     def test_plus_ball_meets_only_its_edge(self):
         _, plus = probe_balls("0")
-        center = point(*plus.center)
+        center = ConvexPoly([plus.center])
         r2 = plus.radius * plus.radius
         for sigma in all_strings_upto(6):
             if not sigma:
@@ -126,29 +124,19 @@ class TestPlottedTree:
 
 class TestRecoverTree:
     def test_full_tree_round_trip(self):
-        pres = PlottedTreePresentation(full_tree(), depth=4)
-        recovered = recover_tree(pres, 0, 4)
+        recovered = recover_tree(plotted_tree(full_tree(), 0, 4), 4)
         assert list(recovered.strings) == sorted(
             all_strings_upto(4), key=lambda s: (len(s), s)
         )
 
     def test_pruned_subtree_omitted(self):
         tree = TreePresentation([("1", 0)])
-        pres = PlottedTreePresentation(tree, depth=4)
-        recovered = recover_tree(pres, tree.final_stage, 4)
+        recovered = recover_tree(plotted_tree(tree, tree.final_stage, 4), 4)
         assert all(not s.startswith("1") for s in recovered.strings)
         assert "0" in recovered.strings
 
     def test_empty_region_flagged(self):
-        class EmptyPresentation:
-            final_stage = 0
-
-            def snapshot(self, stage):
-                from planarpi.geom import RegionSnapshot
-
-                return RegionSnapshot(stage, [])
-
-        recovered = recover_tree(EmptyPresentation(), 0, 3)
+        recovered = recover_tree(RegionSnapshot(0, []), 3)
         assert recovered.strings == ("",)
         assert recovered.region_empty
 
@@ -159,9 +147,8 @@ class TestRecoverTree:
             if tree.is_empty(10):
                 continue
             depth = 5
-            pres = PlottedTreePresentation(tree, depth=depth)
             stage = tree.final_stage
-            recovered = recover_tree(pres, stage, depth)
+            recovered = recover_tree(plotted_tree(tree, stage, depth), depth)
             expected = [
                 s
                 for s in all_strings_upto(depth)
@@ -180,15 +167,15 @@ class TestRecoverTree:
             depth = rng.randint(1, 5)
             stage = rng.randint(0, tree.final_stage)
             w, snap_depth = rng.choice([F(0), F(1, 8), F(1, 4), F(1, 2)]), rng.randint(1, 6)
-            pres = SimpleNamespace(snapshot=lambda s: oracles.fat_tree(tree, w, s, snap_depth))
-            pieces = pres.snapshot(stage).pieces
+            snapshot = oracles.fat_tree(tree, w, stage, snap_depth)
+            pieces = snapshot.pieces
             hits = []
             for sigma in all_strings_upto(depth)[1:]:
                 _, plus = probe_balls(sigma)
-                center = point(*plus.center)
+                center = ConvexPoly([plus.center])
                 if any(squared_distance(center, piece) < plus.radius**2 for piece in pieces):
                     hits.append(sigma)
-            recovered = recover_tree(pres, stage, depth)
+            recovered = recover_tree(snapshot, depth)
             assert recovered.strings == ("", *hits)
             assert recovered.region_empty == (not hits)
 
@@ -354,27 +341,27 @@ class TestMatchesReplacedPaths:
                 assert got == oracles.plotted_tree(tree, stage, depth).to_json()
 
     def test_probe_balls(self):
-        for sigma in all_strings_upto(6):
+        for sigma in all_strings_upto(8):
             assert probe_balls(sigma) == oracles.probe_balls(sigma)
 
     def test_recover_tree_on_config(self):
         config = json.loads((CONFIGS / "plotted-tree.json").read_text())
         tree = TreePresentation.from_json(config["P"])
-        pres = PlottedTreePresentation(tree, config["depth"])
         for stage in range(tree.final_stage + 2):
+            snapshot = plotted_tree(tree, stage, config["depth"])
             for depth in range(1, config["depth"] + 2):
-                got = recover_tree(pres, stage, depth)
-                assert (got.strings, got.region_empty) == oracles.recover_tree(pres, stage, depth)
+                got = recover_tree(snapshot, depth)
+                assert (got.strings, got.region_empty) == oracles.recover_tree(snapshot, depth)
 
     def test_probes_make_no_hull(self, monkeypatch):
         # the probes measure from the centre as an integer triple, not from
         # a point piece made through the hull constructor
-        plotted = PlottedTreePresentation(TreePresentation([("10", 0)]), 4)
+        tree = TreePresentation([("10", 0)])
 
         def no_hull(self, points):
             raise AssertionError("ConvexPoly.__init__ called")
 
         monkeypatch.setattr(ConvexPoly, "__init__", no_hull)
         probe_balls.cache_clear()  # so that every positive ball is sought again
-        assert "11" in recover_tree(plotted, 0, 4).strings
-        assert "10" not in recover_tree(plotted, 1, 4).strings
+        assert "11" in recover_tree(plotted_tree(tree, 0, 4), 4).strings
+        assert "10" not in recover_tree(plotted_tree(tree, 1, 4), 4).strings

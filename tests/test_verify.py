@@ -255,10 +255,10 @@ class TestHausdorffBound:
         assert report.verdict == "pass"
 
     def test_inconclusive_when_bound_inside(self):
-        from planarpi.geom import hausdorff_enclosure, point
+        from planarpi.geom import ConvexPoly, hausdorff_enclosure
 
-        a = RegionSnapshot(0, [point(0, 0)])
-        b = RegionSnapshot(0, [point(1, 1)])  # distance sqrt(2), irrational
+        a = RegionSnapshot(0, [ConvexPoly([(0, 0)])])
+        b = RegionSnapshot(0, [ConvexPoly([(1, 1)])])  # distance sqrt(2), irrational
         enc = hausdorff_enclosure(a, b, 10)
         assert enc.low < enc.high
         mid = (enc.low + enc.high) / 2
